@@ -45,8 +45,7 @@ def _estimate(e: ConstantEstimate | None):
         return None
     out = {"value": _num(e.value), "exactness": e.exactness.value}
     if e.witness is not None:
-        out["witness"] = list(e.witness) if not isinstance(e.witness, tuple) \
-            else list(e.witness)
+        out["witness"] = list(e.witness)
     return out
 
 
@@ -209,8 +208,6 @@ def _cmd_weave_search(args) -> dict:
         return report
     f0, src_a = _resolve_input(args.path_a, args.dim, None)
     f1, src_b = _resolve_input(args.path_b, args.dim, None)
-    if args.log_all_patterns and (1 << f0.n) > 4096:
-        raise InputError("--log-all-patterns is limited to 2^n <= 4096")
     res = worst_weaving(f0, f1, mode, blow_up_threshold=args.blowup_threshold,
                         exhaustive_cap=args.exhaustive_cap, seed=args.seed,
                         log_all_patterns=args.log_all_patterns)
@@ -259,6 +256,11 @@ def _certificate(cert) -> dict | None:
     }
 
 
+def _budget(budget) -> dict:
+    return {"kind": budget.kind, "bound": _num(budget.bound),
+            "actual": _num(budget.actual), "satisfied": budget.satisfied}
+
+
 def _cmd_perturb(args) -> dict:
     chosen = [x is not None for x in (args.op_scale, args.pair, args.basis)]
     if sum(chosen) != 1:
@@ -271,9 +273,7 @@ def _cmd_perturb(args) -> dict:
             system, args.op_scale * np.eye(system.space.dim), mode, seed=args.seed)
         results = {
             "check": "operator",
-            "budget": {"kind": rep.budget.kind, "bound": _num(rep.budget.bound),
-                       "actual": _num(rep.budget.actual),
-                       "satisfied": rep.budget.satisfied},
+            "budget": _budget(rep.budget),
             "suppression": _estimate(rep.suppression),
             "worst": _search_result(rep.worst) if rep.worst else None,
             "certificate": _certificate(rep.certificate),
@@ -284,9 +284,7 @@ def _cmd_perturb(args) -> dict:
         rep = pair_perturbation_check(system, other, mode, seed=args.seed)
         results = {
             "check": "pair",
-            "budget": {"kind": rep.budget.kind, "bound": _num(rep.budget.bound),
-                       "actual": _num(rep.budget.actual),
-                       "satisfied": rep.budget.satisfied},
+            "budget": _budget(rep.budget),
             "s_inv_norm": _num(rep.s_inv_norm),
             "worst": _search_result(rep.worst) if rep.worst else None,
             "certificate": _certificate(rep.certificate),
@@ -297,9 +295,7 @@ def _cmd_perturb(args) -> dict:
         rep = basis_perturbation_check(system, other.vectors)
         results = {
             "check": "basis",
-            "budget": {"kind": rep.budget.kind, "bound": _num(rep.budget.bound),
-                       "actual": _num(rep.budget.actual),
-                       "satisfied": rep.budget.satisfied},
+            "budget": _budget(rep.budget),
             "is_basis": rep.is_basis,
             "equivalence": None if rep.equivalence is None
             else [_num(rep.equivalence[0]), _num(rep.equivalence[1])],

@@ -219,45 +219,41 @@ def basis_constant(vectors: np.ndarray, space: NormedSpace,
     return ConstantEstimate(float(values[k]), exact, witness=(k + 1,))
 
 
-def _subset_matrices(stack: np.ndarray, ms: np.ndarray) -> np.ndarray:
-    """Canonical sums over selected stack rows for each pattern index."""
-    n = stack.shape[0]
-    bits = search.bit_rows(ms, n)
-    sel = np.where(bits[:, :, None, None], stack[None], 0.0)
-    return np.add.reduce(sel, axis=1)
+def pattern_sums(on: np.ndarray, off: np.ndarray | float, ms: np.ndarray) -> np.ndarray:
+    """Per pattern index in ``ms``: the sum over i of ``on[i]`` where bit i
+    is set and ``off[i]`` where it is not (bit 0 is the most significant).
+
+    ``on`` is an (n, d, d) stack; ``off`` is a stack of the same shape or a
+    scalar.  Weaving tables and probes, subset and sign sums, and
+    perturbation certificates all build their operators here, so
+    exhaustive tables and single-pattern probes agree bit for bit.
+    """
+    bits = search.bit_rows(ms, on.shape[0])
+    return np.add.reduce(np.where(bits[:, :, None, None], on, off), axis=1)
 
 
-def _signed_matrices(stack: np.ndarray, neg: np.ndarray, ms: np.ndarray) -> np.ndarray:
-    n = stack.shape[0]
-    bits = search.bit_rows(ms, n)
-    sel = np.where(bits[:, :, None, None], stack[None], neg[None])
-    return np.add.reduce(sel, axis=1)
-
-
-def _ratio_stack(system: FrameSystem, cond_cap: float) -> np.ndarray:
-    """Stack of x_i f_i^T S^-1 terms; NotAFrame when S is not invertible."""
-    s = frame_operator(system)
+def _frame_inverse(system: FrameSystem, cond_cap: float) -> np.ndarray:
+    """S^-1 entries; NotAFrame when S is not invertible."""
     try:
-        s_inv = invert(s, cond_cap=cond_cap)
+        return invert(frame_operator(system), cond_cap=cond_cap).entries
     except NotInvertible as exc:
         raise NotAFrame(f"frame operator not invertible: {exc}") from None
-    return outer_stack(system.vectors, system.functionals) @ s_inv.entries
 
 
-def _max_norm_over_patterns(stack: np.ndarray, neg: np.ndarray | None,
-                            kind, mode: SearchMode, exhaustive_cap: int,
-                            seed: int, workers: int | None,
-                            greedy_seed: bool) -> tuple[float, int, SearchMode]:
-    """Max of ||sum of selected/signed stack rows|| over bit patterns."""
-    n, d = stack.shape[0], stack.shape[1]
+def _max_norm_over_patterns(g: np.ndarray, signed: bool, kind, mode: SearchMode,
+                            exhaustive_cap: int, seed: int,
+                            workers: int | None) -> ConstantEstimate:
+    """Max of ||sum of the selected rows of g|| over bit patterns.
 
-    def matrices(ms: np.ndarray) -> np.ndarray:
-        if neg is None:
-            return _subset_matrices(stack, ms)
-        return _signed_matrices(stack, neg, ms)
+    Subset patterns drop the unselected rows; signed patterns negate them
+    and report the witness as +-1 signs.  Subset local search is seeded by
+    greedy growth.
+    """
+    n, d = g.shape[0], g.shape[1]
+    off = -g if signed else 0.0
 
     def chunk_values(m0: int, m1: int) -> np.ndarray:
-        mats = matrices(np.arange(m0, m1, dtype=np.uint64))
+        mats = pattern_sums(g, off, np.arange(m0, m1, dtype=np.uint64))
         return batch_opnorm_values(mats, kind, kind)
 
     def value_of(m: int) -> float:
@@ -269,17 +265,22 @@ def _max_norm_over_patterns(stack: np.ndarray, neg: np.ndarray | None,
     if mode_used.kind == "exhaustive":
         chunk = search.chunk_size_for(n, d * d)
         values = search.exhaustive_table(n, chunk_values, chunk=chunk, workers=workers)
-        best = search.first_argmax(values)
-        return float(values[best]), best, mode_used
-    cache: dict[int, float] = {}
-    extra = ()
-    if greedy_seed:
-        _, greedy_m = search.greedy_add(n, value_of, cache)
-        extra = (greedy_m,)
-    best_v, best_m, cache = search.hill_climb(
-        n, lambda m: cache[m] if m in cache else value_of(m),
-        restarts=mode_used.restarts, seed=seed, extra_starts=extra)
-    return best_v, best_m, mode_used
+        best_m = search.first_argmax(values)
+        best_v = float(values[best_m])
+    else:
+        cache: dict[int, float] = {}
+        extra = ()
+        if not signed:
+            _, greedy_m = search.greedy_add(n, value_of, cache)
+            extra = (greedy_m,)
+        best_v, best_m, cache = search.hill_climb(
+            n, lambda m: cache[m] if m in cache else value_of(m),
+            restarts=mode_used.restarts, seed=seed, extra_starts=extra)
+    exact = mode_used.kind == "exhaustive" and kind.is_exact_kind
+    bits = search.bits_of_index(best_m, n)
+    return ConstantEstimate(best_v,
+                            Exactness.EXACT if exact else Exactness.LOWER_BOUND,
+                            witness=tuple(1 if b else -1 for b in bits) if signed else bits)
 
 
 def suppression_constant(system: FrameSystem, mode: SearchMode = EXHAUSTIVE,
@@ -292,14 +293,9 @@ def suppression_constant(system: FrameSystem, mode: SearchMode = EXHAUSTIVE,
     ``exhaustive_cap``); heuristic mode runs greedy growth plus single-flip
     local search and reports a lower bound.
     """
-    stack = _ratio_stack(system, cond_cap)
-    value, m, mode_used = _max_norm_over_patterns(
-        stack, None, system.space.norm, mode, exhaustive_cap, seed, workers,
-        greedy_seed=True)
-    exact = (mode_used.kind == "exhaustive" and system.space.norm.is_exact_kind)
-    return ConstantEstimate(value,
-                            Exactness.EXACT if exact else Exactness.LOWER_BOUND,
-                            witness=search.bits_of_index(m, system.n))
+    g = outer_stack(system.vectors, system.functionals) @ _frame_inverse(system, cond_cap)
+    return _max_norm_over_patterns(g, False, system.space.norm, mode,
+                                   exhaustive_cap, seed, workers)
 
 
 def unconditional_constant(system: FrameSystem, mode: SearchMode = EXHAUSTIVE,
@@ -307,16 +303,9 @@ def unconditional_constant(system: FrameSystem, mode: SearchMode = EXHAUSTIVE,
                            seed: int = 0, workers: int | None = None,
                            cond_cap: float = DEFAULT_COND_CAP) -> ConstantEstimate:
     """C_u: the worst ||(sum_i eps_i x_i f_i^T) S^-1|| over signs eps."""
-    stack = _ratio_stack(system, cond_cap)
-    value, m, mode_used = _max_norm_over_patterns(
-        stack, -stack, system.space.norm, mode, exhaustive_cap, seed, workers,
-        greedy_seed=False)
-    exact = (mode_used.kind == "exhaustive" and system.space.norm.is_exact_kind)
-    bits = search.bits_of_index(m, system.n)
-    signs = tuple(1 if b else -1 for b in bits)
-    return ConstantEstimate(value,
-                            Exactness.EXACT if exact else Exactness.LOWER_BOUND,
-                            witness=signs)
+    return signed_ratio_constant(outer_stack(system.vectors, system.functionals),
+                                 _frame_inverse(system, cond_cap), system.space.norm,
+                                 mode, exhaustive_cap, seed, workers)
 
 
 def signed_ratio_constant(stack: np.ndarray, s_inv_entries: np.ndarray, kind,
@@ -324,14 +313,8 @@ def signed_ratio_constant(stack: np.ndarray, s_inv_entries: np.ndarray, kind,
                           exhaustive_cap: int = search.DEFAULT_EXHAUSTIVE_CAP,
                           seed: int = 0, workers: int | None = None) -> ConstantEstimate:
     """C_u against an externally supplied inverse (stack @ s_inv terms)."""
-    g = stack @ s_inv_entries
-    value, m, mode_used = _max_norm_over_patterns(
-        g, -g, kind, mode, exhaustive_cap, seed, workers, greedy_seed=False)
-    exact = mode_used.kind == "exhaustive" and kind.is_exact_kind
-    bits = search.bits_of_index(m, g.shape[0])
-    return ConstantEstimate(value,
-                            Exactness.EXACT if exact else Exactness.LOWER_BOUND,
-                            witness=tuple(1 if b else -1 for b in bits))
+    return _max_norm_over_patterns(stack @ s_inv_entries, True, kind, mode,
+                                   exhaustive_cap, seed, workers)
 
 
 def square_function(vectors: np.ndarray, coeffs, lattice_vectors: np.ndarray,

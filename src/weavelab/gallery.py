@@ -18,7 +18,7 @@ from .normed import L1, LINF, NormedSpace
 from .frames import (EXHAUSTIVE, Basis, FrameSystem, basis_constant,
                      biorthogonals, suppression_constant,
                      unconditional_constant)
-from .weaving import WeavePattern, weave, worst_weaving
+from .weaving import WeavePattern, weave, weaving_basis_constants, worst_weaving
 from .subspaces import SpannedSubspace, distance_to_span
 
 GALLERY_NAMES = (
@@ -256,20 +256,6 @@ def _pair_systems(kind: str, d: int) -> tuple[FrameSystem, FrameSystem]:
             generate(GallerySpec("difference-l1", d)))
 
 
-def _max_basis_constant_over_weavings(f0: FrameSystem, f1: FrameSystem) -> tuple[bool, float]:
-    n = f0.n
-    worst = 0.0
-    for m in range(1 << n):
-        pattern = WeavePattern.from_index(m, n)
-        woven = weave(f0, f1, pattern)
-        try:
-            duals = biorthogonals(woven.vectors)
-        except NotABasis:
-            return False, np.inf
-        worst = max(worst, basis_constant(woven.vectors, f0.space, duals).value)
-    return True, worst
-
-
 def reproduce(name: str, dims=tuple(range(2, 13)), basis_check_cap: int = 10,
               workers: int | None = None):
     """Run the pipeline behind one of the named phenomena and report it."""
@@ -283,9 +269,9 @@ def reproduce(name: str, dims=tuple(range(2, 13)), basis_check_cap: int = 10,
             f0, f1 = _pair_systems(kind, d)
             frame_worst.append(worst_weaving(f0, f1, workers=workers).worst_constant)
             if d <= basis_check_cap:
-                ok, wb = _max_basis_constant_over_weavings(f0, f1)
+                ok, wb = weaving_basis_constants(f0, f1)
                 all_bases = all_bases and ok
-                basis_worst.append(wb)
+                basis_worst.append(wb if ok else np.inf)
             else:
                 basis_worst.append(np.nan)
             per_basis.append((basis_constant(f0.vectors, f0.space, f0.functionals).value,
@@ -318,16 +304,7 @@ def reproduce(name: str, dims=tuple(range(2, 13)), basis_check_cap: int = 10,
         check_dim = 8
         b0 = generate(GallerySpec("subspace-b0", check_dim))
         b1 = generate(GallerySpec("subspace-b1", check_dim))
-        independent = True
-        worst = 0.0
-        for m in range(1 << check_dim):
-            woven = weave(b0, b1, WeavePattern.from_index(m, check_dim))
-            try:
-                duals = biorthogonals(woven.vectors)
-            except NotABasis:
-                independent = False
-                continue
-            worst = max(worst, basis_constant(woven.vectors, b0.space, duals).value)
+        independent, worst = weaving_basis_constants(b0, b1)
         even_dims = tuple(d for d in dims if d % 2 == 0 and d >= 4)
         distances = []
         odd_lengths = []

@@ -15,14 +15,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, NotAFrame, NotInvertible
+from .errors import InputError, NotABasis, NotAFrame, NotInvertible
 from .normed import (DEFAULT_COND_CAP, DenseOperator, Exactness, dual_norm,
                      invert, operator_norm, vector_norm)
-from .frames import (EXHAUSTIVE, ConstantEstimate, FrameSystem,
-                     basis_constant, biorthogonals, check_approximate_frame,
-                     equivalence_constants, frame_operator,
+from .frames import (EXHAUSTIVE, ConstantEstimate, FrameSystem, biorthogonals,
+                     check_approximate_frame, equivalence_constants,
+                     frame_operator, outer_stack, pattern_sums,
                      suppression_constant)
-from .weaving import WeavePattern, WeaveSearchResult, weave, worst_weaving
+from .weaving import (WeavePattern, WeaveSearchResult, sample_patterns,
+                      weaving_basis_constants, worst_weaving)
 
 CERT_SLACK = 1e-9
 EXHAUSTIVE_CERT_CAP = 12  # bits; beyond this, certificates sample patterns
@@ -92,7 +93,7 @@ def basis_perturbation_check(basis0: FrameSystem, candidate,
         raise InputError("basis perturbation needs a square basis system")
     try:
         biorthogonals(basis0.vectors)
-    except Exception as exc:
+    except NotABasis as exc:
         raise InputError(f"basis0 is not a basis: {exc}") from None
     cand = np.asarray(getattr(candidate, "vectors", candidate), dtype=np.float64)
     if cand.shape != basis0.vectors.shape:
@@ -106,22 +107,12 @@ def basis_perturbation_check(basis0: FrameSystem, candidate,
         return BasisPerturbationReport(budget, None, None, None, None)
     try:
         cand_duals = biorthogonals(cand)
-        is_basis = True
-    except Exception:
+    except NotABasis:
         return BasisPerturbationReport(budget, False, None, False, None)
     equivalence = equivalence_constants(basis0.vectors, cand, basis0.space)
     f1 = FrameSystem(basis0.space, cand, cand_duals, label="perturbed")
-    all_bases = True
-    worst_c = 0.0
-    for m in range(1 << basis0.n):
-        woven = weave(basis0, f1, WeavePattern.from_index(m, basis0.n))
-        try:
-            duals = biorthogonals(woven.vectors)
-        except Exception:
-            all_bases = False
-            continue
-        worst_c = max(worst_c, basis_constant(woven.vectors, basis0.space, duals).value)
-    return BasisPerturbationReport(budget, is_basis, equivalence, all_bases, worst_c)
+    all_bases, worst_c = weaving_basis_constants(basis0, f1)
+    return BasisPerturbationReport(budget, True, equivalence, all_bases, worst_c)
 
 
 def _certify_residuals(f0: FrameSystem, f1: FrameSystem, s_inv: np.ndarray,
@@ -131,23 +122,14 @@ def _certify_residuals(f0: FrameSystem, f1: FrameSystem, s_inv: np.ndarray,
     n = f0.n
     space = f0.space
     exhaustive = n <= EXHAUSTIVE_CERT_CAP
-    if exhaustive:
-        ms = range(1 << n)
-    else:
-        rng = np.random.default_rng(seed)
-        alt = WeavePattern.alternating(n)
-        picks = {0, (1 << n) - 1, alt.index, alt.complement().index}
-        while len(picks) < 512:
-            picks.add(int(rng.integers(0, 1 << n)))
-        ms = sorted(picks)
+    ms = range(1 << n) if exhaustive else sample_patterns(n, 512, seed)
+    o0 = outer_stack(f0.vectors, f0.functionals)
+    o1 = outer_stack(f1.vectors, f1.functionals)
     eye = np.eye(space.dim)
     max_res = 0.0
     failures = []
-    count = 0
     for m in ms:
-        count += 1
-        pattern = WeavePattern.from_index(m, n)
-        s_sigma = frame_operator(weave(f0, f1, pattern)).entries
+        s_sigma = pattern_sums(o1, o0, np.array([m], dtype=np.uint64))[0]
         res = operator_norm(DenseOperator.on_space(eye - s_sigma @ s_inv, space)).value
         max_res = max(max_res, res)
         ok = res <= bound + CERT_SLACK
@@ -157,9 +139,9 @@ def _certify_residuals(f0: FrameSystem, f1: FrameSystem, s_inv: np.ndarray,
             except NotInvertible:
                 ok = False
         if not ok:
-            failures.append(str(pattern))
+            failures.append(str(WeavePattern.from_index(m, n)))
     return BoundCertificate(holds=not failures, bound=bound, max_residual=max_res,
-                            patterns_checked=count, exhaustive=exhaustive,
+                            patterns_checked=len(ms), exhaustive=exhaustive,
                             failures=tuple(failures[:16]))
 
 

@@ -25,7 +25,7 @@ from .normed import (DEFAULT_COND_CAP, DenseOperator, Exactness, NormedSpace,
 from .frames import (EXHAUSTIVE, ConstantEstimate, FrameSystem,
                      biorthogonals, heuristic, outer_stack,
                      signed_ratio_constant, unconditional_constant)
-from .weaving import WeavePattern, weave
+from .weaving import WeavePattern, sample_patterns, weave
 
 DEFAULT_UNC_THRESHOLD = 4.0
 RANGE_RESIDUAL_TOL = 1e-8
@@ -108,17 +108,6 @@ class RestrictedInverse:
     norm: ConstantEstimate
 
 
-def _norm_of_rows(rows: np.ndarray, kind) -> np.ndarray:
-    # lean row-norm helper for the ascent inner loop (inputs already finite)
-    if kind.tag == "l1":
-        return np.abs(rows).sum(axis=1)
-    if kind.tag == "linf":
-        return np.abs(rows).max(axis=1)
-    if kind.tag == "l2":
-        return np.linalg.norm(rows, axis=1)
-    return batch_vector_norms(rows, kind)
-
-
 def _norming(z: np.ndarray, kind) -> np.ndarray:
     # subgradient selection of ||.|| at z in the predual pairing
     if kind.tag == "linf":
@@ -146,8 +135,8 @@ def _ratio_ascent(numer: np.ndarray, denom: np.ndarray, kind, starts: int = 64,
         if np.any(v):
             cands.append(v)
     cmat = np.array(cands)
-    num_norms = _norm_of_rows(cmat @ numer.T, kind)
-    den_norms = _norm_of_rows(cmat @ denom.T, kind)
+    num_norms = batch_vector_norms(cmat @ numer.T, kind)
+    den_norms = batch_vector_norms(cmat @ denom.T, kind)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = np.where(den_norms > 0, num_norms / den_norms, -np.inf)
     order = np.argsort(-ratios)
@@ -156,8 +145,8 @@ def _ratio_ascent(numer: np.ndarray, denom: np.ndarray, kind, starts: int = 64,
         c = cmat[idx] / np.linalg.norm(cmat[idx])
         nv = numer @ c
         dv = denom @ c
-        n_n = _norm_of_rows(nv[None], kind)[0]
-        n_d = _norm_of_rows(dv[None], kind)[0]
+        n_n = batch_vector_norms(nv[None], kind)[0]
+        n_d = batch_vector_norms(dv[None], kind)[0]
         if n_d == 0.0:
             continue
         cur = n_n / n_d
@@ -174,8 +163,8 @@ def _ratio_ascent(numer: np.ndarray, denom: np.ndarray, kind, starts: int = 64,
             c_new /= nrm
             nv_new = numer @ c_new
             dv_new = denom @ c_new
-            n_n_new = _norm_of_rows(nv_new[None], kind)[0]
-            n_d_new = _norm_of_rows(dv_new[None], kind)[0]
+            n_n_new = batch_vector_norms(nv_new[None], kind)[0]
+            n_d_new = batch_vector_norms(dv_new[None], kind)[0]
             if n_d_new > 0 and n_n_new / n_d_new > cur:
                 c, nv, dv, n_n, n_d = c_new, nv_new, dv_new, n_n_new, n_d_new
                 cur = n_n / n_d
@@ -474,12 +463,7 @@ def _scope_patterns(n: int, scope: str, samples: int, seed: int,
         raise InputError(f"unknown scope {scope!r}")
     if scope == "exhaustive" and n <= dim_cap:
         return list(range(1 << n)), "exhaustive"
-    rng = np.random.default_rng(seed)
-    alt = WeavePattern.alternating(n)
-    picks = {0, (1 << n) - 1, alt.index, alt.complement().index}
-    while len(picks) < min(samples + 4, 1 << n):
-        picks.add(int(rng.integers(0, 1 << n)))
-    return sorted(picks), "sampled"
+    return sample_patterns(n, samples + 4, seed), "sampled"
 
 
 def _sigma_cases(f0, f1, m, inner_mode, threshold, cond_cap, wanted, seed):

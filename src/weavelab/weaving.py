@@ -16,10 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import search
-from .errors import InputError
+from .errors import InputError, NotABasis
 from .normed import DEFAULT_COND_CAP, Exactness, batch_opnorm_values, batch_vector_norms
 from .frames import (EXHAUSTIVE, ConstantEstimate, FrameSystem, SearchMode,
-                     frame_constants, heuristic, outer_stack)
+                     basis_constant, biorthogonals, frame_constants, heuristic,
+                     outer_stack, pattern_sums)
 
 DEFAULT_BLOW_UP = 1e8
 LOG_CAP = 4096
@@ -155,36 +156,35 @@ def partial_operator(f0: FrameSystem, f1: FrameSystem,
                                    range(query.lo, query.hi + 1))
 
 
-def _weaving_tables(f0: FrameSystem, f1: FrameSystem,
-                    cond_cap: float, workers: int | None) -> np.ndarray:
-    """(2^n, 2) table of (||S_sigma||, ||S_sigma^-1|| or +inf) for all sigma."""
-    n, space = f0.n, f0.space
+def _weaving_rows(f0: FrameSystem, f1: FrameSystem, cond_cap: float):
+    """Row function: pattern indices -> (len, 2) rows of
+    (||S_sigma||, ||S_sigma^-1|| or +inf)."""
+    space = f0.space
     o0 = outer_stack(f0.vectors, f0.functionals)
     o1 = outer_stack(f1.vectors, f1.functionals)
 
-    def chunk_fn(m0: int, m1: int) -> np.ndarray:
-        ms = np.arange(m0, m1, dtype=np.uint64)
-        bits = search.bit_rows(ms, n)
-        sel = np.where(bits[:, :, None, None], o1[None], o0[None])
-        mats = np.add.reduce(sel, axis=1)
+    def rows_of(ms: np.ndarray) -> np.ndarray:
         rows = np.empty((len(ms), 2))
-        for i, mat in enumerate(mats):
+        for i, mat in enumerate(pattern_sums(o1, o0, ms)):
             s_norm, s_inv_norm, _ = frame_constants(mat, space, cond_cap)
             rows[i, 0] = s_norm.value
             rows[i, 1] = s_inv_norm.value if s_inv_norm is not None else np.inf
         return rows
 
-    chunk = search.chunk_size_for(n, space.dim ** 2)
+    return rows_of
+
+
+def _weaving_tables(f0: FrameSystem, f1: FrameSystem,
+                    cond_cap: float, workers: int | None) -> np.ndarray:
+    """(2^n, 2) table of _weaving_rows over all sigma."""
+    n = f0.n
+    rows_of = _weaving_rows(f0, f1, cond_cap)
+
+    def chunk_fn(m0: int, m1: int) -> np.ndarray:
+        return rows_of(np.arange(m0, m1, dtype=np.uint64))
+
+    chunk = search.chunk_size_for(n, f0.space.dim ** 2)
     return search.exhaustive_table(n, chunk_fn, columns=2, chunk=chunk, workers=workers)
-
-
-def _single_constant(f0: FrameSystem, f1: FrameSystem, m: int,
-                     cond_cap: float) -> tuple[float, float, float]:
-    pattern = WeavePattern.from_index(m, f0.n)
-    stack = _selected_stack(f0, f1, pattern)
-    mat = np.add.reduce(stack, axis=0)
-    s_norm, s_inv_norm, c = frame_constants(mat, f0.space, cond_cap)
-    return s_norm.value, (s_inv_norm.value if s_inv_norm is not None else np.inf), c
 
 
 def worst_weaving(f0: FrameSystem, f1: FrameSystem, mode: SearchMode = EXHAUSTIVE,
@@ -204,6 +204,8 @@ def worst_weaving(f0: FrameSystem, f1: FrameSystem, mode: SearchMode = EXHAUSTIV
     """
     _require_compatible(f0, f1)
     n = f0.n
+    if log_all_patterns and (1 << n) > LOG_CAP:
+        raise InputError(f"per-pattern log limited to 2^n <= {LOG_CAP}")
     mode_used = mode
     if mode.kind == "exhaustive" and (1 << n) > exhaustive_cap:
         mode_used = heuristic(mode.restarts)
@@ -216,8 +218,6 @@ def worst_weaving(f0: FrameSystem, f1: FrameSystem, mode: SearchMode = EXHAUSTIV
         witness = int(np.argmax(offenders)) if bool(offenders.any()) else None
         log = None
         if log_all_patterns:
-            if (1 << n) > LOG_CAP:
-                raise InputError(f"per-pattern log limited to 2^n <= {LOG_CAP}")
             log = [(str(WeavePattern.from_index(m, n)), float(table[m, 0]), float(table[m, 1]))
                    for m in range(1 << n)]
         exact = Exactness.EXACT if f0.space.norm.is_exact_kind else Exactness.LOWER_BOUND
@@ -233,12 +233,12 @@ def worst_weaving(f0: FrameSystem, f1: FrameSystem, mode: SearchMode = EXHAUSTIV
             per_pattern_log=log,
             patterns_evaluated=1 << n)
 
-    detail: dict[int, tuple[float, float, float]] = {}
+    rows_of = _weaving_rows(f0, f1, cond_cap)
+    detail: dict[int, np.ndarray] = {}
 
     def value_of(m: int) -> float:
-        if m not in detail:
-            detail[m] = _single_constant(f0, f1, m, cond_cap)
-        return detail[m][2]
+        detail[m] = rows_of(np.array([m], dtype=np.uint64))[0]
+        return max(detail[m])
 
     best_v, best_m, cache = search.hill_climb(n, value_of, restarts=mode_used.restarts,
                                               seed=seed)
@@ -247,12 +247,12 @@ def worst_weaving(f0: FrameSystem, f1: FrameSystem, mode: SearchMode = EXHAUSTIV
         if cache[m] > blow_up_threshold:
             offender = m
             break
-    s_norm, s_inv, _ = detail[best_m]
+    s_norm, s_inv = detail[best_m]
     return WeaveSearchResult(
         worst_pattern=WeavePattern.from_index(best_m, n),
         worst_constant=float(best_v),
-        s_norm=s_norm,
-        s_inv_norm=s_inv,
+        s_norm=float(s_norm),
+        s_inv_norm=float(s_inv),
         mode=mode_used,
         exactness=Exactness.LOWER_BOUND,
         verdict="not_woven" if offender is not None else "woven",
@@ -315,12 +315,9 @@ def uniform_bound_profile(f0: FrameSystem, f1: FrameSystem,
                 picks = {0, 2 ** width - 1}
                 while len(picks) < n_samp:
                     picks.add(int(rng.integers(0, 2 ** width)))
-                for pick in sorted(picks):
-                    bits = search.bits_of_index(pick, width)
-                    stack = np.array([o1[m - 1 + i] if b else o0[m - 1 + i]
-                                      for i, b in enumerate(bits)])
-                    mat = np.add.reduce(stack, axis=0)
-                    best = max(best, float(batch_opnorm_values(mat[None], kind, kind)[0]))
+                mats = pattern_sums(o1[m - 1:k], o0[m - 1:k],
+                                    np.array(sorted(picks), dtype=np.uint64))
+                best = max(best, float(batch_opnorm_values(mats, kind, kind).max()))
     exact = exhaustive and kind.is_exact_kind
     return ConstantEstimate(best, Exactness.EXACT if exact else Exactness.LOWER_BOUND)
 
@@ -339,3 +336,38 @@ def lower_bound_profile(f0: FrameSystem, f1: FrameSystem,
     if not np.isfinite(worst_inv):
         return 0.0
     return 1.0 / worst_inv
+
+
+def weaving_basis_constants(f0: FrameSystem, f1: FrameSystem) -> tuple[bool, float]:
+    """(every weaving is a basis, worst basis constant over the weavings that are).
+
+    Enumerates all 2^n weavings of the vectors; a dependent weaving
+    (NotABasis) clears the first flag and is left out of the maximum.
+    """
+    _require_compatible(f0, f1)
+    n = f0.n
+    all_bases, worst = True, 0.0
+    for bits in search.bit_rows(np.arange(1 << n, dtype=np.uint64), n):
+        vectors = np.where(bits[:, None], f1.vectors, f0.vectors)
+        try:
+            duals = biorthogonals(vectors)
+        except NotABasis:
+            all_bases = False
+            continue
+        worst = max(worst, basis_constant(vectors, f0.space, duals).value)
+    return all_bases, worst
+
+
+def sample_patterns(n: int, count: int, seed: int) -> list[int]:
+    """Sorted pattern indices for sampled checks over n bits.
+
+    Always holds all zeros, all ones, the alternating pattern and its
+    complement, then seeded uniform draws until min(count, 2^n) distinct
+    patterns are picked.
+    """
+    rng = np.random.default_rng(seed)
+    alt = WeavePattern.alternating(n)
+    picks = {0, (1 << n) - 1, alt.index, alt.complement().index}
+    while len(picks) < min(count, 1 << n):
+        picks.add(int(rng.integers(0, 1 << n)))
+    return sorted(picks)

@@ -3,7 +3,7 @@ import pytest
 
 from weavelab import (FrameSystem, InputError, L1, NormedSpace,
                       basis_perturbation_check, operator_perturbation_check,
-                      pair_perturbation_check, worst_weaving)
+                      pair_perturbation_check, perturb, worst_weaving)
 from test_frames import standard_system, summing_system
 
 
@@ -128,3 +128,15 @@ def test_pair_check_rejects_non_frame():
     from weavelab import NotAFrame
     with pytest.raises(NotAFrame):
         pair_perturbation_check(bad, bad)
+
+
+def test_basis_perturbation_does_not_hide_internal_errors(monkeypatch):
+    # only NotABasis means "not a basis"; any other error is a fault and
+    # must reach the caller
+    def broken(vectors):
+        raise TypeError("internal fault")
+
+    monkeypatch.setattr(perturb, "biorthogonals", broken)
+    std = standard_system(3)
+    with pytest.raises(TypeError):
+        basis_perturbation_check(std, std.vectors)

@@ -6,11 +6,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from weavelab import (L1, LINF, Exactness, FrameSystem, InputError,
-                      IntervalOperatorQuery, NormedSpace, WeavePattern,
+                      IntervalOperatorQuery, NormedSpace, NotABasis,
+                      WeavePattern, basis_constant, biorthogonals,
                       check_approximate_frame, frame_operator, heuristic,
                       lower_bound_profile, partial_operator,
-                      partial_operator_subset, tail_profile,
+                      partial_operator_subset, search, tail_profile,
                       uniform_bound_profile, weave, worst_weaving)
+from weavelab.weaving import sample_patterns, weaving_basis_constants
 from conftest import random_frame_system
 from test_frames import standard_system, summing_system
 
@@ -216,3 +218,44 @@ def test_weave_then_complement_swaps_systems(bits):
     rev = weave(summing, std, pattern.complement())
     assert np.array_equal(fwd.vectors, rev.vectors)
     assert np.array_equal(fwd.functionals, rev.functionals)
+
+
+def test_log_cap_checked_before_enumerating(monkeypatch):
+    def no_table(*args, **kwargs):
+        raise AssertionError("the table was enumerated before the log cap check")
+
+    monkeypatch.setattr(search, "exhaustive_table", no_table)
+    std = standard_system(13, LINF)
+    with pytest.raises(InputError):
+        worst_weaving(std, summing_system(13), log_all_patterns=True)
+
+
+def test_weaving_basis_constants_skips_dependent_weavings():
+    # x_1 of the second system is e_2, so any weaving taking x_1 from it and
+    # x_2 from the standard basis repeats e_2
+    f0 = standard_system(3, LINF)
+    v1 = np.array([[0.0, 1.0, 0.0], [1.0, 1.0, 0.0], [1.0, 1.0, 1.0]])
+    f1 = FrameSystem(f0.space, v1, biorthogonals(v1))
+    all_bases, worst = weaving_basis_constants(f0, f1)
+    expected = []
+    for m in range(8):
+        woven = weave(f0, f1, WeavePattern.from_index(m, 3))
+        try:
+            duals = biorthogonals(woven.vectors)
+        except NotABasis:
+            continue
+        expected.append(basis_constant(woven.vectors, f0.space, duals).value)
+    assert not all_bases
+    assert 0 < len(expected) < 8
+    assert worst == max(expected) > 1.0
+
+
+def test_sample_patterns_anchors_and_count():
+    picks = sample_patterns(9, 40, seed=3)
+    assert picks == sorted(set(picks))
+    assert len(picks) == 40
+    alternating = WeavePattern.alternating(9)
+    assert {0, 2 ** 9 - 1, alternating.index,
+            alternating.complement().index} <= set(picks)
+    assert sample_patterns(3, 40, seed=3) == list(range(8))
+    assert sample_patterns(9, 40, seed=3) == picks
