@@ -221,7 +221,7 @@ def _cmd_check_woven(args) -> dict:
     conditions = tuple(c.strip() for c in args.conditions.split(",") if c.strip())
     verdict = unc_conditions(f0, f1, scope=args.scope, samples=args.samples,
                              threshold=args.threshold, seed=args.seed,
-                             conditions=conditions, keep_per_sigma=False)
+                             conditions=conditions)
     results = {
         "threshold": args.threshold,
         "scope": verdict.scope_used,

@@ -11,7 +11,7 @@ class InputError(WeavelabError):
 
 class NotInvertible(WeavelabError):
     """Raised when a matrix is singular, or too ill-conditioned to invert
-    under the configured condition cap and residual tolerance."""
+    under the condition cap ``normed.DEFAULT_COND_CAP`` and residual tolerance."""
 
 
 class NotABasis(WeavelabError):

@@ -26,16 +26,14 @@ def _require(condition: bool, message: str):
         raise InputError(message)
 
 
-def system_to_payload(system: FrameSystem, include_functionals: bool = True) -> dict:
-    payload = {
+def system_to_payload(system: FrameSystem) -> dict:
+    return {
         "dim": system.space.dim,
         "norm": system.space.norm.format(),
         "vectors": [[float(x) for x in row] for row in system.vectors],
+        "functionals": [[float(x) for x in row] for row in system.functionals],
         "label": system.label,
     }
-    if include_functionals:
-        payload["functionals"] = [[float(x) for x in row] for row in system.functionals]
-    return payload
 
 
 def system_from_payload(payload: dict, norm_override: str | None = None,
@@ -98,9 +96,8 @@ def load_system(path: str, norm_override: str | None = None) -> FrameSystem:
     return system_from_payload(payload, norm_override, source=path)
 
 
-def save_system(system: FrameSystem, path: str, include_functionals: bool = True):
-    text = json.dumps(system_to_payload(system, include_functionals),
-                      indent=2, sort_keys=True) + "\n"
+def save_system(system: FrameSystem, path: str):
+    text = json.dumps(system_to_payload(system), indent=2, sort_keys=True) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
 

@@ -140,8 +140,7 @@ def frame_operator(system: FrameSystem) -> DenseOperator:
     return DenseOperator.on_space(s, system.space)
 
 
-def frame_constants(entries: np.ndarray, space: NormedSpace,
-                    cond_cap: float = DEFAULT_COND_CAP
+def frame_constants(entries: np.ndarray, space: NormedSpace
                     ) -> tuple[OpNormResult, OpNormResult | None, float]:
     """(||S||, ||S^-1|| or None, frame constant) for an operator matrix.
 
@@ -151,35 +150,33 @@ def frame_constants(entries: np.ndarray, space: NormedSpace,
     op = DenseOperator.on_space(entries, space)
     s_norm = operator_norm(op)
     try:
-        inv = invert(op, cond_cap=cond_cap)
+        inv = invert(op)
     except NotInvertible:
         return s_norm, None, np.inf
     s_inv_norm = operator_norm(inv)
     return s_norm, s_inv_norm, max(s_norm.value, s_inv_norm.value)
 
 
-def check_approximate_frame(system: FrameSystem,
-                            cond_cap: float = DEFAULT_COND_CAP) -> ConstantReport:
+def check_approximate_frame(system: FrameSystem) -> ConstantReport:
     """Compute ||S|| and ||S^-1||; NotAFrame is a verdict, not an exception."""
     s_norm, s_inv_norm, c = frame_constants(frame_operator(system).entries,
-                                            system.space, cond_cap)
+                                            system.space)
     verdict = "frame" if np.isfinite(c) else "not_a_frame"
     return ConstantReport(s_norm, s_inv_norm, c, verdict)
 
 
-def biorthogonals(vectors: np.ndarray, tol: float = BIORTHOGONAL_TOL,
-                  cond_cap: float = DEFAULT_COND_CAP) -> np.ndarray:
+def biorthogonals(vectors: np.ndarray) -> np.ndarray:
     """Rows of the inverse basis matrix: duals with x*_j(x_k) = delta_jk.
 
     ``vectors`` holds the basis as rows.  Raises NotABasis for non-square
-    or dependent input (residual above ``tol`` after refinement).
+    or dependent input (residual above ``BIORTHOGONAL_TOL`` after refinement).
     """
     v = np.asarray(vectors, dtype=np.float64)
     if v.ndim != 2 or v.shape[0] != v.shape[1]:
         raise NotABasis(f"need a square vector family, got shape {v.shape}")
     b = v.T  # columns are the basis vectors
     cond = np.linalg.cond(b)
-    if not np.isfinite(cond) or cond > cond_cap:
+    if not np.isfinite(cond) or cond > DEFAULT_COND_CAP:
         raise NotABasis(f"vectors are dependent (condition number {cond:.3e})")
     eye = np.eye(b.shape[0])
     try:
@@ -190,11 +187,11 @@ def biorthogonals(vectors: np.ndarray, tol: float = BIORTHOGONAL_TOL,
     for _ in range(5):
         r = eye - duals @ b
         res = float(np.abs(r).max())
-        if res <= tol:
+        if res <= BIORTHOGONAL_TOL:
             break
         duals = duals + r @ duals
-    if res > tol:
-        raise NotABasis(f"biorthogonality residual {res:.3e} above {tol:.1e}")
+    if res > BIORTHOGONAL_TOL:
+        raise NotABasis(f"biorthogonality residual {res:.3e} above {BIORTHOGONAL_TOL:.1e}")
     return duals
 
 
@@ -232,17 +229,16 @@ def pattern_sums(on: np.ndarray, off: np.ndarray | float, ms: np.ndarray) -> np.
     return np.add.reduce(np.where(bits[:, :, None, None], on, off), axis=1)
 
 
-def _frame_inverse(system: FrameSystem, cond_cap: float) -> np.ndarray:
+def _frame_inverse(system: FrameSystem) -> np.ndarray:
     """S^-1 entries; NotAFrame when S is not invertible."""
     try:
-        return invert(frame_operator(system), cond_cap=cond_cap).entries
+        return invert(frame_operator(system)).entries
     except NotInvertible as exc:
         raise NotAFrame(f"frame operator not invertible: {exc}") from None
 
 
 def _max_norm_over_patterns(g: np.ndarray, signed: bool, kind, mode: SearchMode,
-                            exhaustive_cap: int, seed: int,
-                            workers: int | None) -> ConstantEstimate:
+                            exhaustive_cap: int, seed: int) -> ConstantEstimate:
     """Max of ||sum of the selected rows of g|| over bit patterns.
 
     Subset patterns drop the unselected rows; signed patterns negate them
@@ -264,7 +260,7 @@ def _max_norm_over_patterns(g: np.ndarray, signed: bool, kind, mode: SearchMode,
         mode_used = heuristic(mode.restarts)  # forced; result is a lower bound
     if mode_used.kind == "exhaustive":
         chunk = search.chunk_size_for(n, d * d)
-        values = search.exhaustive_table(n, chunk_values, chunk=chunk, workers=workers)
+        values = search.exhaustive_table(n, chunk_values, chunk=chunk)
         best_m = search.first_argmax(values)
         best_v = float(values[best_m])
     else:
@@ -285,36 +281,34 @@ def _max_norm_over_patterns(g: np.ndarray, signed: bool, kind, mode: SearchMode,
 
 def suppression_constant(system: FrameSystem, mode: SearchMode = EXHAUSTIVE,
                          exhaustive_cap: int = search.DEFAULT_EXHAUSTIVE_CAP,
-                         seed: int = 0, workers: int | None = None,
-                         cond_cap: float = DEFAULT_COND_CAP) -> ConstantEstimate:
+                         seed: int = 0) -> ConstantEstimate:
     """C_s: the worst ||P_Gamma S^-1|| over index subsets Gamma.
 
     Exhaustive mode enumerates all 2^n subsets (forced to heuristic above
     ``exhaustive_cap``); heuristic mode runs greedy growth plus single-flip
     local search and reports a lower bound.
     """
-    g = outer_stack(system.vectors, system.functionals) @ _frame_inverse(system, cond_cap)
+    g = outer_stack(system.vectors, system.functionals) @ _frame_inverse(system)
     return _max_norm_over_patterns(g, False, system.space.norm, mode,
-                                   exhaustive_cap, seed, workers)
+                                   exhaustive_cap, seed)
 
 
 def unconditional_constant(system: FrameSystem, mode: SearchMode = EXHAUSTIVE,
                            exhaustive_cap: int = search.DEFAULT_EXHAUSTIVE_CAP,
-                           seed: int = 0, workers: int | None = None,
-                           cond_cap: float = DEFAULT_COND_CAP) -> ConstantEstimate:
+                           seed: int = 0) -> ConstantEstimate:
     """C_u: the worst ||(sum_i eps_i x_i f_i^T) S^-1|| over signs eps."""
     return signed_ratio_constant(outer_stack(system.vectors, system.functionals),
-                                 _frame_inverse(system, cond_cap), system.space.norm,
-                                 mode, exhaustive_cap, seed, workers)
+                                 _frame_inverse(system), system.space.norm,
+                                 mode, exhaustive_cap, seed)
 
 
 def signed_ratio_constant(stack: np.ndarray, s_inv_entries: np.ndarray, kind,
                           mode: SearchMode = EXHAUSTIVE,
                           exhaustive_cap: int = search.DEFAULT_EXHAUSTIVE_CAP,
-                          seed: int = 0, workers: int | None = None) -> ConstantEstimate:
+                          seed: int = 0) -> ConstantEstimate:
     """C_u against an externally supplied inverse (stack @ s_inv terms)."""
     return _max_norm_over_patterns(stack @ s_inv_entries, True, kind, mode,
-                                   exhaustive_cap, seed, workers)
+                                   exhaustive_cap, seed)
 
 
 def square_function(vectors: np.ndarray, coeffs, lattice_vectors: np.ndarray,
@@ -357,14 +351,13 @@ def equivalence_constants(basis0: np.ndarray, basis1: np.ndarray,
 
 def frame_report(system: FrameSystem, mode: SearchMode = EXHAUSTIVE,
                  exhaustive_cap: int = search.DEFAULT_EXHAUSTIVE_CAP,
-                 seed: int = 0, workers: int | None = None,
-                 cond_cap: float = DEFAULT_COND_CAP) -> ConstantReport:
+                 seed: int = 0) -> ConstantReport:
     """Full constant report: frame bounds, C_s, C_u, and basis constant."""
-    base = check_approximate_frame(system, cond_cap)
+    base = check_approximate_frame(system)
     if base.verdict != "frame":
         return base
-    c_s = suppression_constant(system, mode, exhaustive_cap, seed, workers, cond_cap)
-    c_u = unconditional_constant(system, mode, exhaustive_cap, seed, workers, cond_cap)
+    c_s = suppression_constant(system, mode, exhaustive_cap, seed)
+    c_u = unconditional_constant(system, mode, exhaustive_cap, seed)
     basis_c = None
     if system.n == system.space.dim:
         try:

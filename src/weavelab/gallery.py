@@ -206,6 +206,7 @@ def verbatim_block_rank(d: int) -> int:
 
 REPRODUCIBLE = ("bases-not-frames-c0", "bases-not-frames-l1",
                 "alternating-conditional", "alternating-subspace")
+BASIS_CHECK_DIM = 10  # bases-not-frames enumerates weaving bases up to this d
 
 
 @dataclass(frozen=True, eq=False)
@@ -256,8 +257,7 @@ def _pair_systems(kind: str, d: int) -> tuple[FrameSystem, FrameSystem]:
             generate(GallerySpec("difference-l1", d)))
 
 
-def reproduce(name: str, dims=tuple(range(2, 13)), basis_check_cap: int = 10,
-              workers: int | None = None):
+def reproduce(name: str, dims=tuple(range(2, 13))):
     """Run the pipeline behind one of the named phenomena and report it."""
     if name in ("bases-not-frames-c0", "bases-not-frames-l1"):
         kind = "c0" if name.endswith("c0") else "l1"
@@ -267,8 +267,8 @@ def reproduce(name: str, dims=tuple(range(2, 13)), basis_check_cap: int = 10,
         all_bases = True
         for d in dims:
             f0, f1 = _pair_systems(kind, d)
-            frame_worst.append(worst_weaving(f0, f1, workers=workers).worst_constant)
-            if d <= basis_check_cap:
+            frame_worst.append(worst_weaving(f0, f1).worst_constant)
+            if d <= BASIS_CHECK_DIM:
                 ok, wb = weaving_basis_constants(f0, f1)
                 all_bases = all_bases and ok
                 basis_worst.append(wb if ok else np.inf)

@@ -288,16 +288,16 @@ def batch_opnorm_values(mats: np.ndarray, domain: NormKind, codomain: NormKind) 
 
 
 def _ascent(entries: np.ndarray, domain: NormKind, codomain: NormKind,
-            starts: int = ASCENT_STARTS, max_iter: int = 100) -> tuple[float, np.ndarray]:
+            max_iter: int = 100) -> tuple[float, np.ndarray]:
     """Multi-start duality ascent on ||Mx|| / ||x||; returns (value, witness)."""
     d_in = entries.shape[1]
     seeds = []
-    for j in range(min(d_in, starts)):
+    for j in range(min(d_in, ASCENT_STARTS)):
         e = np.zeros(d_in)
         e[j] = 1.0
         seeds.append(e)
     rng = np.random.default_rng(_ASCENT_SEED)
-    while len(seeds) < starts:
+    while len(seeds) < ASCENT_STARTS:
         v = rng.standard_normal(d_in)
         if np.any(v):
             seeds.append(v)
@@ -319,7 +319,7 @@ def _ascent(entries: np.ndarray, domain: NormKind, codomain: NormKind,
     return best_val, best_x
 
 
-def operator_norm(M: DenseOperator, starts: int = ASCENT_STARTS) -> OpNormResult:
+def operator_norm(M: DenseOperator) -> OpNormResult:
     """The operator norm of ``M`` between its domain and codomain norms.
 
     l1 -> l1 is the maximum column absolute sum (witness e_j), linf -> linf
@@ -341,23 +341,23 @@ def operator_norm(M: DenseOperator, starts: int = ASCENT_STARTS) -> OpNormResult
         else:
             witness = np.linalg.svd(a)[2][0]
         return OpNormResult(value, Exactness.EXACT, witness)
-    value, witness = _ascent(a, M.domain_norm, M.codomain_norm, starts=starts)
+    value, witness = _ascent(a, M.domain_norm, M.codomain_norm)
     return OpNormResult(float(value), Exactness.LOWER_BOUND, witness)
 
 
-def invert(M: DenseOperator, cond_cap: float = DEFAULT_COND_CAP) -> DenseOperator:
+def invert(M: DenseOperator) -> DenseOperator:
     """Guarded inversion: M^-1 with max-norm residual at most 1e-9.
 
     Raises NotInvertible when the estimated condition number exceeds
-    ``cond_cap`` or Newton refinement cannot reach the residual tolerance.
+    ``DEFAULT_COND_CAP`` or Newton refinement cannot reach the residual tolerance.
     The inverse maps the codomain back to the domain, so the norm tags swap.
     """
     if M.rows != M.cols:
         raise InputError(f"cannot invert a {M.rows}x{M.cols} operator")
     a = M.entries
     cond = np.linalg.cond(a)
-    if not np.isfinite(cond) or cond > cond_cap:
-        raise NotInvertible(f"condition number {cond:.3e} exceeds cap {cond_cap:.1e}")
+    if not np.isfinite(cond) or cond > DEFAULT_COND_CAP:
+        raise NotInvertible(f"condition number {cond:.3e} exceeds cap {DEFAULT_COND_CAP:.1e}")
     eye = np.eye(M.rows)
     try:
         x = np.linalg.solve(a, eye)

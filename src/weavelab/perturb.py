@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, NotABasis, NotAFrame, NotInvertible
-from .normed import (DEFAULT_COND_CAP, DenseOperator, Exactness, dual_norm,
-                     invert, operator_norm, vector_norm)
+from .normed import (DenseOperator, Exactness, dual_norm, invert,
+                     operator_norm, vector_norm)
 from .frames import (EXHAUSTIVE, ConstantEstimate, FrameSystem, biorthogonals,
                      check_approximate_frame, equivalence_constants,
                      frame_operator, outer_stack, pattern_sums,
@@ -80,8 +80,7 @@ class PairPerturbationReport:
     certificate: BoundCertificate | None
 
 
-def basis_perturbation_check(basis0: FrameSystem, candidate,
-                             cond_cap: float = DEFAULT_COND_CAP) -> BasisPerturbationReport:
+def basis_perturbation_check(basis0: FrameSystem, candidate) -> BasisPerturbationReport:
     """Small perturbation lemma: sum_j ||x_j - y_j|| ||x*_j|| < 1.
 
     ``basis0`` must be a basis paired with its biorthogonal functionals.
@@ -116,8 +115,7 @@ def basis_perturbation_check(basis0: FrameSystem, candidate,
 
 
 def _certify_residuals(f0: FrameSystem, f1: FrameSystem, s_inv: np.ndarray,
-                       bound: float, seed: int,
-                       cond_cap: float) -> BoundCertificate:
+                       bound: float, seed: int) -> BoundCertificate:
     """Check ||Id - S_sigma S^-1|| <= bound and invertibility per pattern."""
     n = f0.n
     space = f0.space
@@ -135,7 +133,7 @@ def _certify_residuals(f0: FrameSystem, f1: FrameSystem, s_inv: np.ndarray,
         ok = res <= bound + CERT_SLACK
         if ok:
             try:
-                invert(DenseOperator.on_space(s_sigma, space), cond_cap=cond_cap)
+                invert(DenseOperator.on_space(s_sigma, space))
             except NotInvertible:
                 ok = False
         if not ok:
@@ -146,9 +144,7 @@ def _certify_residuals(f0: FrameSystem, f1: FrameSystem, s_inv: np.ndarray,
 
 
 def operator_perturbation_check(system: FrameSystem, op,
-                                mode=EXHAUSTIVE, seed: int = 0,
-                                cond_cap: float = DEFAULT_COND_CAP,
-                                workers: int | None = None) -> OperatorPerturbationReport:
+                                mode=EXHAUSTIVE, seed: int = 0) -> OperatorPerturbationReport:
     """Operator perturbation: ||Id - T|| < 1/C_s certifies (T x_i, f_i) woven.
 
     Requires an exactly computed suppression constant; warns when C_s is so
@@ -160,8 +156,7 @@ def operator_perturbation_check(system: FrameSystem, op,
     d = system.space.dim
     if t_entries.shape != (d, d):
         raise InputError(f"perturbing operator must be {d}x{d}")
-    c_s = suppression_constant(system, mode, seed=seed, workers=workers,
-                               cond_cap=cond_cap)
+    c_s = suppression_constant(system, mode, seed=seed)
     if c_s.exactness is not Exactness.EXACT:
         raise InputError("operator perturbation needs an exact suppression "
                          "constant (exhaustive mode over an exact norm)")
@@ -177,19 +172,14 @@ def operator_perturbation_check(system: FrameSystem, op,
                          system.functionals, label=f"T({system.label})")
     if not budget.satisfied:
         return OperatorPerturbationReport(budget, c_s, None, None)
-    worst = worst_weaving(system, pushed, mode, cond_cap=cond_cap, seed=seed,
-                          workers=workers)
-    s_inv = invert(frame_operator(system), cond_cap=cond_cap).entries
-    cert = _certify_residuals(system, pushed, s_inv,
-                              bound=c_s.value * deviation, seed=seed,
-                              cond_cap=cond_cap)
+    worst = worst_weaving(system, pushed, mode, seed=seed)
+    s_inv = invert(frame_operator(system)).entries
+    cert = _certify_residuals(system, pushed, s_inv, bound=c_s.value * deviation, seed=seed)
     return OperatorPerturbationReport(budget, c_s, worst, cert)
 
 
 def pair_perturbation_check(f0: FrameSystem, f1: FrameSystem,
-                            mode=EXHAUSTIVE, seed: int = 0,
-                            cond_cap: float = DEFAULT_COND_CAP,
-                            workers: int | None = None) -> PairPerturbationReport:
+                            mode=EXHAUSTIVE, seed: int = 0) -> PairPerturbationReport:
     """Pairwise perturbation: the mixed sum below 1/||S^-1|| certifies weaving.
 
     actual = sum_i (||f_i^0 - f_i^1|| ||x_i^0|| + ||x_i^0 - x_i^1|| ||f_i^1||),
@@ -199,7 +189,7 @@ def pair_perturbation_check(f0: FrameSystem, f1: FrameSystem,
     """
     if f0.space != f1.space or f0.n != f1.n:
         raise InputError("systems are incompatible")
-    report = check_approximate_frame(f0, cond_cap)
+    report = check_approximate_frame(f0)
     if report.verdict != "frame":
         raise NotAFrame("the reference system is not an approximate frame")
     kind = f0.space.norm
@@ -213,9 +203,7 @@ def pair_perturbation_check(f0: FrameSystem, f1: FrameSystem,
     budget = PerturbationBudget("pair_sum", 1.0 / s_inv_norm, float(actual))
     if not budget.satisfied:
         return PairPerturbationReport(budget, s_inv_norm, None, None)
-    worst = worst_weaving(f0, f1, mode, cond_cap=cond_cap, seed=seed,
-                          workers=workers)
-    s_inv = invert(frame_operator(f0), cond_cap=cond_cap).entries
-    cert = _certify_residuals(f0, f1, s_inv, bound=actual * s_inv_norm,
-                              seed=seed, cond_cap=cond_cap)
+    worst = worst_weaving(f0, f1, mode, seed=seed)
+    s_inv = invert(frame_operator(f0)).entries
+    cert = _certify_residuals(f0, f1, s_inv, bound=actual * s_inv_norm, seed=seed)
     return PairPerturbationReport(budget, s_inv_norm, worst, cert)

@@ -18,6 +18,7 @@ import numpy as np
 from .errors import InputError
 
 DEFAULT_EXHAUSTIVE_CAP = 2 ** 22
+CHUNK_BUDGET = 2 ** 17  # float cells per chunk of an exhaustive table
 
 
 def worker_count() -> int:
@@ -47,19 +48,18 @@ def index_of_bits(bits) -> int:
     return m
 
 
-def chunk_size_for(n_bits: int, cell: int, budget: int = 2 ** 17) -> int:
+def chunk_size_for(n_bits: int, cell: int) -> int:
     """Fixed chunk size for a given problem shape.
 
     Depends only on the instance (never on the worker count) so chunk
     contents, and hence floating-point results, are schedule-independent.
     """
     per_row = max(1, n_bits * cell)
-    return max(1, min(1024, budget // per_row))
+    return max(1, min(1024, CHUNK_BUDGET // per_row))
 
 
 def exhaustive_table(n_bits: int, chunk_fn: Callable[[int, int], np.ndarray],
-                     columns: int = 1, chunk: int = 1024,
-                     workers: int | None = None) -> np.ndarray:
+                     columns: int = 1, chunk: int = 1024) -> np.ndarray:
     """Evaluate chunk_fn(m0, m1) over all 2**n_bits patterns.
 
     Returns the stacked (2**n_bits, columns) table (or a flat array when
@@ -74,7 +74,7 @@ def exhaustive_table(n_bits: int, chunk_fn: Callable[[int, int], np.ndarray],
         rows = np.asarray(chunk_fn(m0, m1), dtype=np.float64)
         out[m0:m1] = rows.reshape(m1 - m0, columns)
 
-    w = workers if workers is not None else worker_count()
+    w = worker_count()
     if w <= 1 or len(spans) <= 1:
         for span in spans:
             run(span)

@@ -28,6 +28,9 @@ from .frames import (EXHAUSTIVE, ConstantEstimate, FrameSystem,
 from .weaving import WeavePattern, sample_patterns, weave
 
 DEFAULT_UNC_THRESHOLD = 4.0
+INNER_EXHAUSTIVE_CAP = 2 ** 12  # patterns; above it inner C_u is heuristic(16)
+EXHAUSTIVE_SCOPE_BITS = 16  # above it, exhaustive scope falls back to sampled
+PER_SIGMA_CAP = 4096  # per-pattern flags are kept up to this many patterns
 RANGE_RESIDUAL_TOL = 1e-8
 INDEPENDENCE_TOL = 1e-10
 _ASCENT_SEED = 11
@@ -177,8 +180,7 @@ def _ratio_ascent(numer: np.ndarray, denom: np.ndarray, kind, starts: int = 64,
 
 
 def restricted_inverse(m: DenseOperator, domain: SpannedSubspace,
-                       codomain: SpannedSubspace,
-                       cond_cap: float = DEFAULT_COND_CAP) -> RestrictedInverse:
+                       codomain: SpannedSubspace) -> RestrictedInverse:
     """Invert M restricted from ``domain`` onto ``codomain``.
 
     The inverse norm is measured in the ambient norm between the subspace
@@ -197,7 +199,7 @@ def restricted_inverse(m: DenseOperator, domain: SpannedSubspace,
     if np.abs(b @ coeff - ma).max() > RANGE_RESIDUAL_TOL * scale:
         raise InputError("operator does not map the domain into the codomain span")
     svals = np.linalg.svd(coeff, compute_uv=False)
-    if svals[-1] <= 0 or svals[0] / svals[-1] > cond_cap:
+    if svals[-1] <= 0 or svals[0] / svals[-1] > DEFAULT_COND_CAP:
         raise NotInvertible("restricted operator is singular within the condition cap")
     inv_coeff = np.linalg.inv(coeff)
     d1 = a @ inv_coeff
@@ -215,13 +217,12 @@ def restricted_inverse(m: DenseOperator, domain: SpannedSubspace,
     return RestrictedInverse(inv_coeff, ambient, est)
 
 
-def oblique_projection(p: DenseOperator, z: SpannedSubspace,
-                       cond_cap: float = DEFAULT_COND_CAP) -> DenseOperator:
+def oblique_projection(p: DenseOperator, z: SpannedSubspace) -> DenseOperator:
     """(P|_Z)^-1 P: the projection onto Z along ker P, lifted to the space."""
     zm = z.generators.T
     g = p.entries @ zm
     svals = np.linalg.svd(g, compute_uv=False)
-    if svals[-1] <= 0 or svals[0] / svals[-1] > cond_cap:
+    if svals[-1] <= 0 or svals[0] / svals[-1] > DEFAULT_COND_CAP:
         raise NotInvertible("projection restricted to the subspace is singular")
     w, *_ = np.linalg.lstsq(g, p.entries, rcond=None)
     scale = 1.0 + np.abs(p.entries).max()
@@ -234,8 +235,7 @@ def oblique_projection(p: DenseOperator, z: SpannedSubspace,
 
 
 def direct_sum_projection(p: DenseOperator, q: DenseOperator,
-                          x1: SpannedSubspace, y2: SpannedSubspace,
-                          cond_cap: float = DEFAULT_COND_CAP) -> DenseOperator:
+                          x1: SpannedSubspace, y2: SpannedSubspace) -> DenseOperator:
     """(Q|_X1)^-1 Q + ((I-P)|_Y2)^-1 (I-P); the identity when X = X1 + Y2.
 
     Raises DistanceZero when X1 and Y2 intersect within tolerance, and
@@ -249,8 +249,8 @@ def direct_sum_projection(p: DenseOperator, q: DenseOperator,
     if len(svals) < stacked.shape[0] or svals[-1] <= INDEPENDENCE_TOL * max(1.0, svals[0]):
         raise DistanceZero("the two subspaces intersect within tolerance")
     eye = DenseOperator.identity(NormedSpace(p.rows, p.codomain_norm))
-    r1 = oblique_projection(q, x1, cond_cap)
-    r2 = oblique_projection(eye - p, y2, cond_cap)
+    r1 = oblique_projection(q, x1)
+    r2 = oblique_projection(eye - p, y2)
     return r1 + r2
 
 
@@ -457,16 +457,15 @@ def _check_biorthogonal(system: FrameSystem, name: str):
                          f"(residual {res:.3e}); pass the basis with its duals")
 
 
-def _scope_patterns(n: int, scope: str, samples: int, seed: int,
-                    dim_cap: int) -> tuple[list[int], str]:
+def _scope_patterns(n: int, scope: str, samples: int, seed: int) -> tuple[list[int], str]:
     if scope not in ("exhaustive", "sampled"):
         raise InputError(f"unknown scope {scope!r}")
-    if scope == "exhaustive" and n <= dim_cap:
+    if scope == "exhaustive" and n <= EXHAUSTIVE_SCOPE_BITS:
         return list(range(1 << n)), "exhaustive"
     return sample_patterns(n, samples + 4, seed), "sampled"
 
 
-def _sigma_cases(f0, f1, m, inner_mode, threshold, cond_cap, wanted, seed):
+def _sigma_cases(f0, f1, m, inner_mode, threshold, wanted, seed):
     """Evaluate the six conditions at one pattern; returns (flags, metrics, st, ts)."""
     n = f0.n
     space = f0.space
@@ -510,22 +509,22 @@ def _sigma_cases(f0, f1, m, inner_mode, threshold, cond_cap, wanted, seed):
             x1 = sub(f0, z, "x0|sigma=0")
             y1 = sub(f1, z, "x1|sigma=0")
             try:
-                r_q = restricted_inverse(q_op, x1, y1, cond_cap)
+                r_q = restricted_inverse(q_op, x1, y1)
             except (NotInvertible, InputError):
                 r_q = None
             try:
-                r_p = restricted_inverse(p_op, y1, x1, cond_cap)
+                r_p = restricted_inverse(p_op, y1, x1)
             except (NotInvertible, InputError):
                 r_p = None
         if o:
             x2 = sub(f0, o, "x0|sigma=1")
             y2 = sub(f1, o, "x1|sigma=1")
             try:
-                r_ip = restricted_inverse(eye - p_op, y2, x2, cond_cap)
+                r_ip = restricted_inverse(eye - p_op, y2, x2)
             except (NotInvertible, InputError):
                 r_ip = None
             try:
-                r_iq = restricted_inverse(eye - q_op, x2, y2, cond_cap)
+                r_iq = restricted_inverse(eye - q_op, x2, y2)
             except (NotInvertible, InputError):
                 r_iq = None
 
@@ -533,7 +532,7 @@ def _sigma_cases(f0, f1, m, inner_mode, threshold, cond_cap, wanted, seed):
         s_op = p_op + (eye - q_op)
         woven = weave(f0, f1, pattern)
         try:
-            s_inv = invert(s_op, cond_cap=cond_cap)
+            s_inv = invert(s_op)
             cu_frame = signed_ratio_constant(
                 outer_stack(woven.vectors, woven.functionals), s_inv.entries,
                 space.norm, inner_mode, seed=seed).value
@@ -600,17 +599,14 @@ def _sigma_cases(f0, f1, m, inner_mode, threshold, cond_cap, wanted, seed):
 
 def unc_conditions(f0: FrameSystem, f1: FrameSystem, scope: str = "exhaustive",
                    samples: int = 512, threshold: float = DEFAULT_UNC_THRESHOLD,
-                   seed: int = 0, conditions=_ALL_CONDITIONS,
-                   inner_cap: int = 2 ** 12, exhaustive_dim_cap: int = 16,
-                   cond_cap: float = DEFAULT_COND_CAP,
-                   keep_per_sigma: bool = True) -> UncVerdict:
+                   seed: int = 0, conditions=_ALL_CONDITIONS) -> UncVerdict:
     """Check the six equivalent characterizations of woven unconditional bases.
 
     Both inputs must be bases paired with their biorthogonal functionals.
     Per pattern, each condition reports a constant; a condition *fails* at a
     pattern when its constant exceeds ``threshold`` (or an operator is
     genuinely singular).  Exhaustive scope enumerates all patterns up to
-    ``exhaustive_dim_cap`` bits; above that a seeded sample plus the
+    ``EXHAUSTIVE_SCOPE_BITS`` bits; above that a seeded sample plus the
     alternating and constant patterns is used.
     """
     if f0.space != f1.space or f0.n != f1.n:
@@ -623,21 +619,20 @@ def unc_conditions(f0: FrameSystem, f1: FrameSystem, scope: str = "exhaustive",
     if not wanted:
         raise InputError("no conditions selected")
     n = f0.n
-    inner_mode = EXHAUSTIVE if (1 << n) <= inner_cap else heuristic(16)
+    inner_mode = EXHAUSTIVE if (1 << n) <= INNER_EXHAUSTIVE_CAP else heuristic(16)
     base0 = unconditional_constant(f0, inner_mode, seed=seed).value
     base1 = unconditional_constant(f1, inner_mode, seed=seed).value
     if not (np.isfinite(base0) and np.isfinite(base1)):
         raise NotAFrame("input bases must have finite unconditional constants")
 
-    ms, scope_used = _scope_patterns(n, scope, samples, seed, exhaustive_dim_cap)
-    per_sigma = {} if keep_per_sigma and len(ms) <= 4096 else None
+    ms, scope_used = _scope_patterns(n, scope, samples, seed)
+    per_sigma = {} if len(ms) <= PER_SIGMA_CAP else None
     worst: dict[str, tuple[float, int]] = {c: (-np.inf, ms[0]) for c in wanted}
     first_fail: dict[str, int | None] = {c: None for c in wanted}
     agree = True
     max_st = max_ts = 0.0
     for m in ms:
-        flags, metrics, st, ts = _sigma_cases(f0, f1, m, inner_mode, threshold,
-                                              cond_cap, wanted, seed)
+        flags, metrics, st, ts = _sigma_cases(f0, f1, m, inner_mode, threshold, wanted, seed)
         if np.isfinite(st):
             max_st = max(max_st, st)
         if np.isfinite(ts):

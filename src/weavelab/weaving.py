@@ -17,7 +17,7 @@ import numpy as np
 
 from . import search
 from .errors import InputError, NotABasis
-from .normed import DEFAULT_COND_CAP, Exactness, batch_opnorm_values, batch_vector_norms
+from .normed import Exactness, batch_opnorm_values, batch_vector_norms
 from .frames import (EXHAUSTIVE, ConstantEstimate, FrameSystem, SearchMode,
                      basis_constant, biorthogonals, frame_constants, heuristic,
                      outer_stack, pattern_sums)
@@ -25,6 +25,8 @@ from .frames import (EXHAUSTIVE, ConstantEstimate, FrameSystem, SearchMode,
 DEFAULT_BLOW_UP = 1e8
 LOG_CAP = 4096
 PROFILE_CAP = 2 ** 20
+PROFILE_SAMPLES = 256  # local patterns drawn per interval above PROFILE_CAP
+PROFILE_SEED = 0
 
 
 @dataclass(frozen=True)
@@ -156,7 +158,7 @@ def partial_operator(f0: FrameSystem, f1: FrameSystem,
                                    range(query.lo, query.hi + 1))
 
 
-def _weaving_rows(f0: FrameSystem, f1: FrameSystem, cond_cap: float):
+def _weaving_rows(f0: FrameSystem, f1: FrameSystem):
     """Row function: pattern indices -> (len, 2) rows of
     (||S_sigma||, ||S_sigma^-1|| or +inf)."""
     space = f0.space
@@ -166,7 +168,7 @@ def _weaving_rows(f0: FrameSystem, f1: FrameSystem, cond_cap: float):
     def rows_of(ms: np.ndarray) -> np.ndarray:
         rows = np.empty((len(ms), 2))
         for i, mat in enumerate(pattern_sums(o1, o0, ms)):
-            s_norm, s_inv_norm, _ = frame_constants(mat, space, cond_cap)
+            s_norm, s_inv_norm, _ = frame_constants(mat, space)
             rows[i, 0] = s_norm.value
             rows[i, 1] = s_inv_norm.value if s_inv_norm is not None else np.inf
         return rows
@@ -174,25 +176,22 @@ def _weaving_rows(f0: FrameSystem, f1: FrameSystem, cond_cap: float):
     return rows_of
 
 
-def _weaving_tables(f0: FrameSystem, f1: FrameSystem,
-                    cond_cap: float, workers: int | None) -> np.ndarray:
+def _weaving_tables(f0: FrameSystem, f1: FrameSystem) -> np.ndarray:
     """(2^n, 2) table of _weaving_rows over all sigma."""
     n = f0.n
-    rows_of = _weaving_rows(f0, f1, cond_cap)
+    rows_of = _weaving_rows(f0, f1)
 
     def chunk_fn(m0: int, m1: int) -> np.ndarray:
         return rows_of(np.arange(m0, m1, dtype=np.uint64))
 
     chunk = search.chunk_size_for(n, f0.space.dim ** 2)
-    return search.exhaustive_table(n, chunk_fn, columns=2, chunk=chunk, workers=workers)
+    return search.exhaustive_table(n, chunk_fn, columns=2, chunk=chunk)
 
 
 def worst_weaving(f0: FrameSystem, f1: FrameSystem, mode: SearchMode = EXHAUSTIVE,
                   blow_up_threshold: float = DEFAULT_BLOW_UP,
-                  cond_cap: float = DEFAULT_COND_CAP,
                   exhaustive_cap: int = search.DEFAULT_EXHAUSTIVE_CAP,
-                  seed: int = 0, workers: int | None = None,
-                  log_all_patterns: bool = False) -> WeaveSearchResult:
+                  seed: int = 0, log_all_patterns: bool = False) -> WeaveSearchResult:
     """Search for the pattern maximizing max(||S_sigma||, ||S_sigma^-1||).
 
     Exhaustive mode grades every pattern (demoted to heuristic above
@@ -211,7 +210,7 @@ def worst_weaving(f0: FrameSystem, f1: FrameSystem, mode: SearchMode = EXHAUSTIV
         mode_used = heuristic(mode.restarts)
 
     if mode_used.kind == "exhaustive":
-        table = _weaving_tables(f0, f1, cond_cap, workers)
+        table = _weaving_tables(f0, f1)
         constants = np.maximum(table[:, 0], table[:, 1])
         worst = search.first_argmax(constants)
         offenders = constants > blow_up_threshold
@@ -233,7 +232,7 @@ def worst_weaving(f0: FrameSystem, f1: FrameSystem, mode: SearchMode = EXHAUSTIV
             per_pattern_log=log,
             patterns_evaluated=1 << n)
 
-    rows_of = _weaving_rows(f0, f1, cond_cap)
+    rows_of = _weaving_rows(f0, f1)
     detail: dict[int, np.ndarray] = {}
 
     def value_of(m: int) -> float:
@@ -261,15 +260,14 @@ def worst_weaving(f0: FrameSystem, f1: FrameSystem, mode: SearchMode = EXHAUSTIV
         patterns_evaluated=len(cache))
 
 
-def tail_profile(f0: FrameSystem, f1: FrameSystem, x, start_index: int,
-                 cap: int = PROFILE_CAP) -> float:
+def tail_profile(f0: FrameSystem, f1: FrameSystem, x, start_index: int) -> float:
     """Worst ||P_{sigma,[m,k]} x|| over intervals start_index <= m <= k <= n
     and all local bit choices on the interval (exhaustive)."""
     _require_compatible(f0, f1)
     n = f0.n
     if not 1 <= start_index <= n:
         raise InputError(f"start index {start_index} out of range 1..{n}")
-    if 2 ** (n - start_index + 1) > cap:
+    if 2 ** (n - start_index + 1) > PROFILE_CAP:
         raise InputError("tail profile window too large for exhaustive enumeration")
     x = np.asarray(x, dtype=np.float64)
     t0 = (f0.functionals @ x)[:, None] * f0.vectors  # f_j^0(x) x_j^0 per row
@@ -284,14 +282,12 @@ def tail_profile(f0: FrameSystem, f1: FrameSystem, x, start_index: int,
     return best
 
 
-def uniform_bound_profile(f0: FrameSystem, f1: FrameSystem,
-                          cap: int = PROFILE_CAP, samples: int = 256,
-                          seed: int = 0) -> ConstantEstimate:
+def uniform_bound_profile(f0: FrameSystem, f1: FrameSystem) -> ConstantEstimate:
     """The finite-scale uniform bound D: the worst ||P_{sigma,[m,k]}|| over
     all intervals and local patterns.
 
-    Exhaustive within ``cap`` total evaluations; beyond that each interval
-    is sampled and the result is flagged as a lower bound.
+    Exhaustive within ``PROFILE_CAP`` total evaluations; beyond that each
+    interval is sampled and the result is flagged as a lower bound.
     """
     _require_compatible(f0, f1)
     n, d = f0.n, f0.space.dim
@@ -299,8 +295,8 @@ def uniform_bound_profile(f0: FrameSystem, f1: FrameSystem,
     o0 = outer_stack(f0.vectors, f0.functionals)
     o1 = outer_stack(f1.vectors, f1.functionals)
     total = sum(2 ** (n - m + 2) for m in range(1, n + 1))
-    exhaustive = total <= cap
-    rng = np.random.default_rng(seed)
+    exhaustive = total <= PROFILE_CAP
+    rng = np.random.default_rng(PROFILE_SEED)
     best = 0.0
     for m in range(1, n + 1):
         if exhaustive:
@@ -311,7 +307,7 @@ def uniform_bound_profile(f0: FrameSystem, f1: FrameSystem,
         else:
             for k in range(m, n + 1):
                 width = k - m + 1
-                n_samp = min(2 ** width, samples)
+                n_samp = min(2 ** width, PROFILE_SAMPLES)
                 picks = {0, 2 ** width - 1}
                 while len(picks) < n_samp:
                     picks.add(int(rng.integers(0, 2 ** width)))
@@ -322,16 +318,13 @@ def uniform_bound_profile(f0: FrameSystem, f1: FrameSystem,
     return ConstantEstimate(best, Exactness.EXACT if exact else Exactness.LOWER_BOUND)
 
 
-def lower_bound_profile(f0: FrameSystem, f1: FrameSystem,
-                        cond_cap: float = DEFAULT_COND_CAP,
-                        exhaustive_cap: int = search.DEFAULT_EXHAUSTIVE_CAP,
-                        workers: int | None = None) -> float:
+def lower_bound_profile(f0: FrameSystem, f1: FrameSystem) -> float:
     """The best uniform delta with ||S_sigma x|| >= delta ||x|| for all sigma:
     min over patterns of 1/||S_sigma^-1||, zero when any weaving is singular."""
     _require_compatible(f0, f1)
-    if (1 << f0.n) > exhaustive_cap:
+    if (1 << f0.n) > search.DEFAULT_EXHAUSTIVE_CAP:
         raise InputError("lower bound profile requires exhaustive enumeration")
-    table = _weaving_tables(f0, f1, cond_cap, workers)
+    table = _weaving_tables(f0, f1)
     worst_inv = float(table[:, 1].max())
     if not np.isfinite(worst_inv):
         return 0.0
