@@ -17,8 +17,8 @@ import traceback
 import numpy as np
 
 from .errors import InputError, WeavelabError
-from .frames import (EXHAUSTIVE, ConstantEstimate, SearchMode, frame_report,
-                     heuristic)
+from .frames import (EXHAUSTIVE, ConstantEstimate, FrameSystem, SearchMode,
+                     frame_report, heuristic)
 from .weaving import WeaveSearchResult, worst_weaving
 from .subspaces import DEFAULT_UNC_THRESHOLD, unc_conditions
 from .perturb import (basis_perturbation_check, operator_perturbation_check,
@@ -78,7 +78,12 @@ def _resolve_input(arg: str, dim: int | None, norm_override: str | None):
         name = arg[len("gallery:"):]
         if dim is None:
             raise InputError(f"gallery input {arg!r} needs --dim")
+        if norm_override is not None:
+            raise InputError(f"--norm overrides a file's norm tag; gallery input {arg!r} "
+                             "fixes its own norm")
         system = generate(GallerySpec(name, dim))
+        if not isinstance(system, FrameSystem):
+            raise InputError(f"gallery input {arg!r} is a weave pattern, not a system")
         payload = json.dumps(fileio.system_to_payload(system), sort_keys=True)
         digest = hashlib.sha256(payload.encode()).hexdigest()
         return system, (arg, digest)
@@ -292,7 +297,7 @@ def _cmd_perturb(args) -> dict:
     else:
         other, src_b = _resolve_input(args.basis, args.dim, None)
         sources.append(src_b)
-        rep = basis_perturbation_check(system, other.vectors)
+        rep = basis_perturbation_check(system, other)
         results = {
             "check": "basis",
             "budget": _budget(rep.budget),

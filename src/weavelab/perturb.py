@@ -83,7 +83,8 @@ class PairPerturbationReport:
 def basis_perturbation_check(basis0: FrameSystem, candidate) -> BasisPerturbationReport:
     """Small perturbation lemma: sum_j ||x_j - y_j|| ||x*_j|| < 1.
 
-    ``basis0`` must be a basis paired with its biorthogonal functionals.
+    ``basis0`` must be a basis paired with its biorthogonal functionals;
+    ``candidate`` is a vector array or a system on the same space.
     On a satisfied budget the candidate is checked to be an equivalent
     basis and the pair is woven as bases (every weaving independent with a
     finite basis constant), exhaustively.
@@ -94,6 +95,8 @@ def basis_perturbation_check(basis0: FrameSystem, candidate) -> BasisPerturbatio
         biorthogonals(basis0.vectors)
     except NotABasis as exc:
         raise InputError(f"basis0 is not a basis: {exc}") from None
+    if getattr(candidate, "space", basis0.space) != basis0.space:
+        raise InputError("systems are incompatible")
     cand = np.asarray(getattr(candidate, "vectors", candidate), dtype=np.float64)
     if cand.shape != basis0.vectors.shape:
         raise InputError("candidate vectors have the wrong shape")

@@ -188,6 +188,12 @@ def _weaving_tables(f0: FrameSystem, f1: FrameSystem) -> np.ndarray:
     return search.exhaustive_table(n, chunk_fn, columns=2, chunk=chunk)
 
 
+def _pattern_log(n: int, ms, rows) -> list[tuple[str, float, float]]:
+    """Per-pattern log rows (pattern, ||S_sigma||, ||S_sigma^-1||) for ``ms``."""
+    return [(str(WeavePattern.from_index(m, n)), float(rows[m][0]), float(rows[m][1]))
+            for m in ms]
+
+
 def worst_weaving(f0: FrameSystem, f1: FrameSystem, mode: SearchMode = EXHAUSTIVE,
                   blow_up_threshold: float = DEFAULT_BLOW_UP,
                   exhaustive_cap: int = search.DEFAULT_EXHAUSTIVE_CAP,
@@ -199,7 +205,8 @@ def worst_weaving(f0: FrameSystem, f1: FrameSystem, mode: SearchMode = EXHAUSTIV
     two trivial patterns and random starts.  The verdict is ``not_woven``
     when any evaluated weaving fails inversion or exceeds
     ``blow_up_threshold``; heuristic "woven" verdicts are best-effort and
-    the constant is then a lower bound.
+    the constant is then a lower bound.  ``log_all_patterns`` logs every
+    pattern evaluated, in index order.
     """
     _require_compatible(f0, f1)
     n = f0.n
@@ -215,10 +222,6 @@ def worst_weaving(f0: FrameSystem, f1: FrameSystem, mode: SearchMode = EXHAUSTIV
         worst = search.first_argmax(constants)
         offenders = constants > blow_up_threshold
         witness = int(np.argmax(offenders)) if bool(offenders.any()) else None
-        log = None
-        if log_all_patterns:
-            log = [(str(WeavePattern.from_index(m, n)), float(table[m, 0]), float(table[m, 1]))
-                   for m in range(1 << n)]
         exact = Exactness.EXACT if f0.space.norm.is_exact_kind else Exactness.LOWER_BOUND
         return WeaveSearchResult(
             worst_pattern=WeavePattern.from_index(worst, n),
@@ -229,7 +232,7 @@ def worst_weaving(f0: FrameSystem, f1: FrameSystem, mode: SearchMode = EXHAUSTIV
             exactness=exact,
             verdict="not_woven" if witness is not None else "woven",
             witness=WeavePattern.from_index(witness, n) if witness is not None else None,
-            per_pattern_log=log,
+            per_pattern_log=_pattern_log(n, range(1 << n), table) if log_all_patterns else None,
             patterns_evaluated=1 << n)
 
     rows_of = _weaving_rows(f0, f1)
@@ -256,7 +259,7 @@ def worst_weaving(f0: FrameSystem, f1: FrameSystem, mode: SearchMode = EXHAUSTIV
         exactness=Exactness.LOWER_BOUND,
         verdict="not_woven" if offender is not None else "woven",
         witness=WeavePattern.from_index(offender, n) if offender is not None else None,
-        per_pattern_log=None,
+        per_pattern_log=_pattern_log(n, sorted(detail), detail) if log_all_patterns else None,
         patterns_evaluated=len(cache))
 
 

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -173,6 +174,36 @@ def test_perturb_modes(tmp_path, capsys):
 
     code, _, _ = run_cli(["perturb", "gallery:standard-l1", "--dim", "4"], capsys)
     assert code == 1
+
+
+def test_perturb_basis_refuses_a_candidate_on_another_space(capsys):
+    l1_file = str(Path(__file__).parent / "golden" / "inputs" / "perturbed-l1-d4.json")
+    for flag in ("--pair", "--basis"):
+        code, out, err = run_cli(["perturb", "gallery:standard-c0", "--dim", "4",
+                                  flag, l1_file], capsys)
+        assert code == 1 and out == ""
+        assert "systems are incompatible" in err
+
+
+def test_gallery_pattern_is_not_a_system(capsys):
+    code, _, err = run_cli(["analyze", "gallery:alternating", "--dim", "4"], capsys)
+    assert code == 1
+    assert "weave pattern" in err
+
+
+def test_norm_override_refused_for_gallery_inputs(capsys):
+    code, out, err = run_cli(["analyze", "gallery:standard-l1", "--dim", "3",
+                              "--norm", "l2"], capsys)
+    assert code == 1 and out == ""
+    assert "--norm" in err
+
+
+def test_bad_thread_setting_exits_one(monkeypatch, capsys):
+    monkeypatch.setenv("WEAVELAB_THREADS", "abc")
+    code, out, err = run_cli(["weave-search", "gallery:standard-c0",
+                              "gallery:summing-c0", "--dim", "3"], capsys)
+    assert code == 1 and out == ""
+    assert "WEAVELAB_THREADS must be an integer" in err
 
 
 def test_example_matches_gallery(tmp_path, capsys):

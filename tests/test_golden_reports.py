@@ -65,7 +65,7 @@ CASES = {
     "perturb-basis-l1-d4": [
         "perturb", "gallery:standard-l1", "--dim", "4", "--basis", "perturbed-l1-d4.json"],
     "perturb-basis-c0-d4": [
-        "perturb", "gallery:standard-c0", "--dim", "4", "--basis", "perturbed-l1-d4.json"],
+        "perturb", "gallery:standard-c0", "--dim", "4", "--basis", "perturbed-c0-d4.json"],
     "perturb-pair-c0-d13-sampled": [
         "perturb", "gallery:standard-c0", "--dim", "13", "--pair", "perturbed-c0-d13.json",
         "--mode", "heuristic", "--restarts", "4", "--seed", "1"],

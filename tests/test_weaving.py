@@ -10,8 +10,10 @@ from weavelab import (L1, LINF, Exactness, FrameSystem, InputError,
                       WeavePattern, basis_constant, biorthogonals,
                       check_approximate_frame, frame_operator, heuristic,
                       lower_bound_profile, partial_operator,
-                      partial_operator_subset, search, tail_profile,
-                      uniform_bound_profile, weave, worst_weaving)
+                      partial_operator_subset, search,
+                      suppression_constant, tail_profile,
+                      unconditional_constant, uniform_bound_profile, weave,
+                      worst_weaving)
 from weavelab.weaving import sample_patterns, weaving_basis_constants
 from conftest import random_frame_system
 from test_frames import standard_system, summing_system
@@ -136,6 +138,35 @@ def test_worst_weaving_log_and_heuristic(rng):
     assert heur.worst_constant <= res.worst_constant
     assert heur.worst_constant == res.worst_constant
     assert heur.exactness is Exactness.LOWER_BOUND
+
+
+def test_heuristic_log_holds_the_evaluated_patterns():
+    std = standard_system(4, LINF)
+    summing = summing_system(4)
+    exhaustive = {p: (a, b) for p, a, b in
+                  worst_weaving(std, summing, log_all_patterns=True).per_pattern_log}
+    heur = worst_weaving(std, summing, heuristic(2), log_all_patterns=True)
+    log = heur.per_pattern_log
+    assert 0 < heur.patterns_evaluated < 16
+    assert len(log) == heur.patterns_evaluated
+    assert [p for p, _, _ in log] == sorted(p for p, _, _ in log)
+    for p, a, b in log:
+        assert (a, b) == exhaustive[p]  # one evaluation path: bit for bit
+
+
+def test_exhaustive_results_do_not_depend_on_thread_count(rng, monkeypatch):
+    f0 = random_frame_system(rng, 10, LINF)
+    f1 = random_frame_system(rng, 10, LINF)
+    assert search.chunk_size_for(10, 10 * 10) < 2 ** 10  # several chunks to share
+    seen = []
+    for threads in ("1", "3"):
+        monkeypatch.setenv("WEAVELAB_THREADS", threads)
+        res = worst_weaving(f0, f1, log_all_patterns=True)
+        c_s = suppression_constant(f1)
+        c_u = unconditional_constant(f1)
+        seen.append((str(res.worst_pattern), res.worst_constant, res.per_pattern_log,
+                     c_s.value, c_s.witness, c_u.value, c_u.witness))
+    assert seen[0] == seen[1]
 
 
 def test_tail_profile_examples():
