@@ -2,10 +2,11 @@
 
 Each case runs one ``weavelab`` command and compares its JSON report, with
 ``timestamp`` removed, byte for byte against ``tests/golden/<case>.json``
-(the sweep also against its CSV).  Together the cases reach the exhaustive
-and heuristic constant searches, the weaving tables and log, the sweep, the
-exhaustive and sampled six-way checks, and all three perturbation checks,
-including a sampled certificate above 12 bits.  File inputs live in
+(the sweep also against its CSV).  Together the cases reach the exhaustive,
+heuristic and demoted constant searches, the weaving tables, the exhaustive
+and heuristic logs, the sweep, the exhaustive and sampled six-way checks,
+and all three perturbation checks, including a sampled certificate above 12
+bits.  File inputs live in
 ``tests/golden/inputs``: integer and dyadic perturbations of the gallery
 bases, with their exact biorthogonals.
 
@@ -33,6 +34,8 @@ CASES = {
     "analyze-difference-l1-d6-heuristic": [
         "analyze", "gallery:difference-l1", "--dim", "6", "--mode", "heuristic",
         "--restarts", "4", "--seed", "3"],
+    "analyze-summing-c0-d6-demoted": [
+        "analyze", "gallery:summing-c0", "--dim", "6", "--exhaustive-cap", "16"],
     "analyze-perturbed-l2": ["analyze", "perturbed-l1-d4.json", "--norm", "l2"],
     "analyze-perturbed-d2-lp3": ["analyze", "perturbed-l1-d2.json", "--norm", "lp:3"],
     "weave-search-c0-d3-log": [
@@ -47,6 +50,9 @@ CASES = {
     "weave-search-c0-d6-demoted-blowup": [
         "weave-search", "gallery:standard-c0", "gallery:summing-c0", "--dim", "6",
         "--exhaustive-cap", "16", "--restarts", "3", "--blowup-threshold", "4"],
+    "weave-search-c0-d5-heuristic-log": [
+        "weave-search", "gallery:standard-c0", "gallery:summing-c0", "--dim", "5",
+        "--mode", "heuristic", "--restarts", "2", "--log-all-patterns"],
     "weave-search-c0-sweep": [
         "weave-search", "gallery:standard-c0", "gallery:summing-c0", "--sweep", "2..5"],
     "check-woven-blockpair-d4": [
