@@ -22,29 +22,9 @@ from . import search
 from .errors import InputError, NotABasis, NotAFrame, NotInvertible
 from .normed import (DEFAULT_COND_CAP, DenseOperator, Exactness, NormedSpace,
                      OpNormResult, batch_opnorm_values, invert, operator_norm)
+from .search import EXHAUSTIVE, SearchMode, heuristic  # heuristic is re-exported
 
 BIORTHOGONAL_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class SearchMode:
-    """Exhaustive enumeration or seeded local search with restarts."""
-
-    kind: str
-    restarts: int = 32
-
-    def __post_init__(self):
-        if self.kind not in ("exhaustive", "heuristic"):
-            raise InputError(f"unknown search mode {self.kind!r}")
-        if self.restarts < 0:
-            raise InputError("restarts must be nonnegative")
-
-
-EXHAUSTIVE = SearchMode("exhaustive")
-
-
-def heuristic(restarts: int = 32) -> SearchMode:
-    return SearchMode("heuristic", restarts)
 
 
 @dataclass(frozen=True, eq=False)
@@ -247,34 +227,12 @@ def _max_norm_over_patterns(g: np.ndarray, signed: bool, kind, mode: SearchMode,
     """
     n, d = g.shape[0], g.shape[1]
     off = -g if signed else 0.0
-
-    def chunk_values(m0: int, m1: int) -> np.ndarray:
-        mats = pattern_sums(g, off, np.arange(m0, m1, dtype=np.uint64))
-        return batch_opnorm_values(mats, kind, kind)
-
-    def value_of(m: int) -> float:
-        return float(chunk_values(m, m + 1)[0])
-
-    mode_used = mode
-    if mode.kind == "exhaustive" and (1 << n) > exhaustive_cap:
-        mode_used = heuristic(mode.restarts)  # forced; result is a lower bound
-    if mode_used.kind == "exhaustive":
-        chunk = search.chunk_size_for(n, d * d)
-        values = search.exhaustive_table(n, chunk_values, chunk=chunk)
-        best_m = search.first_argmax(values)
-        best_v = float(values[best_m])
-    else:
-        cache: dict[int, float] = {}
-        extra = ()
-        if not signed:
-            _, greedy_m = search.greedy_add(n, value_of, cache)
-            extra = (greedy_m,)
-        best_v, best_m, cache = search.hill_climb(
-            n, lambda m: cache[m] if m in cache else value_of(m),
-            restarts=mode_used.restarts, seed=seed, extra_starts=extra)
+    mode_used, best, ms, values = search.maximize(
+        n, lambda idx: batch_opnorm_values(pattern_sums(g, off, idx), kind, kind),
+        mode, exhaustive_cap, seed, d * d, greedy=not signed)
     exact = mode_used.kind == "exhaustive" and kind.is_exact_kind
-    bits = search.bits_of_index(best_m, n)
-    return ConstantEstimate(best_v,
+    bits = search.bits_of_index(ms[best], n)
+    return ConstantEstimate(float(values[best]),
                             Exactness.EXACT if exact else Exactness.LOWER_BOUND,
                             witness=tuple(1 if b else -1 for b in bits) if signed else bits)
 

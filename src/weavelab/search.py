@@ -4,13 +4,16 @@ Exhaustive searches enumerate bitstrings in lexicographic order (bit 1 is
 the most significant), evaluate fixed-size chunks, and reduce with
 first-maximum tie-breaking, so the winning pattern is the lexicographically
 smallest maximizer and the result does not depend on the number of worker
-threads (``WEAVELAB_THREADS``).
+threads (``WEAVELAB_THREADS``).  :func:`maximize` is the one driver: it
+demotes an exhaustive search above its cap to the heuristic one, and both
+modes read the same row function, so their values agree bit for bit.
 """
 
 from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -19,6 +22,27 @@ from .errors import InputError
 
 DEFAULT_EXHAUSTIVE_CAP = 2 ** 22
 CHUNK_BUDGET = 2 ** 17  # float cells per chunk of an exhaustive table
+
+
+@dataclass(frozen=True)
+class SearchMode:
+    """Exhaustive enumeration or seeded local search with restarts."""
+
+    kind: str
+    restarts: int = 32
+
+    def __post_init__(self):
+        if self.kind not in ("exhaustive", "heuristic"):
+            raise InputError(f"unknown search mode {self.kind!r}")
+        if self.restarts < 0:
+            raise InputError("restarts must be nonnegative")
+
+
+EXHAUSTIVE = SearchMode("exhaustive")
+
+
+def heuristic(restarts: int = 32) -> SearchMode:
+    return SearchMode("heuristic", restarts)
 
 
 def worker_count() -> int:
@@ -58,12 +82,13 @@ def chunk_size_for(n_bits: int, cell: int) -> int:
     return max(1, min(1024, CHUNK_BUDGET // per_row))
 
 
-def exhaustive_table(n_bits: int, chunk_fn: Callable[[int, int], np.ndarray],
+def exhaustive_table(n_bits: int, rows_of: Callable[[np.ndarray], np.ndarray],
                      columns: int = 1, chunk: int = 1024) -> np.ndarray:
-    """Evaluate chunk_fn(m0, m1) over all 2**n_bits patterns.
+    """Evaluate rows_of over all 2**n_bits patterns, ``chunk`` consecutive
+    indices at a time.
 
     Returns the stacked (2**n_bits, columns) table (or a flat array when
-    ``columns == 1``).  chunk_fn must be a pure function of its span.
+    ``columns == 1``).  rows_of must be a pure function of its indices.
     """
     total = 1 << n_bits
     out = np.empty((total, columns), dtype=np.float64)
@@ -71,7 +96,7 @@ def exhaustive_table(n_bits: int, chunk_fn: Callable[[int, int], np.ndarray],
 
     def run(span):
         m0, m1 = span
-        rows = np.asarray(chunk_fn(m0, m1), dtype=np.float64)
+        rows = np.asarray(rows_of(np.arange(m0, m1, dtype=np.uint64)), dtype=np.float64)
         out[m0:m1] = rows.reshape(m1 - m0, columns)
 
     w = worker_count()
@@ -94,11 +119,12 @@ def first_argmax(values: np.ndarray) -> int:
 
 
 def hill_climb(n_bits: int, value_of: Callable[[int], float], restarts: int,
-               seed: int, extra_starts: tuple[int, ...] = ()) -> tuple[float, int, dict[int, float]]:
-    """Single-bit-flip hill climbing; returns (best value, best index, cache).
+               seed: int, extra_starts: tuple[int, ...] = ()) -> int:
+    """Single-bit-flip hill climbing; returns the best pattern index found.
 
     Starts from the all-zeros and all-ones patterns, any ``extra_starts``,
-    and ``restarts`` seeded random patterns.  Ties prefer the smaller index.
+    and ``restarts`` seeded random patterns.  Ties among the climbs' end
+    points prefer the smaller index.  ``value_of`` should be memoized.
     """
     total = 1 << n_bits
     rng = np.random.default_rng(seed)
@@ -106,43 +132,29 @@ def hill_climb(n_bits: int, value_of: Callable[[int], float], restarts: int,
     starts.extend(extra_starts)
     for _ in range(restarts):
         starts.append(int(rng.integers(0, total)))
-    cache: dict[int, float] = {}
-
-    def val(m: int) -> float:
-        if m not in cache:
-            cache[m] = float(value_of(m))
-        return cache[m]
-
     best_v, best_m = -np.inf, 0
     for start in starts:
         cur = start
-        cur_v = val(cur)
+        cur_v = value_of(cur)
         improved = True
         while improved:
             improved = False
             for bit in range(n_bits):
                 neigh = cur ^ (1 << (n_bits - 1 - bit))
-                nv = val(neigh)
+                nv = value_of(neigh)
                 if nv > cur_v:
                     cur, cur_v = neigh, nv
                     improved = True
         if cur_v > best_v or (cur_v == best_v and cur < best_m):
             best_v, best_m = cur_v, cur
-    return best_v, best_m, cache
+    return best_m
 
 
-def greedy_add(n_bits: int, value_of: Callable[[int], float],
-               cache: dict[int, float] | None = None) -> tuple[float, int]:
-    """Greedy subset growth from the empty set; used to seed local search."""
-    cache = cache if cache is not None else {}
-
-    def val(m: int) -> float:
-        if m not in cache:
-            cache[m] = float(value_of(m))
-        return cache[m]
-
+def greedy_add(n_bits: int, value_of: Callable[[int], float]) -> int:
+    """Greedy subset growth from the empty set; returns the pattern index
+    where no added bit improves.  Used to seed local search."""
     cur = 0
-    cur_v = val(0)
+    cur_v = value_of(0)
     while True:
         best_gain_m, best_gain_v = None, cur_v
         for bit in range(n_bits):
@@ -150,9 +162,44 @@ def greedy_add(n_bits: int, value_of: Callable[[int], float],
             if cur & mask:
                 continue
             cand = cur | mask
-            cv = val(cand)
+            cv = value_of(cand)
             if cv > best_gain_v:
                 best_gain_v, best_gain_m = cv, cand
         if best_gain_m is None:
-            return cur_v, cur
+            return cur
         cur, cur_v = best_gain_m, best_gain_v
+
+
+def maximize(n_bits: int, rows_of: Callable[[np.ndarray], np.ndarray], mode: SearchMode,
+             exhaustive_cap: int, seed: int, cell: int, columns: int = 1,
+             greedy: bool = False):
+    """Maximize the largest entry of a pattern's row over all n_bits patterns.
+
+    ``rows_of`` maps a uint64 array of pattern indices to their rows, flat
+    when ``columns == 1``; ``cell`` (floats per bit term) sizes the chunks.
+    Exhaustive mode tabulates every row, but above ``exhaustive_cap``
+    patterns it is demoted to ``heuristic(mode.restarts)``, which
+    hill-climbs (seeded by greedy growth when ``greedy``) and evaluates
+    each pattern once.  Returns ``(mode_used, best, ms, rows)``: the
+    evaluated indices in increasing order, their rows, and the position of
+    the winner in both.
+    """
+    if mode.kind == "exhaustive" and (1 << n_bits) > exhaustive_cap:
+        mode = heuristic(mode.restarts)
+    if mode.kind == "exhaustive":
+        rows = exhaustive_table(n_bits, rows_of, columns, chunk_size_for(n_bits, cell))
+        values = rows if columns == 1 else rows.max(axis=1)
+        return mode, first_argmax(values), range(1 << n_bits), rows
+
+    memo: dict[int, tuple[float, np.ndarray]] = {}
+
+    def value_of(m: int) -> float:
+        if m not in memo:
+            row = rows_of(np.array([m], dtype=np.uint64))[0]
+            memo[m] = (float(row.max()) if columns > 1 else float(row), row)
+        return memo[m][0]
+
+    extra = (greedy_add(n_bits, value_of),) if greedy else ()
+    best_m = hill_climb(n_bits, value_of, mode.restarts, seed, extra)
+    ms = sorted(memo)
+    return mode, ms.index(best_m), ms, np.array([memo[m][1] for m in ms])

@@ -18,9 +18,9 @@ import numpy as np
 from . import search
 from .errors import InputError, NotABasis
 from .normed import Exactness, batch_opnorm_values, batch_vector_norms
-from .frames import (EXHAUSTIVE, ConstantEstimate, FrameSystem, SearchMode,
-                     basis_constant, biorthogonals, frame_constants, heuristic,
-                     outer_stack, pattern_sums)
+from .frames import (ConstantEstimate, FrameSystem, basis_constant, biorthogonals,
+                     frame_constants, outer_stack, pattern_sums)
+from .search import EXHAUSTIVE, SearchMode
 
 DEFAULT_BLOW_UP = 1e8
 LOG_CAP = 4096
@@ -176,24 +176,6 @@ def _weaving_rows(f0: FrameSystem, f1: FrameSystem):
     return rows_of
 
 
-def _weaving_tables(f0: FrameSystem, f1: FrameSystem) -> np.ndarray:
-    """(2^n, 2) table of _weaving_rows over all sigma."""
-    n = f0.n
-    rows_of = _weaving_rows(f0, f1)
-
-    def chunk_fn(m0: int, m1: int) -> np.ndarray:
-        return rows_of(np.arange(m0, m1, dtype=np.uint64))
-
-    chunk = search.chunk_size_for(n, f0.space.dim ** 2)
-    return search.exhaustive_table(n, chunk_fn, columns=2, chunk=chunk)
-
-
-def _pattern_log(n: int, ms, rows) -> list[tuple[str, float, float]]:
-    """Per-pattern log rows (pattern, ||S_sigma||, ||S_sigma^-1||) for ``ms``."""
-    return [(str(WeavePattern.from_index(m, n)), float(rows[m][0]), float(rows[m][1]))
-            for m in ms]
-
-
 def worst_weaving(f0: FrameSystem, f1: FrameSystem, mode: SearchMode = EXHAUSTIVE,
                   blow_up_threshold: float = DEFAULT_BLOW_UP,
                   exhaustive_cap: int = search.DEFAULT_EXHAUSTIVE_CAP,
@@ -212,55 +194,25 @@ def worst_weaving(f0: FrameSystem, f1: FrameSystem, mode: SearchMode = EXHAUSTIV
     n = f0.n
     if log_all_patterns and (1 << n) > LOG_CAP:
         raise InputError(f"per-pattern log limited to 2^n <= {LOG_CAP}")
-    mode_used = mode
-    if mode.kind == "exhaustive" and (1 << n) > exhaustive_cap:
-        mode_used = heuristic(mode.restarts)
-
-    if mode_used.kind == "exhaustive":
-        table = _weaving_tables(f0, f1)
-        constants = np.maximum(table[:, 0], table[:, 1])
-        worst = search.first_argmax(constants)
-        offenders = constants > blow_up_threshold
-        witness = int(np.argmax(offenders)) if bool(offenders.any()) else None
-        exact = Exactness.EXACT if f0.space.norm.is_exact_kind else Exactness.LOWER_BOUND
-        return WeaveSearchResult(
-            worst_pattern=WeavePattern.from_index(worst, n),
-            worst_constant=float(constants[worst]),
-            s_norm=float(table[worst, 0]),
-            s_inv_norm=float(table[worst, 1]),
-            mode=mode_used,
-            exactness=exact,
-            verdict="not_woven" if witness is not None else "woven",
-            witness=WeavePattern.from_index(witness, n) if witness is not None else None,
-            per_pattern_log=_pattern_log(n, range(1 << n), table) if log_all_patterns else None,
-            patterns_evaluated=1 << n)
-
-    rows_of = _weaving_rows(f0, f1)
-    detail: dict[int, np.ndarray] = {}
-
-    def value_of(m: int) -> float:
-        detail[m] = rows_of(np.array([m], dtype=np.uint64))[0]
-        return max(detail[m])
-
-    best_v, best_m, cache = search.hill_climb(n, value_of, restarts=mode_used.restarts,
-                                              seed=seed)
-    offender = None
-    for m in sorted(cache):
-        if cache[m] > blow_up_threshold:
-            offender = m
-            break
-    s_norm, s_inv = detail[best_m]
+    mode_used, best, ms, rows = search.maximize(n, _weaving_rows(f0, f1), mode,
+                                                exhaustive_cap, seed, f0.space.dim ** 2,
+                                                columns=2)
+    offenders = np.flatnonzero(np.maximum(rows[:, 0], rows[:, 1]) > blow_up_threshold)
+    witness = ms[offenders[0]] if offenders.size else None
+    s_norm, s_inv = float(rows[best, 0]), float(rows[best, 1])
+    exact = mode_used.kind == "exhaustive" and f0.space.norm.is_exact_kind
     return WeaveSearchResult(
-        worst_pattern=WeavePattern.from_index(best_m, n),
-        worst_constant=float(best_v),
-        s_norm=float(s_norm),
-        s_inv_norm=float(s_inv),
+        worst_pattern=WeavePattern.from_index(ms[best], n),
+        worst_constant=max(s_norm, s_inv),
+        s_norm=s_norm,
+        s_inv_norm=s_inv,
         mode=mode_used,
-        exactness=Exactness.LOWER_BOUND,
-        verdict="not_woven" if offender is not None else "woven",
-        witness=WeavePattern.from_index(offender, n) if offender is not None else None,
-        per_pattern_log=_pattern_log(n, sorted(detail), detail) if log_all_patterns else None,
-        patterns_evaluated=len(cache))
+        exactness=Exactness.EXACT if exact else Exactness.LOWER_BOUND,
+        verdict="not_woven" if witness is not None else "woven",
+        witness=WeavePattern.from_index(witness, n) if witness is not None else None,
+        per_pattern_log=[(str(WeavePattern.from_index(m, n)), float(a), float(b))
+                         for m, (a, b) in zip(ms, rows)] if log_all_patterns else None,
+        patterns_evaluated=len(ms))
 
 
 def tail_profile(f0: FrameSystem, f1: FrameSystem, x, start_index: int) -> float:
@@ -327,7 +279,9 @@ def lower_bound_profile(f0: FrameSystem, f1: FrameSystem) -> float:
     _require_compatible(f0, f1)
     if (1 << f0.n) > search.DEFAULT_EXHAUSTIVE_CAP:
         raise InputError("lower bound profile requires exhaustive enumeration")
-    table = _weaving_tables(f0, f1)
+    _, _, _, table = search.maximize(f0.n, _weaving_rows(f0, f1), EXHAUSTIVE,
+                                     search.DEFAULT_EXHAUSTIVE_CAP, 0, f0.space.dim ** 2,
+                                     columns=2)
     worst_inv = float(table[:, 1].max())
     if not np.isfinite(worst_inv):
         return 0.0
