@@ -9,11 +9,10 @@ from .normed import (L1, L2, LINF, DenseOperator, Exactness, NormKind,
                      NormedSpace, OpNormResult, dual_norm, invert, lp,
                      norming_vector, operator_norm, vector_norm)
 from .frames import (EXHAUSTIVE, Basis, ConstantEstimate, ConstantReport,
-                     FrameSystem, SearchMode, as_system, basis_constant,
-                     biorthogonals, check_approximate_frame,
-                     equivalence_constants, frame_operator, frame_report,
-                     heuristic, square_function, suppression_constant,
-                     unconditional_constant)
+                     FrameSystem, SearchMode, basis_constant, biorthogonals,
+                     check_approximate_frame, equivalence_constants,
+                     frame_operator, frame_report, heuristic, square_function,
+                     suppression_constant, unconditional_constant)
 from .weaving import (IntervalOperatorQuery, WeavePattern, WeaveSearchResult,
                       lower_bound_profile, partial_operator,
                       partial_operator_subset, tail_profile,

@@ -88,6 +88,8 @@ def _resolve_input(arg: str, dim: int | None, norm_override: str | None):
         digest = hashlib.sha256(payload.encode()).hexdigest()
         return system, (arg, digest)
     system = fileio.load_system(arg, norm_override)
+    if dim is not None and system.space.dim != dim:
+        raise InputError(f"{arg} has dim {system.space.dim}, but --dim is {dim}")
     return system, (arg, fileio.sha256_of(arg))
 
 
@@ -187,6 +189,8 @@ def _parse_sweep(text: str) -> range:
 def _cmd_weave_search(args) -> dict:
     mode = _mode_from(args)
     if args.sweep is not None:
+        if args.log_all_patterns:
+            raise InputError("--log-all-patterns logs one search and cannot be used with --sweep")
         dims = _parse_sweep(args.sweep)
         if not (args.path_a.startswith("gallery:") and args.path_b.startswith("gallery:")):
             raise InputError("--sweep requires gallery: inputs regenerated per d")

@@ -175,13 +175,6 @@ def biorthogonals(vectors: np.ndarray) -> np.ndarray:
     return duals
 
 
-def as_system(basis: Basis, label: str | None = None) -> FrameSystem:
-    """Pair a basis with its computed biorthogonal functionals."""
-    duals = biorthogonals(basis.vectors)
-    return FrameSystem(basis.space, basis.vectors, duals,
-                       label=basis.label if label is None else label)
-
-
 def basis_constant(vectors: np.ndarray, space: NormedSpace,
                    duals: np.ndarray | None = None) -> ConstantEstimate:
     """max_n ||P_n|| over the partial-sum projections P_n of a basis."""

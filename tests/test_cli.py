@@ -130,6 +130,13 @@ def test_weave_search_sweep(tmp_path, capsys):
     assert code == 1  # sweeps regenerate gallery systems only
 
 
+def test_sweep_refuses_the_pattern_log(capsys):
+    code, out, err = run_cli(["weave-search", "gallery:standard-c0", "gallery:summing-c0",
+                              "--sweep", "2..3", "--log-all-patterns"], capsys)
+    assert code == 1 and out == ""
+    assert "--log-all-patterns" in err
+
+
 def test_check_woven_and_condition_selection(capsys):
     code, out, _ = run_cli(["check-woven", "gallery:standard-l1",
                             "gallery:standard-l1", "--dim", "4"], capsys)
@@ -183,6 +190,18 @@ def test_perturb_basis_refuses_a_candidate_on_another_space(capsys):
                                   flag, l1_file], capsys)
         assert code == 1 and out == ""
         assert "systems are incompatible" in err
+
+
+def test_file_input_refuses_a_different_dim(capsys):
+    l1_file = str(Path(__file__).parent / "golden" / "inputs" / "perturbed-l1-d4.json")
+    for args in (["analyze", l1_file, "--dim", "7"],
+                 ["perturb", "gallery:standard-l1", "--dim", "3", "--pair", l1_file],
+                 ["perturb", "gallery:standard-l1", "--dim", "3", "--basis", l1_file]):
+        code, out, err = run_cli(args, capsys)
+        assert code == 1 and out == ""
+        assert "has dim 4" in err
+    code, out, _ = run_cli(["analyze", l1_file, "--dim", "4"], capsys)
+    assert code == 0 and read_report(out)["results"]["dim"] == 4
 
 
 def test_gallery_pattern_is_not_a_system(capsys):

@@ -7,7 +7,8 @@ from weavelab import (EXHAUSTIVE, L1, LINF, Exactness, FrameSystem,
                       NormedSpace, NotABasis, basis_constant, biorthogonals,
                       check_approximate_frame, equivalence_constants,
                       frame_operator, heuristic, square_function,
-                      suppression_constant, unconditional_constant)
+                      suppression_constant, unconditional_constant,
+                      worst_weaving)
 from conftest import NORMS, random_basis, random_frame_system
 
 
@@ -225,9 +226,23 @@ def test_heuristic_is_lower_bound_and_agrees(rng):
 
 
 def test_exhaustive_demotes_above_cap(rng):
+    # above the cap, exhaustive mode is heuristic(32) bit for bit
     system = random_frame_system(rng, 6, L1)
-    est = suppression_constant(system, EXHAUSTIVE, exhaustive_cap=8)
-    assert est.exactness is Exactness.LOWER_BOUND
+    other = random_frame_system(rng, 6, L1)
+    for search in (suppression_constant, unconditional_constant):
+        est = search(system, EXHAUSTIVE, exhaustive_cap=8, seed=2)
+        ref = search(system, heuristic(32), seed=2)
+        assert est.exactness is ref.exactness is Exactness.LOWER_BOUND
+        assert (est.value, est.witness) == (ref.value, ref.witness)
+    demoted = worst_weaving(system, other, EXHAUSTIVE, exhaustive_cap=8, seed=2,
+                            log_all_patterns=True)
+    ref = worst_weaving(system, other, heuristic(32), seed=2, log_all_patterns=True)
+    assert demoted.mode == ref.mode == heuristic(32)
+    assert demoted.per_pattern_log == ref.per_pattern_log
+    assert len(ref.per_pattern_log) == ref.patterns_evaluated < 2 ** 6
+    for field in ("worst_pattern", "worst_constant", "s_norm", "s_inv_norm", "exactness",
+                  "verdict", "witness", "patterns_evaluated"):
+        assert getattr(demoted, field) == getattr(ref, field)
 
 
 # --- square function --------------------------------------------------------
