@@ -190,7 +190,7 @@ def _cmd_weave_search(args) -> dict:
     mode = _mode_from(args)
     if args.sweep is not None:
         if args.log_all_patterns:
-            raise InputError("--log-all-patterns logs one search and cannot be used with --sweep")
+            raise InputError("--log-all-patterns cannot be used with --sweep")
         dims = _parse_sweep(args.sweep)
         if not (args.path_a.startswith("gallery:") and args.path_b.startswith("gallery:")):
             raise InputError("--sweep requires gallery: inputs regenerated per d")

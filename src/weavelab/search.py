@@ -14,7 +14,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -172,7 +172,7 @@ def greedy_add(n_bits: int, value_of: Callable[[int], float]) -> int:
 
 def maximize(n_bits: int, rows_of: Callable[[np.ndarray], np.ndarray], mode: SearchMode,
              exhaustive_cap: int, seed: int, cell: int, columns: int = 1,
-             greedy: bool = False):
+             greedy: bool = False) -> tuple[SearchMode, int, Sequence[int], np.ndarray]:
     """Maximize the largest entry of a pattern's row over all n_bits patterns.
 
     ``rows_of`` maps a uint64 array of pattern indices to their rows, flat

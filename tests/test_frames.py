@@ -229,9 +229,9 @@ def test_exhaustive_demotes_above_cap(rng):
     # above the cap, exhaustive mode is heuristic(32) bit for bit
     system = random_frame_system(rng, 6, L1)
     other = random_frame_system(rng, 6, L1)
-    for search in (suppression_constant, unconditional_constant):
-        est = search(system, EXHAUSTIVE, exhaustive_cap=8, seed=2)
-        ref = search(system, heuristic(32), seed=2)
+    for constant in (suppression_constant, unconditional_constant):
+        est = constant(system, EXHAUSTIVE, exhaustive_cap=8, seed=2)
+        ref = constant(system, heuristic(32), seed=2)
         assert est.exactness is ref.exactness is Exactness.LOWER_BOUND
         assert (est.value, est.witness) == (ref.value, ref.witness)
     demoted = worst_weaving(system, other, EXHAUSTIVE, exhaustive_cap=8, seed=2,
