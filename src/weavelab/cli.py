@@ -19,12 +19,12 @@ import numpy as np
 from .errors import InputError, WeavelabError
 from .frames import (EXHAUSTIVE, ConstantEstimate, FrameSystem, SearchMode,
                      frame_report, heuristic)
-from .weaving import WeaveSearchResult, worst_weaving
+from .weaving import DEFAULT_BLOW_UP, WeaveSearchResult, worst_weaving
 from .subspaces import DEFAULT_UNC_THRESHOLD, unc_conditions
 from .perturb import (basis_perturbation_check, operator_perturbation_check,
                       pair_perturbation_check)
 from .gallery import GALLERY_NAMES, GallerySpec, generate
-from . import fileio
+from . import fileio, search
 
 
 class _Parser(argparse.ArgumentParser):
@@ -98,8 +98,9 @@ def _add_common(parser: argparse.ArgumentParser, sweep: bool = False,
     if modes:
         parser.add_argument("--mode", choices=("exhaustive", "heuristic"),
                             default="exhaustive")
-        parser.add_argument("--restarts", type=int, default=32)
-        parser.add_argument("--exhaustive-cap", type=int, default=2 ** 22)
+        parser.add_argument("--restarts", type=int, default=SearchMode.restarts)
+        parser.add_argument("--exhaustive-cap", type=int,
+                            default=search.DEFAULT_EXHAUSTIVE_CAP)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", default=None, help="report path (default stdout)")
     if sweep:
@@ -124,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("path_a")
     p.add_argument("path_b")
     p.add_argument("--dim", type=int, default=None)
-    p.add_argument("--blowup-threshold", type=float, default=1e8)
+    p.add_argument("--blowup-threshold", type=float, default=DEFAULT_BLOW_UP)
     p.add_argument("--log-all-patterns", action="store_true")
     _add_common(p, sweep=True)
 

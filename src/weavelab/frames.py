@@ -124,8 +124,9 @@ def frame_constants(entries: np.ndarray, space: NormedSpace
                     ) -> tuple[OpNormResult, OpNormResult | None, float]:
     """(||S||, ||S^-1|| or None, frame constant) for an operator matrix.
 
-    Shared by every caller that grades a frame operator, so weaving
-    searches and direct verdicts agree exactly.
+    Its norms and inverse come from the kernels the weaving tables run on
+    whole chunks (``batch_opnorm_values``, ``batch_invert``), so a direct
+    verdict and a weaving table agree exactly.
     """
     op = DenseOperator.on_space(entries, space)
     s_norm = operator_norm(op)

@@ -345,31 +345,104 @@ def operator_norm(M: DenseOperator) -> OpNormResult:
     return OpNormResult(float(value), Exactness.LOWER_BOUND, witness)
 
 
+@dataclass(frozen=True, eq=False)
+class BatchInverse:
+    """Guarded inverses of an (m, d, d) stack, one verdict per matrix.
+
+    ``cond`` is each matrix's 2-norm condition number.  ``residual`` is the
+    max-norm residual ``|I - A X|`` of the refined inverse, NaN where no
+    inverse was computed (condition cap exceeded or ``solve`` failed).
+    ``inverses`` holds zeros where ``accepted`` is false.
+    """
+
+    inverses: np.ndarray
+    accepted: np.ndarray
+    cond: np.ndarray
+    residual: np.ndarray
+
+    def reason(self, i: int) -> str | None:
+        """Why matrix ``i`` was rejected (``invert``'s message), None if accepted."""
+        if self.accepted[i]:
+            return None
+        cond = self.cond[i]
+        if not np.isfinite(cond) or cond > DEFAULT_COND_CAP:
+            return f"condition number {cond:.3e} exceeds cap {DEFAULT_COND_CAP:.1e}"
+        if np.isnan(self.residual[i]):
+            return _SINGULAR
+        return f"inversion residual {self.residual[i]:.3e} above {INVERT_RESIDUAL_TOL:.1e}"
+
+
+_SINGULAR = "Singular matrix"  # numpy's LinAlgError message from solve
+
+
+def _solve_identity(a: np.ndarray, eye: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(A^-1 per matrix by LU solve, mask of the matrices solve accepted).
+
+    One singular pivot makes the stacked solve raise for the whole stack, so
+    the stack is then solved matrix by matrix (the same LAPACK call each).
+    """
+    try:
+        return np.linalg.solve(a, eye), np.ones(len(a), dtype=bool)
+    except np.linalg.LinAlgError:
+        x = np.zeros_like(a)
+        solved = np.ones(len(a), dtype=bool)
+        for i, mat in enumerate(a):
+            try:
+                x[i] = np.linalg.solve(mat, eye)
+            except np.linalg.LinAlgError:
+                solved[i] = False
+        return x, solved
+
+
+def batch_invert(mats: np.ndarray) -> BatchInverse:
+    """Guarded inversion of every matrix of an (m, d, d) stack.
+
+    A matrix is accepted when its condition number is finite and at most
+    ``DEFAULT_COND_CAP``, ``solve`` succeeds, and Newton refinement (up to
+    five steps, tracked per matrix) brings the max-norm residual to
+    ``INVERT_RESIDUAL_TOL``.  Each matrix meets the same LAPACK calls and
+    the same refinement steps whatever stack it sits in, so its inverse
+    is bit-for-bit the one ``invert`` returns for it alone.
+    """
+    m, d = mats.shape[0], mats.shape[-1]
+    inverses = np.zeros_like(mats)
+    accepted = np.zeros(m, dtype=bool)
+    residual = np.full(m, np.nan)
+    cond = np.linalg.cond(mats)
+    idx = np.flatnonzero(np.isfinite(cond) & (cond <= DEFAULT_COND_CAP))
+    eye = np.eye(d)
+    if idx.size:
+        a = mats[idx]
+        x, solved = _solve_identity(a, eye)
+        a, x, idx = a[solved], x[solved], idx[solved]
+        res = np.full(len(idx), np.inf)
+        live = np.arange(len(idx))
+        for _ in range(5):
+            r = eye - a[live] @ x[live]
+            res[live] = np.abs(r).max(axis=(1, 2))
+            step = ~(res[live] <= INVERT_RESIDUAL_TOL)
+            live, r = live[step], r[step]
+            if not live.size:
+                break
+            x[live] = x[live] + x[live] @ r
+        keep = ~(res > INVERT_RESIDUAL_TOL)  # as in a scalar loop, NaN is not above
+        inverses[idx[keep]] = x[keep]
+        accepted[idx] = keep
+        residual[idx] = res
+    return BatchInverse(inverses, accepted, cond, residual)
+
+
 def invert(M: DenseOperator) -> DenseOperator:
     """Guarded inversion: M^-1 with max-norm residual at most 1e-9.
 
-    Raises NotInvertible when the estimated condition number exceeds
-    ``DEFAULT_COND_CAP`` or Newton refinement cannot reach the residual tolerance.
-    The inverse maps the codomain back to the domain, so the norm tags swap.
+    A batch of one through ``batch_invert``.  Raises NotInvertible when the
+    condition number exceeds ``DEFAULT_COND_CAP``, ``solve`` fails, or
+    Newton refinement cannot reach the residual tolerance.  The inverse
+    maps the codomain back to the domain, so the norm tags swap.
     """
     if M.rows != M.cols:
         raise InputError(f"cannot invert a {M.rows}x{M.cols} operator")
-    a = M.entries
-    cond = np.linalg.cond(a)
-    if not np.isfinite(cond) or cond > DEFAULT_COND_CAP:
-        raise NotInvertible(f"condition number {cond:.3e} exceeds cap {DEFAULT_COND_CAP:.1e}")
-    eye = np.eye(M.rows)
-    try:
-        x = np.linalg.solve(a, eye)
-    except np.linalg.LinAlgError as exc:
-        raise NotInvertible(str(exc)) from None
-    res = np.inf
-    for _ in range(5):
-        r = eye - a @ x
-        res = float(np.abs(r).max())
-        if res <= INVERT_RESIDUAL_TOL:
-            break
-        x = x + x @ r
-    if res > INVERT_RESIDUAL_TOL:
-        raise NotInvertible(f"inversion residual {res:.3e} above {INVERT_RESIDUAL_TOL:.1e}")
-    return DenseOperator(x, M.codomain_norm, M.domain_norm)
+    batch = batch_invert(M.entries[None])
+    if not batch.accepted[0]:
+        raise NotInvertible(batch.reason(0))
+    return DenseOperator(batch.inverses[0], M.codomain_norm, M.domain_norm)

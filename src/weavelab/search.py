@@ -41,7 +41,7 @@ class SearchMode:
 EXHAUSTIVE = SearchMode("exhaustive")
 
 
-def heuristic(restarts: int = 32) -> SearchMode:
+def heuristic(restarts: int = SearchMode.restarts) -> SearchMode:
     return SearchMode("heuristic", restarts)
 
 

@@ -15,7 +15,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 
 from .errors import (DistanceZero, InputError, NotABasis, NotAFrame,
                      NotInvertible)
@@ -278,6 +277,7 @@ def _convex_distance(x: np.ndarray, bcols: np.ndarray, kind) -> float:
     if kind.tag == "l2":
         t, *_ = np.linalg.lstsq(bcols, x, rcond=None)
         return vector_norm(x - bcols @ t, kind)
+    from scipy import optimize  # imported on first use: it dominates `import weavelab`
     if kind.tag == "l1":
         c = np.concatenate([np.zeros(k), np.ones(d)])
         a_ub = np.block([[bcols, -np.eye(d)], [-bcols, -np.eye(d)]])
@@ -301,9 +301,9 @@ def _convex_distance(x: np.ndarray, bcols: np.ndarray, kind) -> float:
             return -p * bcols.T @ (np.sign(r) * np.abs(r) ** (p - 1.0))
 
         t0, *_ = np.linalg.lstsq(bcols, x, rcond=None)
-        res = scipy.optimize.minimize(fun, t0, jac=jac, method="L-BFGS-B")
+        res = optimize.minimize(fun, t0, jac=jac, method="L-BFGS-B")
         return float(max(res.fun, 0.0) ** (1.0 / p))
-    res = scipy.optimize.linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
+    res = optimize.linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
     if res.status != 0:
         raise InputError(f"inner distance LP failed: {res.message}")
     return float(res.fun)
@@ -327,6 +327,8 @@ def _directional_distance(a: SpannedSubspace, b: SpannedSubspace, effort: int,
             return 2.0 * np.abs(rows).sum()
         return _convex_distance(x / nrm, bcols, kind)
 
+    from scipy import optimize
+
     starts = [np.ones(k)]
     starts.extend(np.eye(k))
     rng = np.random.default_rng(seed)
@@ -334,9 +336,9 @@ def _directional_distance(a: SpannedSubspace, b: SpannedSubspace, effort: int,
         starts.append(rng.standard_normal(k))
     best = np.inf
     for c0 in starts:
-        res = scipy.optimize.minimize(objective, c0, method="Nelder-Mead",
-                                      options={"maxiter": 200 * k,
-                                               "xatol": 1e-10, "fatol": 1e-12})
+        res = optimize.minimize(objective, c0, method="Nelder-Mead",
+                                options={"maxiter": 200 * k,
+                                         "xatol": 1e-10, "fatol": 1e-12})
         best = min(best, float(res.fun), objective(c0))
     return best, Exactness.UPPER_BOUND
 

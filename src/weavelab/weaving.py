@@ -17,9 +17,9 @@ import numpy as np
 
 from . import search
 from .errors import InputError, NotABasis
-from .normed import Exactness, batch_opnorm_values, batch_vector_norms
+from .normed import Exactness, batch_invert, batch_opnorm_values, batch_vector_norms
 from .frames import (ConstantEstimate, FrameSystem, basis_constant, biorthogonals,
-                     frame_constants, outer_stack, pattern_sums)
+                     outer_stack, pattern_sums)
 from .search import EXHAUSTIVE, SearchMode
 
 DEFAULT_BLOW_UP = 1e8
@@ -160,17 +160,24 @@ def partial_operator(f0: FrameSystem, f1: FrameSystem,
 
 def _weaving_rows(f0: FrameSystem, f1: FrameSystem):
     """Row function: pattern indices -> (len, 2) rows of
-    (||S_sigma||, ||S_sigma^-1|| or +inf)."""
-    space = f0.space
+    (||S_sigma||, ||S_sigma^-1|| or +inf).
+
+    A chunk is graded in one pass: its pattern sums, one finiteness check,
+    the stacked operator norms and one ``batch_invert``, so every row holds
+    the bits ``frame_constants`` gives for that weaving alone.
+    """
+    kind = f0.space.norm
     o0 = outer_stack(f0.vectors, f0.functionals)
     o1 = outer_stack(f1.vectors, f1.functionals)
 
     def rows_of(ms: np.ndarray) -> np.ndarray:
-        rows = np.empty((len(ms), 2))
-        for i, mat in enumerate(pattern_sums(o1, o0, ms)):
-            s_norm, s_inv_norm, _ = frame_constants(mat, space)
-            rows[i, 0] = s_norm.value
-            rows[i, 1] = s_inv_norm.value if s_inv_norm is not None else np.inf
+        sums = pattern_sums(o1, o0, ms)
+        if not np.all(np.isfinite(sums)):
+            raise InputError("operator entries must be finite")
+        inv = batch_invert(sums)
+        rows = np.full((len(ms), 2), np.inf)
+        rows[:, 0] = batch_opnorm_values(sums, kind, kind)
+        rows[inv.accepted, 1] = batch_opnorm_values(inv.inverses[inv.accepted], kind, kind)
         return rows
 
     return rows_of

@@ -5,8 +5,9 @@ from pathlib import Path
 
 import numpy as np
 
-from weavelab import FrameSystem, L1, NormedSpace, lp
-from weavelab.cli import main
+from weavelab import FrameSystem, L1, NormedSpace, SearchMode, lp, search
+from weavelab.cli import build_parser, main
+from weavelab.weaving import DEFAULT_BLOW_UP
 from weavelab.fileio import load_system, save_system
 
 
@@ -95,6 +96,16 @@ def test_malformed_input_exit_code(tmp_path, capsys):
     code, _, err = run_cli(["analyze", str(path)], capsys)
     assert code == 1
     assert "line" in err
+
+
+def test_parser_defaults_are_the_library_constants():
+    args = build_parser().parse_args(["weave-search", "a.json", "b.json"])
+    assert args.restarts == SearchMode.restarts
+    assert args.exhaustive_cap == search.DEFAULT_EXHAUSTIVE_CAP
+    assert args.blowup_threshold == DEFAULT_BLOW_UP
+    args = build_parser().parse_args(["analyze", "a.json"])
+    assert args.restarts == SearchMode.restarts
+    assert args.exhaustive_cap == search.DEFAULT_EXHAUSTIVE_CAP
 
 
 def test_usage_error_exit_code(capsys):

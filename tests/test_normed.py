@@ -6,7 +6,10 @@ from hypothesis import strategies as st
 from weavelab import (L1, L2, LINF, DenseOperator, Exactness, InputError,
                       NormKind, NormedSpace, NotInvertible, dual_norm, invert,
                       lp, norming_vector, operator_norm, vector_norm)
-from conftest import NORMS
+from weavelab.frames import frame_constants, pattern_sums, outer_stack
+from weavelab.normed import DEFAULT_COND_CAP, INVERT_RESIDUAL_TOL, batch_invert
+from weavelab.weaving import worst_weaving
+from conftest import NORMS, random_frame_system
 
 finite_floats = st.floats(min_value=-10, max_value=10, allow_nan=False)
 small_vectors = st.lists(finite_floats, min_size=1, max_size=6)
@@ -155,6 +158,98 @@ def test_invert_swaps_norm_tags():
     op = DenseOperator(np.eye(2), L1, LINF)
     assert invert(op).domain_norm == LINF
     assert invert(op).codomain_norm == L1
+
+
+def _reference_invert(a):
+    """The one-matrix loop batch_invert replaced: (inverse or None, message)."""
+    cond = np.linalg.cond(a)
+    if not np.isfinite(cond) or cond > DEFAULT_COND_CAP:
+        return None, f"condition number {cond:.3e} exceeds cap {DEFAULT_COND_CAP:.1e}"
+    eye = np.eye(a.shape[0])
+    try:
+        x = np.linalg.solve(a, eye)
+    except np.linalg.LinAlgError as exc:
+        return None, str(exc)
+    res = np.inf
+    for _ in range(5):
+        r = eye - a @ x
+        res = float(np.abs(r).max())
+        if res <= INVERT_RESIDUAL_TOL:
+            break
+        x = x + x @ r
+    if res > INVERT_RESIDUAL_TOL:
+        return None, f"inversion residual {res:.3e} above {INVERT_RESIDUAL_TOL:.1e}"
+    return x, None
+
+
+def _newton_steps(a):
+    x = np.linalg.solve(a, np.eye(a.shape[0]))
+    return int(np.abs(np.eye(a.shape[0]) - a @ x).max() > INVERT_RESIDUAL_TOL)
+
+
+def _mixed_stack(rng, d=5):
+    """Well-conditioned, exactly singular, above-cap and near-cap matrices."""
+    mats = [rng.standard_normal((d, d)) + 3 * np.eye(d) for _ in range(4)]
+    mats.append(np.zeros((d, d)))
+    rank_one = np.outer(rng.standard_normal(d), rng.standard_normal(d))
+    mats.append(rank_one)
+    mats.append(np.diag([1.0] * (d - 1) + [1e-13]))
+    for log_cond in (7.5, 8.0, 8.0, 8.5, 9.0, 10.0):
+        for scale in (1e-3, 1.0, 1e3):
+            u = np.linalg.qr(rng.standard_normal((d, d)))[0]
+            v = np.linalg.qr(rng.standard_normal((d, d)))[0]
+            mats.append(scale * (u * np.logspace(0, -log_cond, d)) @ v.T)
+    return np.array(mats)
+
+
+def test_batch_invert_matches_the_one_matrix_loop(rng):
+    mats = _mixed_stack(rng)
+    batch = batch_invert(mats)
+    messages = []
+    for i, a in enumerate(mats):
+        x, message = _reference_invert(a)
+        messages.append(message)
+        assert batch.accepted[i] == (x is not None)
+        assert batch.reason(i) == message
+        try:
+            single = invert(DenseOperator(a, L1, L1))
+        except NotInvertible as exc:
+            assert x is None and str(exc) == message
+            assert not batch.accepted[i] and not batch.inverses[i].any()
+        else:
+            assert x is not None
+            assert single.entries.tobytes() == x.tobytes() == batch.inverses[i].tobytes()
+    # the stack exercises every branch of the guard
+    assert "condition number inf exceeds cap 1.0e+12" in messages
+    assert "condition number 1.000e+13 exceeds cap 1.0e+12" in messages
+    assert any(m and m.startswith("inversion residual") for m in messages)
+    assert any(m is None and _newton_steps(a) for a, m in zip(mats, messages))
+    assert batch.accepted.sum() == sum(m is None for m in messages)
+
+
+def test_batch_invert_does_not_depend_on_its_stack(rng):
+    mats = _mixed_stack(rng)
+    whole = batch_invert(mats)
+    for lo, hi in ((0, 1), (3, 9), (5, len(mats))):
+        part = batch_invert(mats[lo:hi])
+        assert part.inverses.tobytes() == whole.inverses[lo:hi].tobytes()
+        assert np.array_equal(part.accepted, whole.accepted[lo:hi])
+    empty = batch_invert(np.zeros((0, 3, 3)))
+    assert empty.inverses.shape == (0, 3, 3) and not empty.accepted.size
+
+
+def test_frame_constants_equal_the_weaving_table_row(rng):
+    for kind in (L1, L2, LINF, lp(3.0)):
+        f0 = random_frame_system(rng, 4, kind)
+        f1 = random_frame_system(rng, 4, kind)
+        res = worst_weaving(f0, f1, log_all_patterns=True)
+        ms = np.arange(16, dtype=np.uint64)
+        sums = pattern_sums(outer_stack(f1.vectors, f1.functionals),
+                            outer_stack(f0.vectors, f0.functionals), ms)
+        for (pattern, s_norm, s_inv_norm), mat in zip(res.per_pattern_log, sums):
+            s, s_inv, _ = frame_constants(mat, f0.space)
+            assert s.value == s_norm, pattern
+            assert (s_inv.value if s_inv is not None else np.inf) == s_inv_norm, pattern
 
 
 def test_operator_validation():

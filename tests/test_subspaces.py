@@ -1,5 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import weavelab
 
 from weavelab import (L1, L2, DenseOperator, DistanceZero, Exactness,
                       FrameSystem, InputError, NormedSpace, NotInvertible,
@@ -263,3 +270,14 @@ def test_projection_pair():
     shear = DenseOperator.on_space([[1.0, 1.0], [0.0, 1.0]], NormedSpace(2, L1))
     with pytest.raises(InputError):
         ProjectionPair(shear, shear)
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # scipy.optimize is most of the package's import time; subspaces loads it
+    # on the first LP or minimization instead
+    src = str(Path(weavelab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, weavelab; print('scipy.optimize' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, check=True)
+    assert proc.stdout.strip() == "False"

@@ -221,6 +221,20 @@ def test_lower_bound_profile():
     assert lower_bound_profile(standard_system(3), f1) == 0.0
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_overflowing_pattern_sums_are_refused():
+    # each term x_i f_i^T is 1e320: finite vectors, non-finite operators
+    huge = FrameSystem(NormedSpace(3, LINF), 1e160 * np.eye(3), 1e160 * np.eye(3))
+    std = standard_system(3, LINF)
+    for mode in (None, heuristic(2)):
+        with pytest.raises(InputError, match="operator entries must be finite"):
+            worst_weaving(std, huge, **({"mode": mode} if mode else {}))
+    with pytest.raises(InputError, match="operator entries must be finite"):
+        lower_bound_profile(std, huge)
+    with pytest.raises(InputError, match="operator entries must be finite"):
+        check_approximate_frame(huge)
+
+
 def test_incompatible_systems_rejected():
     with pytest.raises(InputError):
         weave(standard_system(2), standard_system(3), WeavePattern.zeros(2))
