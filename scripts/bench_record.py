@@ -8,12 +8,13 @@
 ``P`` and ``H`` are two checkouts of the repository.  ``pairs`` runs
 ``perfbench/run.py`` in each, alternating which side runs first (pair 0
 runs the parent first), and keeps every run's result line with its
-workload, seed, pair, order and side.  ``layers`` times the L2 instances
-(exhaustive ``worst_weaving`` on standard-c0/summing-c0 at d = 10, 12, 14)
-and cold start (a fresh ``import weavelab``) on both sides, alternating
-the same way.  Each command adds to the file and rewrites its summary:
-per workload, trace setting and metric, each side's median and quartiles,
-in how many pairs the head read lower, and the head/parent ratio of the medians.
+workload, seed, pair, order and side.  ``layers`` times, on both sides and
+alternating the same way, the L2 instances (exhaustive ``worst_weaving`` on
+standard-c0/summing-c0 at d = 10, 12, 14), cold start (a fresh ``import
+weavelab`` and the peak RSS after it) and two whole CLI commands.  Each
+command adds to the file and rewrites its summary: per workload, trace
+setting and metric, each side's median and quartiles, in how many pairs
+the head read lower, and the head/parent ratio of the medians.
 """
 
 from __future__ import annotations
@@ -24,15 +25,17 @@ import os
 import statistics
 import subprocess
 import sys
+import time
 
 LAYER_DIMS = (10, 12, 14)
 LAYER_PROBE = """
-import json, sys, time
+import json, resource, time
 t0 = time.perf_counter()
 import weavelab
 import_s = time.perf_counter() - t0
+rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 from weavelab import GallerySpec, generate, worst_weaving
-out = {"import_s": import_s}
+out = {"import_s": import_s, "import_peak_rss_mb": rss_mb}
 for d in %r:
     f0 = generate(GallerySpec("standard-c0", d))
     f1 = generate(GallerySpec("summing-c0", d))
@@ -41,6 +44,11 @@ for d in %r:
     out["worst_weaving_c0_d%%d_ms" %% d] = (time.perf_counter() - t) * 1e3
 print(json.dumps(out))
 """ % (LAYER_DIMS,)
+CLI_INSTANCES = {  # L4: whole commands in a fresh interpreter, wall seconds
+    "cli_example_cold_start_s": ["example", "summing-c0", "--dim", "3"],
+    "cli_weave_search_c0_d12_s": ["weave-search", "gallery:standard-c0",
+                                  "gallery:summing-c0", "--dim", "12"],
+}
 
 
 def _sides(pair: int) -> tuple[str, str]:
@@ -130,6 +138,11 @@ def run_layers(args, doc: dict):
             done = subprocess.run([sys.executable, "-c", LAYER_PROBE], env=env,
                                   capture_output=True, text=True, check=True)
             values = json.loads(done.stdout)
+            for name, cli_args in CLI_INSTANCES.items():
+                t = time.perf_counter()
+                subprocess.run([sys.executable, "-m", "weavelab", *cli_args], env=env,
+                               capture_output=True, check=True)
+                values[name] = time.perf_counter() - t
             for d in LAYER_DIMS:
                 values[f"worst_weaving_c0_d{d}_us_per_pattern"] = \
                     values[f"worst_weaving_c0_d{d}_ms"] * 1e3 / 2 ** d

@@ -3,10 +3,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from weavelab import (L1, L2, LINF, DenseOperator, Exactness, InputError,
-                      NormKind, NormedSpace, NotInvertible, dual_norm, invert,
-                      lp, norming_vector, operator_norm, vector_norm)
-from weavelab.frames import frame_constants, pattern_sums, outer_stack
+from weavelab import (L1, L2, LINF, DenseOperator, Exactness, FrameSystem,
+                      InputError, NormKind, NormedSpace, NotInvertible,
+                      dual_norm, invert, lp, norming_vector, operator_norm,
+                      vector_norm)
+from weavelab.frames import frame_constants, outer_stack, pattern_sums
 from weavelab.normed import DEFAULT_COND_CAP, INVERT_RESIDUAL_TOL, batch_invert
 from weavelab.weaving import worst_weaving
 from conftest import NORMS, random_frame_system
@@ -182,19 +183,18 @@ def _reference_invert(a):
     return x, None
 
 
-def _newton_steps(a):
+def _needs_newton(a):
     x = np.linalg.solve(a, np.eye(a.shape[0]))
-    return int(np.abs(np.eye(a.shape[0]) - a @ x).max() > INVERT_RESIDUAL_TOL)
+    return np.abs(np.eye(a.shape[0]) - a @ x).max() > INVERT_RESIDUAL_TOL
 
 
 def _mixed_stack(rng, d=5):
     """Well-conditioned, exactly singular, above-cap and near-cap matrices."""
     mats = [rng.standard_normal((d, d)) + 3 * np.eye(d) for _ in range(4)]
     mats.append(np.zeros((d, d)))
-    rank_one = np.outer(rng.standard_normal(d), rng.standard_normal(d))
-    mats.append(rank_one)
+    mats.append(np.outer(rng.standard_normal(d), rng.standard_normal(d)))
     mats.append(np.diag([1.0] * (d - 1) + [1e-13]))
-    for log_cond in (7.5, 8.0, 8.0, 8.5, 9.0, 10.0):
+    for log_cond in (7.5, 7.8, 8.0, 8.2, 9.0, 10.0):
         for scale in (1e-3, 1.0, 1e3):
             u = np.linalg.qr(rng.standard_normal((d, d)))[0]
             v = np.linalg.qr(rng.standard_normal((d, d)))[0]
@@ -223,7 +223,7 @@ def test_batch_invert_matches_the_one_matrix_loop(rng):
     assert "condition number inf exceeds cap 1.0e+12" in messages
     assert "condition number 1.000e+13 exceeds cap 1.0e+12" in messages
     assert any(m and m.startswith("inversion residual") for m in messages)
-    assert any(m is None and _newton_steps(a) for a, m in zip(mats, messages))
+    assert any(m is None and _needs_newton(a) for a, m in zip(mats, messages))
     assert batch.accepted.sum() == sum(m is None for m in messages)
 
 
@@ -242,6 +242,8 @@ def test_frame_constants_equal_the_weaving_table_row(rng):
     for kind in (L1, L2, LINF, lp(3.0)):
         f0 = random_frame_system(rng, 4, kind)
         f1 = random_frame_system(rng, 4, kind)
+        if kind == L1:  # a partner with a zero vector: half its weavings are singular
+            f1 = FrameSystem(f0.space, np.vstack([np.zeros(4), f1.vectors[1:]]), f1.functionals)
         res = worst_weaving(f0, f1, log_all_patterns=True)
         ms = np.arange(16, dtype=np.uint64)
         sums = pattern_sums(outer_stack(f1.vectors, f1.functionals),
