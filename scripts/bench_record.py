@@ -6,10 +6,13 @@
     python scripts/bench_record.py layers --parent P --head H --out BENCH_6.json
 
 ``P`` and ``H`` are two checkouts of the repository.  ``pairs`` runs
-``perfbench/run.py`` in each, alternating which side runs first (pair 0
-runs the parent first), and keeps every run's result line with its
-workload, seed, pair, order and side.  ``layers`` times, on both sides and
-alternating the same way, the L2 instances (exhaustive ``worst_weaving`` on
+``perfbench/run.py`` in each at its own run length, alternating which side
+runs first (even pairs run the parent first), and keeps every run's result
+line with its workload, seed, pair, order, side, the benchmark's
+``run_seconds`` and a digest of the side's ``src/`` tree.  Pairs are
+numbered on from the last one already recorded for the same workload, seed
+and trace setting.  ``layers`` times, on both sides and alternating the
+same way, the L2 instances (exhaustive ``worst_weaving`` on
 standard-c0/summing-c0 at d = 10, 12, 14), cold start (a fresh ``import
 weavelab`` and the peak RSS after it) and two whole CLI commands.  Each
 command adds to the file and rewrites its summary: per workload, trace
@@ -20,6 +23,7 @@ the head read lower, and the head/parent ratio of the medians.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import statistics
@@ -51,8 +55,31 @@ CLI_INSTANCES = {  # L4: whole commands in a fresh interpreter, wall seconds
 }
 
 
+with open(os.path.join(os.path.dirname(__file__), os.pardir, "BENCHMARK.json")) as _fh:
+    RUN_SECONDS = json.load(_fh)["run_seconds"]  # perfbench/run.py's own run length
+
+
 def _sides(pair: int) -> tuple[str, str]:
     return ("parent", "head") if pair % 2 == 0 else ("head", "parent")
+
+
+def _next_pair(rows: list[dict]) -> int:
+    return 1 + max((r["pair"] for r in rows), default=-1)
+
+
+def _src_digest(root: str) -> str:
+    """sha256 of the checkout's ``src/`` files, to tell which code a run measured."""
+    h = hashlib.sha256()
+    src = os.path.join(root, "src")
+    for base, dirs, files in sorted(os.walk(src)):
+        dirs.sort()
+        for name in sorted(files):
+            if name.endswith(".py"):
+                path = os.path.join(base, name)
+                h.update(os.path.relpath(path, src).encode())
+                with open(path, "rb") as fh:
+                    h.update(fh.read())
+    return h.hexdigest()[:16]
 
 
 def _load(path: str) -> dict:
@@ -112,16 +139,18 @@ def _save(path: str, doc: dict):
 
 
 def run_pairs(args, doc: dict):
-    for pair in range(args.first_pair, args.first_pair + args.pairs):
+    first = _next_pair([r for r in doc["runs"] if (r["workload"], r["seed"], r["trace"])
+                        == (args.workload, args.seed, args.trace)])
+    for pair in range(first, first + args.pairs):
         for order, side in enumerate(_sides(pair)):
             root = args.parent if side == "parent" else args.head
             cmd = [sys.executable, "perfbench/run.py", "--workload", args.workload,
-                   "--seed", str(args.seed), "--seconds", str(args.seconds),
-                   "--trace", str(args.trace)]
+                   "--seed", str(args.seed), "--trace", str(args.trace)]
             done = subprocess.run(cmd, cwd=root, capture_output=True, text=True, check=True)
             result = json.loads(done.stdout.strip().splitlines()[-1])
             doc["runs"].append({"workload": args.workload, "seed": args.seed,
-                                "trace": args.trace, "seconds": args.seconds,
+                                "trace": args.trace, "seconds": RUN_SECONDS,
+                                "src_sha256": _src_digest(root),
                                 "pair": pair, "order": order, "side": side,
                                 "result": result})
             job = result["metrics"].get("job_p50_s", {}).get("value")
@@ -130,7 +159,8 @@ def run_pairs(args, doc: dict):
 
 
 def run_layers(args, doc: dict):
-    for pair in range(args.first_pair, args.first_pair + args.pairs):
+    first = _next_pair(doc["layers"])
+    for pair in range(first, first + args.pairs):
         for order, side in enumerate(_sides(pair)):
             root = args.parent if side == "parent" else args.head
             env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
@@ -147,7 +177,7 @@ def run_layers(args, doc: dict):
                 values[f"worst_weaving_c0_d{d}_us_per_pattern"] = \
                     values[f"worst_weaving_c0_d{d}_ms"] * 1e3 / 2 ** d
             doc["layers"].append({"pair": pair, "order": order, "side": side,
-                                  "values": values})
+                                  "src_sha256": _src_digest(root), "values": values})
             print(f"pair {pair} {side}: {values}", flush=True)
             _save(args.out, doc)
 
@@ -160,11 +190,8 @@ def main() -> int:
     parser.add_argument("--head", required=True, help="checkout of the change")
     parser.add_argument("--out", required=True, help="BENCH_*.json to add to")
     parser.add_argument("--pairs", type=int, default=3)
-    parser.add_argument("--first-pair", type=int, default=0,
-                        help="number of the first pair (its parity sets who runs first)")
     parser.add_argument("--workload", default="growth-sweep")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--seconds", type=float, default=42.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args()
     args.parent, args.head = os.path.abspath(args.parent), os.path.abspath(args.head)

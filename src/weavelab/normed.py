@@ -185,6 +185,12 @@ def norming_vector(z, kind: NormKind) -> np.ndarray:
     return w / vector_norm(w, kind)
 
 
+def require_finite(a: np.ndarray) -> None:
+    """Refuse operator entries (one matrix or a stack) that are not all finite."""
+    if not np.all(np.isfinite(a)):
+        raise InputError("operator entries must be finite")
+
+
 @dataclass(frozen=True, eq=False)
 class DenseOperator:
     """A dense real matrix with the norms of its domain and codomain."""
@@ -197,8 +203,7 @@ class DenseOperator:
         a = np.array(self.entries, dtype=np.float64)
         if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
             raise InputError(f"operator entries must be a 2-d matrix, got shape {a.shape}")
-        if not np.all(np.isfinite(a)):
-            raise InputError("operator entries must be finite")
+        require_finite(a)
         a.flags.writeable = False
         object.__setattr__(self, "entries", a)
 
@@ -352,13 +357,15 @@ class BatchInverse:
     ``cond`` is each matrix's 2-norm condition number.  ``residual`` is the
     max-norm residual ``|I - A X|`` of the refined inverse, NaN where no
     inverse was computed (condition cap exceeded or ``solve`` failed).
-    ``inverses`` holds zeros where ``accepted`` is false.
+    ``inverses`` holds zeros where ``accepted`` is false.  ``solve_errors``
+    maps the index of each matrix ``solve`` refused to LAPACK's message.
     """
 
     inverses: np.ndarray
     accepted: np.ndarray
     cond: np.ndarray
     residual: np.ndarray
+    solve_errors: dict[int, str]
 
     def reason(self, i: int) -> str | None:
         """Why matrix ``i`` was rejected (``invert``'s message), None if accepted."""
@@ -367,31 +374,28 @@ class BatchInverse:
         cond = self.cond[i]
         if not np.isfinite(cond) or cond > DEFAULT_COND_CAP:
             return f"condition number {cond:.3e} exceeds cap {DEFAULT_COND_CAP:.1e}"
-        if np.isnan(self.residual[i]):
-            return _SINGULAR
+        if i in self.solve_errors:
+            return self.solve_errors[i]
         return f"inversion residual {self.residual[i]:.3e} above {INVERT_RESIDUAL_TOL:.1e}"
 
 
-_SINGULAR = "Singular matrix"  # numpy's LinAlgError message from solve
-
-
-def _solve_identity(a: np.ndarray, eye: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(A^-1 per matrix by LU solve, mask of the matrices solve accepted).
+def _solve_identity(a: np.ndarray, eye: np.ndarray) -> tuple[np.ndarray, dict[int, str]]:
+    """(A^-1 per matrix by LU solve, {position: message} of the ones it refused).
 
     One singular pivot makes the stacked solve raise for the whole stack, so
     the stack is then solved matrix by matrix (the same LAPACK call each).
     """
     try:
-        return np.linalg.solve(a, eye), np.ones(len(a), dtype=bool)
+        return np.linalg.solve(a, eye), {}
     except np.linalg.LinAlgError:
         x = np.zeros_like(a)
-        solved = np.ones(len(a), dtype=bool)
+        errors = {}
         for i, mat in enumerate(a):
             try:
                 x[i] = np.linalg.solve(mat, eye)
-            except np.linalg.LinAlgError:
-                solved[i] = False
-        return x, solved
+            except np.linalg.LinAlgError as exc:
+                errors[i] = str(exc)
+        return x, errors
 
 
 def batch_invert(mats: np.ndarray) -> BatchInverse:
@@ -402,18 +406,25 @@ def batch_invert(mats: np.ndarray) -> BatchInverse:
     five steps, tracked per matrix) brings the max-norm residual to
     ``INVERT_RESIDUAL_TOL``.  Each matrix meets the same LAPACK calls and
     the same refinement steps whatever stack it sits in, so its inverse
-    is bit-for-bit the one ``invert`` returns for it alone.
+    is bit-for-bit the one ``invert`` returns for it alone.  Raises
+    InputError when an entry of the stack, or of an accepted inverse, is
+    not finite.
     """
+    require_finite(mats)
     m, d = mats.shape[0], mats.shape[-1]
     inverses = np.zeros_like(mats)
     accepted = np.zeros(m, dtype=bool)
     residual = np.full(m, np.nan)
+    solve_errors = {}
     cond = np.linalg.cond(mats)
     idx = np.flatnonzero(np.isfinite(cond) & (cond <= DEFAULT_COND_CAP))
     eye = np.eye(d)
     if idx.size:
         a = mats[idx]
-        x, solved = _solve_identity(a, eye)
+        x, errors = _solve_identity(a, eye)
+        solve_errors = {int(idx[i]): msg for i, msg in errors.items()}
+        solved = np.ones(len(idx), dtype=bool)
+        solved[list(errors)] = False
         a, x, idx = a[solved], x[solved], idx[solved]
         res = np.full(len(idx), np.inf)
         live = np.arange(len(idx))
@@ -429,7 +440,8 @@ def batch_invert(mats: np.ndarray) -> BatchInverse:
         inverses[idx[keep]] = x[keep]
         accepted[idx] = keep
         residual[idx] = res
-    return BatchInverse(inverses, accepted, cond, residual)
+    require_finite(inverses)
+    return BatchInverse(inverses, accepted, cond, residual, solve_errors)
 
 
 def invert(M: DenseOperator) -> DenseOperator:

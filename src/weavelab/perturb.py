@@ -18,7 +18,7 @@ import numpy as np
 from . import search
 from .errors import InputError, NotABasis, NotAFrame
 from .normed import (DenseOperator, Exactness, batch_invert, batch_opnorm_values,
-                     dual_norm, invert, operator_norm, vector_norm)
+                     dual_norm, invert, operator_norm, require_finite, vector_norm)
 from .frames import (EXHAUSTIVE, ConstantEstimate, FrameSystem, biorthogonals,
                      check_approximate_frame, equivalence_constants,
                      frame_operator, outer_stack, pattern_sums,
@@ -140,8 +140,7 @@ def _certify_residuals(f0: FrameSystem, f1: FrameSystem, s_inv: np.ndarray,
         part = ms[c0:c0 + chunk]
         s_sigma = pattern_sums(o1, o0, part)
         gap = eye - s_sigma @ s_inv
-        if not np.all(np.isfinite(gap)):
-            raise InputError("operator entries must be finite")
+        require_finite(gap)
         res = batch_opnorm_values(gap, kind, kind)
         max_res = max(max_res, float(res.max()))
         ok = res <= bound + CERT_SLACK

@@ -162,9 +162,10 @@ def _weaving_rows(f0: FrameSystem, f1: FrameSystem):
     """Row function: pattern indices -> (len, 2) rows of
     (||S_sigma||, ||S_sigma^-1|| or +inf).
 
-    A chunk is graded in one pass: its pattern sums, one finiteness check,
-    the stacked operator norms and one ``batch_invert``, so every row holds
-    the bits ``frame_constants`` gives for that weaving alone.
+    A chunk is graded in one pass: its pattern sums, one ``batch_invert``
+    (which refuses non-finite sums and inverses) and the stacked operator
+    norms, so every row holds the bits ``frame_constants`` gives for that
+    weaving alone.
     """
     kind = f0.space.norm
     o0 = outer_stack(f0.vectors, f0.functionals)
@@ -172,8 +173,6 @@ def _weaving_rows(f0: FrameSystem, f1: FrameSystem):
 
     def rows_of(ms: np.ndarray) -> np.ndarray:
         sums = pattern_sums(o1, o0, ms)
-        if not np.all(np.isfinite(sums)):
-            raise InputError("operator entries must be finite")
         inv = batch_invert(sums)
         rows = np.full((len(ms), 2), np.inf)
         rows[:, 0] = batch_opnorm_values(sums, kind, kind)

@@ -238,6 +238,41 @@ def test_batch_invert_does_not_depend_on_its_stack(rng):
     assert empty.inverses.shape == (0, 3, 3) and not empty.accepted.size
 
 
+def test_batch_invert_solves_one_by_one_when_a_pivot_fails(rng, monkeypatch):
+    mats = np.array([rng.standard_normal((4, 4)) + 3 * np.eye(4) for _ in range(6)])
+    clean = batch_invert(mats)
+    chosen = mats[2]
+    solve = np.linalg.solve
+
+    def failing_solve(a, b):
+        if a.ndim == 3:  # a failed pivot anywhere rejects the stacked call
+            raise np.linalg.LinAlgError("Singular matrix")
+        if np.array_equal(a, chosen):
+            raise np.linalg.LinAlgError("pivot 3 is exactly zero")
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", failing_solve)
+    batch = batch_invert(mats)
+    assert batch.accepted.tolist() == [True, True, False, True, True, True]
+    assert batch.reason(2) == "pivot 3 is exactly zero"
+    assert not batch.inverses[2].any()
+    keep = [0, 1, 3, 4, 5]
+    assert batch.inverses[keep].tobytes() == clean.inverses[keep].tobytes()
+    with pytest.raises(NotInvertible, match="pivot 3 is exactly zero"):
+        invert(DenseOperator(chosen, L1, L1))
+
+
+def test_batch_invert_refuses_non_finite_entries_and_inverses():
+    with pytest.raises(InputError, match="operator entries must be finite"):
+        batch_invert(np.array([np.eye(2), [[np.inf, 0.0], [0.0, 1.0]]]))
+    # cond 1, but the inverse 1e320 * I overflows
+    tiny = np.array([np.eye(3), 1e-320 * np.eye(3)])
+    with pytest.raises(InputError, match="operator entries must be finite"):
+        batch_invert(tiny)
+    with pytest.raises(InputError, match="operator entries must be finite"):
+        invert(DenseOperator(tiny[1], L1, L1))
+
+
 def test_frame_constants_equal_the_weaving_table_row(rng):
     for kind in (L1, L2, LINF, lp(3.0)):
         f0 = random_frame_system(rng, 4, kind)

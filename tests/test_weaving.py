@@ -10,10 +10,11 @@ from weavelab import (L1, LINF, Exactness, FrameSystem, InputError,
                       WeavePattern, basis_constant, biorthogonals,
                       check_approximate_frame, frame_operator, heuristic,
                       lower_bound_profile, partial_operator,
-                      partial_operator_subset, search,
+                      pair_perturbation_check, partial_operator_subset, search,
                       suppression_constant, tail_profile,
                       unconditional_constant, uniform_bound_profile, weave,
                       worst_weaving)
+from weavelab.perturb import _certify_residuals
 from weavelab.weaving import sample_patterns, weaving_basis_constants
 from conftest import random_frame_system
 from test_frames import standard_system, summing_system
@@ -233,6 +234,21 @@ def test_overflowing_pattern_sums_are_refused():
         lower_bound_profile(std, huge)
     with pytest.raises(InputError, match="operator entries must be finite"):
         check_approximate_frame(huge)
+
+
+def test_overflowing_inverses_are_refused():
+    # every weaving is 1e-320 * I: condition number 1, inverse 1e320 * I
+    tiny = FrameSystem(NormedSpace(3, LINF), 1e-160 * np.eye(3), 1e-160 * np.eye(3))
+    for mode in (None, heuristic(2)):
+        with pytest.raises(InputError, match="operator entries must be finite"):
+            worst_weaving(tiny, tiny, **({"mode": mode} if mode else {}))
+    with pytest.raises(InputError, match="operator entries must be finite"):
+        check_approximate_frame(tiny)
+    with pytest.raises(InputError, match="operator entries must be finite"):
+        pair_perturbation_check(tiny, tiny)
+    # a certificate that reaches the inversion of such a weaving
+    with pytest.raises(InputError, match="operator entries must be finite"):
+        _certify_residuals(tiny, tiny, np.zeros((3, 3)), bound=2.0, seed=0)
 
 
 def test_incompatible_systems_rejected():
