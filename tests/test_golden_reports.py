@@ -38,6 +38,7 @@ CASES = {
         "analyze", "gallery:summing-c0", "--dim", "6", "--exhaustive-cap", "16"],
     "analyze-perturbed-l2": ["analyze", "perturbed-l1-d4.json", "--norm", "l2"],
     "analyze-perturbed-d2-lp3": ["analyze", "perturbed-l1-d2.json", "--norm", "lp:3"],
+    "analyze-perturbed-lp3-d4": ["analyze", "perturbed-lp3-d4.json"],
     "weave-search-c0-d3-log": [
         "weave-search", "gallery:standard-c0", "gallery:summing-c0", "--dim", "3",
         "--log-all-patterns"],
@@ -53,6 +54,9 @@ CASES = {
     "weave-search-c0-d5-heuristic-log": [
         "weave-search", "gallery:standard-c0", "gallery:summing-c0", "--dim", "5",
         "--mode", "heuristic", "--restarts", "2", "--log-all-patterns"],
+    "weave-search-lp3-d4-log": [
+        "weave-search", "standard-lp3-d4.json", "perturbed-lp3-d4.json",
+        "--log-all-patterns"],
     "weave-search-c0-sweep": [
         "weave-search", "gallery:standard-c0", "gallery:summing-c0", "--sweep", "2..5"],
     "check-woven-blockpair-d4": [
@@ -68,6 +72,8 @@ CASES = {
         "perturb", "gallery:summing-c0", "--dim", "3", "--op-scale", "1.5"],
     "perturb-pair-l1-d4": [
         "perturb", "gallery:standard-l1", "--dim", "4", "--pair", "perturbed-l1-d4.json"],
+    "perturb-pair-lp3-d4": [
+        "perturb", "standard-lp3-d4.json", "--pair", "perturbed-lp3-d4.json"],
     "perturb-basis-l1-d4": [
         "perturb", "gallery:standard-l1", "--dim", "4", "--basis", "perturbed-l1-d4.json"],
     "perturb-basis-c0-d4": [
