@@ -12,9 +12,12 @@ line with its workload, seed, pair, order, side, the benchmark's
 ``run_seconds`` and a digest of the side's ``src/`` tree.  Pairs are
 numbered on from the last one already recorded for the same workload, seed
 and trace setting.  ``layers`` times, on both sides and alternating the
-same way, the L2 instances (exhaustive ``worst_weaving`` on
-standard-c0/summing-c0 at d = 10, 12, 14), cold start (a fresh ``import
-weavelab`` and the peak RSS after it) and two whole CLI commands.  Each
+same way, the L0 instance (``operator_norm`` lp:3 -> lp:3 on five fixed
+seeded matrices at d = 6 and 8, median per call), the L2 instances
+(exhaustive ``worst_weaving`` on standard-c0/summing-c0 at d = 10, 12, 14),
+cold start (a fresh ``import weavelab`` and the peak RSS after it) and three
+whole CLI commands, one of them an lp:3 ``weave-search`` on the golden
+inputs of this checkout (so both sides read the same files).  Each
 command adds to the file and rewrites its summary: per workload, trace
 setting and metric, each side's median and quartiles, in how many pairs
 the head read lower, and the head/parent ratio of the medians.
@@ -32,14 +35,24 @@ import sys
 import time
 
 LAYER_DIMS = (10, 12, 14)
+OPNORM_DIMS = (6, 8)
 LAYER_PROBE = """
-import json, resource, time
+import json, resource, statistics, time
 t0 = time.perf_counter()
 import weavelab
 import_s = time.perf_counter() - t0
 rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-from weavelab import GallerySpec, generate, worst_weaving
+import numpy as np
+from weavelab import DenseOperator, GallerySpec, generate, lp, operator_norm, worst_weaving
 out = {"import_s": import_s, "import_peak_rss_mb": rss_mb}
+for d in %r:
+    times = []
+    for a in np.random.default_rng(d).standard_normal((5, d, d)):
+        op = DenseOperator(np.eye(d) + 0.4 * a, lp(3), lp(3))
+        t = time.perf_counter()
+        operator_norm(op)
+        times.append((time.perf_counter() - t) * 1e3)
+    out["operator_norm_lp3_d%%d_ms" %% d] = statistics.median(times)
 for d in %r:
     f0 = generate(GallerySpec("standard-c0", d))
     f1 = generate(GallerySpec("summing-c0", d))
@@ -47,11 +60,16 @@ for d in %r:
     worst_weaving(f0, f1)
     out["worst_weaving_c0_d%%d_ms" %% d] = (time.perf_counter() - t) * 1e3
 print(json.dumps(out))
-""" % (LAYER_DIMS,)
+""" % (OPNORM_DIMS, LAYER_DIMS)
+_INPUTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
+                       "tests", "golden", "inputs")
 CLI_INSTANCES = {  # L4: whole commands in a fresh interpreter, wall seconds
     "cli_example_cold_start_s": ["example", "summing-c0", "--dim", "3"],
     "cli_weave_search_c0_d12_s": ["weave-search", "gallery:standard-c0",
                                   "gallery:summing-c0", "--dim", "12"],
+    "cli_weave_search_lp3_d4_s": ["weave-search",
+                                  os.path.join(_INPUTS, "standard-lp3-d4.json"),
+                                  os.path.join(_INPUTS, "perturbed-lp3-d4.json")],
 }
 
 

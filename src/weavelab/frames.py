@@ -21,7 +21,8 @@ import numpy as np
 from . import search
 from .errors import InputError, NotABasis, NotAFrame, NotInvertible
 from .normed import (DEFAULT_COND_CAP, DenseOperator, Exactness, NormedSpace,
-                     OpNormResult, batch_opnorm_values, invert, operator_norm)
+                     OpNormResult, batch_opnorm_values, invert, operator_norm,
+                     require_finite)
 from .search import EXHAUSTIVE, SearchMode, heuristic  # heuristic is re-exported
 
 BIORTHOGONAL_TOL = 1e-10
@@ -110,8 +111,11 @@ class ConstantReport:
 
 
 def outer_stack(vectors: np.ndarray, functionals: np.ndarray) -> np.ndarray:
-    """(n, d, d) stack of rank-one terms x_i f_i^T."""
-    return vectors[:, :, None] * functionals[:, None, :]
+    """(n, d, d) stack of rank-one terms x_i f_i^T; InputError if a term overflows."""
+    with np.errstate(over="ignore"):
+        stack = vectors[:, :, None] * functionals[:, None, :]
+    require_finite(stack)
+    return stack
 
 
 def frame_operator(system: FrameSystem) -> DenseOperator:

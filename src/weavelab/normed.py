@@ -11,6 +11,7 @@ estimated by multi-start duality ascent and flagged as a lower bound.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,8 +21,10 @@ from .errors import InputError, NotInvertible
 DEFAULT_COND_CAP = 1e12
 INVERT_RESIDUAL_TOL = 1e-9
 ASCENT_STARTS = 64
+ASCENT_MAX_STEPS = 100
 
 _ASCENT_SEED = 7  # fixed: operator_norm must be a pure function of its input
+_ASCENT_CELLS = 1 << 16  # matrix entries gathered per lockstep chunk of climbs
 
 
 class Exactness(enum.Enum):
@@ -126,29 +129,25 @@ class NormedSpace:
         return NormedSpace(self.dim, self.norm.dual())
 
 
+def _require_finite_vectors(a: np.ndarray) -> None:
+    if not np.all(np.isfinite(a)):
+        raise InputError("vector has non-finite entries")
+
+
 def _as_vector(v) -> np.ndarray:
     a = np.asarray(v, dtype=np.float64)
     if a.ndim != 1:
         raise InputError(f"expected a vector, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise InputError("vector has non-finite entries")
+    _require_finite_vectors(a)
     return a
 
 
 def vector_norm(v, kind: NormKind) -> float:
     """The ell_p norm of ``v`` under ``kind``; zero iff v = 0."""
     a = _as_vector(v)
-    if kind.tag == "l1":
-        return float(np.abs(a).sum())
-    if kind.tag == "linf":
-        return float(np.abs(a).max()) if a.size else 0.0
-    if kind.tag == "l2":
-        return float(np.linalg.norm(a))
-    # generic lp, with overflow guard
-    m = float(np.abs(a).max()) if a.size else 0.0
-    if m == 0.0:
+    if not a.size:
         return 0.0
-    return m * float((np.abs(a / m) ** kind.p).sum() ** (1.0 / kind.p))
+    return float(_row_norms(a[None], kind)[0])
 
 
 def dual_norm(f, kind: NormKind) -> float:
@@ -162,27 +161,31 @@ def dual_norm(f, kind: NormKind) -> float:
 
 def norming_vector(z, kind: NormKind) -> np.ndarray:
     """A unit vector (in ``kind``) maximizing <z, x>; e_1 when z = 0."""
-    z = _as_vector(z)
-    d = z.size
-    if not np.any(z):
-        e = np.zeros(d)
-        e[0] = 1.0
-        return e
-    if kind.tag == "l1":
-        j = int(np.argmax(np.abs(z)))
-        e = np.zeros(d)
-        e[j] = 1.0 if z[j] >= 0 else -1.0
-        return e
+    return batch_norming_vectors(_as_vector(z)[None], kind)[0]
+
+
+def batch_norming_vectors(rows: np.ndarray, kind: NormKind) -> np.ndarray:
+    """``norming_vector`` of each row of a finite (m, d) array, bit for bit."""
+    if kind.tag == "l1":  # a zero row picks +e_1 here
+        i, j = np.arange(len(rows)), np.argmax(np.abs(rows), axis=1)
+        out = np.zeros(rows.shape)
+        out[i, j] = np.where(rows[i, j] >= 0, 1.0, -1.0)
+        return out
+    zero = ~np.any(rows, axis=1)
     if kind.tag == "linf":
-        return np.where(z >= 0, 1.0, -1.0)
-    scale = np.abs(z).max()  # prescale so powers neither under- nor overflow
-    if kind.tag == "l2":
-        w = z / scale
-        return w / np.linalg.norm(w)
-    q = kind.dual().exponent
-    zs = z / scale
-    w = np.sign(zs) * np.abs(zs) ** (q - 1.0)
-    return w / vector_norm(w, kind)
+        out = np.where(rows >= 0, 1.0, -1.0)
+    else:
+        big = np.abs(rows).max(axis=1)
+        zs = rows / np.where(zero, 1.0, big)[:, None]  # prescale so powers neither under- nor overflow
+        if kind.tag == "l2":
+            w, size = zs, np.sqrt(_row_dots(zs, zs))
+        else:
+            w = np.sign(zs) * np.abs(zs) ** (kind.dual().exponent - 1.0)
+            size = batch_vector_norms(w, kind)
+        out = w / np.where(zero, 1.0, size)[:, None]
+    if zero.any():
+        out[zero] = np.eye(1, rows.shape[1])
+    return out
 
 
 def require_finite(a: np.ndarray) -> None:
@@ -265,20 +268,40 @@ class OpNormResult:
 
 
 def batch_vector_norms(rows: np.ndarray, kind: NormKind) -> np.ndarray:
-    """Norms of each row of a (m, d) array."""
+    """Norms of each row of a (m, d) array.
+
+    Each l1, linf and lp value is bit for bit ``vector_norm`` of its row; l2
+    takes numpy's axis norm, which may differ from it in the last place.
+    """
     if kind.tag == "l1":
         return np.abs(rows).sum(axis=1)
     if kind.tag == "linf":
         return np.abs(rows).max(axis=1)
     if kind.tag == "l2":
         return np.linalg.norm(rows, axis=1)
-    return np.array([vector_norm(r, kind) for r in rows])
+    # generic lp, each row scaled by its largest entry against overflow
+    big = np.abs(rows).max(axis=1)
+    sums = (np.abs(rows / np.where(big > 0.0, big, 1.0)[:, None]) ** kind.p).sum(axis=1)
+    # scalar powers: numpy's array power may round the root differently
+    return big * np.array([s ** (1.0 / kind.p) for s in sums.tolist()])
+
+
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """<a_i, b_i> per row, as the one BLAS dot ``a_i @ b_i`` takes."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+def _row_norms(rows: np.ndarray, kind: NormKind) -> np.ndarray:
+    """``vector_norm`` of each row of a finite (m, d) array, bit for bit."""
+    if kind.tag == "l2":
+        return np.sqrt(_row_dots(rows, rows))
+    return batch_vector_norms(rows, kind)
 
 
 def batch_opnorm_values(mats: np.ndarray, domain: NormKind, codomain: NormKind) -> np.ndarray:
     """Operator norm values for a (m, r, c) stack of matrices.
 
-    Exact for the three same-kind cases, multi-start ascent lower bounds
+    Exact for the three same-kind cases, ``batch_ascent`` lower bounds
     otherwise.  For a single matrix this is the same code path as
     ``operator_norm``, so repeated evaluations are bit-for-bit reproducible.
     """
@@ -289,39 +312,86 @@ def batch_opnorm_values(mats: np.ndarray, domain: NormKind, codomain: NormKind) 
             return np.abs(mats).sum(axis=2).max(axis=1)
         if domain.tag == "l2":
             return np.linalg.svd(mats, compute_uv=False)[..., 0]
-    return np.array([_ascent(m, domain, codomain)[0] for m in mats])
+    return batch_ascent(mats, domain, codomain)[0]
 
 
-def _ascent(entries: np.ndarray, domain: NormKind, codomain: NormKind,
-            max_iter: int = 100) -> tuple[float, np.ndarray]:
-    """Multi-start duality ascent on ||Mx|| / ||x||; returns (value, witness)."""
-    d_in = entries.shape[1]
-    seeds = []
-    for j in range(min(d_in, ASCENT_STARTS)):
-        e = np.zeros(d_in)
-        e[j] = 1.0
-        seeds.append(e)
+@functools.lru_cache(maxsize=64)
+def _ascent_starts(d_in: int, domain: NormKind) -> np.ndarray:
+    """The ascent's unit starting vectors: basis vectors, then seeded draws."""
+    seeds = list(np.eye(d_in)[:ASCENT_STARTS])
     rng = np.random.default_rng(_ASCENT_SEED)
     while len(seeds) < ASCENT_STARTS:
         v = rng.standard_normal(d_in)
         if np.any(v):
             seeds.append(v)
-    best_val = 0.0
-    best_x = seeds[0]
-    for s in seeds:
-        x = s / vector_norm(s, domain)
-        val = vector_norm(entries @ x, codomain)
-        for _ in range(max_iter):
-            y = entries @ x
-            g = norming_vector(y, codomain.dual())
-            x_new = norming_vector(entries.T @ g, domain)
-            val_new = vector_norm(entries @ x_new, codomain)
-            if not val_new > val * (1.0 + 1e-14):
+    starts = np.array([s / vector_norm(s, domain) for s in seeds])
+    starts.flags.writeable = False
+    return starts
+
+
+def _mat_vecs(mats: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """``mats[i] @ vecs[i]`` per row, one BLAS gemv each (a gemm may round differently).
+
+    Overflow is not warned about: the ascent refuses non-finite products.
+    """
+    with np.errstate(over="ignore"):
+        return np.matmul(mats, vecs[..., None])[..., 0]
+
+
+def batch_ascent(mats: np.ndarray, domain: NormKind,
+                 codomain: NormKind) -> tuple[np.ndarray, np.ndarray]:
+    """Multi-start duality ascent on ||Mx|| / ||x|| for a (m, r, c) stack.
+
+    Returns (values, witnesses), lower bounds with an attaining unit vector
+    per matrix.  Every (matrix, start) climb alternates norming vectors of
+    ``M x`` and ``M^T g`` while the value grows by more than a relative
+    1e-14, for at most ``ASCENT_MAX_STEPS`` steps; the climbs advance in
+    lockstep, in chunks of about ``_ASCENT_CELLS`` gathered entries.  Each
+    matrix keeps its first start whose value is strictly above 0.0 and
+    largest (the first start when none is).  A climb meets the same
+    arithmetic whatever stack it sits in, so each value and witness is the
+    one this returns for its matrix alone.  Raises InputError when a vector
+    of a climb is not finite.
+    """
+    m, _, c = mats.shape
+    starts, dual = _ascent_starts(c, domain), codomain.dual()
+    n_s = len(starts)
+    values = np.zeros(m)
+    witnesses = np.tile(starts[0], (m, 1))
+    block = max(1, _ASCENT_CELLS // mats[0, :, :].size) if m else 1
+    for lo in range(0, m * n_s, block):
+        hi = min(lo + block, m * n_s)
+        owner = np.arange(lo, hi) // n_s
+        x = starts[np.arange(lo, hi) % n_s]
+        y = _mat_vecs(mats[owner], x)
+        _require_finite_vectors(y)
+        val = _row_norms(y, codomain)
+        live = np.arange(hi - lo)
+        for _ in range(ASCENT_MAX_STEPS):
+            a = mats[owner[live]]
+            g = batch_norming_vectors(y[live], dual)
+            z = _mat_vecs(a.transpose(0, 2, 1), g)
+            _require_finite_vectors(z)
+            x_new = batch_norming_vectors(z, domain)
+            y_new = _mat_vecs(a, x_new)
+            _require_finite_vectors(y_new)
+            val_new = _row_norms(y_new, codomain)
+            up = val_new > val[live] * (1.0 + 1e-14)
+            live = live[up]
+            if not live.size:
                 break
-            x, val = x_new, val_new
-        if val > best_val:
-            best_val, best_x = val, x
-    return best_val, best_x
+            x[live], y[live], val[live] = x_new[up], y_new[up], val_new[up]
+        # the first largest climb of each matrix in this chunk, against the earlier chunks
+        first = lo // n_s
+        grid = np.full((owner[-1] - first + 1) * n_s, -np.inf)
+        grid[lo - first * n_s:hi - first * n_s] = val
+        grid = grid.reshape(-1, n_s)
+        best = grid.argmax(axis=1)
+        cand = grid[np.arange(len(grid)), best]
+        wins = np.flatnonzero(cand > values[first:owner[-1] + 1])
+        values[first + wins] = cand[wins]
+        witnesses[first + wins] = x[(first + wins) * n_s + best[wins] - lo]
+    return values, witnesses
 
 
 def operator_norm(M: DenseOperator) -> OpNormResult:
@@ -346,8 +416,8 @@ def operator_norm(M: DenseOperator) -> OpNormResult:
         else:
             witness = np.linalg.svd(a)[2][0]
         return OpNormResult(value, Exactness.EXACT, witness)
-    value, witness = _ascent(a, M.domain_norm, M.codomain_norm)
-    return OpNormResult(float(value), Exactness.LOWER_BOUND, witness)
+    values, witnesses = batch_ascent(a[None], M.domain_norm, M.codomain_norm)
+    return OpNormResult(float(values[0]), Exactness.LOWER_BOUND, witnesses[0])
 
 
 @dataclass(frozen=True, eq=False)

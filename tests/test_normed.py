@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -8,7 +10,10 @@ from weavelab import (L1, L2, LINF, DenseOperator, Exactness, FrameSystem,
                       dual_norm, invert, lp, norming_vector, operator_norm,
                       vector_norm)
 from weavelab.frames import frame_constants, outer_stack, pattern_sums
-from weavelab.normed import DEFAULT_COND_CAP, INVERT_RESIDUAL_TOL, batch_invert
+from weavelab import normed, search
+from weavelab.normed import (ASCENT_STARTS, DEFAULT_COND_CAP, INVERT_RESIDUAL_TOL,
+                             batch_ascent, batch_invert, batch_opnorm_values,
+                             batch_vector_norms)
 from weavelab.weaving import worst_weaving
 from conftest import NORMS, random_frame_system
 
@@ -127,6 +132,148 @@ def test_operator_norm_submultiplicative(rng):
             b = DenseOperator(rng.standard_normal((3, 3)), kind, kind)
             nab = operator_norm(a @ b).value
             assert nab <= operator_norm(a).value * operator_norm(b).value * (1 + 1e-12)
+
+
+def _reference_vector_norm(a, kind):
+    """The one-vector norm the row helpers replaced."""
+    if kind.tag == "l1":
+        return float(np.abs(a).sum())
+    if kind.tag == "linf":
+        return float(np.abs(a).max())
+    if kind.tag == "l2":
+        return float(np.linalg.norm(a))
+    m = float(np.abs(a).max())
+    if m == 0.0:
+        return 0.0
+    return m * float((np.abs(a / m) ** kind.p).sum() ** (1.0 / kind.p))
+
+
+def _reference_norming_vector(z, kind):
+    """The one-vector norming vector the row helpers replaced."""
+    e = np.zeros(z.size)
+    if not np.any(z):
+        e[0] = 1.0
+        return e
+    if kind.tag == "l1":
+        j = int(np.argmax(np.abs(z)))
+        e[j] = 1.0 if z[j] >= 0 else -1.0
+        return e
+    if kind.tag == "linf":
+        return np.where(z >= 0, 1.0, -1.0)
+    zs = z / np.abs(z).max()
+    if kind.tag == "l2":
+        return zs / np.linalg.norm(zs)
+    w = np.sign(zs) * np.abs(zs) ** (kind.dual().exponent - 1.0)
+    return w / _reference_vector_norm(w, kind)
+
+
+def _reference_ascent(entries, domain, codomain):
+    """The one-matrix, one-start-at-a-time loop batch_ascent replaced."""
+    d_in = entries.shape[1]
+    seeds = list(np.eye(d_in)[:ASCENT_STARTS])
+    rng = np.random.default_rng(7)
+    while len(seeds) < ASCENT_STARTS:
+        v = rng.standard_normal(d_in)
+        if np.any(v):
+            seeds.append(v)
+    best_val, best_x = 0.0, seeds[0]
+    for s in seeds:
+        x = s / _reference_vector_norm(s, domain)
+        val = _reference_vector_norm(entries @ x, codomain)
+        for _ in range(100):
+            g = _reference_norming_vector(entries @ x, codomain.dual())
+            x_new = _reference_norming_vector(entries.T @ g, domain)
+            val_new = _reference_vector_norm(entries @ x_new, codomain)
+            if not val_new > val * (1.0 + 1e-14):
+                break
+            x, val = x_new, val_new
+        if val > best_val:
+            best_val, best_x = val, x
+    return best_val, best_x
+
+
+def _ascent_cases(rng):
+    """(stack, domain, codomain): lp pairs, mixed pairs, rectangular, zero, wide."""
+    square = rng.standard_normal((3, 4, 4)) + 2 * np.eye(4)
+    square[1] = 0.0
+    dyadic = np.round(8 * rng.standard_normal((2, 3, 3))) / 8
+    for p in (1.5, 3.0, 4.0):
+        yield square, lp(p), lp(p)
+        yield dyadic, lp(p), lp(p)
+    yield rng.standard_normal((2, 3, 5)), L1, lp(3.0)
+    yield rng.standard_normal((2, 5, 2)), lp(3.0), LINF
+    yield rng.standard_normal((2, 4, 3)), L2, lp(4.0)
+    yield 1e-3 * rng.standard_normal((1, 2, ASCENT_STARTS + 6)), lp(1.5), lp(1.5)
+
+
+def test_batch_ascent_matches_the_one_matrix_loop(rng):
+    for mats, domain, codomain in _ascent_cases(rng):
+        values, witnesses = batch_ascent(mats, domain, codomain)
+        assert values.tobytes() == batch_opnorm_values(mats, domain, codomain).tobytes()
+        for a, value, witness in zip(mats, values, witnesses):
+            ref_value, ref_witness = _reference_ascent(a, domain, codomain)
+            assert float(value).hex() == float(ref_value).hex()
+            assert witness.tobytes() == ref_witness.tobytes()
+            single = operator_norm(DenseOperator(a, domain, codomain))
+            assert float(single.value).hex() == float(ref_value).hex()
+            assert single.witness.tobytes() == ref_witness.tobytes()
+        for v in mats.reshape(-1, mats.shape[-1]):
+            for kind in (L1, L2, LINF, domain, codomain):
+                assert vector_norm(v, kind) == _reference_vector_norm(v, kind)
+                assert norming_vector(v, kind).tobytes() == \
+                    _reference_norming_vector(v, kind).tobytes()
+    zero_values, zero_witnesses = batch_ascent(np.zeros((1, 2, 3)), lp(3.0), lp(3.0))
+    assert zero_values.tolist() == [0.0] and zero_witnesses.tolist() == [[1.0, 0.0, 0.0]]
+
+
+def test_batch_ascent_does_not_depend_on_its_stack(rng, monkeypatch):
+    mats = rng.standard_normal((7, 4, 4)) + np.eye(4)
+    mats[3] = 0.0
+    values, witnesses = batch_ascent(mats, lp(3.0), lp(3.0))
+    order = rng.permutation(7)
+    shuffled = batch_ascent(mats[order], lp(3.0), lp(3.0))
+    assert shuffled[0].tobytes() == values[order].tobytes()
+    assert shuffled[1].tobytes() == witnesses[order].tobytes()
+    for lo, hi in ((0, 1), (2, 5), (5, 7)):
+        part = batch_ascent(mats[lo:hi], lp(3.0), lp(3.0))
+        assert part[0].tobytes() == values[lo:hi].tobytes()
+        assert part[1].tobytes() == witnesses[lo:hi].tobytes()
+    monkeypatch.setattr(normed, "_ASCENT_CELLS", 3 * 16)  # chunks of three climbs
+    small = batch_ascent(mats, lp(3.0), lp(3.0))
+    assert small[0].tobytes() == values.tobytes()
+    assert small[1].tobytes() == witnesses.tobytes()
+    empty = batch_ascent(np.zeros((0, 4, 4)), lp(3.0), lp(3.0))
+    assert empty[0].shape == (0,) and empty[1].shape == (0, 4)
+
+
+def test_lp_weaving_table_does_not_depend_on_thread_count(rng, monkeypatch):
+    f0 = random_frame_system(rng, 5, lp(3.0))
+    f1 = random_frame_system(rng, 5, lp(3.0))
+    monkeypatch.setattr(search, "CHUNK_BUDGET", 8 * 5 * 25)  # four chunks of 8 patterns
+    logs = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("WEAVELAB_THREADS", threads)
+        logs.append(worst_weaving(f0, f1, log_all_patterns=True).per_pattern_log)
+    assert len(logs[0]) == 32 and logs[0] == logs[1]
+
+
+def test_lp_row_norms_match_vector_norm(rng):
+    rows = rng.standard_normal((20, 6)) * 10.0 ** rng.integers(-200, 200, size=(20, 1))
+    rows[4] = 0.0
+    for kind in (L1, LINF, lp(1.5), lp(3.0)):
+        norms = batch_vector_norms(rows, kind)
+        assert [float(n) for n in norms] == [vector_norm(r, kind) for r in rows]
+        assert [float(n) for n in norms] == [_reference_vector_norm(r, kind) for r in rows]
+
+
+def test_lp_overflow_is_refused_directly_and_in_a_batch():
+    huge = 1e308 * np.ones((3, 3))  # finite entries, but M x overflows during the ascent
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)  # refused before numpy warns
+        with pytest.raises(InputError, match="vector has non-finite entries"):
+            operator_norm(DenseOperator(huge, lp(3.0), lp(3.0)))
+        with pytest.raises(InputError, match="vector has non-finite entries"):
+            batch_opnorm_values(np.array([np.eye(3), huge]), lp(3.0), lp(3.0))
 
 
 def test_invert_examples():
