@@ -353,12 +353,12 @@ def batch_ascent(mats: np.ndarray, domain: NormKind,
     one this returns for its matrix alone.  Raises InputError when a vector
     of a climb is not finite.
     """
-    m, _, c = mats.shape
+    m, r, c = mats.shape
     starts, dual = _ascent_starts(c, domain), codomain.dual()
     n_s = len(starts)
     values = np.zeros(m)
     witnesses = np.tile(starts[0], (m, 1))
-    block = max(1, _ASCENT_CELLS // mats[0, :, :].size) if m else 1
+    block = max(1, _ASCENT_CELLS // (r * c))
     for lo in range(0, m * n_s, block):
         hi = min(lo + block, m * n_s)
         owner = np.arange(lo, hi) // n_s
