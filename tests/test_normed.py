@@ -9,8 +9,8 @@ from weavelab import (L1, L2, LINF, DenseOperator, Exactness, FrameSystem,
                       InputError, NormKind, NormedSpace, NotInvertible,
                       dual_norm, invert, lp, norming_vector, operator_norm,
                       vector_norm)
-from weavelab.frames import frame_constants, outer_stack, pattern_sums
 from weavelab import normed, search
+from weavelab.frames import frame_constants, outer_stack, pattern_sums
 from weavelab.normed import (ASCENT_STARTS, DEFAULT_COND_CAP, INVERT_RESIDUAL_TOL,
                              batch_ascent, batch_invert, batch_opnorm_values,
                              batch_vector_norms)
