@@ -66,6 +66,16 @@ CASES = {
     "check-woven-subspace-d4-sampled": [
         "check-woven", "gallery:subspace-b0", "gallery:subspace-b1", "--dim", "4",
         "--scope", "sampled", "--samples", "5", "--seed", "2"],
+    "check-woven-standard-c0-d4": [
+        "check-woven", "gallery:standard-c0", "perturbed-c0-d4.json", "--dim", "4"],
+    "check-woven-lp3-d4": [
+        "check-woven", "standard-lp3-d4.json", "perturbed-lp3-d4.json"],
+    "check-woven-blockpair-d5-iii-v": [
+        "check-woven", "gallery:blockpair-a0", "gallery:blockpair-a1", "--dim", "5",
+        "--conditions", "iii,v"],
+    "check-woven-blockpair-d5-vi": [
+        "check-woven", "gallery:blockpair-a0", "gallery:blockpair-a1", "--dim", "5",
+        "--conditions", "vi"],
     "perturb-op-scale-l1-d4": [
         "perturb", "gallery:standard-l1", "--dim", "4", "--op-scale", "0.75"],
     "perturb-op-scale-summing-d3-refused": [
