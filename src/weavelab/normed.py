@@ -147,7 +147,7 @@ def vector_norm(v, kind: NormKind) -> float:
     a = _as_vector(v)
     if not a.size:
         return 0.0
-    return float(_row_norms(a[None], kind)[0])
+    return float(batch_vector_norms(a[None], kind)[0])
 
 
 def dual_norm(f, kind: NormKind) -> float:
@@ -178,11 +178,10 @@ def batch_norming_vectors(rows: np.ndarray, kind: NormKind) -> np.ndarray:
         big = np.abs(rows).max(axis=1)
         zs = rows / np.where(zero, 1.0, big)[:, None]  # prescale so powers neither under- nor overflow
         if kind.tag == "l2":
-            w, size = zs, np.sqrt(_row_dots(zs, zs))
+            w = zs
         else:
             w = np.sign(zs) * np.abs(zs) ** (kind.dual().exponent - 1.0)
-            size = batch_vector_norms(w, kind)
-        out = w / np.where(zero, 1.0, size)[:, None]
+        out = w / np.where(zero, 1.0, batch_vector_norms(w, kind))[:, None]
     if zero.any():
         out[zero] = np.eye(1, rows.shape[1])
     return out
@@ -268,17 +267,13 @@ class OpNormResult:
 
 
 def batch_vector_norms(rows: np.ndarray, kind: NormKind) -> np.ndarray:
-    """Norms of each row of a (m, d) array.
-
-    Each l1, linf and lp value is bit for bit ``vector_norm`` of its row; l2
-    takes numpy's axis norm, which may differ from it in the last place.
-    """
+    """``vector_norm`` of each row of a (m, d) array, bit for bit."""
     if kind.tag == "l1":
         return np.abs(rows).sum(axis=1)
     if kind.tag == "linf":
         return np.abs(rows).max(axis=1)
-    if kind.tag == "l2":
-        return np.linalg.norm(rows, axis=1)
+    if kind.tag == "l2":  # one BLAS dot per row, as np.linalg.norm takes for one vector
+        return np.sqrt(_row_dots(rows, rows))
     # generic lp, each row scaled by its largest entry against overflow
     big = np.abs(rows).max(axis=1)
     sums = (np.abs(rows / np.where(big > 0.0, big, 1.0)[:, None]) ** kind.p).sum(axis=1)
@@ -289,13 +284,6 @@ def batch_vector_norms(rows: np.ndarray, kind: NormKind) -> np.ndarray:
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """<a_i, b_i> per row, as the one BLAS dot ``a_i @ b_i`` takes."""
     return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
-
-
-def _row_norms(rows: np.ndarray, kind: NormKind) -> np.ndarray:
-    """``vector_norm`` of each row of a finite (m, d) array, bit for bit."""
-    if kind.tag == "l2":
-        return np.sqrt(_row_dots(rows, rows))
-    return batch_vector_norms(rows, kind)
 
 
 def batch_opnorm_values(mats: np.ndarray, domain: NormKind, codomain: NormKind) -> np.ndarray:
@@ -365,7 +353,7 @@ def batch_ascent(mats: np.ndarray, domain: NormKind,
         x = starts[np.arange(lo, hi) % n_s]
         y = _mat_vecs(mats[owner], x)
         _require_finite_vectors(y)
-        val = _row_norms(y, codomain)
+        val = batch_vector_norms(y, codomain)
         live = np.arange(hi - lo)
         for _ in range(ASCENT_MAX_STEPS):
             a = mats[owner[live]]
@@ -375,7 +363,7 @@ def batch_ascent(mats: np.ndarray, domain: NormKind,
             x_new = batch_norming_vectors(z, domain)
             y_new = _mat_vecs(a, x_new)
             _require_finite_vectors(y_new)
-            val_new = _row_norms(y_new, codomain)
+            val_new = batch_vector_norms(y_new, codomain)
             up = val_new > val[live] * (1.0 + 1e-14)
             live = live[up]
             if not live.size:

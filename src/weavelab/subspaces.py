@@ -11,19 +11,22 @@ subspace and annihilate the other give a certified lower bound
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import (DistanceZero, InputError, NotABasis, NotAFrame,
                      NotInvertible)
-from .normed import (DEFAULT_COND_CAP, DenseOperator, Exactness, NormedSpace,
-                     batch_vector_norms, invert, norming_vector,
-                     operator_norm, vector_norm)
+from .normed import (DEFAULT_COND_CAP, L2, DenseOperator, Exactness, NormedSpace,
+                     NormKind, _mat_vecs, batch_norming_vectors,
+                     batch_vector_norms, invert, operator_norm, vector_norm)
 from .frames import (EXHAUSTIVE, ConstantEstimate, FrameSystem,
                      biorthogonals, heuristic, outer_stack,
                      signed_ratio_constant, unconditional_constant)
+from .search import chunk_size_for
 from .weaving import WeavePattern, sample_patterns, weave
 
 DEFAULT_UNC_THRESHOLD = 4.0
@@ -32,6 +35,9 @@ EXHAUSTIVE_SCOPE_BITS = 16  # above it, exhaustive scope falls back to sampled
 PER_SIGMA_CAP = 4096  # per-pattern flags are kept up to this many patterns
 RANGE_RESIDUAL_TOL = 1e-8
 INDEPENDENCE_TOL = 1e-10
+RATIO_STARTS = 64  # candidate coefficients scanned per restricted inverse (at least)
+RATIO_CLIMBS = 4  # climbs from the best candidates
+RATIO_STEPS = 60  # steps per climb
 _ASCENT_SEED = 11
 
 
@@ -110,82 +116,107 @@ class RestrictedInverse:
     norm: ConstantEstimate
 
 
-def _norming(z: np.ndarray, kind) -> np.ndarray:
-    # subgradient selection of ||.|| at z in the predual pairing
-    if kind.tag == "linf":
-        out = np.zeros_like(z)
-        j = int(np.argmax(np.abs(z)))
-        out[j] = 1.0 if z[j] >= 0 else -1.0
-        return out
-    if kind.tag == "l1":
-        return np.where(z >= 0, 1.0, -1.0)
-    return norming_vector(z, kind.dual())
-
-
-def _ratio_ascent(numer: np.ndarray, denom: np.ndarray, kind, starts: int = 64,
-                  iters: int = 60) -> float:
-    """Lower bound for sup_c ||numer c|| / ||denom c|| by multi-start ascent."""
-    k = numer.shape[1]
+@functools.lru_cache(maxsize=16)
+def _ratio_starts(k: int) -> np.ndarray:
+    """The ratio ascent's candidate coefficients: all ones, the sign patterns
+    with a leading +1 (for 2 <= k <= 7), the basis vectors, then seeded draws."""
     cands = [np.ones(k)]
     if 2 <= k <= 7:
         for signs in itertools.product((1.0, -1.0), repeat=k - 1):
             cands.append(np.array((1.0,) + signs))
     cands.extend(np.eye(k))
     rng = np.random.default_rng(_ASCENT_SEED)
-    while len(cands) < starts:
+    while len(cands) < RATIO_STARTS:
         v = rng.standard_normal(k)
         if np.any(v):
             cands.append(v)
     cmat = np.array(cands)
-    num_norms = batch_vector_norms(cmat @ numer.T, kind)
-    den_norms = batch_vector_norms(cmat @ denom.T, kind)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.where(den_norms > 0, num_norms / den_norms, -np.inf)
-    order = np.argsort(-ratios)
-    best = float(ratios[order[0]])
-    for idx in order[:4]:
-        c = cmat[idx] / np.linalg.norm(cmat[idx])
-        nv = numer @ c
-        dv = denom @ c
-        n_n = batch_vector_norms(nv[None], kind)[0]
-        n_d = batch_vector_norms(dv[None], kind)[0]
-        if n_d == 0.0:
-            continue
-        cur = n_n / n_d
-        step = 0.25
-        for _ in range(iters):
-            if n_n == 0.0 or n_d == 0.0:
-                break
-            g = (numer.T @ _norming(nv, kind) / n_n
-                 - denom.T @ _norming(dv, kind) / n_d)
-            c_new = c + step * g
-            nrm = np.linalg.norm(c_new)
-            if nrm == 0.0:
-                break
-            c_new /= nrm
-            nv_new = numer @ c_new
-            dv_new = denom @ c_new
-            n_n_new = batch_vector_norms(nv_new[None], kind)[0]
-            n_d_new = batch_vector_norms(dv_new[None], kind)[0]
-            if n_d_new > 0 and n_n_new / n_d_new > cur:
-                c, nv, dv, n_n, n_d = c_new, nv_new, dv_new, n_n_new, n_d_new
-                cur = n_n / n_d
-            else:
-                step *= 0.5
-                if step < 1e-8:
-                    break
-        best = max(best, cur)
-    return float(best)
+    cmat.flags.writeable = False
+    return cmat
 
 
-def restricted_inverse(m: DenseOperator, domain: SpannedSubspace,
-                       codomain: SpannedSubspace) -> RestrictedInverse:
-    """Invert M restricted from ``domain`` onto ``codomain``.
+def batch_ratio_ascent(numers: np.ndarray, gens: np.ndarray, kind: NormKind) -> np.ndarray:
+    """Lower bounds for sup_c ||N_i c|| / ||G_i^T c||, one per pair of a stack.
 
-    The inverse norm is measured in the ambient norm between the subspace
-    spans: exact for l2 or one-dimensional restrictions, otherwise a
-    multi-start lower bound.
+    ``numers`` is an (m, d, k) stack of N_i and ``gens`` an (m, k, d) stack
+    of generator rows G_i.  Each pair scans the candidate coefficients of
+    ``_ratio_starts(k)`` (one gemm per matrix) and climbs from its four best
+    candidates by a projected subgradient step: the step starts at 0.25 and
+    halves on a rejected move, and a climb stops below a step of 1e-8, on a
+    zero norm or after ``RATIO_STEPS`` steps.  The value is the best scanned
+    ratio folded with each climb's in candidate order.  Every climb of the
+    stack advances in lockstep, one gemv per climb and product, so a value
+    does not depend on the stack it sits in.  A pair whose climb meets a
+    non-finite vector gets NaN.
     """
+    m, d, k = numers.shape
+    cmat = _ratio_starts(k)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        num_norms = batch_vector_norms(
+            np.matmul(cmat, numers.transpose(0, 2, 1)).reshape(-1, d), kind)
+        den_norms = batch_vector_norms(np.matmul(cmat, gens).reshape(-1, d), kind)
+        ratios = np.where(den_norms > 0, num_norms / den_norms, -np.inf).reshape(m, len(cmat))
+    order = np.argsort(-ratios, axis=1)
+    best = ratios[np.arange(m), order[:, 0]]
+    owner = np.repeat(np.arange(m), RATIO_CLIMBS)
+    c = cmat[order[:, :RATIO_CLIMBS].ravel()]
+    c = c / batch_vector_norms(c, L2)[:, None]
+    nv = _mat_vecs(numers[owner], c)
+    dv = _mat_vecs(gens[owner].transpose(0, 2, 1), c)
+    n_n, n_d = batch_vector_norms(nv, kind), batch_vector_norms(dv, kind)
+    climbs = n_d != 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cur = n_n / n_d  # read only where a climb starts
+    step = np.full(len(c), 0.25)
+    failed = np.zeros(m, dtype=bool)
+    dual = kind.dual()
+    live = np.flatnonzero(climbs)
+    for _ in range(RATIO_STEPS):
+        live = live[(n_n[live] != 0.0) & (n_d[live] != 0.0)]
+        finite = np.isfinite(nv[live]).all(axis=1) & np.isfinite(dv[live]).all(axis=1)
+        failed[owner[live[~finite]]] = True
+        live = live[finite]
+        if not live.size:
+            break
+        a_n, a_g = numers[owner[live]], gens[owner[live]]
+        g = (_mat_vecs(a_n.transpose(0, 2, 1), batch_norming_vectors(nv[live], dual))
+             / n_n[live, None]
+             - _mat_vecs(a_g, batch_norming_vectors(dv[live], dual)) / n_d[live, None])
+        c_new = c[live] + step[live, None] * g
+        nrm = batch_vector_norms(c_new, L2)
+        moved = nrm != 0.0
+        live, a_n, a_g = live[moved], a_n[moved], a_g[moved]
+        c_new = c_new[moved] / nrm[moved, None]
+        nv_new = _mat_vecs(a_n, c_new)
+        dv_new = _mat_vecs(a_g.transpose(0, 2, 1), c_new)
+        n_n_new, n_d_new = batch_vector_norms(nv_new, kind), batch_vector_norms(dv_new, kind)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            up = (n_d_new > 0) & (n_n_new / n_d_new > cur[live])
+        acc = live[up]
+        c[acc], nv[acc], dv[acc] = c_new[up], nv_new[up], dv_new[up]
+        n_n[acc], n_d[acc] = n_n_new[up], n_d_new[up]
+        cur[acc] = n_n[acc] / n_d[acc]
+        step[live[~up]] *= 0.5
+        live = live[up | (step[live] >= 1e-8)]
+    cur, climbs = cur.reshape(m, RATIO_CLIMBS), climbs.reshape(m, RATIO_CLIMBS)
+    for j in range(RATIO_CLIMBS):  # best = max(best, cur) in candidate order
+        best = np.where(climbs[:, j] & (cur[:, j] > best), cur[:, j], best)
+    best[failed] = np.nan
+    return best
+
+
+class _Lift(NamedTuple):
+    """M restricted from span(A) onto span(B), where M A = B C for the
+    generator columns A and B, before any norm is taken."""
+
+    coefficients: np.ndarray  # C^-1
+    d1: np.ndarray  # A C^-1
+    ambient: np.ndarray  # A C^-1 B^+
+    generators: np.ndarray  # the rows of B
+
+
+def _lift(m: DenseOperator, domain: SpannedSubspace, codomain: SpannedSubspace) -> _Lift:
+    """Invert M restricted from ``domain`` onto ``codomain``, without its norm."""
     if domain.dim != codomain.dim:
         raise InputError("restricted inversion needs equal subspace dimensions")
     if domain.space != codomain.space:
@@ -202,18 +233,40 @@ def restricted_inverse(m: DenseOperator, domain: SpannedSubspace,
         raise NotInvertible("restricted operator is singular within the condition cap")
     inv_coeff = np.linalg.inv(coeff)
     d1 = a @ inv_coeff
+    if not np.all(np.isfinite(d1)):
+        raise InputError("restricted inverse has non-finite entries")
+    return _Lift(inv_coeff, d1, d1 @ np.linalg.pinv(b), codomain.generators)
+
+
+def _lift_norms(d1s: np.ndarray, gens: np.ndarray, kind: NormKind) -> np.ndarray:
+    """sup_c ||D_i c|| / ||G_i^T c|| for (m, d, k) lifts D_i and (m, k, d)
+    codomain generators G_i: exact for k = 1 and l2, ``batch_ratio_ascent``
+    lower bounds (NaN where a climb was not finite) otherwise."""
+    if d1s.shape[2] == 1:
+        return np.array([vector_norm(d1[:, 0], kind) / vector_norm(g[0], kind)
+                         for d1, g in zip(d1s, gens)])
+    if kind.tag == "l2":
+        return np.array([np.linalg.svd(d1 @ np.linalg.inv(np.linalg.qr(g.T)[1]),
+                                       compute_uv=False)[0] for d1, g in zip(d1s, gens)])
+    return batch_ratio_ascent(d1s, gens, kind)
+
+
+def restricted_inverse(m: DenseOperator, domain: SpannedSubspace,
+                       codomain: SpannedSubspace) -> RestrictedInverse:
+    """Invert M restricted from ``domain`` onto ``codomain``.
+
+    The inverse norm is measured in the ambient norm between the subspace
+    spans: exact for l2 or one-dimensional restrictions, otherwise a
+    multi-start lower bound.
+    """
+    lift = _lift(m, domain, codomain)
     kind = domain.space.norm
-    if domain.dim == 1:
-        value = vector_norm(d1[:, 0], kind) / vector_norm(b[:, 0], kind)
-        est = ConstantEstimate(float(value), Exactness.EXACT)
-    elif kind.tag == "l2":
-        r = np.linalg.qr(b)[1]
-        value = np.linalg.svd(d1 @ np.linalg.inv(r), compute_uv=False)[0]
-        est = ConstantEstimate(float(value), Exactness.EXACT)
-    else:
-        est = ConstantEstimate(_ratio_ascent(d1, b, kind), Exactness.LOWER_BOUND)
-    ambient = d1 @ np.linalg.pinv(b)
-    return RestrictedInverse(inv_coeff, ambient, est)
+    value = float(_lift_norms(lift.d1[None], lift.generators[None], kind)[0])
+    if np.isnan(value):
+        raise InputError("vector has non-finite entries")
+    exact = domain.dim == 1 or kind.tag == "l2"
+    return RestrictedInverse(lift.coefficients, lift.ambient, ConstantEstimate(
+        value, Exactness.EXACT if exact else Exactness.LOWER_BOUND))
 
 
 def oblique_projection(p: DenseOperator, z: SpannedSubspace) -> DenseOperator:
@@ -468,7 +521,12 @@ def _scope_patterns(n: int, scope: str, samples: int, seed: int) -> tuple[list[i
 
 
 def _sigma_cases(f0, f1, m, inner_mode, threshold, wanted, seed):
-    """Evaluate the six conditions at one pattern; returns (flags, metrics, st, ts)."""
+    """Evaluate the conditions at one pattern; returns (flags, metrics, st, ts, vi).
+
+    ``vi`` is None when (vi) is decided here or not wanted.  Otherwise it is
+    the lifts (r_p, r_q), whose norms ``_grade_vi`` takes for many patterns
+    at once.
+    """
     n = f0.n
     space = f0.space
     pattern = WeavePattern.from_index(m, n)
@@ -505,30 +563,24 @@ def _sigma_cases(f0, f1, m, inner_mode, threshold, wanted, seed):
         return SpannedSubspace(space, system.vectors[[i - 1 for i in idx]],
                                label=tag)
 
+    def lift(op, domain, codomain):
+        try:
+            return _lift(op, domain, codomain)
+        except (NotInvertible, InputError):
+            return None
+
     r_p = r_q = r_ip = r_iq = None
     if need_restr or need_dist:
         if z:
             x1 = sub(f0, z, "x0|sigma=0")
             y1 = sub(f1, z, "x1|sigma=0")
-            try:
-                r_q = restricted_inverse(q_op, x1, y1)
-            except (NotInvertible, InputError):
-                r_q = None
-            try:
-                r_p = restricted_inverse(p_op, y1, x1)
-            except (NotInvertible, InputError):
-                r_p = None
+            r_q = lift(q_op, x1, y1)
+            r_p = lift(p_op, y1, x1)
         if o:
             x2 = sub(f0, o, "x0|sigma=1")
             y2 = sub(f1, o, "x1|sigma=1")
-            try:
-                r_ip = restricted_inverse(eye - p_op, y2, x2)
-            except (NotInvertible, InputError):
-                r_ip = None
-            try:
-                r_iq = restricted_inverse(eye - q_op, x2, y2)
-            except (NotInvertible, InputError):
-                r_iq = None
+            r_ip = lift(eye - p_op, y2, x2)
+            r_iq = lift(eye - q_op, x2, y2)
 
     if need_frame:
         s_op = p_op + (eye - q_op)
@@ -584,6 +636,7 @@ def _sigma_cases(f0, f1, m, inner_mode, threshold, wanted, seed):
                     flags["v"] = False
                     metrics["v"] = 1.0 / upper if upper > 0 else np.inf
 
+    vi = None
     if "vi" in wanted:
         if not z:
             flags["vi"] = True
@@ -592,11 +645,29 @@ def _sigma_cases(f0, f1, m, inner_mode, threshold, wanted, seed):
             flags["vi"] = False
             metrics["vi"] = np.inf
         else:
-            e_val = max(r_p.norm.value, r_q.norm.value)
+            vi = (r_p, r_q)
+
+    return flags, metrics, st, ts, vi
+
+
+def _grade_vi(cases, kind: NormKind, threshold: float):
+    """Set (vi) on every case of a chunk that left it open: the larger of the
+    norms of r_p and r_q, with one ``_lift_norms`` call per subspace
+    dimension.  A norm that is not finite fails (vi) with an infinite value."""
+    groups: dict[int, list] = {}
+    for flags, metrics, _, _, vi in cases:
+        if vi is not None:
+            groups.setdefault(vi[0].d1.shape[1], []).append((flags, metrics, vi))
+    for group in groups.values():
+        lifts = [r for _, _, vi in group for r in vi]
+        values = _lift_norms(np.array([r.d1 for r in lifts]),
+                             np.array([r.generators for r in lifts]), kind)
+        for (flags, metrics, _), v_p, v_q in zip(group, values[0::2], values[1::2]):
+            e_val = max(float(v_p), float(v_q))
+            if np.isnan(v_p) or np.isnan(v_q):
+                e_val = np.inf
             flags["vi"] = bool(e_val <= threshold)
             metrics["vi"] = e_val
-
-    return flags, metrics, st, ts
 
 
 def unc_conditions(f0: FrameSystem, f1: FrameSystem, scope: str = "exhaustive",
@@ -633,22 +704,26 @@ def unc_conditions(f0: FrameSystem, f1: FrameSystem, scope: str = "exhaustive",
     first_fail: dict[str, int | None] = {c: None for c in wanted}
     agree = True
     max_st = max_ts = 0.0
-    for m in ms:
-        flags, metrics, st, ts = _sigma_cases(f0, f1, m, inner_mode, threshold, wanted, seed)
-        if np.isfinite(st):
-            max_st = max(max_st, st)
-        if np.isfinite(ts):
-            max_ts = max(max_ts, ts)
-        values = [flags[c] for c in wanted]
-        if any(v != values[0] for v in values):
-            agree = False
-        for c in wanted:
-            if metrics[c] > worst[c][0]:
-                worst[c] = (metrics[c], m)
-            if not flags[c] and first_fail[c] is None:
-                first_fail[c] = m
-        if per_sigma is not None:
-            per_sigma[str(WeavePattern.from_index(m, n))] = dict(flags)
+    chunk = chunk_size_for(n, n * n)  # fixed by the shape, never by the worker count
+    for lo in range(0, len(ms), chunk):
+        cases = [_sigma_cases(f0, f1, m, inner_mode, threshold, wanted, seed)
+                 for m in ms[lo:lo + chunk]]
+        _grade_vi(cases, f0.space.norm, threshold)
+        for m, (flags, metrics, st, ts, _) in zip(ms[lo:lo + chunk], cases):
+            if np.isfinite(st):
+                max_st = max(max_st, st)
+            if np.isfinite(ts):
+                max_ts = max(max_ts, ts)
+            values = [flags[c] for c in wanted]
+            if any(v != values[0] for v in values):
+                agree = False
+            for c in wanted:
+                if metrics[c] > worst[c][0]:
+                    worst[c] = (metrics[c], m)
+                if not flags[c] and first_fail[c] is None:
+                    first_fail[c] = m
+            if per_sigma is not None:
+                per_sigma[str(WeavePattern.from_index(m, n))] = dict(flags)
 
     exact = Exactness.EXACT if (scope_used == "exhaustive"
                                 and f0.space.norm.is_exact_kind

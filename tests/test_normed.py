@@ -266,6 +266,16 @@ def test_lp_row_norms_match_vector_norm(rng):
         assert [float(n) for n in norms] == [_reference_vector_norm(r, kind) for r in rows]
 
 
+def test_row_norms_match_vector_norm_at_every_width(rng):
+    for d in range(1, 40):
+        rows = rng.standard_normal((50, d))
+        for kind in (L1, L2, LINF, lp(3.0)):
+            norms = batch_vector_norms(rows, kind)
+            assert norms.tobytes() == np.array([vector_norm(r, kind) for r in rows]).tobytes()
+        assert batch_vector_norms(rows, L2).tobytes() == \
+            np.array([np.linalg.norm(r) for r in rows]).tobytes()
+
+
 def test_lp_overflow_is_refused_directly_and_in_a_batch():
     huge = 1e308 * np.ones((3, 3))  # finite entries, but M x overflows during the ascent
     with warnings.catch_warnings():

@@ -1,3 +1,4 @@
+import itertools
 import os
 import subprocess
 import sys
@@ -8,12 +9,15 @@ import pytest
 
 import weavelab
 
-from weavelab import (L1, L2, DenseOperator, DistanceZero, Exactness,
+from weavelab import (L1, L2, LINF, DenseOperator, DistanceZero, Exactness,
                       FrameSystem, InputError, NormedSpace, NotInvertible,
                       SpannedSubspace, WeavePattern, basis_projection,
                       biorthogonals, direct_sum_projection, distance_to_span,
-                      oblique_projection, restricted_inverse,
-                      subspace_distance, unc_conditions)
+                      lp, norming_vector, oblique_projection,
+                      restricted_inverse, subspace_distance, unc_conditions)
+from weavelab import subspaces
+from weavelab.normed import batch_vector_norms
+from weavelab.subspaces import batch_ratio_ascent
 from conftest import (random_basis, random_basis_system,
                       random_one_unconditional_basis)
 from test_frames import standard_system, summing_system
@@ -92,6 +96,172 @@ def test_restricted_inverse_errors():
     off = SpannedSubspace(sp, [[0, 0, 1]])
     with pytest.raises(InputError):
         restricted_inverse(p, SpannedSubspace(sp, [[1, 1, 0]]), off)
+
+
+def _reference_norming(z, kind):
+    """The per-vector subgradient the lockstep ascent replaced."""
+    if kind.tag == "linf":
+        out = np.zeros_like(z)
+        j = int(np.argmax(np.abs(z)))
+        out[j] = 1.0 if z[j] >= 0 else -1.0
+        return out
+    if kind.tag == "l1":
+        return np.where(z >= 0, 1.0, -1.0)
+    return norming_vector(z, kind.dual())
+
+
+def _reference_ratio_ascent(numer, denom, kind, starts=64, iters=60):
+    """The one-pair, one-climb-at-a-time loop batch_ratio_ascent replaced."""
+    k = numer.shape[1]
+    cands = [np.ones(k)]
+    if 2 <= k <= 7:
+        for signs in itertools.product((1.0, -1.0), repeat=k - 1):
+            cands.append(np.array((1.0,) + signs))
+    cands.extend(np.eye(k))
+    rng = np.random.default_rng(11)
+    while len(cands) < starts:
+        v = rng.standard_normal(k)
+        if np.any(v):
+            cands.append(v)
+    cmat = np.array(cands)
+    num_norms = batch_vector_norms(cmat @ numer.T, kind)
+    den_norms = batch_vector_norms(cmat @ denom.T, kind)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = np.where(den_norms > 0, num_norms / den_norms, -np.inf)
+    order = np.argsort(-ratios)
+    best = float(ratios[order[0]])
+    for idx in order[:4]:
+        c = cmat[idx] / np.linalg.norm(cmat[idx])
+        nv = numer @ c
+        dv = denom @ c
+        n_n = batch_vector_norms(nv[None], kind)[0]
+        n_d = batch_vector_norms(dv[None], kind)[0]
+        if n_d == 0.0:
+            continue
+        cur = n_n / n_d
+        step = 0.25
+        for _ in range(iters):
+            if n_n == 0.0 or n_d == 0.0:
+                break
+            g = (numer.T @ _reference_norming(nv, kind) / n_n
+                 - denom.T @ _reference_norming(dv, kind) / n_d)
+            c_new = c + step * g
+            nrm = np.linalg.norm(c_new)
+            if nrm == 0.0:
+                break
+            c_new /= nrm
+            nv_new = numer @ c_new
+            dv_new = denom @ c_new
+            n_n_new = batch_vector_norms(nv_new[None], kind)[0]
+            n_d_new = batch_vector_norms(dv_new[None], kind)[0]
+            if n_d_new > 0 and n_n_new / n_d_new > cur:
+                c, nv, dv, n_n, n_d = c_new, nv_new, dv_new, n_n_new, n_d_new
+                cur = n_n / n_d
+            else:
+                step *= 0.5
+                if step < 1e-8:
+                    break
+        best = max(best, cur)
+    return float(best)
+
+
+def _ratio_stacks(rng, k):
+    """(lifts, generators) for k: random pairs, a zero numerator, a generator
+    combination with zero image (one start's denominator is zero) and an
+    all-zero generator stack."""
+    d = k + 2
+    numers = rng.standard_normal((5, d, k))
+    gens = rng.standard_normal((5, k, d))
+    numers[1] = 0.0
+    gens[2, -1] = gens[2, 0] - gens[2, 1] if k > 2 else 0.0
+    gens[3] = 0.0
+    numers[4] = np.round(8 * numers[4]) / 8  # dyadic, so ratios tie
+    gens[4] = np.round(4 * gens[4]) / 4
+    return numers, gens
+
+
+def test_batch_ratio_ascent_matches_the_one_call_loop(rng):
+    for kind in (L1, LINF, lp(1.5), lp(3.0)):
+        for k in range(2, 9):
+            numers, gens = _ratio_stacks(rng, k)
+            values = batch_ratio_ascent(numers, gens, kind)
+            for numer, g, value in zip(numers, gens, values):
+                ref = _reference_ratio_ascent(numer, g.T, kind)
+                assert float(value).hex() == ref.hex(), (kind, k)
+            assert values[1] == 0.0 and values[3] == -np.inf
+    numer = np.array([[-0.3, 0.1, 0.5], [-0.3, -1.0, 0.9], [1.0, 0.6, 0.6], [-0.8, 0.7, -0.3]])
+    gens = np.array([[-0.7, -0.3, 0.1, -0.5], [-0.1, 1.3, -1.0, 1.9], [1.9, -1.7, -0.1, 0.3]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for kind in (L1, LINF, lp(3.0)):  # the norms overflow, the vectors do not
+            assert batch_ratio_ascent(1e308 * numer[None], gens[None], kind)[0] == np.inf
+            assert _reference_ratio_ascent(1e308 * numer, gens.T, kind) == np.inf
+        for kind in (L1, LINF, lp(3.0)):  # a climb steps to an overflowing N c
+            assert np.isnan(batch_ratio_ascent(1.7e308 * numer[None], gens[None], kind)[0])
+        with pytest.raises(InputError):  # which the one-call loop refused for lp
+            _reference_ratio_ascent(1.7e308 * numer, gens.T, lp(3.0))
+
+
+def test_batch_ratio_ascent_does_not_depend_on_its_stack(rng):
+    numers = rng.standard_normal((7, 5, 3))
+    gens = rng.standard_normal((7, 3, 5))
+    numers[2] = 0.0
+    values = batch_ratio_ascent(numers, gens, lp(3.0))
+    order = rng.permutation(7)
+    assert batch_ratio_ascent(numers[order], gens[order], lp(3.0)).tobytes() == \
+        values[order].tobytes()
+    for lo, hi in ((0, 1), (2, 5), (5, 7)):
+        assert batch_ratio_ascent(numers[lo:hi], gens[lo:hi], lp(3.0)).tobytes() == \
+            values[lo:hi].tobytes()
+    assert batch_ratio_ascent(numers[:0], gens[:0], lp(3.0)).shape == (0,)
+
+
+def test_restricted_inverse_norm_is_the_ascent_of_its_lift(rng):
+    for kind in (L1, LINF, lp(3.0)):
+        sp = NormedSpace(5, kind)
+        m = DenseOperator.on_space(rng.standard_normal((5, 5)) + 3 * np.eye(5), sp)
+        sub = SpannedSubspace(sp, rng.standard_normal((3, 5)))
+        image = SpannedSubspace(sp, (m.entries @ sub.generators.T).T)
+        got = restricted_inverse(m, sub, image)
+        d1 = sub.generators.T @ got.coefficients
+        ref = _reference_ratio_ascent(d1, image.generators.T, kind)
+        assert float(got.norm.value).hex() == ref.hex()
+        assert got.norm.exactness is Exactness.LOWER_BOUND
+
+
+def _l1_pair(rng, d):
+    v0 = random_one_unconditional_basis(rng, d, L1)
+    v1 = v0 + 0.1 * rng.standard_normal((d, d))
+    sp = NormedSpace(d, L1)
+    return FrameSystem(sp, v0, biorthogonals(v0)), FrameSystem(sp, v1, biorthogonals(v1))
+
+
+def test_unc_conditions_takes_no_norm_that_vi_does_not_read(rng, monkeypatch):
+    f0, f1 = _l1_pair(rng, 4)
+    expected = unc_conditions(f0, f1, conditions=("iii", "v"))
+
+    def refuse(*args):
+        raise AssertionError("batch_ratio_ascent called without (vi)")
+
+    monkeypatch.setattr(subspaces, "batch_ratio_ascent", refuse)
+    got = unc_conditions(f0, f1, conditions=("iii", "v"))
+    assert got.per_sigma == expected.per_sigma
+    assert got.max_st_residual == expected.max_st_residual
+    with pytest.raises(AssertionError, match="without"):
+        unc_conditions(f0, f1, conditions=("vi",))
+
+
+def test_unc_conditions_vi_fails_where_a_climb_is_not_finite(rng, monkeypatch):
+    f0, f1 = _l1_pair(rng, 4)
+
+    def not_finite(numers, gens, kind):
+        return np.full(len(numers), np.nan)
+
+    monkeypatch.setattr(subspaces, "batch_ratio_ascent", not_finite)
+    verdict = unc_conditions(f0, f1, conditions=("vi",))
+    assert not verdict.conditions["vi"].holds
+    assert verdict.conditions["vi"].constant == np.inf
+    for pattern, flags in verdict.per_sigma.items():
+        assert flags["vi"] == (pattern.count("0") < 2), pattern  # k >= 2 climbs
 
 
 # --- oblique and direct-sum projections --------------------------------------
