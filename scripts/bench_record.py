@@ -15,9 +15,12 @@ and trace setting.  ``layers`` times, on both sides and alternating the
 same way, the L0 instance (``operator_norm`` lp:3 -> lp:3 on five fixed
 seeded matrices at d = 6 and 8, median per call), the L2 instances
 (exhaustive ``worst_weaving`` on standard-c0/summing-c0 at d = 10, 12, 14),
-cold start (a fresh ``import weavelab`` and the peak RSS after it) and three
-whole CLI commands, one of them an lp:3 ``weave-search`` on the golden
-inputs of this checkout (so both sides read the same files).  Each
+the L3 instances (``unc_conditions`` on the block pair at d = 7 and on the
+perturbed l1 pair of the six-way workload at d = 6, built here, after
+``scipy.optimize`` is loaded), cold start (a fresh ``import weavelab`` and
+the peak RSS after it) and four whole CLI commands, one of them an lp:3
+``weave-search`` on the golden inputs of this checkout (so both sides read
+the same files).  Each
 command adds to the file and rewrites its summary: per workload, trace
 setting and metric, each side's median and quartiles, in how many pairs
 the head read lower, and the head/parent ratio of the medians.
@@ -36,6 +39,7 @@ import time
 
 LAYER_DIMS = (10, 12, 14)
 OPNORM_DIMS = (6, 8)
+UNC_BLOCK_DIM, UNC_PERTURBED_DIM = 7, 6
 LAYER_PROBE = """
 import json, resource, statistics, time
 t0 = time.perf_counter()
@@ -43,7 +47,9 @@ import weavelab
 import_s = time.perf_counter() - t0
 rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 import numpy as np
-from weavelab import DenseOperator, GallerySpec, generate, lp, operator_norm, worst_weaving
+from weavelab import (L1, DenseOperator, FrameSystem, GallerySpec, NormedSpace,
+                      biorthogonals, generate, lp, operator_norm, unc_conditions,
+                      worst_weaving)
 out = {"import_s": import_s, "import_peak_rss_mb": rss_mb}
 for d in %r:
     times = []
@@ -59,8 +65,23 @@ for d in %r:
     t = time.perf_counter()
     worst_weaving(f0, f1)
     out["worst_weaving_c0_d%%d_ms" %% d] = (time.perf_counter() - t) * 1e3
+import scipy.optimize  # loaded by the first distance LP; not part of the L3 instance
+block_d, pert_d = %r, %r
+block = (generate(GallerySpec("blockpair-a0", block_d)),
+         generate(GallerySpec("blockpair-a1", block_d)))
+rng = np.random.default_rng(0)  # the six-way workload's perturbed pair before its isometry
+v0 = np.diag(rng.uniform(0.5, 2.0, pert_d))
+delta = rng.standard_normal((pert_d, pert_d))
+delta *= 0.25 / (np.abs(delta).sum() / pert_d)
+space = NormedSpace(pert_d, L1)
+perturbed = [FrameSystem(space, v, biorthogonals(v)) for v in (v0, v0 + delta / pert_d)]
+for name, pair in (("unc_conditions_block_d%%d_s" %% block_d, block),
+                   ("unc_conditions_perturbed_l1_d%%d_s" %% pert_d, perturbed)):
+    t = time.perf_counter()
+    unc_conditions(*pair)
+    out[name] = time.perf_counter() - t
 print(json.dumps(out))
-""" % (OPNORM_DIMS, LAYER_DIMS)
+""" % (OPNORM_DIMS, LAYER_DIMS, UNC_BLOCK_DIM, UNC_PERTURBED_DIM)
 _INPUTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
                        "tests", "golden", "inputs")
 CLI_INSTANCES = {  # L4: whole commands in a fresh interpreter, wall seconds
@@ -70,6 +91,8 @@ CLI_INSTANCES = {  # L4: whole commands in a fresh interpreter, wall seconds
     "cli_weave_search_lp3_d4_s": ["weave-search",
                                   os.path.join(_INPUTS, "standard-lp3-d4.json"),
                                   os.path.join(_INPUTS, "perturbed-lp3-d4.json")],
+    "cli_check_woven_blockpair_d8_s": ["check-woven", "gallery:blockpair-a0",
+                                       "gallery:blockpair-a1", "--dim", "8"],
 }
 
 
