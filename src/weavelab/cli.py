@@ -17,9 +17,9 @@ import traceback
 import numpy as np
 
 from .errors import InputError, WeavelabError
-from .frames import (EXHAUSTIVE, ConstantEstimate, FrameSystem, SearchMode,
-                     frame_report, heuristic)
-from .weaving import DEFAULT_BLOW_UP, WeaveSearchResult, worst_weaving
+from .normed import Bound
+from .frames import EXHAUSTIVE, FrameSystem, SearchMode, frame_report, heuristic
+from .weaving import DEFAULT_BLOW_UP, WeavePattern, WeaveSearchResult, worst_weaving
 from .subspaces import DEFAULT_UNC_THRESHOLD, unc_conditions
 from .perturb import (basis_perturbation_check, operator_perturbation_check,
                       pair_perturbation_check)
@@ -40,7 +40,7 @@ def _num(x):
     return "inf" if x > 0 else ("-inf" if x < 0 else "nan")
 
 
-def _estimate(e: ConstantEstimate | None):
+def _estimate(e: Bound | None):
     if e is None:
         return None
     out = {"value": _num(e.value), "exactness": e.exactness.value}
@@ -316,36 +316,23 @@ def _cmd_perturb(args) -> dict:
     return fileio.build_report("perturb", sources, args.seed, results)
 
 
-def _cmd_example(args) -> int:
+def _cmd_example(args) -> dict:
     made = generate(GallerySpec(args.name, args.dim))
-    if hasattr(made, "bits"):  # a weave pattern
-        payload = {"pattern": str(made), "dim": args.dim}
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-        if args.out is None:
-            sys.stdout.write(text)
-        else:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        return 0
-    if args.out is None:
-        sys.stdout.write(json.dumps(fileio.system_to_payload(made),
-                                    indent=2, sort_keys=True) + "\n")
-    else:
-        fileio.save_system(made, args.out)
-    return 0
+    if isinstance(made, WeavePattern):
+        return {"pattern": str(made), "dim": args.dim}
+    return fileio.system_to_payload(made)
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "example":
-            return _cmd_example(args)
         handler = {
             "analyze": _cmd_analyze,
             "weave-search": _cmd_weave_search,
             "check-woven": _cmd_check_woven,
             "perturb": _cmd_perturb,
+            "example": _cmd_example,
         }[args.command]
         report = handler(args)
         fileio.write_report(report, args.out)

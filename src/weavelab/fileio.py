@@ -97,9 +97,7 @@ def load_system(path: str, norm_override: str | None = None) -> FrameSystem:
 
 
 def save_system(system: FrameSystem, path: str):
-    text = json.dumps(system_to_payload(system), indent=2, sort_keys=True) + "\n"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    write_report(system_to_payload(system), path)
 
 
 def sha256_of(path: str) -> str:

@@ -20,21 +20,11 @@ import numpy as np
 
 from . import search
 from .errors import InputError, NotABasis, NotAFrame, NotInvertible
-from .normed import (DEFAULT_COND_CAP, DenseOperator, Exactness, NormedSpace,
-                     OpNormResult, batch_opnorm_values, invert, operator_norm,
-                     require_finite)
+from .normed import (DEFAULT_COND_CAP, Bound, DenseOperator, NormedSpace,
+                     batch_opnorm_values, invert, operator_norm, require_finite)
 from .search import EXHAUSTIVE, SearchMode, heuristic  # heuristic is re-exported
 
 BIORTHOGONAL_TOL = 1e-10
-
-
-@dataclass(frozen=True, eq=False)
-class ConstantEstimate:
-    """A computed constant, its provenance, and the witness attaining it."""
-
-    value: float
-    exactness: Exactness
-    witness: tuple | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,13 +91,13 @@ class FrameSystem:
 class ConstantReport:
     """Constants of one system: frame bounds plus optional refinements."""
 
-    s_norm: OpNormResult | None
-    s_inv_norm: OpNormResult | None
+    s_norm: Bound | None
+    s_inv_norm: Bound | None
     c_frame: float
     verdict: str  # "frame" | "not_a_frame"
-    c_suppression: ConstantEstimate | None = None
-    c_unconditional: ConstantEstimate | None = None
-    basis_constant: ConstantEstimate | None = None
+    c_suppression: Bound | None = None
+    c_unconditional: Bound | None = None
+    basis_constant: Bound | None = None
 
 
 def outer_stack(vectors: np.ndarray, functionals: np.ndarray) -> np.ndarray:
@@ -125,7 +115,7 @@ def frame_operator(system: FrameSystem) -> DenseOperator:
 
 
 def frame_constants(entries: np.ndarray, space: NormedSpace
-                    ) -> tuple[OpNormResult, OpNormResult | None, float]:
+                    ) -> tuple[Bound, Bound | None, float]:
     """(||S||, ||S^-1|| or None, frame constant) for an operator matrix.
 
     Its norms and inverse come from the kernels the weaving tables run on
@@ -181,7 +171,7 @@ def biorthogonals(vectors: np.ndarray) -> np.ndarray:
 
 
 def basis_constant(vectors: np.ndarray, space: NormedSpace,
-                   duals: np.ndarray | None = None) -> ConstantEstimate:
+                   duals: np.ndarray | None = None) -> Bound:
     """max_n ||P_n|| over the partial-sum projections P_n of a basis."""
     v = np.asarray(vectors, dtype=np.float64)
     if duals is None:
@@ -190,8 +180,8 @@ def basis_constant(vectors: np.ndarray, space: NormedSpace,
     prefixes = np.cumsum(outers, axis=0)
     values = batch_opnorm_values(prefixes, space.norm, space.norm)
     k = search.first_argmax(values)
-    exact = Exactness.EXACT if space.norm.is_exact_kind else Exactness.LOWER_BOUND
-    return ConstantEstimate(float(values[k]), exact, witness=(k + 1,))
+    value = float(values[k])
+    return Bound(value, hi=value if space.norm.is_exact_kind else np.inf, witness=(k + 1,))
 
 
 def pattern_sums(on: np.ndarray, off: np.ndarray | float, ms: np.ndarray) -> np.ndarray:
@@ -216,7 +206,7 @@ def _frame_inverse(system: FrameSystem) -> np.ndarray:
 
 
 def _max_norm_over_patterns(g: np.ndarray, signed: bool, kind, mode: SearchMode,
-                            exhaustive_cap: int, seed: int) -> ConstantEstimate:
+                            exhaustive_cap: int, seed: int) -> Bound:
     """Max of ||sum of the selected rows of g|| over bit patterns.
 
     Subset patterns drop the unselected rows; signed patterns negate them
@@ -228,16 +218,16 @@ def _max_norm_over_patterns(g: np.ndarray, signed: bool, kind, mode: SearchMode,
     mode_used, best, ms, values = search.maximize(
         n, lambda idx: batch_opnorm_values(pattern_sums(g, off, idx), kind, kind),
         mode, exhaustive_cap, seed, d * d, greedy=not signed)
+    value = float(values[best])
     exact = mode_used.kind == "exhaustive" and kind.is_exact_kind
     bits = search.bits_of_index(ms[best], n)
-    return ConstantEstimate(float(values[best]),
-                            Exactness.EXACT if exact else Exactness.LOWER_BOUND,
-                            witness=tuple(1 if b else -1 for b in bits) if signed else bits)
+    return Bound(value, hi=value if exact else np.inf,
+                 witness=tuple(1 if b else -1 for b in bits) if signed else bits)
 
 
 def suppression_constant(system: FrameSystem, mode: SearchMode = EXHAUSTIVE,
                          exhaustive_cap: int = search.DEFAULT_EXHAUSTIVE_CAP,
-                         seed: int = 0) -> ConstantEstimate:
+                         seed: int = 0) -> Bound:
     """C_s: the worst ||P_Gamma S^-1|| over index subsets Gamma.
 
     Exhaustive mode enumerates all 2^n subsets (forced to heuristic above
@@ -251,7 +241,7 @@ def suppression_constant(system: FrameSystem, mode: SearchMode = EXHAUSTIVE,
 
 def unconditional_constant(system: FrameSystem, mode: SearchMode = EXHAUSTIVE,
                            exhaustive_cap: int = search.DEFAULT_EXHAUSTIVE_CAP,
-                           seed: int = 0) -> ConstantEstimate:
+                           seed: int = 0) -> Bound:
     """C_u: the worst ||(sum_i eps_i x_i f_i^T) S^-1|| over signs eps."""
     return signed_ratio_constant(outer_stack(system.vectors, system.functionals),
                                  _frame_inverse(system), system.space.norm,
@@ -261,7 +251,7 @@ def unconditional_constant(system: FrameSystem, mode: SearchMode = EXHAUSTIVE,
 def signed_ratio_constant(stack: np.ndarray, s_inv_entries: np.ndarray, kind,
                           mode: SearchMode = EXHAUSTIVE,
                           exhaustive_cap: int = search.DEFAULT_EXHAUSTIVE_CAP,
-                          seed: int = 0) -> ConstantEstimate:
+                          seed: int = 0) -> Bound:
     """C_u against an externally supplied inverse (stack @ s_inv terms)."""
     return _max_norm_over_patterns(stack @ s_inv_entries, True, kind, mode,
                                    exhaustive_cap, seed)

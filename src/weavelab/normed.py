@@ -35,6 +35,36 @@ class Exactness(enum.Enum):
     UPPER_BOUND = "upper_bound"
 
 
+@dataclass(frozen=True, eq=False)
+class Bound:
+    """A reported value, the certified bracket [lo, hi] around the true one,
+    and what attains ``value`` (a vector, a pattern or an index) if known.
+
+    ``lo`` and ``hi`` default to ``value``: ``Bound(v)`` is exact,
+    ``Bound(v, hi=np.inf)`` a lower bound and ``Bound(v, lo=0.0)`` an upper
+    bound.  The bracket is not checked against ``value``: rounding in an
+    inner solver can leave the two a few ulps apart.
+    """
+
+    value: float
+    lo: float | None = None
+    hi: float | None = None
+    witness: object = None
+
+    def __post_init__(self):
+        if self.lo is None:
+            object.__setattr__(self, "lo", self.value)
+        if self.hi is None:
+            object.__setattr__(self, "hi", self.value)
+
+    @property
+    def exactness(self) -> Exactness:
+        """EXACT when the bracket is a point, else the end ``value`` sits at."""
+        if self.lo == self.hi:
+            return Exactness.EXACT
+        return Exactness.LOWER_BOUND if self.value == self.lo else Exactness.UPPER_BOUND
+
+
 @dataclass(frozen=True)
 class NormKind:
     """An ell_p norm tag: ``l1``, ``l2``, ``linf``, or ``lp`` with 1 < p < oo.
@@ -257,15 +287,6 @@ class DenseOperator:
         return DenseOperator(np.eye(space.dim), space.norm, space.norm)
 
 
-@dataclass(frozen=True, eq=False)
-class OpNormResult:
-    """An operator norm value with its provenance and an attaining witness."""
-
-    value: float
-    exactness: Exactness
-    witness: np.ndarray
-
-
 def batch_vector_norms(rows: np.ndarray, kind: NormKind) -> np.ndarray:
     """``vector_norm`` of each row of a (m, d) array, bit for bit."""
     if kind.tag == "l1":
@@ -382,7 +403,7 @@ def batch_ascent(mats: np.ndarray, domain: NormKind,
     return values, witnesses
 
 
-def operator_norm(M: DenseOperator) -> OpNormResult:
+def operator_norm(M: DenseOperator) -> Bound:
     """The operator norm of ``M`` between its domain and codomain norms.
 
     l1 -> l1 is the maximum column absolute sum (witness e_j), linf -> linf
@@ -403,9 +424,9 @@ def operator_norm(M: DenseOperator) -> OpNormResult:
             witness = np.where(a[i] >= 0, 1.0, -1.0)
         else:
             witness = np.linalg.svd(a)[2][0]
-        return OpNormResult(value, Exactness.EXACT, witness)
+        return Bound(value, witness=witness)
     values, witnesses = batch_ascent(a[None], M.domain_norm, M.codomain_norm)
-    return OpNormResult(float(values[0]), Exactness.LOWER_BOUND, witnesses[0])
+    return Bound(float(values[0]), hi=np.inf, witness=witnesses[0])
 
 
 @dataclass(frozen=True, eq=False)

@@ -17,9 +17,10 @@ import numpy as np
 
 from . import search
 from .errors import InputError, NotABasis, NotAFrame
-from .normed import (DenseOperator, Exactness, batch_invert, batch_opnorm_values,
-                     dual_norm, invert, operator_norm, require_finite, vector_norm)
-from .frames import (EXHAUSTIVE, ConstantEstimate, FrameSystem, biorthogonals,
+from .normed import (Bound, DenseOperator, Exactness, batch_invert,
+                     batch_opnorm_values, dual_norm, invert, operator_norm,
+                     require_finite, vector_norm)
+from .frames import (EXHAUSTIVE, FrameSystem, biorthogonals,
                      check_approximate_frame, equivalence_constants,
                      frame_operator, outer_stack, pattern_sums,
                      suppression_constant)
@@ -68,7 +69,7 @@ class BasisPerturbationReport:
 @dataclass(frozen=True, eq=False)
 class OperatorPerturbationReport:
     budget: PerturbationBudget
-    suppression: ConstantEstimate
+    suppression: Bound
     worst: WeaveSearchResult | None
     certificate: BoundCertificate | None
 

@@ -20,12 +20,11 @@ import numpy as np
 
 from .errors import (DistanceZero, InputError, NotABasis, NotAFrame,
                      NotInvertible)
-from .normed import (DEFAULT_COND_CAP, L2, DenseOperator, Exactness, NormedSpace,
-                     NormKind, _mat_vecs, batch_norming_vectors,
+from .normed import (DEFAULT_COND_CAP, L2, Bound, DenseOperator, Exactness,
+                     NormedSpace, NormKind, _mat_vecs, batch_norming_vectors,
                      batch_vector_norms, invert, operator_norm, vector_norm)
-from .frames import (EXHAUSTIVE, ConstantEstimate, FrameSystem,
-                     biorthogonals, heuristic, outer_stack,
-                     signed_ratio_constant, unconditional_constant)
+from .frames import (EXHAUSTIVE, FrameSystem, biorthogonals, heuristic,
+                     outer_stack, signed_ratio_constant, unconditional_constant)
 from .search import chunk_size_for
 from .weaving import WeavePattern, sample_patterns, weave
 
@@ -113,7 +112,7 @@ class RestrictedInverse:
 
     coefficients: np.ndarray
     ambient: np.ndarray
-    norm: ConstantEstimate
+    norm: Bound
 
 
 @functools.lru_cache(maxsize=16)
@@ -265,8 +264,8 @@ def restricted_inverse(m: DenseOperator, domain: SpannedSubspace,
     if np.isnan(value):
         raise InputError("vector has non-finite entries")
     exact = domain.dim == 1 or kind.tag == "l2"
-    return RestrictedInverse(lift.coefficients, lift.ambient, ConstantEstimate(
-        value, Exactness.EXACT if exact else Exactness.LOWER_BOUND))
+    return RestrictedInverse(lift.coefficients, lift.ambient,
+                             Bound(value, hi=value if exact else np.inf))
 
 
 def oblique_projection(p: DenseOperator, z: SpannedSubspace) -> DenseOperator:
@@ -308,15 +307,6 @@ def direct_sum_projection(p: DenseOperator, q: DenseOperator,
 
 # ---------------------------------------------------------------------------
 # subspace distance
-
-
-@dataclass(frozen=True, eq=False)
-class SubspaceDistance:
-    """A distance value with provenance and an optional certified lower bound."""
-
-    value: float
-    exactness: Exactness
-    lower_bound: float | None = None
 
 
 def distance_to_span(x, sub: SpannedSubspace) -> float:
@@ -363,15 +353,16 @@ def _convex_distance(x: np.ndarray, bcols: np.ndarray, kind) -> float:
 
 
 def _directional_distance(a: SpannedSubspace, b: SpannedSubspace, effort: int,
-                          seed: int) -> tuple[float, Exactness]:
-    """min over unit x in span(a) of dist(x, span(b)); exact when dim(a) = 1."""
+                          seed: int) -> Bound:
+    """min over unit x in span(a) of dist(x, span(b)): exact when dim(a) = 1,
+    else a multi-start upper bound."""
     kind = a.space.norm
     bcols = b.generators.T
     rows = a.generators
     k = a.dim
     if k == 1:
         x = rows[0] / vector_norm(rows[0], kind)
-        return _convex_distance(x, bcols, kind), Exactness.EXACT
+        return Bound(_convex_distance(x, bcols, kind))
 
     def objective(c):
         x = rows.T @ c
@@ -393,7 +384,7 @@ def _directional_distance(a: SpannedSubspace, b: SpannedSubspace, effort: int,
                                 options={"maxiter": 200 * k,
                                          "xatol": 1e-10, "fatol": 1e-12})
         best = min(best, float(res.fun), objective(c0))
-    return best, Exactness.UPPER_BOUND
+    return Bound(best, lo=0.0)
 
 
 def _candidate_upper_distance(a: SpannedSubspace, b: SpannedSubspace,
@@ -423,30 +414,30 @@ def _candidate_upper_distance(a: SpannedSubspace, b: SpannedSubspace,
 
 def _validated_witness_bound(r: np.ndarray, fixed: SpannedSubspace,
                              killed: SpannedSubspace) -> float:
-    """1/||R|| for an ambient R with R|_fixed = id and R(killed) = 0."""
+    """1/||R|| for an ambient R with R|_fixed = id and R(killed) = 0, taken
+    from the upper end of ``operator_norm``'s bracket, so 0.0 when only a
+    lower bound on ||R|| is known."""
     space = fixed.space
     fix_res = np.abs(r @ fixed.generators.T - fixed.generators.T).max()
     kill_res = np.abs(r @ killed.generators.T).max()
     scale = 1.0 + np.abs(fixed.generators).max() + np.abs(killed.generators).max()
     if max(fix_res, kill_res) > RANGE_RESIDUAL_TOL * scale:
         raise InputError("witness projection does not fix/annihilate the subspaces")
-    norm = operator_norm(DenseOperator.on_space(r, space))
-    if norm.exactness is not Exactness.EXACT:
-        # a lower bound on ||R|| cannot certify 1/||R||; report conservatively
-        return 0.0
-    return 1.0 / norm.value if norm.value > 0 else np.inf
+    hi = operator_norm(DenseOperator.on_space(r, space)).hi
+    return 1.0 / hi if hi > 0 else np.inf
 
 
 def subspace_distance(a: SpannedSubspace, b: SpannedSubspace, effort: int = 8,
                       seed: int = 0,
                       witness_projections: tuple[np.ndarray, np.ndarray] | None = None
-                      ) -> SubspaceDistance:
+                      ) -> Bound:
     """d(A, B) = inf ||x - y|| over unit x in either subspace, y in the other.
 
-    Exact via principal angles for l2.  Otherwise the value is a multi-start
-    upper bound; when ``witness_projections = (R_a, R_b)`` is supplied (R_a
-    fixes A and kills B, R_b the reverse) a certified lower bound
-    min(1/||R_a||, 1/||R_b||) is reported alongside.
+    Exact via principal angles for l2.  Otherwise the bracket is the smaller
+    of the two directional ones: a one-dimensional side is exact, a wider one
+    a multi-start upper bound over [0, value].  When ``witness_projections =
+    (R_a, R_b)`` is supplied (R_a fixes A and kills B, R_b the reverse), the
+    certified min(1/||R_a||, 1/||R_b||) raises ``lo``.
     """
     if a.space != b.space:
         raise InputError("subspaces live in different spaces")
@@ -455,18 +446,15 @@ def subspace_distance(a: SpannedSubspace, b: SpannedSubspace, effort: int = 8,
         qb = np.linalg.qr(b.generators.T)[0]
         top = float(np.linalg.svd(qa.T @ qb, compute_uv=False).max())
         value = float(np.sqrt(max(0.0, 1.0 - min(top, 1.0) ** 2)))
-        return SubspaceDistance(value, Exactness.EXACT, lower_bound=value)
-    ab, ex_ab = _directional_distance(a, b, effort, seed)
-    ba, ex_ba = _directional_distance(b, a, effort, seed + 1)
-    value = min(ab, ba)
-    exact = Exactness.EXACT if (ex_ab is Exactness.EXACT and ex_ba is Exactness.EXACT) \
-        else Exactness.UPPER_BOUND
-    lower = None
+        return Bound(value)
+    ab = _directional_distance(a, b, effort, seed)
+    ba = _directional_distance(b, a, effort, seed + 1)
+    lo = min(ab.lo, ba.lo)
     if witness_projections is not None:
         r_a, r_b = witness_projections
-        lower = min(_validated_witness_bound(np.asarray(r_a, dtype=np.float64), a, b),
-                    _validated_witness_bound(np.asarray(r_b, dtype=np.float64), b, a))
-    return SubspaceDistance(value, exact, lower_bound=lower)
+        lo = max(lo, min(_validated_witness_bound(np.asarray(r_a, dtype=np.float64), a, b),
+                         _validated_witness_bound(np.asarray(r_b, dtype=np.float64), b, a)))
+    return Bound(min(ab.value, ba.value), lo=lo, hi=min(ab.hi, ba.hi))
 
 
 # ---------------------------------------------------------------------------
@@ -539,7 +527,10 @@ def _sigma_cases(f0, f1, m, inner_mode, threshold, wanted, seed):
     need_basis = any(c in wanted for c in ("i", "ii", "iv"))
     need_frame = "iii" in wanted
     need_dist = "v" in wanted
-    need_restr = "vi" in wanted or need_frame
+    # the lifts each condition reads: (iii) all four, (v) r_q and r_ip, (vi) r_p and r_q
+    need_p = need_frame or "vi" in wanted
+    need_q = need_p or need_dist
+    need_ip = need_frame or need_dist
 
     if need_basis:
         woven = weave(f0, f1, pattern)
@@ -570,16 +561,17 @@ def _sigma_cases(f0, f1, m, inner_mode, threshold, wanted, seed):
             return None
 
     r_p = r_q = r_ip = r_iq = None
-    if need_restr or need_dist:
-        if z:
-            x1 = sub(f0, z, "x0|sigma=0")
-            y1 = sub(f1, z, "x1|sigma=0")
-            r_q = lift(q_op, x1, y1)
+    if z and need_q:
+        x1 = sub(f0, z, "x0|sigma=0")
+        y1 = sub(f1, z, "x1|sigma=0")
+        r_q = lift(q_op, x1, y1)
+        if need_p:
             r_p = lift(p_op, y1, x1)
-        if o:
-            x2 = sub(f0, o, "x0|sigma=1")
-            y2 = sub(f1, o, "x1|sigma=1")
-            r_ip = lift(eye - p_op, y2, x2)
+    if o and need_ip:
+        x2 = sub(f0, o, "x0|sigma=1")
+        y2 = sub(f1, o, "x1|sigma=1")
+        r_ip = lift(eye - p_op, y2, x2)
+        if need_frame:
             r_iq = lift(eye - q_op, x2, y2)
 
     if need_frame:
@@ -621,8 +613,6 @@ def _sigma_cases(f0, f1, m, inner_mode, threshold, wanted, seed):
                 flags["v"] = False
                 metrics["v"] = np.inf
             else:
-                x1 = sub(f0, z, "x0|sigma=0")
-                y2 = sub(f1, o, "x1|sigma=1")
                 r0 = r_q.ambient @ q_op.entries
                 r1 = r_ip.ambient @ (eye - p_op).entries
                 lower = min(
@@ -676,6 +666,8 @@ def unc_conditions(f0: FrameSystem, f1: FrameSystem, scope: str = "exhaustive",
     """Check the six equivalent characterizations of woven unconditional bases.
 
     Both inputs must be bases paired with their biorthogonal functionals.
+    ``conditions`` is a collection of names from ``i`` to ``vi`` (a bare
+    string is one name); an unknown name raises InputError.
     Per pattern, each condition reports a constant; a condition *fails* at a
     pattern when its constant exceeds ``threshold`` (or an operator is
     genuinely singular).  Exhaustive scope enumerates all patterns up to
@@ -688,6 +680,12 @@ def unc_conditions(f0: FrameSystem, f1: FrameSystem, scope: str = "exhaustive",
         raise InputError("woven-basis conditions need n = dim (bases of the space)")
     _check_biorthogonal(f0, "first basis")
     _check_biorthogonal(f1, "second basis")
+    if isinstance(conditions, str):
+        conditions = (conditions,)
+    unknown = [c for c in conditions if c not in _ALL_CONDITIONS]
+    if unknown:
+        raise InputError(f"unknown conditions {', '.join(map(repr, unknown))} "
+                         f"(expected some of {', '.join(_ALL_CONDITIONS)})")
     wanted = tuple(c for c in _ALL_CONDITIONS if c in conditions)
     if not wanted:
         raise InputError("no conditions selected")

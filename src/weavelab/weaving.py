@@ -17,9 +17,10 @@ import numpy as np
 
 from . import search
 from .errors import InputError, NotABasis
-from .normed import Exactness, batch_invert, batch_opnorm_values, batch_vector_norms
-from .frames import (ConstantEstimate, FrameSystem, basis_constant, biorthogonals,
-                     outer_stack, pattern_sums)
+from .normed import (Bound, Exactness, batch_invert, batch_opnorm_values,
+                     batch_vector_norms)
+from .frames import (FrameSystem, basis_constant, biorthogonals, outer_stack,
+                     pattern_sums)
 from .search import EXHAUSTIVE, SearchMode
 
 DEFAULT_BLOW_UP = 1e8
@@ -243,7 +244,7 @@ def tail_profile(f0: FrameSystem, f1: FrameSystem, x, start_index: int) -> float
     return best
 
 
-def uniform_bound_profile(f0: FrameSystem, f1: FrameSystem) -> ConstantEstimate:
+def uniform_bound_profile(f0: FrameSystem, f1: FrameSystem) -> Bound:
     """The finite-scale uniform bound D: the worst ||P_{sigma,[m,k]}|| over
     all intervals and local patterns.
 
@@ -275,8 +276,7 @@ def uniform_bound_profile(f0: FrameSystem, f1: FrameSystem) -> ConstantEstimate:
                 mats = pattern_sums(o1[m - 1:k], o0[m - 1:k],
                                     np.array(sorted(picks), dtype=np.uint64))
                 best = max(best, float(batch_opnorm_values(mats, kind, kind).max()))
-    exact = exhaustive and kind.is_exact_kind
-    return ConstantEstimate(best, Exactness.EXACT if exact else Exactness.LOWER_BOUND)
+    return Bound(best, hi=best if exhaustive and kind.is_exact_kind else np.inf)
 
 
 def lower_bound_profile(f0: FrameSystem, f1: FrameSystem) -> float:

@@ -163,6 +163,13 @@ def test_check_woven_and_condition_selection(capsys):
     assert results["conditions"]["v"]["holds"]
 
 
+def test_check_woven_refuses_unknown_conditions(capsys):
+    code, out, err = run_cli(["check-woven", "gallery:standard-l1", "gallery:standard-l1",
+                              "--dim", "3", "--conditions", "i,vii,VI"], capsys)
+    assert code == 1 and out == ""
+    assert "'vii', 'VI'" in err
+
+
 def test_perturb_modes(tmp_path, capsys):
     code, out, _ = run_cli(["perturb", "gallery:standard-l1", "--dim", "4",
                             "--op-scale", "0.9"], capsys)

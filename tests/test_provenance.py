@@ -1,0 +1,110 @@
+"""Every reported constant is a ``Bound`` whose exactness is read off its
+bracket: exact iff lo == hi, a lower bound when the value is lo, an upper
+bound when it is hi."""
+
+import numpy as np
+import pytest
+
+from weavelab import (L1, L2, LINF, Bound, DenseOperator, Exactness,
+                      GallerySpec, NormedSpace, SpannedSubspace, basis_constant,
+                      generate, heuristic, lp, operator_norm, restricted_inverse,
+                      subspace_distance, suppression_constant,
+                      unconditional_constant, uniform_bound_profile)
+from weavelab import weaving
+
+EXACT, LOWER, UPPER = Exactness.EXACT, Exactness.LOWER_BOUND, Exactness.UPPER_BOUND
+
+
+def _opnorm(kind):
+    a = np.eye(5) + 0.4 * np.random.default_rng(5).standard_normal((5, 5))
+    return lambda: operator_norm(DenseOperator(a, kind, kind))
+
+
+def _gallery(name, d):
+    return generate(GallerySpec(name, d))
+
+
+def _uniform_bound(sampled):
+    def build():
+        with pytest.MonkeyPatch.context() as mp:
+            if sampled:
+                mp.setattr(weaving, "PROFILE_CAP", 64)
+            return uniform_bound_profile(_gallery("standard-c0", 6),
+                                         _gallery("summing-c0", 6))
+    return build
+
+
+def _restricted(kind, k):
+    rng = np.random.default_rng(3)
+    sp = NormedSpace(5, kind)
+    m = DenseOperator.on_space(rng.standard_normal((5, 5)) + 3 * np.eye(5), sp)
+    sub = SpannedSubspace(sp, rng.standard_normal((k, 5)))
+    image = SpannedSubspace(sp, (m.entries @ sub.generators.T).T)
+    return lambda: restricted_inverse(m, sub, image).norm
+
+
+def _distance(kind, witness=False):
+    sp = NormedSpace(5, kind)
+    a = SpannedSubspace(sp, [[1, 0, 0, 0, 0], [0, 1, 0, 0, 0]])
+    b = SpannedSubspace(sp, [[0, 0, 1, 0, 0], [0, 0, 0, 1, 0]])
+    if not witness:
+        return lambda: subspace_distance(a, b, effort=2)
+    # R_a fixes a and kills b, R_b the reverse; R_a has norm 3, so lo = 1/3
+    r_a = np.diag([1.0, 1, 0, 0, 0])
+    r_a[0, 4] = 3.0
+    r_b = np.diag([0.0, 0, 1, 1, 0])
+    return lambda: subspace_distance(a, b, effort=2, witness_projections=(r_a, r_b))
+
+
+def _one_dimensional_distance():
+    sp = NormedSpace(4, L1)
+    return subspace_distance(SpannedSubspace(sp, [[1, 0.5, 0, 0]]),
+                             SpannedSubspace(sp, [[0, 1, 0, 0.25]]))
+
+
+CASES = {
+    "opnorm-l1": (_opnorm(L1), EXACT),
+    "opnorm-l2": (_opnorm(L2), EXACT),
+    "opnorm-linf": (_opnorm(LINF), EXACT),
+    "opnorm-lp3": (_opnorm(lp(3.0)), LOWER),
+    "basis-constant": (lambda: basis_constant(_gallery("summing-c0", 5).vectors,
+                                              NormedSpace(5, LINF)), EXACT),
+    "cs-exhaustive": (lambda: suppression_constant(_gallery("difference-l1", 4)), EXACT),
+    "cu-exhaustive": (lambda: unconditional_constant(_gallery("difference-l1", 4)), EXACT),
+    "cs-heuristic": (lambda: suppression_constant(_gallery("difference-l1", 4),
+                                                  heuristic(4)), LOWER),
+    "cu-heuristic": (lambda: unconditional_constant(_gallery("difference-l1", 4),
+                                                    heuristic(4)), LOWER),
+    "uniform-exhaustive": (_uniform_bound(False), EXACT),
+    "uniform-sampled": (_uniform_bound(True), LOWER),
+    "restricted-k1": (_restricted(L1, 1), EXACT),
+    "restricted-l2": (_restricted(L2, 2), EXACT),
+    "restricted-l1": (_restricted(L1, 2), LOWER),
+    "distance-l2": (_distance(L2), EXACT),
+    "distance-l1-k1": (_one_dimensional_distance, EXACT),
+    "distance-l1": (_distance(L1), UPPER),
+    "distance-l1-witness": (_distance(L1, witness=True), UPPER),
+}
+
+
+@pytest.mark.parametrize("case", list(CASES))
+def test_exactness_is_read_off_the_bracket(case):
+    build, expected = CASES[case]
+    bound = build()
+    assert isinstance(bound, Bound)
+    assert bound.lo <= bound.value <= bound.hi
+    assert bound.exactness is expected
+    assert (bound.lo == bound.hi) == (expected is EXACT)
+    if expected is LOWER:
+        assert bound.hi == np.inf
+    if case == "distance-l1":
+        assert bound.lo == 0.0  # no certified lower side without witnesses
+    if case == "distance-l1-witness":
+        assert bound.lo == 1.0 / 3.0
+
+
+def test_bound_defaults_and_labels():
+    assert Bound(2.0).exactness is EXACT
+    assert (Bound(2.0).lo, Bound(2.0).hi) == (2.0, 2.0)
+    assert Bound(2.0, hi=np.inf).exactness is LOWER
+    assert Bound(2.0, lo=0.0).exactness is UPPER

@@ -1,5 +1,5 @@
-"""Smoke tests: the README's experiment scripts run to completion, and the
-test suite collects without errors."""
+"""Smoke tests: the README's experiment scripts run to completion, the test
+suite collects without errors, and the benchmark's self-tests pass."""
 
 import os
 import subprocess
@@ -32,6 +32,17 @@ def test_suite_collects_without_errors():
     # a collection error skips a whole file, which a run that continues
     # on collection errors reports only as fewer tests
     proc = subprocess.run([sys.executable, "-m", "pytest", "--collect-only", "-q", "tests"],
+                          capture_output=True, text=True, env=_env(), cwd=ROOT,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_benchmark_selftest_passes():
+    # the benchmark's output checker reads result fields by name and rebuilds
+    # results with dataclasses.replace, so a renamed or derived field breaks
+    # it; its multi-process counts test is left to a full selftest run
+    proc = subprocess.run([sys.executable, "-m", "pytest", "perfbench/selftest.py", "-q",
+                           "-k", "not counts_repeat"],
                           capture_output=True, text=True, env=_env(), cwd=ROOT,
                           timeout=300)
     assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -250,6 +250,27 @@ def test_unc_conditions_takes_no_norm_that_vi_does_not_read(rng, monkeypatch):
         unc_conditions(f0, f1, conditions=("vi",))
 
 
+def test_unc_conditions_builds_only_the_lifts_it_reads(rng, monkeypatch):
+    # (vi) reads r_p and r_q, (v) reads r_q and r_ip; lifts are named by their domain
+    f0, f1 = _l1_pair(rng, 4)
+    full = unc_conditions(f0, f1)
+    real, domains = subspaces._lift, []
+
+    def counting(m, domain, codomain):
+        domains.append(domain.label)
+        return real(m, domain, codomain)
+
+    monkeypatch.setattr(subspaces, "_lift", counting)
+    for key, read in (("vi", {"x1|sigma=0", "x0|sigma=0"}),
+                      ("v", {"x0|sigma=0", "x1|sigma=1"})):
+        domains.clear()
+        got = unc_conditions(f0, f1, conditions=(key,))
+        assert set(domains) == read and len(domains) == 2 * (2 ** 4 - 1), key
+        assert got.conditions[key].constant == full.conditions[key].constant
+        assert {p: f[key] for p, f in got.per_sigma.items()} == \
+            {p: f[key] for p, f in full.per_sigma.items()}
+
+
 def test_unc_conditions_vi_fails_where_a_climb_is_not_finite(rng, monkeypatch):
     f0, f1 = _l1_pair(rng, 4)
 
@@ -348,8 +369,8 @@ def test_distance_l2_exact_vs_multistart(rng):
         exact = subspace_distance(a, b).value
         # cross-validate the approximate path on the same instance
         from weavelab.subspaces import _directional_distance
-        est = min(_directional_distance(a, b, 6, 0)[0],
-                  _directional_distance(b, a, 6, 1)[0])
+        est = min(_directional_distance(a, b, 6, 0).value,
+                  _directional_distance(b, a, 6, 1).value)
         assert est == pytest.approx(exact, abs=1e-6)
 
 
@@ -360,8 +381,8 @@ def test_distance_witness_lower_bound():
     r_a = np.diag([1.0, 1.0, 0.0, 0.0])
     r_b = np.diag([0.0, 0.0, 1.0, 1.0])
     res = subspace_distance(a, b, witness_projections=(r_a, r_b))
-    assert res.lower_bound == 1.0
-    assert res.lower_bound <= res.value + 1e-9
+    assert res.lo == 1.0
+    assert res.lo <= res.value + 1e-9
 
 
 # --- the six-way checker ------------------------------------------------------
@@ -411,6 +432,16 @@ def test_unc_conditions_subset_and_errors():
     bad = FrameSystem(std.space, std.vectors, 2 * np.eye(3))
     with pytest.raises(InputError):
         unc_conditions(std, bad)
+
+
+def test_unc_conditions_refuses_unknown_names():
+    std = standard_system(3)
+    with pytest.raises(InputError, match="'vii', 'VI'"):
+        unc_conditions(std, std, conditions=("i", "vii", "VI"))
+    with pytest.raises(InputError, match="'i,v'"):
+        unc_conditions(std, std, conditions="i,v")
+    verdict = unc_conditions(std, std, conditions="vi")  # one name, not "v" and "i"
+    assert [k for k, o in verdict.conditions.items() if o is not None] == ["vi"]
 
 
 def test_unc_conditions_sampled_scope():
