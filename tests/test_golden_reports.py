@@ -10,6 +10,10 @@ bits.  File inputs live in
 ``tests/golden/inputs``: integer and dyadic perturbations of the gallery
 bases, with their exact biorthogonals.
 
+Reports do not print the six-way check's per-pattern flags, so
+``per-sigma.json`` holds ``unc_conditions(...).per_sigma``, key order
+included, for two pairs.
+
 The goldens were written by the code before any refactoring of these paths.
 Rewrite them (``python tests/test_golden_reports.py``) only for a change
 that is meant to alter a report, and say so in the change log.
@@ -17,12 +21,15 @@ that is meant to alter a report, and say so in the change log.
 
 import contextlib
 import io
+import json
 import os
 import sys
 from pathlib import Path
 
 import pytest
 
+from weavelab import GallerySpec, generate, unc_conditions
+from weavelab.fileio import load_system
 from weavelab.cli import main
 from test_cli import strip_timestamp
 
@@ -76,6 +83,12 @@ CASES = {
     "check-woven-blockpair-d5-vi": [
         "check-woven", "gallery:blockpair-a0", "gallery:blockpair-a1", "--dim", "5",
         "--conditions", "vi"],
+    "check-woven-blockpair-d5-i-ii-iv": [
+        "check-woven", "gallery:blockpair-a0", "gallery:blockpair-a1", "--dim", "5",
+        "--conditions", "i,ii,iv"],
+    "check-woven-perturbed-l1-d4-threshold1.1": [
+        "check-woven", "gallery:standard-l1", "perturbed-l1-d4.json", "--dim", "4",
+        "--threshold", "1.1"],
     "perturb-op-scale-l1-d4": [
         "perturb", "gallery:standard-l1", "--dim", "4", "--op-scale", "0.75"],
     "perturb-op-scale-summing-d3-refused": [
@@ -92,6 +105,25 @@ CASES = {
         "perturb", "gallery:standard-c0", "--dim", "13", "--pair", "perturbed-c0-d13.json",
         "--mode", "heuristic", "--restarts", "4", "--seed", "1"],
 }
+
+
+PER_SIGMA_PAIRS = {
+    "blockpair-d5": (("gallery", "blockpair-a0", 5), ("gallery", "blockpair-a1", 5)),
+    "perturbed-l1-d4": (("gallery", "standard-l1", 4), ("file", "perturbed-l1-d4.json")),
+}
+
+
+def _system(source):
+    if source[0] == "gallery":
+        return generate(GallerySpec(source[1], source[2]))
+    return load_system(str(INPUTS / source[1]))
+
+
+def per_sigma_text() -> str:
+    """The per-pattern flags of the six-way check on ``PER_SIGMA_PAIRS``."""
+    flags = {name: unc_conditions(*map(_system, pair)).per_sigma
+             for name, pair in PER_SIGMA_PAIRS.items()}
+    return json.dumps(flags, indent=1) + "\n"
 
 
 def run_case(name: str, out_dir: Path) -> dict[str, str]:
@@ -123,6 +155,10 @@ def test_golden_report(name, tmp_path):
         assert text == expected, f"{name}{suffix} differs from its golden"
 
 
+def test_per_sigma_flags():
+    assert per_sigma_text() == (GOLDEN / "per-sigma.json").read_text()
+
+
 if __name__ == "__main__":
     import tempfile
     with tempfile.TemporaryDirectory() as tmp:
@@ -130,3 +166,5 @@ if __name__ == "__main__":
             for suffix, text in run_case(case, Path(tmp)).items():
                 (GOLDEN / f"{case}{suffix}").write_text(text)
                 print(f"wrote {case}{suffix}", file=sys.stderr)
+    (GOLDEN / "per-sigma.json").write_text(per_sigma_text())
+    print("wrote per-sigma.json", file=sys.stderr)
