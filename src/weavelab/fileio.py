@@ -36,6 +36,17 @@ def system_to_payload(system: FrameSystem) -> dict:
     }
 
 
+def _rows(source: str, field: str, rows: list, dim: int) -> np.ndarray:
+    """``rows`` as a float array; each row must hold ``dim`` finite numbers."""
+    for i, row in enumerate(rows, start=1):
+        _require(isinstance(row, list) and len(row) == dim,
+                 f"{source}: {field} row {i} must be an array of {dim} numbers")
+        _require(all(isinstance(x, (int, float)) and not isinstance(x, bool)
+                     and abs(x) <= sys.float_info.max for x in row),
+                 f"{source}: {field} row {i} has a non-finite or non-numeric entry")
+    return np.array([[float(x) for x in row] for row in rows])
+
+
 def system_from_payload(payload: dict, norm_override: str | None = None,
                         source: str = "<payload>") -> FrameSystem:
     """Validate and build a FrameSystem; messages name the offending field."""
@@ -47,36 +58,20 @@ def system_from_payload(payload: dict, norm_override: str | None = None,
     norm = NormKind.parse(norm_override if norm_override is not None else payload["norm"])
     vectors = payload["vectors"]
     _require(isinstance(vectors, list) and vectors, f"{source}: vectors must be a nonempty array")
-    rows = []
-    for i, row in enumerate(vectors, start=1):
-        _require(isinstance(row, list) and len(row) == dim,
-                 f"{source}: vectors row {i} must be an array of {dim} numbers")
-        _require(all(isinstance(x, (int, float)) and not isinstance(x, bool)
-                     and np.isfinite(x) for x in row),
-                 f"{source}: vectors row {i} has a non-finite or non-numeric entry")
-        rows.append([float(x) for x in row])
-    v = np.array(rows)
+    v = _rows(source, "vectors", vectors, dim)
     functionals = payload.get("functionals")
     if functionals is None:
-        _require(len(rows) == dim,
-                 f"{source}: functionals are absent, so the {len(rows)} vectors must "
+        _require(len(vectors) == dim,
+                 f"{source}: functionals are absent, so the {len(vectors)} vectors must "
                  f"form a square basis of dimension {dim}")
         try:
             f = biorthogonals(v)
         except NotABasis as exc:
             raise InputError(f"{source}: cannot compute biorthogonals: {exc}") from None
     else:
-        _require(isinstance(functionals, list) and len(functionals) == len(rows),
+        _require(isinstance(functionals, list) and len(functionals) == len(vectors),
                  f"{source}: functionals must match the number of vectors")
-        frows = []
-        for i, row in enumerate(functionals, start=1):
-            _require(isinstance(row, list) and len(row) == dim,
-                     f"{source}: functionals row {i} must be an array of {dim} numbers")
-            _require(all(isinstance(x, (int, float)) and not isinstance(x, bool)
-                         and np.isfinite(x) for x in row),
-                     f"{source}: functionals row {i} has a non-finite or non-numeric entry")
-            frows.append([float(x) for x in row])
-        f = np.array(frows)
+        f = _rows(source, "functionals", functionals, dim)
     label = payload.get("label", "")
     _require(isinstance(label, str), f"{source}: label must be a string")
     return FrameSystem(NormedSpace(dim, norm), v, f, label=label)

@@ -21,8 +21,9 @@ import numpy as np
 from .errors import (DistanceZero, InputError, NotABasis, NotAFrame,
                      NotInvertible)
 from .normed import (DEFAULT_COND_CAP, L2, Bound, DenseOperator, Exactness,
-                     NormedSpace, NormKind, _mat_vecs, batch_norming_vectors,
-                     batch_vector_norms, invert, operator_norm, vector_norm)
+                     NormedSpace, NormKind, _mat_vecs, batch_invert,
+                     batch_norming_vectors, batch_vector_norms, operator_norm,
+                     require_finite, vector_norm)
 from .frames import (EXHAUSTIVE, FrameSystem, biorthogonals, heuristic,
                      outer_stack, signed_ratio_constant, unconditional_constant)
 from .search import chunk_size_for
@@ -214,15 +215,16 @@ class _Lift(NamedTuple):
     generators: np.ndarray  # the rows of B
 
 
-def _lift(m: DenseOperator, domain: SpannedSubspace, codomain: SpannedSubspace) -> _Lift:
-    """Invert M restricted from ``domain`` onto ``codomain``, without its norm."""
+def _lift(m: np.ndarray, domain: SpannedSubspace, codomain: SpannedSubspace) -> _Lift:
+    """Invert the matrix M restricted from ``domain`` onto ``codomain``,
+    without its norm."""
     if domain.dim != codomain.dim:
         raise InputError("restricted inversion needs equal subspace dimensions")
     if domain.space != codomain.space:
         raise InputError("subspaces live in different spaces")
     a = domain.generators.T
     b = codomain.generators.T
-    ma = m.entries @ a
+    ma = m @ a
     coeff, *_ = np.linalg.lstsq(b, ma, rcond=None)
     scale = 1.0 + np.abs(ma).max()
     if np.abs(b @ coeff - ma).max() > RANGE_RESIDUAL_TOL * scale:
@@ -258,7 +260,7 @@ def restricted_inverse(m: DenseOperator, domain: SpannedSubspace,
     spans: exact for l2 or one-dimensional restrictions, otherwise a
     multi-start lower bound.
     """
-    lift = _lift(m, domain, codomain)
+    lift = _lift(m.entries, domain, codomain)
     kind = domain.space.norm
     value = float(_lift_norms(lift.d1[None], lift.generators[None], kind)[0])
     if np.isnan(value):
@@ -454,7 +456,9 @@ def subspace_distance(a: SpannedSubspace, b: SpannedSubspace, effort: int = 8,
         r_a, r_b = witness_projections
         lo = max(lo, min(_validated_witness_bound(np.asarray(r_a, dtype=np.float64), a, b),
                          _validated_witness_bound(np.asarray(r_b, dtype=np.float64), b, a)))
-    return Bound(min(ab.value, ba.value), lo=lo, hi=min(ab.hi, ba.hi))
+    # a certified lo above the multi-start side is solver rounding: the bracket has closed
+    value = max(min(ab.value, ba.value), lo)
+    return Bound(value, lo=lo, hi=max(min(ab.hi, ba.hi), lo))
 
 
 # ---------------------------------------------------------------------------
@@ -508,31 +512,29 @@ def _scope_patterns(n: int, scope: str, samples: int, seed: int) -> tuple[list[i
     return sample_patterns(n, samples + 4, seed), "sampled"
 
 
-def _sigma_cases(f0, f1, m, inner_mode, threshold, wanted, seed):
-    """Evaluate the conditions at one pattern; returns (flags, metrics, st, ts, vi).
+# the lifts each condition reads: r_p = (P|Y1)^-1, r_q = (Q|X1)^-1, r_ip = ((I-P)|Y2)^-1
+# and r_iq = ((I-Q)|X2)^-1, where X1, Y1 (X2, Y2) span f0, f1 at the 0-bits (1-bits)
+_LIFT_READS = {"iii": ("p", "q", "ip", "iq"), "v": ("q", "ip"), "vi": ("p", "q")}
 
+
+def _sigma_cases(f0, f1, stacks, m, inner_mode, threshold, wanted, seed):
+    """Evaluate the conditions at one pattern; returns (metrics, v_holds, st, ts, vi).
+
+    ``metrics`` maps each condition decided here to its constant; the fold
+    compares them with the threshold, except (v), which brings its own
+    verdict ``v_holds``.  ``stacks`` are the two bases' ``outer_stack``s.
     ``vi`` is None when (vi) is decided here or not wanted.  Otherwise it is
     the lifts (r_p, r_q), whose norms ``_grade_vi`` takes for many patterns
     at once.
     """
-    n = f0.n
     space = f0.space
-    pattern = WeavePattern.from_index(m, n)
-    z = [i + 1 for i, bit in enumerate(pattern.bits) if bit == 0]
-    o = [i + 1 for i, bit in enumerate(pattern.bits) if bit == 1]
-    flags: dict[str, bool] = {}
+    pattern = WeavePattern.from_index(m, f0.n)
+    one = np.array(pattern.bits, dtype=bool)
     metrics: dict[str, float] = {}
     st = ts = np.nan
+    v_holds = None
 
-    need_basis = any(c in wanted for c in ("i", "ii", "iv"))
-    need_frame = "iii" in wanted
-    need_dist = "v" in wanted
-    # the lifts each condition reads: (iii) all four, (v) r_q and r_ip, (vi) r_p and r_q
-    need_p = need_frame or "vi" in wanted
-    need_q = need_p or need_dist
-    need_ip = need_frame or need_dist
-
-    if need_basis:
+    if any(c in wanted for c in ("i", "ii", "iv")):
         woven = weave(f0, f1, pattern)
         try:
             fresh = biorthogonals(woven.vectors)
@@ -540,124 +542,97 @@ def _sigma_cases(f0, f1, m, inner_mode, threshold, wanted, seed):
                                         inner_mode, seed=seed).value
         except (NotABasis, NotAFrame):
             cu = np.inf
-        for key in ("i", "ii", "iv"):
-            if key in wanted:
-                flags[key] = bool(np.isfinite(cu) and cu <= threshold)
-                metrics[key] = cu
+        metrics.update((c, cu) for c in ("i", "ii", "iv") if c in wanted)
 
-    # shared split data
-    p_op = basis_projection(f0, z)
-    q_op = basis_projection(f1, z)
-    eye = DenseOperator.identity(space)
+    reads = {r for c in wanted for r in _LIFT_READS.get(c, ())}
 
-    def sub(system, idx, tag):
-        return SpannedSubspace(space, system.vectors[[i - 1 for i in idx]],
-                               label=tag)
-
-    def lift(op, domain, codomain):
+    def lift(name, mat, domain, codomain):
+        if name not in reads:
+            return None
         try:
-            return _lift(op, domain, codomain)
+            return _lift(mat, domain, codomain)
         except (NotInvertible, InputError):
             return None
 
     r_p = r_q = r_ip = r_iq = None
-    if z and need_q:
-        x1 = sub(f0, z, "x0|sigma=0")
-        y1 = sub(f1, z, "x1|sigma=0")
-        r_q = lift(q_op, x1, y1)
-        if need_p:
-            r_p = lift(p_op, y1, x1)
-    if o and need_ip:
-        x2 = sub(f0, o, "x0|sigma=1")
-        y2 = sub(f1, o, "x1|sigma=1")
-        r_ip = lift(eye - p_op, y2, x2)
-        if need_frame:
-            r_iq = lift(eye - q_op, x2, y2)
+    if reads:  # every lift reads both basis projections
+        p, q = (np.add.reduce(stack[~one], axis=0) for stack in stacks)
+        require_finite(np.array((p, q)))
+        eye = np.eye(space.dim)
+        i_p = eye - p
+        if not one.all():
+            x1 = SpannedSubspace(space, f0.vectors[~one], label="x0|sigma=0")
+            y1 = SpannedSubspace(space, f1.vectors[~one], label="x1|sigma=0")
+            r_q = lift("q", q, x1, y1)
+            r_p = lift("p", p, y1, x1)
+        if one.any() and "ip" in reads:
+            x2 = SpannedSubspace(space, f0.vectors[one], label="x0|sigma=1")
+            y2 = SpannedSubspace(space, f1.vectors[one], label="x1|sigma=1")
+            r_ip = lift("ip", i_p, y2, x2)
+            r_iq = lift("iq", eye - q, x2, y2)
 
-    if need_frame:
-        s_op = p_op + (eye - q_op)
-        woven = weave(f0, f1, pattern)
-        try:
-            s_inv = invert(s_op)
-            cu_frame = signed_ratio_constant(
-                outer_stack(woven.vectors, woven.functionals), s_inv.entries,
-                space.norm, inner_mode, seed=seed).value
-        except NotInvertible:
-            cu_frame = np.inf
-        term1 = term2 = np.zeros((space.dim, space.dim))
-        t_ok = True
-        if z:
-            if r_p is None or r_q is None:
-                t_ok = False
-            else:
-                term1 = r_p.ambient @ r_q.ambient @ q_op.entries
-        if o:
-            if r_ip is None or r_iq is None:
-                t_ok = False
-            else:
-                term2 = r_iq.ambient @ r_ip.ambient @ (eye - p_op).entries
-        if t_ok:
+    if "iii" in wanted:
+        s = p + (eye - q)
+        inv = batch_invert(s[None])
+        cu_frame = signed_ratio_constant(
+            np.where(one[:, None, None], stacks[1], stacks[0]), inv.inverses[0],
+            space.norm, inner_mode, seed=seed).value if inv.accepted[0] else np.inf
+
+        def term(present, left, right, mat):  # None where a lift is singular
+            if not present:
+                return np.zeros((space.dim, space.dim))
+            return None if left is None or right is None else left.ambient @ right.ambient @ mat
+
+        term1, term2 = term(not one.all(), r_p, r_q, q), term(one.any(), r_iq, r_ip, i_p)
+        if term1 is not None and term2 is not None:
             t_mat = term1 + term2
-            st = float(np.abs(s_op.entries @ t_mat - np.eye(space.dim)).max())
-            ts = float(np.abs(t_mat @ s_op.entries - np.eye(space.dim)).max())
-        flags["iii"] = bool(np.isfinite(cu_frame) and cu_frame <= threshold)
+            st = float(np.abs(s @ t_mat - eye).max())
+            ts = float(np.abs(t_mat @ s - eye).max())
         metrics["iii"] = cu_frame
 
-    if need_dist:
-        if not z or not o:
-            flags["v"] = True
-            metrics["v"] = 1.0
+    if "v" in wanted:
+        if one.all() or not one.any():
+            v_holds, metrics["v"] = True, 1.0
+        elif r_q is None or r_ip is None:
+            # a singular restriction certifies a nontrivial intersection
+            v_holds, metrics["v"] = False, np.inf
         else:
-            if r_q is None or r_ip is None:
-                # a singular restriction certifies a nontrivial intersection
-                flags["v"] = False
-                metrics["v"] = np.inf
+            lower = min(_validated_witness_bound(r_q.ambient @ q, x1, y2),
+                        _validated_witness_bound(r_ip.ambient @ i_p, y2, x1))
+            v_holds = bool(lower >= 1.0 / threshold)
+            if v_holds:
+                metrics["v"] = 1.0 / lower
             else:
-                r0 = r_q.ambient @ q_op.entries
-                r1 = r_ip.ambient @ (eye - p_op).entries
-                lower = min(
-                    _validated_witness_bound(r0, x1, y2),
-                    _validated_witness_bound(r1, y2, x1))
-                if lower >= 1.0 / threshold:
-                    flags["v"] = True
-                    metrics["v"] = 1.0 / lower
-                else:
-                    upper = _candidate_upper_distance(x1, y2, effort=4, seed=seed)
-                    flags["v"] = False
-                    metrics["v"] = 1.0 / upper if upper > 0 else np.inf
+                upper = _candidate_upper_distance(x1, y2, effort=4, seed=seed)
+                metrics["v"] = 1.0 / upper if upper > 0 else np.inf
 
     vi = None
     if "vi" in wanted:
-        if not z:
-            flags["vi"] = True
+        if one.all():
             metrics["vi"] = 0.0
         elif r_p is None or r_q is None:
-            flags["vi"] = False
             metrics["vi"] = np.inf
         else:
             vi = (r_p, r_q)
 
-    return flags, metrics, st, ts, vi
+    return metrics, v_holds, st, ts, vi
 
 
-def _grade_vi(cases, kind: NormKind, threshold: float):
-    """Set (vi) on every case of a chunk that left it open: the larger of the
-    norms of r_p and r_q, with one ``_lift_norms`` call per subspace
-    dimension.  A norm that is not finite fails (vi) with an infinite value."""
+def _grade_vi(cases, kind: NormKind):
+    """Set the (vi) constant of every case of a chunk that left it open: the
+    larger of the norms of r_p and r_q, with one ``_lift_norms`` call per
+    subspace dimension, and infinite where a norm is not finite."""
     groups: dict[int, list] = {}
-    for flags, metrics, _, _, vi in cases:
+    for metrics, _, _, _, vi in cases:
         if vi is not None:
-            groups.setdefault(vi[0].d1.shape[1], []).append((flags, metrics, vi))
+            groups.setdefault(vi[0].d1.shape[1], []).append((metrics, vi))
     for group in groups.values():
-        lifts = [r for _, _, vi in group for r in vi]
+        lifts = [r for _, vi in group for r in vi]
         values = _lift_norms(np.array([r.d1 for r in lifts]),
                              np.array([r.generators for r in lifts]), kind)
-        for (flags, metrics, _), v_p, v_q in zip(group, values[0::2], values[1::2]):
-            e_val = max(float(v_p), float(v_q))
-            if np.isnan(v_p) or np.isnan(v_q):
-                e_val = np.inf
-            flags["vi"] = bool(e_val <= threshold)
-            metrics["vi"] = e_val
+        for (metrics, _), v_p, v_q in zip(group, values[0::2], values[1::2]):
+            metrics["vi"] = (np.inf if np.isnan(v_p) or np.isnan(v_q)
+                             else max(float(v_p), float(v_q)))
 
 
 def unc_conditions(f0: FrameSystem, f1: FrameSystem, scope: str = "exhaustive",
@@ -668,16 +643,19 @@ def unc_conditions(f0: FrameSystem, f1: FrameSystem, scope: str = "exhaustive",
     Both inputs must be bases paired with their biorthogonal functionals.
     ``conditions`` is a collection of names from ``i`` to ``vi`` (a bare
     string is one name); an unknown name raises InputError.
-    Per pattern, each condition reports a constant; a condition *fails* at a
-    pattern when its constant exceeds ``threshold`` (or an operator is
-    genuinely singular).  Exhaustive scope enumerates all patterns up to
-    ``EXHAUSTIVE_SCOPE_BITS`` bits; above that a seeded sample plus the
-    alternating and constant patterns is used.
+    Per pattern, each condition reports a constant and *fails* when that
+    constant exceeds ``threshold``, which must be finite and positive
+    (InputError otherwise); (v) instead holds where its certified lower
+    distance reaches 1/threshold.  Exhaustive scope enumerates all patterns
+    up to ``EXHAUSTIVE_SCOPE_BITS`` bits; above that a seeded sample plus
+    the alternating and constant patterns is used.
     """
     if f0.space != f1.space or f0.n != f1.n:
         raise InputError("bases are incompatible")
     if f0.n != f0.space.dim:
         raise InputError("woven-basis conditions need n = dim (bases of the space)")
+    if not 0 < threshold < np.inf:
+        raise InputError(f"threshold must be finite and positive, got {threshold!r}")
     _check_biorthogonal(f0, "first basis")
     _check_biorthogonal(f1, "second basis")
     if isinstance(conditions, str):
@@ -696,6 +674,7 @@ def unc_conditions(f0: FrameSystem, f1: FrameSystem, scope: str = "exhaustive",
     if not (np.isfinite(base0) and np.isfinite(base1)):
         raise NotAFrame("input bases must have finite unconditional constants")
 
+    stacks = (outer_stack(f0.vectors, f0.functionals), outer_stack(f1.vectors, f1.functionals))
     ms, scope_used = _scope_patterns(n, scope, samples, seed)
     per_sigma = {} if len(ms) <= PER_SIGMA_CAP else None
     worst: dict[str, tuple[float, int]] = {c: (-np.inf, ms[0]) for c in wanted}
@@ -704,16 +683,17 @@ def unc_conditions(f0: FrameSystem, f1: FrameSystem, scope: str = "exhaustive",
     max_st = max_ts = 0.0
     chunk = chunk_size_for(n, n * n)  # fixed by the shape, never by the worker count
     for lo in range(0, len(ms), chunk):
-        cases = [_sigma_cases(f0, f1, m, inner_mode, threshold, wanted, seed)
+        cases = [_sigma_cases(f0, f1, stacks, m, inner_mode, threshold, wanted, seed)
                  for m in ms[lo:lo + chunk]]
-        _grade_vi(cases, f0.space.norm, threshold)
-        for m, (flags, metrics, st, ts, _) in zip(ms[lo:lo + chunk], cases):
+        _grade_vi(cases, f0.space.norm)
+        for m, (metrics, v_holds, st, ts, _) in zip(ms[lo:lo + chunk], cases):
             if np.isfinite(st):
                 max_st = max(max_st, st)
             if np.isfinite(ts):
                 max_ts = max(max_ts, ts)
-            values = [flags[c] for c in wanted]
-            if any(v != values[0] for v in values):
+            flags = {c: v_holds if c == "v" else bool(value <= threshold)
+                     for c, value in metrics.items()}
+            if len(set(flags.values())) > 1:
                 agree = False
             for c in wanted:
                 if metrics[c] > worst[c][0]:
@@ -721,25 +701,19 @@ def unc_conditions(f0: FrameSystem, f1: FrameSystem, scope: str = "exhaustive",
                 if not flags[c] and first_fail[c] is None:
                     first_fail[c] = m
             if per_sigma is not None:
-                per_sigma[str(WeavePattern.from_index(m, n))] = dict(flags)
+                per_sigma[str(WeavePattern.from_index(m, n))] = flags
 
     exact = Exactness.EXACT if (scope_used == "exhaustive"
                                 and f0.space.norm.is_exact_kind
                                 and inner_mode.kind == "exhaustive") \
         else Exactness.LOWER_BOUND
-    outcomes = {}
-    for c in _ALL_CONDITIONS:
-        if c not in wanted:
-            outcomes[c] = None
-            continue
-        fail_m = first_fail[c]
+    outcomes = dict.fromkeys(_ALL_CONDITIONS)
+    for c in wanted:
         value, arg_m = worst[c]
-        witness_m = fail_m if fail_m is not None else arg_m
+        fail_m = first_fail[c]
         outcomes[c] = ConditionOutcome(
-            holds=fail_m is None,
-            constant=float(value),
-            witness=WeavePattern.from_index(witness_m, n),
-            exactness=exact)
+            holds=fail_m is None, constant=float(value), exactness=exact,
+            witness=WeavePattern.from_index(arg_m if fail_m is None else fail_m, n))
     return UncVerdict(conditions=outcomes, agree=agree, per_sigma=per_sigma,
                       max_st_residual=max_st, max_ts_residual=max_ts,
                       scope_used=scope_used, patterns_checked=len(ms),

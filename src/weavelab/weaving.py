@@ -194,10 +194,14 @@ def worst_weaving(f0: FrameSystem, f1: FrameSystem, mode: SearchMode = EXHAUSTIV
     two trivial patterns and random starts.  The verdict is ``not_woven``
     when any evaluated weaving fails inversion or exceeds
     ``blow_up_threshold``; heuristic "woven" verdicts are best-effort and
-    the constant is then a lower bound.  ``log_all_patterns`` logs every
-    pattern evaluated, in index order.
+    the constant is then a lower bound.  ``blow_up_threshold`` must be
+    finite and positive.  ``log_all_patterns`` logs every pattern evaluated,
+    in index order.
     """
     _require_compatible(f0, f1)
+    if not 0 < blow_up_threshold < np.inf:
+        raise InputError(f"blow_up_threshold must be finite and positive, "
+                         f"got {blow_up_threshold!r}")
     n = f0.n
     if log_all_patterns and (1 << n) > LOG_CAP:
         raise InputError(f"per-pattern log limited to 2^n <= {LOG_CAP}")

@@ -4,6 +4,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from weavelab import FrameSystem, L1, NormedSpace, SearchMode, lp, search
 from weavelab.cli import build_parser, main
@@ -146,6 +147,32 @@ def test_sweep_refuses_the_pattern_log(capsys):
                               "--sweep", "2..3", "--log-all-patterns"], capsys)
     assert code == 1 and out == ""
     assert "--log-all-patterns" in err
+
+
+@pytest.mark.parametrize("field", ["vectors", "functionals"])
+@pytest.mark.parametrize("row", [[1], [True, 0], ["1", 0], [10 ** 400, 0]],
+                         ids=["ragged", "boolean", "string", "oversized-integer"])
+def test_malformed_rows_name_their_field_and_row(tmp_path, capsys, field, row):
+    payload = {"dim": 2, "norm": "l1", "vectors": [[1, 0], [0, 1]],
+               "functionals": [[1, 0], [0, 1]]}
+    payload[field][1] = row
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run_cli(["analyze", str(path)], capsys)
+    assert code == 1 and out == ""
+    assert f"{field} row 2 " in err
+
+
+@pytest.mark.parametrize("args", [
+    ["check-woven", "gallery:blockpair-a0", "gallery:blockpair-a1", "--threshold", "0"],
+    ["check-woven", "gallery:blockpair-a0", "gallery:blockpair-a1", "--threshold", "inf"],
+    ["weave-search", "gallery:standard-c0", "gallery:summing-c0", "--blowup-threshold", "nan"],
+    ["weave-search", "gallery:standard-c0", "gallery:summing-c0", "--blowup-threshold", "-1"],
+])
+def test_thresholds_must_be_finite_and_positive(capsys, args):
+    code, out, err = run_cli(args + ["--dim", "4"], capsys)
+    assert code == 1 and out == ""
+    assert "must be finite and positive" in err
 
 
 def test_check_woven_and_condition_selection(capsys):

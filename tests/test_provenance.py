@@ -56,6 +56,15 @@ def _distance(kind, witness=False):
     return lambda: subspace_distance(a, b, effort=2, witness_projections=(r_a, r_b))
 
 
+def _closed_distance():
+    # the witnesses certify lo = 1, and HiGHS rounds the multi-start side 2 ulps below
+    sp = NormedSpace(4, L1)
+    a = SpannedSubspace(sp, [[1, 0, 0, 0], [0, 1, 0, 0]])
+    b = SpannedSubspace(sp, [[0, 0, 1, 0], [0, 0, 0, 1]])
+    return subspace_distance(a, b, witness_projections=(np.diag([1.0, 1, 0, 0]),
+                                                        np.diag([0.0, 0, 1, 1])))
+
+
 def _one_dimensional_distance():
     sp = NormedSpace(4, L1)
     return subspace_distance(SpannedSubspace(sp, [[1, 0.5, 0, 0]]),
@@ -84,6 +93,7 @@ CASES = {
     "distance-l1-k1": (_one_dimensional_distance, EXACT),
     "distance-l1": (_distance(L1), UPPER),
     "distance-l1-witness": (_distance(L1, witness=True), UPPER),
+    "distance-l1-closed": (_closed_distance, EXACT),
 }
 
 
@@ -101,6 +111,8 @@ def test_exactness_is_read_off_the_bracket(case):
         assert bound.lo == 0.0  # no certified lower side without witnesses
     if case == "distance-l1-witness":
         assert bound.lo == 1.0 / 3.0
+    if case == "distance-l1-closed":
+        assert bound.value == 1.0
 
 
 def test_bound_defaults_and_labels():

@@ -434,6 +434,13 @@ def test_unc_conditions_subset_and_errors():
         unc_conditions(std, bad)
 
 
+@pytest.mark.parametrize("threshold", [0.0, -2.0, np.nan, np.inf])
+def test_unc_conditions_refuses_a_threshold_that_is_not_finite_and_positive(threshold):
+    std = standard_system(3)
+    with pytest.raises(InputError, match="finite and positive"):
+        unc_conditions(std, std, threshold=threshold)
+
+
 def test_unc_conditions_refuses_unknown_names():
     std = standard_system(3)
     with pytest.raises(InputError, match="'vii', 'VI'"):

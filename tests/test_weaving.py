@@ -130,6 +130,16 @@ def test_worst_weaving_not_woven_witness():
     assert res.worst_constant == np.inf
 
 
+@pytest.mark.parametrize("threshold", [0.0, -1.0, np.nan, np.inf])
+def test_worst_weaving_refuses_a_threshold_that_is_not_finite_and_positive(threshold):
+    # inf would pass the singular weavings here, nan every pattern
+    broken = np.eye(3)
+    broken[0] = 0.0
+    f1 = FrameSystem(NormedSpace(3, L1), broken, np.eye(3))
+    with pytest.raises(InputError, match="finite and positive"):
+        worst_weaving(standard_system(3), f1, blow_up_threshold=threshold)
+
+
 def test_worst_weaving_log_and_heuristic(rng):
     std = standard_system(3, LINF)
     summing = summing_system(3)
