@@ -107,22 +107,15 @@ CASES = {
 }
 
 
-PER_SIGMA_PAIRS = {
-    "blockpair-d5": (("gallery", "blockpair-a0", 5), ("gallery", "blockpair-a1", 5)),
-    "perturbed-l1-d4": (("gallery", "standard-l1", 4), ("file", "perturbed-l1-d4.json")),
-}
-
-
-def _system(source):
-    if source[0] == "gallery":
-        return generate(GallerySpec(source[1], source[2]))
-    return load_system(str(INPUTS / source[1]))
-
-
 def per_sigma_text() -> str:
-    """The per-pattern flags of the six-way check on ``PER_SIGMA_PAIRS``."""
-    flags = {name: unc_conditions(*map(_system, pair)).per_sigma
-             for name, pair in PER_SIGMA_PAIRS.items()}
+    """The per-pattern flags of the six-way check on two pairs, as JSON."""
+    def gallery(name, d):
+        return generate(GallerySpec(name, d))
+
+    pairs = {"blockpair-d5": (gallery("blockpair-a0", 5), gallery("blockpair-a1", 5)),
+             "perturbed-l1-d4": (gallery("standard-l1", 4),
+                                 load_system(str(INPUTS / "perturbed-l1-d4.json")))}
+    flags = {name: unc_conditions(*pair).per_sigma for name, pair in pairs.items()}
     return json.dumps(flags, indent=1) + "\n"
 
 
