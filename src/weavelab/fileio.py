@@ -54,8 +54,10 @@ def system_from_payload(payload: dict, norm_override: str | None = None,
     for key in ("dim", "norm", "vectors"):
         _require(key in payload, f"{source}: missing required field {key!r}")
     dim = payload["dim"]
-    _require(isinstance(dim, int) and dim >= 1, f"{source}: dim must be a positive integer")
-    norm = NormKind.parse(norm_override if norm_override is not None else payload["norm"])
+    _require(type(dim) is int and dim >= 1, f"{source}: dim must be a positive integer")
+    norm = norm_override if norm_override is not None else payload["norm"]
+    _require(isinstance(norm, str), f"{source}: norm must be a string such as 'lp:3'")
+    norm = NormKind.parse(norm)
     vectors = payload["vectors"]
     _require(isinstance(vectors, list) and vectors, f"{source}: vectors must be a nonempty array")
     v = _rows(source, "vectors", vectors, dim)

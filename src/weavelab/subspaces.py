@@ -6,7 +6,9 @@ Distances in l2 are exact (principal angles).  In other norms the distance
 is bracketed: multi-start minimization of the convex inner problem gives a
 certified upper bound, and ambient oblique projections that fix one
 subspace and annihilate the other give a certified lower bound
-1/||R|| (exact operator norms for l1/linf).
+1/||R|| (exact operator norms for l1/linf).  The six-way (v) reads d(X1, Y2)
+this way, exactly for l1/linf/l2 and without scipy.optimize; lp prices a
+failing (v) at candidate vectors.
 """
 
 from __future__ import annotations
@@ -392,25 +394,20 @@ def _directional_distance(a: SpannedSubspace, b: SpannedSubspace, effort: int,
 def _candidate_upper_distance(a: SpannedSubspace, b: SpannedSubspace,
                               effort: int, seed: int) -> float:
     """Cheap certified upper bound on d(A, B): the inner convex distance at a
-    few candidate unit vectors from each side (no outer optimization)."""
+    few candidate unit vectors per side; the six-way (v) reads it only for lp."""
     best = np.inf
     rng = np.random.default_rng(seed)
+    kind = a.space.norm
     for src, dst in ((a, b), (b, a)):
         rows = src.generators
         k = rows.shape[0]
-        cands = [np.ones(k)]
-        cands.extend(np.eye(k))
-        cands.append(np.arange(1, k + 1, dtype=np.float64))
-        for _ in range(effort):
-            cands.append(rng.standard_normal(k))
-        bcols = dst.generators.T
-        kind = src.space.norm
-        for c in cands:
+        for c in [np.ones(k), *np.eye(k), np.arange(1.0, k + 1),
+                  *(rng.standard_normal(k) for _ in range(effort))]:
             x = rows.T @ c
             nrm = vector_norm(x, kind)
             if nrm <= 1e-14:
                 continue
-            best = min(best, _convex_distance(x / nrm, bcols, kind))
+            best = min(best, _convex_distance(x / nrm, dst.generators.T, kind))
     return float(best)
 
 
@@ -600,11 +597,10 @@ def _sigma_cases(f0, f1, stacks, m, inner_mode, threshold, wanted, seed):
             lower = min(_validated_witness_bound(r_q.ambient @ q, x1, y2),
                         _validated_witness_bound(r_ip.ambient @ i_p, y2, x1))
             v_holds = bool(lower >= 1.0 / threshold)
-            if v_holds:
-                metrics["v"] = 1.0 / lower
-            else:
-                upper = _candidate_upper_distance(x1, y2, effort=4, seed=seed)
-                metrics["v"] = 1.0 / upper if upper > 0 else np.inf
+            # lower is d(X1, Y2) in l1/linf/l2; in lp it is 0, so candidates price the gap
+            dist = (lower if v_holds or space.norm.is_exact_kind
+                    else _candidate_upper_distance(x1, y2, effort=4, seed=seed))
+            metrics["v"] = 1.0 / dist if dist > 0 else np.inf
 
     vi = None
     if "vi" in wanted:
@@ -645,8 +641,10 @@ def unc_conditions(f0: FrameSystem, f1: FrameSystem, scope: str = "exhaustive",
     string is one name); an unknown name raises InputError.
     Per pattern, each condition reports a constant and *fails* when that
     constant exceeds ``threshold``, which must be finite and positive
-    (InputError otherwise); (v) instead holds where its certified lower
-    distance reaches 1/threshold.  Exhaustive scope enumerates all patterns
+    (InputError otherwise); (v) instead holds where d(X1, Y2) reaches
+    1/threshold and reports 1/d(X1, Y2), exact for l1/linf/l2 (no
+    scipy.optimize); lp's (v) fails at every mixed pattern with an
+    uncertified candidate value.  Exhaustive scope enumerates all patterns
     up to ``EXHAUSTIVE_SCOPE_BITS`` bits; above that a seeded sample plus
     the alternating and constant patterns is used.
     """

@@ -163,6 +163,20 @@ def test_malformed_rows_name_their_field_and_row(tmp_path, capsys, field, row):
     assert f"{field} row 2 " in err
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("dim", True, "dim must be a positive integer"),
+    ("norm", 3, "norm must be a string"),
+], ids=["boolean-dim", "integer-norm"])
+def test_dim_and_norm_fields_must_have_their_types(tmp_path, capsys, field, value, message):
+    payload = {"dim": 1, "norm": "l1", "vectors": [[1]]}
+    payload[field] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run_cli(["analyze", str(path)], capsys)
+    assert code == 1 and out == ""
+    assert message in err
+
+
 @pytest.mark.parametrize("args", [
     ["check-woven", "gallery:blockpair-a0", "gallery:blockpair-a1", "--threshold", "0"],
     ["check-woven", "gallery:blockpair-a0", "gallery:blockpair-a1", "--threshold", "inf"],

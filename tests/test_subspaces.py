@@ -424,6 +424,43 @@ def test_unc_conditions_block_pair_joint_failure():
     assert all(not ok for ok in verdict.per_sigma[alt].values())
 
 
+def _oracle_v_constant(x, y, axis):
+    """max over mixed patterns of the norms of the two projections of
+    X = X1 + Y2 (X1 = rows of x at the 0-bits, Y2 = rows of y at the
+    1-bits), each along the other, from B = [X1 Y2] and its inverse: the
+    largest column (axis 0, l1) or row (axis 1, linf) absolute sum."""
+    d = len(x)
+    best = 0.0
+    for bits in itertools.product((False, True), repeat=d):
+        one = np.array(bits)
+        if one.all() or not one.any():
+            continue
+        b = np.hstack([x[~one].T, y[one].T])
+        b_inv = np.linalg.inv(b)
+        k = d - int(one.sum())
+        for proj in (b[:, :k] @ b_inv[:k], b[:, k:] @ b_inv[k:]):
+            best = max(best, np.abs(proj).sum(axis=axis).max())
+    return best
+
+
+def test_unc_conditions_v_is_the_exact_projection_norm():
+    # d(X1, Y2) = 1/||P_X1|| = 1/||P_Y2|| on X1 + Y2 in any norm, and
+    # l1/linf operator norms are exact, so (v) must match the oracle at the
+    # failing patterns too, not only where it holds
+    v = np.eye(7) + 0.3 * np.random.default_rng(2).standard_normal((7, 7))
+    duals = np.linalg.inv(v).T
+    for norm, vectors, functionals, axis in ((L1, v, biorthogonals(v), 0),
+                                             (LINF, biorthogonals(v), v, 1)):
+        sp = NormedSpace(7, norm)
+        f0 = FrameSystem(sp, np.eye(7), np.eye(7))
+        f1 = FrameSystem(sp, vectors, functionals)
+        outcome = unc_conditions(f0, f1, threshold=1.5, conditions=("v",)).conditions["v"]
+        oracle = _oracle_v_constant(np.eye(7), v if norm == L1 else duals, axis)
+        assert oracle == pytest.approx(7.134162197475071, rel=1e-12)
+        assert not outcome.holds
+        assert outcome.constant == pytest.approx(oracle, rel=1e-12)
+
+
 def test_unc_conditions_subset_and_errors():
     std = standard_system(3)
     verdict = unc_conditions(std, std, conditions=("v", "vi"))
@@ -489,3 +526,28 @@ def test_import_leaves_scipy_optimize_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=env, check=True)
     assert proc.stdout.strip() == "False"
+
+
+def test_six_way_checks_in_exact_norms_leave_scipy_optimize_unloaded():
+    # (v) is read off the witness projections in l1/linf/l2, failing patterns
+    # included, so no candidate LP or minimization runs
+    src = str(Path(weavelab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = """if True:
+        import sys
+        import numpy as np
+        from weavelab import (L2, FrameSystem, GallerySpec, NormedSpace,
+                              biorthogonals, generate, unc_conditions)
+        a0 = generate(GallerySpec("blockpair-a0", 5))
+        a1 = generate(GallerySpec("blockpair-a1", 5))
+        block = unc_conditions(a0, a1)
+        v = np.eye(5) + 0.3 * np.random.default_rng(2).standard_normal((5, 5))
+        sp = NormedSpace(5, L2)
+        l2 = unc_conditions(FrameSystem(sp, np.eye(5), np.eye(5)),
+                            FrameSystem(sp, v, biorthogonals(v)), threshold=1.5)
+        print(block.conditions["v"].holds, l2.conditions["v"].holds,
+              "scipy.optimize" in sys.modules)
+    """
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, check=True)
+    assert proc.stdout.split() == ["False", "False", "False"]
