@@ -2,6 +2,7 @@ import itertools
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -533,7 +534,7 @@ def test_six_way_checks_in_exact_norms_leave_scipy_optimize_unloaded():
     # included, so no candidate LP or minimization runs
     src = str(Path(weavelab.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
-    code = """if True:
+    code = textwrap.dedent("""
         import sys
         import numpy as np
         from weavelab import (L2, FrameSystem, GallerySpec, NormedSpace,
@@ -547,7 +548,7 @@ def test_six_way_checks_in_exact_norms_leave_scipy_optimize_unloaded():
                             FrameSystem(sp, v, biorthogonals(v)), threshold=1.5)
         print(block.conditions["v"].holds, l2.conditions["v"].holds,
               "scipy.optimize" in sys.modules)
-    """
+    """)
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=env, check=True)
     assert proc.stdout.split() == ["False", "False", "False"]
