@@ -2,19 +2,23 @@
 distances, oblique and direct-sum projections, and the six-way woven
 unconditional-basis checker.
 
-Distances in l2 are exact (principal angles).  In other norms the distance
-is bracketed: multi-start minimization of the convex inner problem gives a
-certified upper bound, and ambient oblique projections that fix one
-subspace and annihilate the other give a certified lower bound
-1/||R|| (exact operator norms for l1/linf).  The six-way (v) reads d(X1, Y2)
-this way, exactly for l1/linf/l2 and without scipy.optimize; lp prices a
-failing (v) at candidate vectors.
+Restricted inverses, the six-way (vi) and subspace distances all reduce to
+one restricted norm, sup_c ||Dc|| / ||Bc||, taken by ``_lift_norms``: a
+closed form in l2, a finite enumeration in l1 and linf (exact up to
+``ENUMERATION_CAP`` blocks), and a ratio-ascent lower bound otherwise.
+A distance is 1/max(||P_A||, ||P_B||) for the projections of A + B onto
+each subspace along the other, so it is exact where both norms are and an
+upper bound otherwise.  The six-way (v) reads d(X1, Y2) off the witness
+projections' operator norms, exactly for l1/linf/l2; lp prices a failing
+(v) at candidate vectors.  Only ``distance_to_span`` and lp's (v) load
+scipy.optimize.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -37,6 +41,7 @@ EXHAUSTIVE_SCOPE_BITS = 16  # above it, exhaustive scope falls back to sampled
 PER_SIGMA_CAP = 4096  # per-pattern flags are kept up to this many patterns
 RANGE_RESIDUAL_TOL = 1e-8
 INDEPENDENCE_TOL = 1e-10
+ENUMERATION_CAP = 2 ** 12  # k-row blocks per lift; above it restricted norms are ascents
 RATIO_STARTS = 64  # candidate coefficients scanned per restricted inverse (at least)
 RATIO_CLIMBS = 4  # climbs from the best candidates
 RATIO_STEPS = 60  # steps per climb
@@ -61,7 +66,7 @@ class SpannedSubspace:
         if not np.all(np.isfinite(g)):
             raise InputError("generators must be finite")
         svals = np.linalg.svd(g, compute_uv=False)
-        if svals[-1] <= INDEPENDENCE_TOL * max(1.0, svals[0]):
+        if len(svals) < len(g) or svals[-1] <= INDEPENDENCE_TOL * max(1.0, svals[0]):
             raise InputError("generators are linearly dependent within tolerance")
         g.flags.writeable = False
         object.__setattr__(self, "generators", g)
@@ -241,17 +246,43 @@ def _lift(m: np.ndarray, domain: SpannedSubspace, codomain: SpannedSubspace) -> 
     return _Lift(inv_coeff, d1, d1 @ np.linalg.pinv(b), codomain.generators)
 
 
-def _lift_norms(d1s: np.ndarray, gens: np.ndarray, kind: NormKind) -> np.ndarray:
+def _lift_norms(d1s: np.ndarray, gens: np.ndarray, kind: NormKind
+                ) -> tuple[np.ndarray, np.ndarray]:
     """sup_c ||D_i c|| / ||G_i^T c|| for (m, d, k) lifts D_i and (m, k, d)
-    codomain generators G_i: exact for k = 1 and l2, ``batch_ratio_ascent``
-    lower bounds (NaN where a climb was not finite) otherwise."""
-    if d1s.shape[2] == 1:
-        return np.array([vector_norm(d1[:, 0], kind) / vector_norm(g[0], kind)
-                         for d1, g in zip(d1s, gens)])
+    codomain generators G_i, and the mask of the values that are exact.
+
+    k = 1 and l2 are closed forms.  l1 and linf enumerate the C(d, k)
+    k-row blocks B_R of B = G^T when there are at most ``ENUMERATION_CAP``:
+    - l1: ||Dc||_1 peaks at a vertex of {c : ||Bc||_1 <= 1}, the null line
+      of k - 1 rows of B, and column j of B_R^-1 spans that of R minus j;
+    - linf: row D_j has norm min{||l||_1 : B^T l = D_j^T} (Hahn-Banach), an
+      LP with a basic optimum, so the min over R of ||B_R^-T D_j^T||_1.
+    Otherwise ``batch_ratio_ascent`` gives lower bounds.  NaN, never exact,
+    marks a value whose candidates or climbs were not finite.
+    """
+    m, d, k = d1s.shape
+    if k == 1:
+        return (np.array([vector_norm(d1[:, 0], kind) / vector_norm(g[0], kind)
+                          for d1, g in zip(d1s, gens)]), np.ones(m, dtype=bool))
     if kind.tag == "l2":
-        return np.array([np.linalg.svd(d1 @ np.linalg.inv(np.linalg.qr(g.T)[1]),
-                                       compute_uv=False)[0] for d1, g in zip(d1s, gens)])
-    return batch_ratio_ascent(d1s, gens, kind)
+        return (np.array([np.linalg.svd(d1 @ np.linalg.inv(np.linalg.qr(g.T)[1]),
+                                        compute_uv=False)[0] for d1, g in zip(d1s, gens)]),
+                np.ones(m, dtype=bool))
+    if kind.tag not in ("l1", "linf") or math.comb(d, k) > ENUMERATION_CAP:
+        return batch_ratio_ascent(d1s, gens, kind), np.zeros(m, dtype=bool)
+    bmat = gens.transpose(0, 2, 1)
+    rows = bmat[:, list(itertools.combinations(range(d), k))]  # the B_R
+    ok = np.linalg.det(rows) != 0
+    rows[~ok] = np.eye(k)  # stands in for a singular B_R, whose candidates are dropped
+    inv = np.linalg.inv(rows)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if kind.tag == "l1":  # ||D c|| and ||B c|| for each column c of each B_R^-1
+            num, den = (np.abs(np.matmul(x[:, None], inv)).sum(axis=2) for x in (d1s, bmat))
+            values = np.where(ok[..., None], num / den, -np.inf).max(axis=(1, 2))
+        else:  # ||B_R^-T D_j^T||_1 for each row j of D
+            duals = np.abs(np.matmul(d1s[:, None], inv)).sum(axis=3)
+            values = np.fmin.reduce(np.where(ok[..., None], duals, np.inf), axis=1).max(axis=1)
+    return values, ~np.isnan(values)
 
 
 def restricted_inverse(m: DenseOperator, domain: SpannedSubspace,
@@ -259,17 +290,17 @@ def restricted_inverse(m: DenseOperator, domain: SpannedSubspace,
     """Invert M restricted from ``domain`` onto ``codomain``.
 
     The inverse norm is measured in the ambient norm between the subspace
-    spans: exact for l2 or one-dimensional restrictions, otherwise a
-    multi-start lower bound.
+    spans by ``_lift_norms``: exact for l1, linf and l2 up to
+    ``ENUMERATION_CAP`` blocks and for one-dimensional restrictions,
+    otherwise a ratio-ascent lower bound.
     """
     lift = _lift(m.entries, domain, codomain)
-    kind = domain.space.norm
-    value = float(_lift_norms(lift.d1[None], lift.generators[None], kind)[0])
+    values, exact = _lift_norms(lift.d1[None], lift.generators[None], domain.space.norm)
+    value = float(values[0])
     if np.isnan(value):
         raise InputError("vector has non-finite entries")
-    exact = domain.dim == 1 or kind.tag == "l2"
     return RestrictedInverse(lift.coefficients, lift.ambient,
-                             Bound(value, hi=value if exact else np.inf))
+                             Bound(value, hi=value if exact[0] else np.inf))
 
 
 def oblique_projection(p: DenseOperator, z: SpannedSubspace) -> DenseOperator:
@@ -356,41 +387,6 @@ def _convex_distance(x: np.ndarray, bcols: np.ndarray, kind) -> float:
     return float(res.fun)
 
 
-def _directional_distance(a: SpannedSubspace, b: SpannedSubspace, effort: int,
-                          seed: int) -> Bound:
-    """min over unit x in span(a) of dist(x, span(b)): exact when dim(a) = 1,
-    else a multi-start upper bound."""
-    kind = a.space.norm
-    bcols = b.generators.T
-    rows = a.generators
-    k = a.dim
-    if k == 1:
-        x = rows[0] / vector_norm(rows[0], kind)
-        return Bound(_convex_distance(x, bcols, kind))
-
-    def objective(c):
-        x = rows.T @ c
-        nrm = vector_norm(x, kind)
-        if nrm <= 1e-14:
-            return 2.0 * np.abs(rows).sum()
-        return _convex_distance(x / nrm, bcols, kind)
-
-    from scipy import optimize
-
-    starts = [np.ones(k)]
-    starts.extend(np.eye(k))
-    rng = np.random.default_rng(seed)
-    for _ in range(effort):
-        starts.append(rng.standard_normal(k))
-    best = np.inf
-    for c0 in starts:
-        res = optimize.minimize(objective, c0, method="Nelder-Mead",
-                                options={"maxiter": 200 * k,
-                                         "xatol": 1e-10, "fatol": 1e-12})
-        best = min(best, float(res.fun), objective(c0))
-    return Bound(best, lo=0.0)
-
-
 def _candidate_upper_distance(a: SpannedSubspace, b: SpannedSubspace,
                               effort: int, seed: int) -> float:
     """Cheap certified upper bound on d(A, B): the inner convex distance at a
@@ -426,36 +422,30 @@ def _validated_witness_bound(r: np.ndarray, fixed: SpannedSubspace,
     return 1.0 / hi if hi > 0 else np.inf
 
 
-def subspace_distance(a: SpannedSubspace, b: SpannedSubspace, effort: int = 8,
-                      seed: int = 0,
-                      witness_projections: tuple[np.ndarray, np.ndarray] | None = None
-                      ) -> Bound:
+def subspace_distance(a: SpannedSubspace, b: SpannedSubspace) -> Bound:
     """d(A, B) = inf ||x - y|| over unit x in either subspace, y in the other.
 
-    Exact via principal angles for l2.  Otherwise the bracket is the smaller
-    of the two directional ones: a one-dimensional side is exact, a wider one
-    a multi-start upper bound over [0, value].  When ``witness_projections =
-    (R_a, R_b)`` is supplied (R_a fixes A and kills B, R_b the reverse), the
-    certified min(1/||R_a||, 1/||R_b||) raises ``lo``.
+    On W = A + B it is 1/max(||P_A||, ||P_B||), where P_A projects onto A
+    along B, and both norms are restricted norms on W from ``_lift_norms``
+    (D = [A^T 0] and [0 B^T], G = [A; B]).  So the distance is exact for
+    l1, linf and l2 up to ``ENUMERATION_CAP`` blocks, and otherwise an
+    upper bound over [0, value].  It is exactly 0 when A and B intersect:
+    when dim A + dim B exceeds the dimension or [A; B] is dependent within
+    ``INDEPENDENCE_TOL``.
     """
     if a.space != b.space:
         raise InputError("subspaces live in different spaces")
-    if a.space.norm.tag == "l2":
-        qa = np.linalg.qr(a.generators.T)[0]
-        qb = np.linalg.qr(b.generators.T)[0]
-        top = float(np.linalg.svd(qa.T @ qb, compute_uv=False).max())
-        value = float(np.sqrt(max(0.0, 1.0 - min(top, 1.0) ** 2)))
-        return Bound(value)
-    ab = _directional_distance(a, b, effort, seed)
-    ba = _directional_distance(b, a, effort, seed + 1)
-    lo = min(ab.lo, ba.lo)
-    if witness_projections is not None:
-        r_a, r_b = witness_projections
-        lo = max(lo, min(_validated_witness_bound(np.asarray(r_a, dtype=np.float64), a, b),
-                         _validated_witness_bound(np.asarray(r_b, dtype=np.float64), b, a)))
-    # a certified lo above the multi-start side is solver rounding: the bracket has closed
-    value = max(min(ab.value, ba.value), lo)
-    return Bound(value, lo=lo, hi=max(min(ab.hi, ba.hi), lo))
+    try:
+        g = SpannedSubspace(a.space, np.vstack([a.generators, b.generators])).generators
+    except InputError:  # [A; B] is dependent: A and B intersect
+        return Bound(0.0)
+    in_a = np.arange(len(g)) < a.dim
+    norms, exact = _lift_norms(np.stack([g.T * in_a, g.T * ~in_a]), np.stack([g, g]),
+                               a.space.norm)
+    if np.isnan(norms).any():
+        raise InputError("vector has non-finite entries")
+    value = 1.0 / float(norms.max())
+    return Bound(value) if exact.all() else Bound(value, lo=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -614,21 +604,25 @@ def _sigma_cases(f0, f1, stacks, m, inner_mode, threshold, wanted, seed):
     return metrics, v_holds, st, ts, vi
 
 
-def _grade_vi(cases, kind: NormKind):
+def _grade_vi(cases, kind: NormKind) -> bool:
     """Set the (vi) constant of every case of a chunk that left it open: the
     larger of the norms of r_p and r_q, with one ``_lift_norms`` call per
-    subspace dimension, and infinite where a norm is not finite."""
+    subspace dimension, and infinite where a norm is not finite.  Returns
+    whether every norm was exact."""
     groups: dict[int, list] = {}
     for metrics, _, _, _, vi in cases:
         if vi is not None:
             groups.setdefault(vi[0].d1.shape[1], []).append((metrics, vi))
+    all_exact = True
     for group in groups.values():
         lifts = [r for _, vi in group for r in vi]
-        values = _lift_norms(np.array([r.d1 for r in lifts]),
-                             np.array([r.generators for r in lifts]), kind)
+        values, exact = _lift_norms(np.array([r.d1 for r in lifts]),
+                                    np.array([r.generators for r in lifts]), kind)
+        all_exact = all_exact and bool(exact.all())
         for (metrics, _), v_p, v_q in zip(group, values[0::2], values[1::2]):
             metrics["vi"] = (np.inf if np.isnan(v_p) or np.isnan(v_q)
                              else max(float(v_p), float(v_q)))
+    return all_exact
 
 
 def unc_conditions(f0: FrameSystem, f1: FrameSystem, scope: str = "exhaustive",
@@ -644,9 +638,11 @@ def unc_conditions(f0: FrameSystem, f1: FrameSystem, scope: str = "exhaustive",
     (InputError otherwise); (v) instead holds where d(X1, Y2) reaches
     1/threshold and reports 1/d(X1, Y2), exact for l1/linf/l2 (no
     scipy.optimize); lp's (v) fails at every mixed pattern with an
-    uncertified candidate value.  Exhaustive scope enumerates all patterns
-    up to ``EXHAUSTIVE_SCOPE_BITS`` bits; above that a seeded sample plus
-    the alternating and constant patterns is used.
+    uncertified candidate value.  (vi) is labelled exact when the scope is
+    exhaustive and every restricted norm was exact, a lower bound otherwise.
+    Exhaustive scope enumerates all patterns up to ``EXHAUSTIVE_SCOPE_BITS``
+    bits; above that a seeded sample plus the alternating and constant
+    patterns is used.
     """
     if f0.space != f1.space or f0.n != f1.n:
         raise InputError("bases are incompatible")
@@ -679,11 +675,12 @@ def unc_conditions(f0: FrameSystem, f1: FrameSystem, scope: str = "exhaustive",
     first_fail: dict[str, int | None] = {c: None for c in wanted}
     agree = True
     max_st = max_ts = 0.0
+    vi_exact = scope_used == "exhaustive"
     chunk = chunk_size_for(n, n * n)  # fixed by the shape, never by the worker count
     for lo in range(0, len(ms), chunk):
         cases = [_sigma_cases(f0, f1, stacks, m, inner_mode, threshold, wanted, seed)
                  for m in ms[lo:lo + chunk]]
-        _grade_vi(cases, f0.space.norm)
+        vi_exact = _grade_vi(cases, f0.space.norm) and vi_exact
         for m, (metrics, v_holds, st, ts, _) in zip(ms[lo:lo + chunk], cases):
             if np.isfinite(st):
                 max_st = max(max_st, st)
@@ -710,7 +707,9 @@ def unc_conditions(f0: FrameSystem, f1: FrameSystem, scope: str = "exhaustive",
         value, arg_m = worst[c]
         fail_m = first_fail[c]
         outcomes[c] = ConditionOutcome(
-            holds=fail_m is None, constant=float(value), exactness=exact,
+            holds=fail_m is None, constant=float(value),
+            exactness=(Exactness.EXACT if vi_exact else Exactness.LOWER_BOUND)
+            if c == "vi" else exact,
             witness=WeavePattern.from_index(arg_m if fail_m is None else fail_m, n))
     return UncVerdict(conditions=outcomes, agree=agree, per_sigma=per_sigma,
                       max_st_residual=max_st, max_ts_residual=max_ts,

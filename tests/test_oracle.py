@@ -1,0 +1,109 @@
+"""The subspace layer against the exact rational oracle (``tests/oracle.py``).
+
+Inputs are exact in binary: the dyadic golden inputs, unimodular integer
+bases and small dyadic generators.  Every value the package labels exact
+must match the oracle to 1e-12 relative.
+"""
+
+import json
+from fractions import Fraction
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import oracle
+from weavelab import (L1, LINF, DenseOperator, Exactness, FrameSystem, GallerySpec,
+                      NormedSpace, SpannedSubspace, generate, restricted_inverse,
+                      subspace_distance, unc_conditions)
+from weavelab.fileio import load_system
+
+INPUTS = Path(__file__).parent / "golden" / "inputs"
+
+
+@pytest.mark.parametrize("name", ["perturbed-l1-d4", "perturbed-c0-d4", "perturbed-c0-d13"])
+def test_golden_functionals_are_the_exact_inverse(name):
+    payload = json.loads((INPUTS / f"{name}.json").read_text())
+    inv = oracle.inverse(oracle.matrix(payload["vectors"]))
+    assert oracle.transpose(inv) == oracle.matrix(payload["functionals"])
+
+
+@pytest.mark.parametrize("gallery, name, value, witness", [
+    ("standard-c0", "perturbed-c0-d4", Fraction(521, 512), "0100"),
+    ("standard-l1", "perturbed-l1-d4", Fraction(9, 8), "0010"),
+])
+def test_vi_matches_the_oracle_on_the_golden_inputs(gallery, name, value, witness):
+    f0 = generate(GallerySpec(gallery, 4))
+    f1 = load_system(str(INPUTS / f"{name}.json"))
+    norm = f1.space.norm.tag
+    got = oracle.worst_vi(f0.vectors.tolist(), f0.functionals.tolist(),
+                          f1.vectors.tolist(), f1.functionals.tolist(), norm)
+    assert got == (value, witness)
+    outcome = unc_conditions(f0, f1, conditions=("vi",)).conditions["vi"]
+    assert outcome.exactness is Exactness.EXACT
+    assert outcome.constant == pytest.approx(float(value), rel=1e-12)
+    assert str(outcome.witness) == witness
+
+
+def _unimodular(rng, d, steps=8):
+    """A product of elementary integer matrices: its inverse is integer too."""
+    v = np.eye(d)
+    for _ in range(steps):
+        i, j = rng.choice(d, size=2, replace=False)
+        v[i] += rng.choice((-1, 1)) * v[j]
+    return v
+
+
+@pytest.mark.parametrize("kind", [L1, LINF], ids=["l1", "linf"])
+def test_vi_matches_the_oracle_on_unimodular_pairs(kind):
+    rng = np.random.default_rng(4)
+    for d in (3, 4, 5):
+        sp = NormedSpace(d, kind)
+        v0, v1 = _unimodular(rng, d), _unimodular(rng, d)
+        f0, f1 = (FrameSystem(sp, v, np.round(np.linalg.inv(v).T)) for v in (v0, v1))
+        value, _ = oracle.worst_vi(v0.tolist(), f0.functionals.tolist(), v1.tolist(),
+                                   f1.functionals.tolist(), kind.tag)
+        outcome = unc_conditions(f0, f1, conditions=("vi",)).conditions["vi"]
+        assert outcome.exactness is Exactness.EXACT
+        assert outcome.constant == pytest.approx(float(value), rel=1e-12)
+
+
+def _dyadic(rng, k, d):
+    while True:
+        rows = rng.integers(-4, 5, size=(k, d)) / 4
+        if np.linalg.matrix_rank(rows) == k:
+            return rows
+
+
+@pytest.mark.parametrize("kind", [L1, LINF], ids=["l1", "linf"])
+def test_subspace_distance_matches_the_oracle(kind):
+    rng = np.random.default_rng(12)
+    pairs = [([[1, 0, 0, 0]], [[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1]])]
+    for d in (4, 5, 6):
+        for ka, kb in ((1, 1), (2, 1), (2, 2), (2, d - 2), (3, d - 3)):
+            pairs.append((_dyadic(rng, ka, d), _dyadic(rng, kb, d)))
+    for a_rows, b_rows in pairs:
+        d = len(a_rows[0])
+        sp = NormedSpace(d, kind)
+        expected = oracle.projection_distance(np.asarray(a_rows).tolist(),
+                                              np.asarray(b_rows).tolist(), kind.tag)
+        got = subspace_distance(SpannedSubspace(sp, a_rows), SpannedSubspace(sp, b_rows))
+        assert got.exactness is Exactness.EXACT
+        assert got.value == pytest.approx(float(expected), rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("kind", [L1, LINF], ids=["l1", "linf"])
+def test_restricted_inverse_matches_the_oracle(kind):
+    # M maps span(A) onto span(MA), so the inverse norm is sup ||Ac|| / ||MAc||
+    rng = np.random.default_rng(7)
+    for d, k in ((4, 2), (5, 2), (5, 3), (6, 4)):
+        m = np.round(4 * rng.standard_normal((d, d))) / 4 + 2 * np.eye(d)
+        sp = NormedSpace(d, kind)
+        sub = SpannedSubspace(sp, _dyadic(rng, k, d))
+        image = SpannedSubspace(sp, (m @ sub.generators.T).T)
+        got = restricted_inverse(DenseOperator.on_space(m, sp), sub, image).norm
+        expected = oracle.restricted_norm(oracle.matrix(sub.generators.T.tolist()),
+                                          oracle.matrix(image.generators.T.tolist()),
+                                          kind.tag)
+        assert got.exactness is Exactness.EXACT
+        assert got.value == pytest.approx(float(expected), rel=1e-12, abs=0)

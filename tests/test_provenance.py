@@ -10,7 +10,7 @@ from weavelab import (L1, L2, LINF, Bound, DenseOperator, Exactness,
                       generate, heuristic, lp, operator_norm, restricted_inverse,
                       subspace_distance, suppression_constant,
                       unconditional_constant, uniform_bound_profile)
-from weavelab import weaving
+from weavelab import subspaces, weaving
 
 EXACT, LOWER, UPPER = Exactness.EXACT, Exactness.LOWER_BOUND, Exactness.UPPER_BOUND
 
@@ -34,35 +34,33 @@ def _uniform_bound(sampled):
     return build
 
 
-def _restricted(kind, k):
+def _restricted(kind, k, capped=False):
     rng = np.random.default_rng(3)
     sp = NormedSpace(5, kind)
     m = DenseOperator.on_space(rng.standard_normal((5, 5)) + 3 * np.eye(5), sp)
     sub = SpannedSubspace(sp, rng.standard_normal((k, 5)))
     image = SpannedSubspace(sp, (m.entries @ sub.generators.T).T)
-    return lambda: restricted_inverse(m, sub, image).norm
+
+    def build():
+        with pytest.MonkeyPatch.context() as mp:
+            if capped:
+                mp.setattr(subspaces, "ENUMERATION_CAP", 0)
+            return restricted_inverse(m, sub, image).norm
+    return build
 
 
-def _distance(kind, witness=False):
+def _distance(kind):
     sp = NormedSpace(5, kind)
     a = SpannedSubspace(sp, [[1, 0, 0, 0, 0], [0, 1, 0, 0, 0]])
     b = SpannedSubspace(sp, [[0, 0, 1, 0, 0], [0, 0, 0, 1, 0]])
-    if not witness:
-        return lambda: subspace_distance(a, b, effort=2)
-    # R_a fixes a and kills b, R_b the reverse; R_a has norm 3, so lo = 1/3
-    r_a = np.diag([1.0, 1, 0, 0, 0])
-    r_a[0, 4] = 3.0
-    r_b = np.diag([0.0, 0, 1, 1, 0])
-    return lambda: subspace_distance(a, b, effort=2, witness_projections=(r_a, r_b))
+    return lambda: subspace_distance(a, b)
 
 
 def _closed_distance():
-    # the witnesses certify lo = 1, and HiGHS rounds the multi-start side 2 ulps below
     sp = NormedSpace(4, L1)
     a = SpannedSubspace(sp, [[1, 0, 0, 0], [0, 1, 0, 0]])
     b = SpannedSubspace(sp, [[0, 0, 1, 0], [0, 0, 0, 1]])
-    return subspace_distance(a, b, witness_projections=(np.diag([1.0, 1, 0, 0]),
-                                                        np.diag([0.0, 0, 1, 1])))
+    return subspace_distance(a, b)
 
 
 def _one_dimensional_distance():
@@ -88,12 +86,15 @@ CASES = {
     "uniform-sampled": (_uniform_bound(True), LOWER),
     "restricted-k1": (_restricted(L1, 1), EXACT),
     "restricted-l2": (_restricted(L2, 2), EXACT),
-    "restricted-l1": (_restricted(L1, 2), LOWER),
+    "restricted-l1": (_restricted(L1, 2), EXACT),
+    "restricted-linf": (_restricted(LINF, 3), EXACT),
+    "restricted-l1-capped": (_restricted(L1, 2, capped=True), LOWER),
+    "restricted-lp3": (_restricted(lp(3.0), 2), LOWER),
     "distance-l2": (_distance(L2), EXACT),
     "distance-l1-k1": (_one_dimensional_distance, EXACT),
-    "distance-l1": (_distance(L1), UPPER),
-    "distance-l1-witness": (_distance(L1, witness=True), UPPER),
+    "distance-l1": (_distance(L1), EXACT),
     "distance-l1-closed": (_closed_distance, EXACT),
+    "distance-lp3": (_distance(lp(3.0)), UPPER),
 }
 
 
@@ -107,11 +108,9 @@ def test_exactness_is_read_off_the_bracket(case):
     assert (bound.lo == bound.hi) == (expected is EXACT)
     if expected is LOWER:
         assert bound.hi == np.inf
-    if case == "distance-l1":
-        assert bound.lo == 0.0  # no certified lower side without witnesses
-    if case == "distance-l1-witness":
-        assert bound.lo == 1.0 / 3.0
-    if case == "distance-l1-closed":
+    if expected is UPPER:
+        assert bound.lo == 0.0
+    if case in ("distance-l1", "distance-l1-closed"):
         assert bound.value == 1.0
 
 

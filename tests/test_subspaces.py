@@ -217,33 +217,47 @@ def test_batch_ratio_ascent_does_not_depend_on_its_stack(rng):
 
 
 def test_restricted_inverse_norm_is_the_ascent_of_its_lift(rng):
-    for kind in (L1, LINF, lp(3.0)):
-        sp = NormedSpace(5, kind)
-        m = DenseOperator.on_space(rng.standard_normal((5, 5)) + 3 * np.eye(5), sp)
-        sub = SpannedSubspace(sp, rng.standard_normal((3, 5)))
-        image = SpannedSubspace(sp, (m.entries @ sub.generators.T).T)
-        got = restricted_inverse(m, sub, image)
-        d1 = sub.generators.T @ got.coefficients
-        ref = _reference_ratio_ascent(d1, image.generators.T, kind)
-        assert float(got.norm.value).hex() == ref.hex()
-        assert got.norm.exactness is Exactness.LOWER_BOUND
+    # lp has no enumeration, so its norm is the ratio ascent's lower bound;
+    # l1 and linf are exact (test_oracle)
+    sp = NormedSpace(5, lp(3.0))
+    m = DenseOperator.on_space(rng.standard_normal((5, 5)) + 3 * np.eye(5), sp)
+    sub = SpannedSubspace(sp, rng.standard_normal((3, 5)))
+    image = SpannedSubspace(sp, (m.entries @ sub.generators.T).T)
+    got = restricted_inverse(m, sub, image)
+    d1 = sub.generators.T @ got.coefficients
+    ref = _reference_ratio_ascent(d1, image.generators.T, lp(3.0))
+    assert float(got.norm.value).hex() == ref.hex()
+    assert got.norm.exactness is Exactness.LOWER_BOUND
 
 
-def _l1_pair(rng, d):
+def _perturbed_pair(rng, d, norm=L1):
     v0 = random_one_unconditional_basis(rng, d, L1)
     v1 = v0 + 0.1 * rng.standard_normal((d, d))
-    sp = NormedSpace(d, L1)
+    sp = NormedSpace(d, norm)
     return FrameSystem(sp, v0, biorthogonals(v0)), FrameSystem(sp, v1, biorthogonals(v1))
 
 
+def test_unc_conditions_vi_is_a_lower_bound_above_the_enumeration_cap(rng, monkeypatch):
+    f0, f1 = _perturbed_pair(rng, 5)
+    exact = unc_conditions(f0, f1, conditions=("vi",)).conditions["vi"]
+    assert exact.exactness is Exactness.EXACT
+    monkeypatch.setattr(subspaces, "ENUMERATION_CAP", 0)
+    capped = unc_conditions(f0, f1, conditions=("vi",)).conditions["vi"]
+    assert capped.exactness is Exactness.LOWER_BOUND
+    assert capped.constant <= exact.constant * (1 + 1e-12)
+    monkeypatch.setattr(subspaces, "ENUMERATION_CAP", 5)  # only C(5, 2) = C(5, 3) = 10 exceed it
+    assert unc_conditions(f0, f1, conditions=("vi",)).conditions["vi"].exactness \
+        is Exactness.LOWER_BOUND
+
+
 def test_unc_conditions_takes_no_norm_that_vi_does_not_read(rng, monkeypatch):
-    f0, f1 = _l1_pair(rng, 4)
+    f0, f1 = _perturbed_pair(rng, 4)
     expected = unc_conditions(f0, f1, conditions=("iii", "v"))
 
     def refuse(*args):
-        raise AssertionError("batch_ratio_ascent called without (vi)")
+        raise AssertionError("_lift_norms called without (vi)")
 
-    monkeypatch.setattr(subspaces, "batch_ratio_ascent", refuse)
+    monkeypatch.setattr(subspaces, "_lift_norms", refuse)
     got = unc_conditions(f0, f1, conditions=("iii", "v"))
     assert got.per_sigma == expected.per_sigma
     assert got.max_st_residual == expected.max_st_residual
@@ -253,7 +267,7 @@ def test_unc_conditions_takes_no_norm_that_vi_does_not_read(rng, monkeypatch):
 
 def test_unc_conditions_builds_only_the_lifts_it_reads(rng, monkeypatch):
     # (vi) reads r_p and r_q, (v) reads r_q and r_ip; lifts are named by their domain
-    f0, f1 = _l1_pair(rng, 4)
+    f0, f1 = _perturbed_pair(rng, 4)
     full = unc_conditions(f0, f1)
     real, domains = subspaces._lift, []
 
@@ -273,7 +287,7 @@ def test_unc_conditions_builds_only_the_lifts_it_reads(rng, monkeypatch):
 
 
 def test_unc_conditions_vi_fails_where_a_climb_is_not_finite(rng, monkeypatch):
-    f0, f1 = _l1_pair(rng, 4)
+    f0, f1 = _perturbed_pair(rng, 4, lp(3.0))
 
     def not_finite(numers, gens, kind):
         return np.full(len(numers), np.nan)
@@ -282,6 +296,7 @@ def test_unc_conditions_vi_fails_where_a_climb_is_not_finite(rng, monkeypatch):
     verdict = unc_conditions(f0, f1, conditions=("vi",))
     assert not verdict.conditions["vi"].holds
     assert verdict.conditions["vi"].constant == np.inf
+    assert verdict.conditions["vi"].exactness is Exactness.LOWER_BOUND
     for pattern, flags in verdict.per_sigma.items():
         assert flags["vi"] == (pattern.count("0") < 2), pattern  # k >= 2 climbs
 
@@ -339,14 +354,21 @@ def test_direct_sum_projection_random(rng):
 
 # --- distances ----------------------------------------------------------------
 
+def _bracket(bound):
+    return bound.lo, bound.value, bound.hi
+
+
 def test_distance_trivial_cases():
     sp = NormedSpace(3, L1)
     a = SpannedSubspace(sp, [[1, 0, 0]])
     b = SpannedSubspace(sp, [[0, 1, 0]])
-    res = subspace_distance(a, a)
-    assert res.value <= 1e-12
-    res = subspace_distance(a, b)
-    assert res.value == pytest.approx(1.0, abs=1e-9)
+    assert _bracket(subspace_distance(a, b)) == (1.0,) * 3
+    for kind in (L1, LINF, L2, lp(3.0)):  # A meets B: exactly 0, whatever the norm
+        sp = NormedSpace(3, kind)
+        a = SpannedSubspace(sp, [[1, 0, 0], [0, 1, 0]])
+        for b in (a, SpannedSubspace(sp, [[1, 1, 0]]),
+                  SpannedSubspace(sp, [[0, 1, 1], [0, 0, 1]])):  # dim A + dim B > 3
+            assert _bracket(subspace_distance(a, b)) == (0.0,) * 3
 
 
 def test_distance_alternating_chain():
@@ -357,33 +379,29 @@ def test_distance_alternating_chain():
     chain = SpannedSubspace(sp, [[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1]])
     e1 = np.array([1.0, 0, 0, 0])
     assert distance_to_span(e1, chain) == pytest.approx(1.0, abs=1e-9)
-    sym = subspace_distance(SpannedSubspace(sp, [e1]), chain, effort=8)
-    assert sym.value <= 0.5 + 1e-7
-    assert sym.exactness is Exactness.UPPER_BOUND
+    assert _bracket(subspace_distance(SpannedSubspace(sp, [e1]), chain)) == (0.5,) * 3
 
 
-def test_distance_l2_exact_vs_multistart(rng):
+def test_distance_l2_matches_principal_angles(rng):
+    # the sine of the smallest principal angle between A and B
     sp = NormedSpace(5, L2)
     for _ in range(5):
         a = SpannedSubspace(sp, np.linalg.qr(rng.standard_normal((5, 2)))[0].T)
         b = SpannedSubspace(sp, np.linalg.qr(rng.standard_normal((5, 2)))[0].T)
-        exact = subspace_distance(a, b).value
-        # cross-validate the approximate path on the same instance
-        from weavelab.subspaces import _directional_distance
-        est = min(_directional_distance(a, b, 6, 0).value,
-                  _directional_distance(b, a, 6, 1).value)
-        assert est == pytest.approx(exact, abs=1e-6)
+        qa = np.linalg.qr(a.generators.T)[0]
+        qb = np.linalg.qr(b.generators.T)[0]
+        top = float(np.linalg.svd(qa.T @ qb, compute_uv=False).max())
+        got = subspace_distance(a, b)
+        assert got.exactness is Exactness.EXACT
+        assert got.value == pytest.approx(np.sqrt(1.0 - min(top, 1.0) ** 2), rel=1e-9)
 
 
-def test_distance_witness_lower_bound():
-    sp = NormedSpace(4, L1)
-    a = SpannedSubspace(sp, [[1, 0, 0, 0], [0, 1, 0, 0]])
-    b = SpannedSubspace(sp, [[0, 0, 1, 0], [0, 0, 0, 1]])
-    r_a = np.diag([1.0, 1.0, 0.0, 0.0])
-    r_b = np.diag([0.0, 0.0, 1.0, 1.0])
-    res = subspace_distance(a, b, witness_projections=(r_a, r_b))
-    assert res.lo == 1.0
-    assert res.lo <= res.value + 1e-9
+def test_distance_between_coordinate_planes_is_exact():
+    for kind in (L1, LINF):
+        sp = NormedSpace(4, kind)
+        a = SpannedSubspace(sp, [[1, 0, 0, 0], [0, 1, 0, 0]])
+        b = SpannedSubspace(sp, [[0, 0, 1, 0], [0, 0, 0, 1]])
+        assert _bracket(subspace_distance(a, b)) == (1.0,) * 3
 
 
 # --- the six-way checker ------------------------------------------------------
@@ -503,6 +521,8 @@ def test_spanned_subspace_validation():
         SpannedSubspace(sp, [[1, 0, 0], [1, 0, 0]])
     with pytest.raises(InputError):
         SpannedSubspace(sp, [[1, 0]])
+    with pytest.raises(InputError, match="dependent"):  # more rows than the dimension
+        SpannedSubspace(sp, [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]])
 
 
 def test_projection_pair():
@@ -531,14 +551,17 @@ def test_import_leaves_scipy_optimize_unloaded():
 
 def test_six_way_checks_in_exact_norms_leave_scipy_optimize_unloaded():
     # (v) is read off the witness projections in l1/linf/l2, failing patterns
-    # included, so no candidate LP or minimization runs
+    # included, so no candidate LP or minimization runs; subspace distances
+    # and restricted inverses take no LP or minimization in any norm
     src = str(Path(weavelab.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     code = textwrap.dedent("""
         import sys
         import numpy as np
-        from weavelab import (L2, FrameSystem, GallerySpec, NormedSpace,
-                              biorthogonals, generate, unc_conditions)
+        from weavelab import (L1, L2, LINF, DenseOperator, FrameSystem, GallerySpec,
+                              NormedSpace, SpannedSubspace, biorthogonals, generate,
+                              lp, restricted_inverse, subspace_distance,
+                              unc_conditions)
         a0 = generate(GallerySpec("blockpair-a0", 5))
         a1 = generate(GallerySpec("blockpair-a1", 5))
         block = unc_conditions(a0, a1)
@@ -546,9 +569,18 @@ def test_six_way_checks_in_exact_norms_leave_scipy_optimize_unloaded():
         sp = NormedSpace(5, L2)
         l2 = unc_conditions(FrameSystem(sp, np.eye(5), np.eye(5)),
                             FrameSystem(sp, v, biorthogonals(v)), threshold=1.5)
+        kinds = (L1, LINF, L2, lp(3.0))
+        distances = [subspace_distance(SpannedSubspace(NormedSpace(5, kind), v[:2]),
+                                       SpannedSubspace(NormedSpace(5, kind), v[2:4]))
+                     for kind in kinds]
+        sp = NormedSpace(5, L1)
+        sub = SpannedSubspace(sp, v[:3])
+        m = DenseOperator.on_space(2 * np.eye(5), sp)
+        inverse = restricted_inverse(m, sub, SpannedSubspace(sp, 2 * v[:3]))
         print(block.conditions["v"].holds, l2.conditions["v"].holds,
+              all(d.value > 0 for d in distances), abs(inverse.norm.value - 0.5) < 1e-12,
               "scipy.optimize" in sys.modules)
     """)
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=env, check=True)
-    assert proc.stdout.split() == ["False", "False", "False"]
+    assert proc.stdout.split() == ["False", "False", "True", "True", "False"]
