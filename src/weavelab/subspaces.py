@@ -41,7 +41,7 @@ EXHAUSTIVE_SCOPE_BITS = 16  # above it, exhaustive scope falls back to sampled
 PER_SIGMA_CAP = 4096  # per-pattern flags are kept up to this many patterns
 RANGE_RESIDUAL_TOL = 1e-8
 INDEPENDENCE_TOL = 1e-10
-ENUMERATION_CAP = 2 ** 12  # k-row blocks per lift; above it restricted norms are ascents
+ENUMERATION_CAP = 2 ** 7  # k-row blocks per lift; above it the ascent is faster, and is used
 RATIO_STARTS = 64  # candidate coefficients scanned per restricted inverse (at least)
 RATIO_CLIMBS = 4  # climbs from the best candidates
 RATIO_STEPS = 60  # steps per climb
@@ -261,13 +261,11 @@ def _lift_norms(d1s: np.ndarray, gens: np.ndarray, kind: NormKind
     marks a value whose candidates or climbs were not finite.
     """
     m, d, k = d1s.shape
-    if k == 1:
-        return (np.array([vector_norm(d1[:, 0], kind) / vector_norm(g[0], kind)
-                          for d1, g in zip(d1s, gens)]), np.ones(m, dtype=bool))
-    if kind.tag == "l2":
-        return (np.array([np.linalg.svd(d1 @ np.linalg.inv(np.linalg.qr(g.T)[1]),
-                                        compute_uv=False)[0] for d1, g in zip(d1s, gens)]),
-                np.ones(m, dtype=bool))
+    if k == 1 or kind.tag == "l2":
+        return np.array([vector_norm(d1[:, 0], kind) / vector_norm(g[0], kind) if k == 1
+                         else np.linalg.svd(d1 @ np.linalg.inv(np.linalg.qr(g.T)[1]),
+                                            compute_uv=False)[0]
+                         for d1, g in zip(d1s, gens)]), np.ones(m, dtype=bool)
     if kind.tag not in ("l1", "linf") or math.comb(d, k) > ENUMERATION_CAP:
         return batch_ratio_ascent(d1s, gens, kind), np.zeros(m, dtype=bool)
     bmat = gens.transpose(0, 2, 1)
@@ -426,17 +424,19 @@ def subspace_distance(a: SpannedSubspace, b: SpannedSubspace) -> Bound:
     """d(A, B) = inf ||x - y|| over unit x in either subspace, y in the other.
 
     On W = A + B it is 1/max(||P_A||, ||P_B||), where P_A projects onto A
-    along B, and both norms are restricted norms on W from ``_lift_norms``
-    (D = [A^T 0] and [0 B^T], G = [A; B]).  So the distance is exact for
-    l1, linf and l2 up to ``ENUMERATION_CAP`` blocks, and otherwise an
-    upper bound over [0, value].  It is exactly 0 when A and B intersect:
-    when dim A + dim B exceeds the dimension or [A; B] is dependent within
-    ``INDEPENDENCE_TOL``.
+    along B: restricted norms on W from ``_lift_norms``, D = [A^T 0] and
+    [0 B^T] over G = [A; B] with each row scaled by a power of two to a
+    largest entry in [1/2, 1).  So it is exact for l1, linf and l2 up to
+    ``ENUMERATION_CAP`` blocks, and otherwise an upper bound over [0, value].
+    It is exactly 0 when A and B intersect: when [A; B] is dependent within
+    ``INDEPENDENCE_TOL`` (so when dim A + dim B exceeds the dimension).
     """
     if a.space != b.space:
         raise InputError("subspaces live in different spaces")
+    g = np.vstack([a.generators, b.generators])
+    g = np.ldexp(g, -np.frexp(np.abs(g).max(axis=1))[1][:, None])  # no scale gap in [A; B]
     try:
-        g = SpannedSubspace(a.space, np.vstack([a.generators, b.generators])).generators
+        SpannedSubspace(a.space, g)
     except InputError:  # [A; B] is dependent: A and B intersect
         return Bound(0.0)
     in_a = np.arange(len(g)) < a.dim

@@ -404,6 +404,18 @@ def test_distance_between_coordinate_planes_is_exact():
         assert _bracket(subspace_distance(a, b)) == (1.0,) * 3
 
 
+def test_distance_ignores_the_scale_of_generators():
+    # a scale gap between A's and B's generators is no intersection
+    for kind in (L1, LINF, L2):
+        sp = NormedSpace(2, kind)
+        a = SpannedSubspace(sp, [[1e12, 0]])
+        assert _bracket(subspace_distance(a, SpannedSubspace(sp, [[0, 1]]))) == (1.0,) * 3
+    sp = NormedSpace(2, L2)
+    got = subspace_distance(SpannedSubspace(sp, [[1e6, 0]]), SpannedSubspace(sp, [[1, 1e-4]]))
+    assert got.exactness is Exactness.EXACT
+    assert got.value == pytest.approx(1e-4 / np.sqrt(1 + 1e-8), rel=1e-9)
+
+
 # --- the six-way checker ------------------------------------------------------
 
 def test_unc_conditions_identical_standard():
