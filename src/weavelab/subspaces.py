@@ -8,10 +8,8 @@ closed form in l2, a finite enumeration in l1 and linf (exact up to
 ``ENUMERATION_CAP`` blocks), and a ratio-ascent lower bound otherwise.
 A distance is 1/max(||P_A||, ||P_B||) for the projections of A + B onto
 each subspace along the other, so it is exact where both norms are and an
-upper bound otherwise.  The six-way (v) reads d(X1, Y2) off the witness
-projections' operator norms, exactly for l1/linf/l2; lp prices a failing
-(v) at candidate vectors.  Only ``distance_to_span`` and lp's (v) load
-scipy.optimize.
+upper bound otherwise.  The six-way (v) is 1/d(X1, Y2) from the same
+distance.  Only ``distance_to_span`` loads scipy.optimize.
 """
 
 from __future__ import annotations
@@ -28,8 +26,8 @@ from .errors import (DistanceZero, InputError, NotABasis, NotAFrame,
                      NotInvertible)
 from .normed import (DEFAULT_COND_CAP, L2, Bound, DenseOperator, Exactness,
                      NormedSpace, NormKind, _mat_vecs, batch_invert,
-                     batch_norming_vectors, batch_vector_norms, operator_norm,
-                     require_finite, vector_norm)
+                     batch_norming_vectors, batch_vector_norms, require_finite,
+                     vector_norm)
 from .frames import (EXHAUSTIVE, FrameSystem, biorthogonals, heuristic,
                      outer_stack, signed_ratio_constant, unconditional_constant)
 from .search import chunk_size_for
@@ -218,8 +216,12 @@ class _Lift(NamedTuple):
 
     coefficients: np.ndarray  # C^-1
     d1: np.ndarray  # A C^-1
-    ambient: np.ndarray  # A C^-1 B^+
     generators: np.ndarray  # the rows of B
+
+    @property
+    def ambient(self) -> np.ndarray:
+        """A C^-1 B^+, the lift acting on vectors in span(B); taken on each read."""
+        return self.d1 @ np.linalg.pinv(self.generators.T)
 
 
 def _lift(m: np.ndarray, domain: SpannedSubspace, codomain: SpannedSubspace) -> _Lift:
@@ -243,7 +245,7 @@ def _lift(m: np.ndarray, domain: SpannedSubspace, codomain: SpannedSubspace) -> 
     d1 = a @ inv_coeff
     if not np.all(np.isfinite(d1)):
         raise InputError("restricted inverse has non-finite entries")
-    return _Lift(inv_coeff, d1, d1 @ np.linalg.pinv(b), codomain.generators)
+    return _Lift(inv_coeff, d1, codomain.generators)
 
 
 def _lift_norms(d1s: np.ndarray, gens: np.ndarray, kind: NormKind
@@ -328,9 +330,7 @@ def direct_sum_projection(p: DenseOperator, q: DenseOperator,
     for name, op in (("P", p), ("Q", q)):
         if np.abs(op.entries @ op.entries - op.entries).max() > 1e-8:
             raise InputError(f"{name} is not a projection")
-    stacked = np.vstack([x1.generators, y2.generators])
-    svals = np.linalg.svd(stacked, compute_uv=False)
-    if len(svals) < stacked.shape[0] or svals[-1] <= INDEPENDENCE_TOL * max(1.0, svals[0]):
+    if _direct_sum(x1, y2) is None:
         raise DistanceZero("the two subspaces intersect within tolerance")
     eye = DenseOperator.identity(NormedSpace(p.rows, p.codomain_norm))
     r1 = oblique_projection(q, x1)
@@ -385,39 +385,19 @@ def _convex_distance(x: np.ndarray, bcols: np.ndarray, kind) -> float:
     return float(res.fun)
 
 
-def _candidate_upper_distance(a: SpannedSubspace, b: SpannedSubspace,
-                              effort: int, seed: int) -> float:
-    """Cheap certified upper bound on d(A, B): the inner convex distance at a
-    few candidate unit vectors per side; the six-way (v) reads it only for lp."""
-    best = np.inf
-    rng = np.random.default_rng(seed)
-    kind = a.space.norm
-    for src, dst in ((a, b), (b, a)):
-        rows = src.generators
-        k = rows.shape[0]
-        for c in [np.ones(k), *np.eye(k), np.arange(1.0, k + 1),
-                  *(rng.standard_normal(k) for _ in range(effort))]:
-            x = rows.T @ c
-            nrm = vector_norm(x, kind)
-            if nrm <= 1e-14:
-                continue
-            best = min(best, _convex_distance(x / nrm, dst.generators.T, kind))
-    return float(best)
-
-
-def _validated_witness_bound(r: np.ndarray, fixed: SpannedSubspace,
-                             killed: SpannedSubspace) -> float:
-    """1/||R|| for an ambient R with R|_fixed = id and R(killed) = 0, taken
-    from the upper end of ``operator_norm``'s bracket, so 0.0 when only a
-    lower bound on ||R|| is known."""
-    space = fixed.space
-    fix_res = np.abs(r @ fixed.generators.T - fixed.generators.T).max()
-    kill_res = np.abs(r @ killed.generators.T).max()
-    scale = 1.0 + np.abs(fixed.generators).max() + np.abs(killed.generators).max()
-    if max(fix_res, kill_res) > RANGE_RESIDUAL_TOL * scale:
-        raise InputError("witness projection does not fix/annihilate the subspaces")
-    hi = operator_norm(DenseOperator.on_space(r, space)).hi
-    return 1.0 / hi if hi > 0 else np.inf
+def _direct_sum(a: SpannedSubspace, b: SpannedSubspace) -> np.ndarray | None:
+    """The rows [A; B], each scaled by a power of two to a largest entry in
+    [1/2, 1) so that no scale gap reads as dependence, or None when they are
+    dependent within ``INDEPENDENCE_TOL``: when A and B intersect (so when
+    dim A + dim B exceeds the dimension)."""
+    if a.space != b.space:
+        raise InputError("subspaces live in different spaces")
+    g = np.vstack([a.generators, b.generators])
+    g = np.ldexp(g, -np.frexp(np.abs(g).max(axis=1))[1][:, None])
+    try:
+        return SpannedSubspace(a.space, g).generators
+    except InputError:
+        return None
 
 
 def subspace_distance(a: SpannedSubspace, b: SpannedSubspace) -> Bound:
@@ -428,16 +408,10 @@ def subspace_distance(a: SpannedSubspace, b: SpannedSubspace) -> Bound:
     [0 B^T] over G = [A; B] with each row scaled by a power of two to a
     largest entry in [1/2, 1).  So it is exact for l1, linf and l2 up to
     ``ENUMERATION_CAP`` blocks, and otherwise an upper bound over [0, value].
-    It is exactly 0 when A and B intersect: when [A; B] is dependent within
-    ``INDEPENDENCE_TOL`` (so when dim A + dim B exceeds the dimension).
+    It is exactly 0 when A and B intersect (``_direct_sum``).
     """
-    if a.space != b.space:
-        raise InputError("subspaces live in different spaces")
-    g = np.vstack([a.generators, b.generators])
-    g = np.ldexp(g, -np.frexp(np.abs(g).max(axis=1))[1][:, None])  # no scale gap in [A; B]
-    try:
-        SpannedSubspace(a.space, g)
-    except InputError:  # [A; B] is dependent: A and B intersect
+    g = _direct_sum(a, b)
+    if g is None:
         return Bound(0.0)
     in_a = np.arange(len(g)) < a.dim
     norms, exact = _lift_norms(np.stack([g.T * in_a, g.T * ~in_a]), np.stack([g, g]),
@@ -499,50 +473,45 @@ def _scope_patterns(n: int, scope: str, samples: int, seed: int) -> tuple[list[i
     return sample_patterns(n, samples + 4, seed), "sampled"
 
 
-# the lifts each condition reads: r_p = (P|Y1)^-1, r_q = (Q|X1)^-1, r_ip = ((I-P)|Y2)^-1
-# and r_iq = ((I-Q)|X2)^-1, where X1, Y1 (X2, Y2) span f0, f1 at the 0-bits (1-bits)
-_LIFT_READS = {"iii": ("p", "q", "ip", "iq"), "v": ("q", "ip"), "vi": ("p", "q")}
+def _sigma_cases(f0, f1, stacks, m, inner_mode, wanted, seed):
+    """Evaluate the conditions at one pattern; returns (metrics, st, ts, vi).
 
-
-def _sigma_cases(f0, f1, stacks, m, inner_mode, threshold, wanted, seed):
-    """Evaluate the conditions at one pattern; returns (metrics, v_holds, st, ts, vi).
-
-    ``metrics`` maps each condition decided here to its constant; the fold
-    compares them with the threshold, except (v), which brings its own
-    verdict ``v_holds``.  ``stacks`` are the two bases' ``outer_stack``s.
-    ``vi`` is None when (vi) is decided here or not wanted.  Otherwise it is
-    the lifts (r_p, r_q), whose norms ``_grade_vi`` takes for many patterns
-    at once.
+    ``metrics`` maps each condition decided here to its constant and whether
+    that constant is exact; the infinite constant of a refused inversion
+    counts as exact.  ``stacks`` are the two bases' ``outer_stack``s.  The
+    lifts are r_p = (P|Y1)^-1, r_q = (Q|X1)^-1, r_ip = ((I-P)|Y2)^-1 and
+    r_iq = ((I-Q)|X2)^-1, where X1, Y1 (X2, Y2) span f0, f1 at the 0-bits
+    (1-bits); (iii) reads all four, (vi) r_p and r_q.  ``vi`` is None when
+    (vi) is decided here or not wanted.  Otherwise it is (r_p, r_q), whose
+    norms ``_grade_vi`` takes for many patterns at once.
     """
     space = f0.space
     pattern = WeavePattern.from_index(m, f0.n)
     one = np.array(pattern.bits, dtype=bool)
-    metrics: dict[str, float] = {}
+    metrics: dict[str, tuple[float, bool]] = {}
     st = ts = np.nan
-    v_holds = None
+
+    def graded(bound: Bound) -> tuple[float, bool]:
+        return bound.value, bound.exactness is Exactness.EXACT
 
     if any(c in wanted for c in ("i", "ii", "iv")):
         woven = weave(f0, f1, pattern)
         try:
             fresh = biorthogonals(woven.vectors)
-            cu = unconditional_constant(FrameSystem(space, woven.vectors, fresh),
-                                        inner_mode, seed=seed).value
+            cu = graded(unconditional_constant(FrameSystem(space, woven.vectors, fresh),
+                                               inner_mode, seed=seed))
         except (NotABasis, NotAFrame):
-            cu = np.inf
+            cu = (np.inf, True)
         metrics.update((c, cu) for c in ("i", "ii", "iv") if c in wanted)
 
-    reads = {r for c in wanted for r in _LIFT_READS.get(c, ())}
-
-    def lift(name, mat, domain, codomain):
-        if name not in reads:
-            return None
+    def lift(mat, domain, codomain):
         try:
             return _lift(mat, domain, codomain)
         except (NotInvertible, InputError):
             return None
 
     r_p = r_q = r_ip = r_iq = None
-    if reads:  # every lift reads both basis projections
+    if "iii" in wanted or "vi" in wanted:  # every lift reads both basis projections
         p, q = (np.add.reduce(stack[~one], axis=0) for stack in stacks)
         require_finite(np.array((p, q)))
         eye = np.eye(space.dim)
@@ -550,20 +519,20 @@ def _sigma_cases(f0, f1, stacks, m, inner_mode, threshold, wanted, seed):
         if not one.all():
             x1 = SpannedSubspace(space, f0.vectors[~one], label="x0|sigma=0")
             y1 = SpannedSubspace(space, f1.vectors[~one], label="x1|sigma=0")
-            r_q = lift("q", q, x1, y1)
-            r_p = lift("p", p, y1, x1)
-        if one.any() and "ip" in reads:
+            r_q = lift(q, x1, y1)
+            r_p = lift(p, y1, x1)
+        if one.any() and "iii" in wanted:
             x2 = SpannedSubspace(space, f0.vectors[one], label="x0|sigma=1")
             y2 = SpannedSubspace(space, f1.vectors[one], label="x1|sigma=1")
-            r_ip = lift("ip", i_p, y2, x2)
-            r_iq = lift("iq", eye - q, x2, y2)
+            r_ip = lift(i_p, y2, x2)
+            r_iq = lift(eye - q, x2, y2)
 
     if "iii" in wanted:
         s = p + (eye - q)
         inv = batch_invert(s[None])
-        cu_frame = signed_ratio_constant(
+        metrics["iii"] = graded(signed_ratio_constant(
             np.where(one[:, None, None], stacks[1], stacks[0]), inv.inverses[0],
-            space.norm, inner_mode, seed=seed).value if inv.accepted[0] else np.inf
+            space.norm, inner_mode, seed=seed)) if inv.accepted[0] else (np.inf, True)
 
         def term(present, left, right, mat):  # None where a lift is singular
             if not present:
@@ -575,54 +544,43 @@ def _sigma_cases(f0, f1, stacks, m, inner_mode, threshold, wanted, seed):
             t_mat = term1 + term2
             st = float(np.abs(s @ t_mat - eye).max())
             ts = float(np.abs(t_mat @ s - eye).max())
-        metrics["iii"] = cu_frame
 
-    if "v" in wanted:
-        if one.all() or not one.any():
-            v_holds, metrics["v"] = True, 1.0
-        elif r_q is None or r_ip is None:
-            # a singular restriction certifies a nontrivial intersection
-            v_holds, metrics["v"] = False, np.inf
-        else:
-            lower = min(_validated_witness_bound(r_q.ambient @ q, x1, y2),
-                        _validated_witness_bound(r_ip.ambient @ i_p, y2, x1))
-            v_holds = bool(lower >= 1.0 / threshold)
-            # lower is d(X1, Y2) in l1/linf/l2; in lp it is 0, so candidates price the gap
-            dist = (lower if v_holds or space.norm.is_exact_kind
-                    else _candidate_upper_distance(x1, y2, effort=4, seed=seed))
-            metrics["v"] = 1.0 / dist if dist > 0 else np.inf
+    if "v" in wanted:  # at a constant pattern one side is {0}, at distance 1
+        dist = (subspace_distance(SpannedSubspace(space, f0.vectors[~one]),
+                                  SpannedSubspace(space, f1.vectors[one]))
+                if one.any() and not one.all() else Bound(1.0))
+        value, exact = graded(dist)
+        metrics["v"] = (1.0 / value if value > 0 else np.inf, exact)
 
     vi = None
     if "vi" in wanted:
         if one.all():
-            metrics["vi"] = 0.0
+            metrics["vi"] = (0.0, True)
         elif r_p is None or r_q is None:
-            metrics["vi"] = np.inf
+            metrics["vi"] = (np.inf, True)
         else:
             vi = (r_p, r_q)
 
-    return metrics, v_holds, st, ts, vi
+    return metrics, st, ts, vi
 
 
-def _grade_vi(cases, kind: NormKind) -> bool:
+def _grade_vi(cases, kind: NormKind):
     """Set the (vi) constant of every case of a chunk that left it open: the
-    larger of the norms of r_p and r_q, with one ``_lift_norms`` call per
-    subspace dimension, and infinite where a norm is not finite.  Returns
-    whether every norm was exact."""
+    larger of the norms of r_p and r_q, exact when both are, with one
+    ``_lift_norms`` call per subspace dimension, and infinite and inexact
+    where a norm is not finite."""
     groups: dict[int, list] = {}
-    for metrics, _, _, _, vi in cases:
+    for metrics, _, _, vi in cases:
         if vi is not None:
             groups.setdefault(vi[0].d1.shape[1], []).append((metrics, vi))
-    all_exact = True
     for group in groups.values():
         lifts = [r for _, vi in group for r in vi]
         values, exact = _lift_norms(np.array([r.d1 for r in lifts]),
                                     np.array([r.generators for r in lifts]), kind)
-        all_exact = all_exact and bool(exact.all())
-        for (metrics, _), v_p, v_q in zip(group, values[0::2], values[1::2]):
+        for (metrics, _), (v_p, v_q), both in zip(group, values.reshape(-1, 2),
+                                                  exact.reshape(-1, 2).all(axis=1)):
             metrics["vi"] = (np.inf if np.isnan(v_p) or np.isnan(v_q)
-                             else max(float(v_p), float(v_q)))
-    return all_exact
+                             else max(float(v_p), float(v_q)), bool(both))
 
 
 def unc_conditions(f0: FrameSystem, f1: FrameSystem, scope: str = "exhaustive",
@@ -635,11 +593,10 @@ def unc_conditions(f0: FrameSystem, f1: FrameSystem, scope: str = "exhaustive",
     string is one name); an unknown name raises InputError.
     Per pattern, each condition reports a constant and *fails* when that
     constant exceeds ``threshold``, which must be finite and positive
-    (InputError otherwise); (v) instead holds where d(X1, Y2) reaches
-    1/threshold and reports 1/d(X1, Y2), exact for l1/linf/l2 (no
-    scipy.optimize); lp's (v) fails at every mixed pattern with an
-    uncertified candidate value.  (vi) is labelled exact when the scope is
-    exhaustive and every restricted norm was exact, a lower bound otherwise.
+    (InputError otherwise); (v)'s constant is 1/``subspace_distance``(X1, Y2).
+    A condition is labelled exact when the scope is exhaustive and every
+    constant it folded was exact (the infinite constant of a refused
+    inversion counts as exact), a lower bound otherwise.
     Exhaustive scope enumerates all patterns up to ``EXHAUSTIVE_SCOPE_BITS``
     bits; above that a seeded sample plus the alternating and constant
     patterns is used.
@@ -673,43 +630,39 @@ def unc_conditions(f0: FrameSystem, f1: FrameSystem, scope: str = "exhaustive",
     per_sigma = {} if len(ms) <= PER_SIGMA_CAP else None
     worst: dict[str, tuple[float, int]] = {c: (-np.inf, ms[0]) for c in wanted}
     first_fail: dict[str, int | None] = {c: None for c in wanted}
+    exact = dict.fromkeys(wanted, scope_used == "exhaustive")
     agree = True
     max_st = max_ts = 0.0
-    vi_exact = scope_used == "exhaustive"
     chunk = chunk_size_for(n, n * n)  # fixed by the shape, never by the worker count
     for lo in range(0, len(ms), chunk):
-        cases = [_sigma_cases(f0, f1, stacks, m, inner_mode, threshold, wanted, seed)
+        cases = [_sigma_cases(f0, f1, stacks, m, inner_mode, wanted, seed)
                  for m in ms[lo:lo + chunk]]
-        vi_exact = _grade_vi(cases, f0.space.norm) and vi_exact
-        for m, (metrics, v_holds, st, ts, _) in zip(ms[lo:lo + chunk], cases):
+        _grade_vi(cases, f0.space.norm)
+        for m, (metrics, st, ts, _) in zip(ms[lo:lo + chunk], cases):
             if np.isfinite(st):
                 max_st = max(max_st, st)
             if np.isfinite(ts):
                 max_ts = max(max_ts, ts)
-            flags = {c: v_holds if c == "v" else bool(value <= threshold)
-                     for c, value in metrics.items()}
+            flags = {c: bool(value <= threshold) for c, (value, _) in metrics.items()}
             if len(set(flags.values())) > 1:
                 agree = False
             for c in wanted:
-                if metrics[c] > worst[c][0]:
-                    worst[c] = (metrics[c], m)
+                value, value_exact = metrics[c]
+                exact[c] = exact[c] and value_exact
+                if value > worst[c][0]:
+                    worst[c] = (value, m)
                 if not flags[c] and first_fail[c] is None:
                     first_fail[c] = m
             if per_sigma is not None:
                 per_sigma[str(WeavePattern.from_index(m, n))] = flags
 
-    exact = Exactness.EXACT if (scope_used == "exhaustive"
-                                and f0.space.norm.is_exact_kind
-                                and inner_mode.kind == "exhaustive") \
-        else Exactness.LOWER_BOUND
     outcomes = dict.fromkeys(_ALL_CONDITIONS)
     for c in wanted:
         value, arg_m = worst[c]
         fail_m = first_fail[c]
         outcomes[c] = ConditionOutcome(
             holds=fail_m is None, constant=float(value),
-            exactness=(Exactness.EXACT if vi_exact else Exactness.LOWER_BOUND)
-            if c == "vi" else exact,
+            exactness=Exactness.EXACT if exact[c] else Exactness.LOWER_BOUND,
             witness=WeavePattern.from_index(arg_m if fail_m is None else fail_m, n))
     return UncVerdict(conditions=outcomes, agree=agree, per_sigma=per_sigma,
                       max_st_residual=max_st, max_ts_residual=max_ts,

@@ -107,3 +107,21 @@ def test_restricted_inverse_matches_the_oracle(kind):
                                           kind.tag)
         assert got.exactness is Exactness.EXACT
         assert got.value == pytest.approx(float(expected), rel=1e-12, abs=0)
+
+
+def test_v_matches_the_oracle_at_its_threshold():
+    # at 10100 d(X1, Y2) is exactly 1/4, on the threshold, so (v) holds there
+    # and fails at 10101; every pattern's flag must be the oracle's
+    f0, f1 = (generate(GallerySpec(name, 5)) for name in ("blockpair-a0", "blockpair-a1"))
+    verdict = unc_conditions(f0, f1, conditions=("v",))
+    for pattern, flags in verdict.per_sigma.items():
+        one = np.array([b == "1" for b in pattern])
+        if one.all() or not one.any():
+            continue
+        dist = oracle.projection_distance(f0.vectors[~one].tolist(),
+                                          f1.vectors[one].tolist(), "l1")
+        assert flags["v"] == (1 / dist <= verdict.threshold), pattern
+    assert oracle.projection_distance(f0.vectors[[1, 3]].tolist(),
+                                      f1.vectors[[0, 2]].tolist(), "l1") == Fraction(1, 4)
+    assert verdict.per_sigma["10100"]["v"] and not verdict.per_sigma["10101"]["v"]
+    assert str(verdict.conditions["v"].witness) == "10101"

@@ -17,6 +17,7 @@ from weavelab import (L1, L2, LINF, DenseOperator, DistanceZero, Exactness,
                       lp, norming_vector, oblique_projection,
                       restricted_inverse, subspace_distance, unc_conditions)
 from weavelab import subspaces
+from weavelab.fileio import load_system
 from weavelab.normed import batch_vector_norms
 from weavelab.subspaces import batch_ratio_ascent
 from conftest import (random_basis, random_basis_system,
@@ -251,14 +252,15 @@ def test_unc_conditions_vi_is_a_lower_bound_above_the_enumeration_cap(rng, monke
 
 
 def test_unc_conditions_takes_no_norm_that_vi_does_not_read(rng, monkeypatch):
+    # (iii) reads the lifts' ambient maps but none of their norms
     f0, f1 = _perturbed_pair(rng, 4)
-    expected = unc_conditions(f0, f1, conditions=("iii", "v"))
+    expected = unc_conditions(f0, f1, conditions=("iii",))
 
     def refuse(*args):
         raise AssertionError("_lift_norms called without (vi)")
 
     monkeypatch.setattr(subspaces, "_lift_norms", refuse)
-    got = unc_conditions(f0, f1, conditions=("iii", "v"))
+    got = unc_conditions(f0, f1, conditions=("iii",))
     assert got.per_sigma == expected.per_sigma
     assert got.max_st_residual == expected.max_st_residual
     with pytest.raises(AssertionError, match="without"):
@@ -266,7 +268,8 @@ def test_unc_conditions_takes_no_norm_that_vi_does_not_read(rng, monkeypatch):
 
 
 def test_unc_conditions_builds_only_the_lifts_it_reads(rng, monkeypatch):
-    # (vi) reads r_p and r_q, (v) reads r_q and r_ip; lifts are named by their domain
+    # (vi) reads r_p and r_q, named by their domains; (v) reads a subspace
+    # distance and builds no lift
     f0, f1 = _perturbed_pair(rng, 4)
     full = unc_conditions(f0, f1)
     real, domains = subspaces._lift, []
@@ -276,11 +279,10 @@ def test_unc_conditions_builds_only_the_lifts_it_reads(rng, monkeypatch):
         return real(m, domain, codomain)
 
     monkeypatch.setattr(subspaces, "_lift", counting)
-    for key, read in (("vi", {"x1|sigma=0", "x0|sigma=0"}),
-                      ("v", {"x0|sigma=0", "x1|sigma=1"})):
+    for key, read in (("vi", {"x1|sigma=0", "x0|sigma=0"}), ("v", set())):
         domains.clear()
         got = unc_conditions(f0, f1, conditions=(key,))
-        assert set(domains) == read and len(domains) == 2 * (2 ** 4 - 1), key
+        assert set(domains) == read and len(domains) == 2 * (2 ** 4 - 1) * bool(read), key
         assert got.conditions[key].constant == full.conditions[key].constant
         assert {p: f[key] for p, f in got.per_sigma.items()} == \
             {p: f[key] for p, f in full.per_sigma.items()}
@@ -335,6 +337,15 @@ def test_direct_sum_projection_identity_and_violation(rng):
     assert np.allclose(direct_sum_projection(p, q, x1, y2).entries, np.eye(2))
     with pytest.raises(DistanceZero):
         direct_sum_projection(p, q, x1, SpannedSubspace(sp, [[1, 0]]))
+
+
+def test_direct_sum_projection_ignores_the_scale_of_generators():
+    for norm in (L1, L2):
+        sp = NormedSpace(2, norm)
+        p = DenseOperator(np.diag([1.0, 0.0]), norm, norm)
+        got = direct_sum_projection(p, p, SpannedSubspace(sp, [[1e12, 0]]),
+                                    SpannedSubspace(sp, [[0, 1]]))
+        assert np.allclose(got.entries, np.eye(2), rtol=0, atol=1e-15)
 
 
 def test_direct_sum_projection_random(rng):
@@ -492,6 +503,23 @@ def test_unc_conditions_v_is_the_exact_projection_norm():
         assert outcome.constant == pytest.approx(oracle, rel=1e-12)
 
 
+def test_unc_conditions_lp_v_holds_where_the_distance_reaches_the_threshold():
+    # lp's (v) is 1/subspace_distance, a lower bound on the constant, so it
+    # passes the same rule as the other conditions and the pair can agree
+    inputs = Path(__file__).parent / "golden" / "inputs"
+    f0, f1 = (load_system(str(inputs / f"{name}-lp3-d4.json"))
+              for name in ("standard", "perturbed"))
+    verdict = unc_conditions(f0, f1)
+    v = verdict.conditions["v"]
+    assert v.holds and verdict.agree
+    assert v.exactness is Exactness.LOWER_BOUND
+    assert str(v.witness) == "0111"
+    one = np.array([False, True, True, True])
+    dist = subspace_distance(SpannedSubspace(f0.space, f0.vectors[~one]),
+                             SpannedSubspace(f0.space, f1.vectors[one]))
+    assert v.constant == 1.0 / dist.value
+
+
 def test_unc_conditions_subset_and_errors():
     std = standard_system(3)
     verdict = unc_conditions(std, std, conditions=("v", "vi"))
@@ -562,9 +590,8 @@ def test_import_leaves_scipy_optimize_unloaded():
 
 
 def test_six_way_checks_in_exact_norms_leave_scipy_optimize_unloaded():
-    # (v) is read off the witness projections in l1/linf/l2, failing patterns
-    # included, so no candidate LP or minimization runs; subspace distances
-    # and restricted inverses take no LP or minimization in any norm
+    # six-way checks, subspace distances and restricted inverses take no LP
+    # or minimization in any norm, lp included
     src = str(Path(weavelab.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     code = textwrap.dedent("""
@@ -589,10 +616,14 @@ def test_six_way_checks_in_exact_norms_leave_scipy_optimize_unloaded():
         sub = SpannedSubspace(sp, v[:3])
         m = DenseOperator.on_space(2 * np.eye(5), sp)
         inverse = restricted_inverse(m, sub, SpannedSubspace(sp, 2 * v[:3]))
+        sp = NormedSpace(4, lp(3.0))
+        w = np.eye(4) + 0.1 * np.random.default_rng(1).standard_normal((4, 4))
+        lp3 = unc_conditions(FrameSystem(sp, np.eye(4), np.eye(4)),
+                             FrameSystem(sp, w, biorthogonals(w)))
         print(block.conditions["v"].holds, l2.conditions["v"].holds,
               all(d.value > 0 for d in distances), abs(inverse.norm.value - 0.5) < 1e-12,
-              "scipy.optimize" in sys.modules)
+              lp3.agree, "scipy.optimize" in sys.modules)
     """)
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=env, check=True)
-    assert proc.stdout.split() == ["False", "False", "True", "True", "False"]
+    assert proc.stdout.split() == ["False", "False", "True", "True", "True", "False"]
