@@ -504,6 +504,11 @@ def _sigma_cases(f0, f1, stacks, m, inner_mode, wanted, seed):
             cu = (np.inf, True)
         metrics.update((c, cu) for c in ("i", "ii", "iv") if c in wanted)
 
+    @functools.cache
+    def span(side, bit):  # X1, Y1, X2, Y2 are span(0, 0), span(1, 0), span(0, 1), span(1, 1)
+        return SpannedSubspace(space, (f0, f1)[side].vectors[one == bit],
+                               label=f"x{side}|sigma={bit}")
+
     def lift(mat, domain, codomain):
         try:
             return _lift(mat, domain, codomain)
@@ -517,15 +522,11 @@ def _sigma_cases(f0, f1, stacks, m, inner_mode, wanted, seed):
         eye = np.eye(space.dim)
         i_p = eye - p
         if not one.all():
-            x1 = SpannedSubspace(space, f0.vectors[~one], label="x0|sigma=0")
-            y1 = SpannedSubspace(space, f1.vectors[~one], label="x1|sigma=0")
-            r_q = lift(q, x1, y1)
-            r_p = lift(p, y1, x1)
+            r_q = lift(q, span(0, 0), span(1, 0))
+            r_p = lift(p, span(1, 0), span(0, 0))
         if one.any() and "iii" in wanted:
-            x2 = SpannedSubspace(space, f0.vectors[one], label="x0|sigma=1")
-            y2 = SpannedSubspace(space, f1.vectors[one], label="x1|sigma=1")
-            r_ip = lift(i_p, y2, x2)
-            r_iq = lift(eye - q, x2, y2)
+            r_ip = lift(i_p, span(1, 1), span(0, 1))
+            r_iq = lift(eye - q, span(0, 1), span(1, 1))
 
     if "iii" in wanted:
         s = p + (eye - q)
@@ -546,8 +547,7 @@ def _sigma_cases(f0, f1, stacks, m, inner_mode, wanted, seed):
             ts = float(np.abs(t_mat @ s - eye).max())
 
     if "v" in wanted:  # at a constant pattern one side is {0}, at distance 1
-        dist = (subspace_distance(SpannedSubspace(space, f0.vectors[~one]),
-                                  SpannedSubspace(space, f1.vectors[one]))
+        dist = (subspace_distance(span(0, 0), span(1, 1))
                 if one.any() and not one.all() else Bound(1.0))
         value, exact = graded(dist)
         metrics["v"] = (1.0 / value if value > 0 else np.inf, exact)

@@ -121,7 +121,9 @@ def test_v_matches_the_oracle_at_its_threshold():
         dist = oracle.projection_distance(f0.vectors[~one].tolist(),
                                           f1.vectors[one].tolist(), "l1")
         assert flags["v"] == (1 / dist <= verdict.threshold), pattern
-    assert oracle.projection_distance(f0.vectors[[1, 3]].tolist(),
+    assert oracle.projection_distance(f0.vectors[[1, 3, 4]].tolist(),
                                       f1.vectors[[0, 2]].tolist(), "l1") == Fraction(1, 4)
+    assert oracle.projection_distance(f0.vectors[[1, 3]].tolist(),
+                                      f1.vectors[[0, 2, 4]].tolist(), "l1") == Fraction(1, 5)
     assert verdict.per_sigma["10100"]["v"] and not verdict.per_sigma["10101"]["v"]
     assert str(verdict.conditions["v"].witness) == "10101"
