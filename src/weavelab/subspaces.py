@@ -8,8 +8,8 @@ closed form in l2, a finite enumeration in l1 and linf (exact up to
 ``ENUMERATION_CAP`` blocks), and a ratio-ascent lower bound otherwise.
 A distance is 1/max(||P_A||, ||P_B||) for the projections of A + B onto
 each subspace along the other, so it is exact where both norms are and an
-upper bound otherwise.  The six-way (v) is 1/d(X1, Y2) from the same
-distance.  Only ``distance_to_span`` loads scipy.optimize.
+upper bound otherwise.  The six-way (v) is 1/d(X1, Y2), from the same two
+lifts.  Only ``distance_to_span`` loads scipy.optimize.
 """
 
 from __future__ import annotations
@@ -385,9 +385,12 @@ def _convex_distance(x: np.ndarray, bcols: np.ndarray, kind) -> float:
     return float(res.fun)
 
 
-def _direct_sum(a: SpannedSubspace, b: SpannedSubspace) -> np.ndarray | None:
-    """The rows [A; B], each scaled by a power of two to a largest entry in
-    [1/2, 1) so that no scale gap reads as dependence, or None when they are
+def _direct_sum(a: SpannedSubspace, b: SpannedSubspace
+                ) -> tuple[np.ndarray, np.ndarray] | None:
+    """The two lifts whose restricted norms are ||P_A|| and ||P_B|| on A + B,
+    as (D, G) stacks for ``_lift_norms``: D = [A^T 0] and [0 B^T] over
+    G = [A; B], each row of G scaled by a power of two to a largest entry in
+    [1/2, 1) so that no scale gap reads as dependence.  None when [A; B] is
     dependent within ``INDEPENDENCE_TOL``: when A and B intersect (so when
     dim A + dim B exceeds the dimension)."""
     if a.space != b.space:
@@ -395,27 +398,26 @@ def _direct_sum(a: SpannedSubspace, b: SpannedSubspace) -> np.ndarray | None:
     g = np.vstack([a.generators, b.generators])
     g = np.ldexp(g, -np.frexp(np.abs(g).max(axis=1))[1][:, None])
     try:
-        return SpannedSubspace(a.space, g).generators
+        g = SpannedSubspace(a.space, g).generators
     except InputError:
         return None
+    in_a = np.arange(len(g)) < a.dim
+    return np.stack([g.T * in_a, g.T * ~in_a]), np.stack([g, g])
 
 
 def subspace_distance(a: SpannedSubspace, b: SpannedSubspace) -> Bound:
     """d(A, B) = inf ||x - y|| over unit x in either subspace, y in the other.
 
     On W = A + B it is 1/max(||P_A||, ||P_B||), where P_A projects onto A
-    along B: restricted norms on W from ``_lift_norms``, D = [A^T 0] and
-    [0 B^T] over G = [A; B] with each row scaled by a power of two to a
-    largest entry in [1/2, 1).  So it is exact for l1, linf and l2 up to
+    along B: restricted norms on W of the lifts of ``_direct_sum``, from
+    ``_lift_norms``.  So it is exact for l1, linf and l2 up to
     ``ENUMERATION_CAP`` blocks, and otherwise an upper bound over [0, value].
-    It is exactly 0 when A and B intersect (``_direct_sum``).
+    It is exactly 0 when A and B intersect.
     """
-    g = _direct_sum(a, b)
-    if g is None:
+    lifts = _direct_sum(a, b)
+    if lifts is None:
         return Bound(0.0)
-    in_a = np.arange(len(g)) < a.dim
-    norms, exact = _lift_norms(np.stack([g.T * in_a, g.T * ~in_a]), np.stack([g, g]),
-                               a.space.norm)
+    norms, exact = _lift_norms(*lifts, a.space.norm)
     if np.isnan(norms).any():
         raise InputError("vector has non-finite entries")
     value = 1.0 / float(norms.max())
@@ -474,16 +476,18 @@ def _scope_patterns(n: int, scope: str, samples: int, seed: int) -> tuple[list[i
 
 
 def _sigma_cases(f0, f1, stacks, m, inner_mode, wanted, seed):
-    """Evaluate the conditions at one pattern; returns (metrics, st, ts, vi).
+    """Evaluate the conditions at one pattern; returns (metrics, st, ts, pending).
 
-    ``metrics`` maps each condition decided here to its constant and whether
-    that constant is exact; the infinite constant of a refused inversion
-    counts as exact.  ``stacks`` are the two bases' ``outer_stack``s.  The
-    lifts are r_p = (P|Y1)^-1, r_q = (Q|X1)^-1, r_ip = ((I-P)|Y2)^-1 and
+    ``metrics`` maps each condition to its constant and whether that
+    constant is exact; the infinite constant of a refused inversion counts
+    as exact.  ``stacks`` are the two bases' ``outer_stack``s.  The lifts
+    are r_p = (P|Y1)^-1, r_q = (Q|X1)^-1, r_ip = ((I-P)|Y2)^-1 and
     r_iq = ((I-Q)|X2)^-1, where X1, Y1 (X2, Y2) span f0, f1 at the 0-bits
-    (1-bits); (iii) reads all four, (vi) r_p and r_q.  ``vi`` is None when
-    (vi) is decided here or not wanted.  Otherwise it is (r_p, r_q), whose
-    norms ``_grade_vi`` takes for many patterns at once.
+    (1-bits); (iii) reads all four.  (v) and (vi) are each the larger of two
+    restricted norms: ||P_X1|| and ||P_Y2|| on X1 + Y2 = X, which is
+    1/d(X1, Y2), and those of r_p and r_q.  Where one is not decided here,
+    its metric is None and ``pending`` holds its two lifts as (D, G) stacks,
+    whose norms ``_grade_pending`` takes for many patterns at once.
     """
     space = f0.space
     pattern = WeavePattern.from_index(m, f0.n)
@@ -546,41 +550,42 @@ def _sigma_cases(f0, f1, stacks, m, inner_mode, wanted, seed):
             st = float(np.abs(s @ t_mat - eye).max())
             ts = float(np.abs(t_mat @ s - eye).max())
 
-    if "v" in wanted:  # at a constant pattern one side is {0}, at distance 1
-        dist = (subspace_distance(span(0, 0), span(1, 1))
-                if one.any() and not one.all() else Bound(1.0))
-        value, exact = graded(dist)
-        metrics["v"] = (1.0 / value if value > 0 else np.inf, exact)
+    pending = {}
+    if "v" in wanted:
+        mixed = one.any() and not one.all()
+        lifts = _direct_sum(span(0, 0), span(1, 1)) if mixed else None
+        if lifts is None:  # one side is {0}, at distance 1, or X1 and Y2 intersect
+            metrics["v"] = (np.inf if mixed else 1.0, True)
+        else:
+            metrics["v"], pending["v"] = None, lifts
 
-    vi = None
     if "vi" in wanted:
         if one.all():
             metrics["vi"] = (0.0, True)
         elif r_p is None or r_q is None:
             metrics["vi"] = (np.inf, True)
         else:
-            vi = (r_p, r_q)
+            metrics["vi"], pending["vi"] = None, (np.array([r_p.d1, r_q.d1]),
+                                                  np.array([r_p.generators, r_q.generators]))
 
-    return metrics, st, ts, vi
+    return metrics, st, ts, pending
 
 
-def _grade_vi(cases, kind: NormKind):
-    """Set the (vi) constant of every case of a chunk that left it open: the
-    larger of the norms of r_p and r_q, exact when both are, with one
-    ``_lift_norms`` call per subspace dimension, and infinite and inexact
-    where a norm is not finite."""
+def _grade_pending(cases, kind: NormKind):
+    """Set every constant that a chunk's cases left pending, (v) and (vi)
+    alike: the larger of its two restricted norms, exact when both are, and
+    infinite and inexact where one is not finite.  One ``_lift_norms`` call
+    per lift dimension takes the norms of every pending lift."""
     groups: dict[int, list] = {}
-    for metrics, _, _, vi in cases:
-        if vi is not None:
-            groups.setdefault(vi[0].d1.shape[1], []).append((metrics, vi))
+    for metrics, _, _, pending in cases:
+        for c, (d1s, gens) in pending.items():
+            groups.setdefault(d1s.shape[2], []).append((metrics, c, d1s, gens))
     for group in groups.values():
-        lifts = [r for _, vi in group for r in vi]
-        values, exact = _lift_norms(np.array([r.d1 for r in lifts]),
-                                    np.array([r.generators for r in lifts]), kind)
-        for (metrics, _), (v_p, v_q), both in zip(group, values.reshape(-1, 2),
+        values, exact = _lift_norms(np.concatenate([d1s for _, _, d1s, _ in group]),
+                                    np.concatenate([gens for *_, gens in group]), kind)
+        for (metrics, c, _, _), pair, both in zip(group, values.reshape(-1, 2),
                                                   exact.reshape(-1, 2).all(axis=1)):
-            metrics["vi"] = (np.inf if np.isnan(v_p) or np.isnan(v_q)
-                             else max(float(v_p), float(v_q)), bool(both))
+            metrics[c] = (np.inf if np.isnan(pair).any() else float(pair.max()), bool(both))
 
 
 def unc_conditions(f0: FrameSystem, f1: FrameSystem, scope: str = "exhaustive",
@@ -593,7 +598,8 @@ def unc_conditions(f0: FrameSystem, f1: FrameSystem, scope: str = "exhaustive",
     string is one name); an unknown name raises InputError.
     Per pattern, each condition reports a constant and *fails* when that
     constant exceeds ``threshold``, which must be finite and positive
-    (InputError otherwise); (v)'s constant is 1/``subspace_distance``(X1, Y2).
+    (InputError otherwise); (v)'s constant is 1/d(X1, Y2), from the lifts
+    ``subspace_distance`` takes.
     A condition is labelled exact when the scope is exhaustive and every
     constant it folded was exact (the infinite constant of a refused
     inversion counts as exact), a lower bound otherwise.
@@ -637,7 +643,7 @@ def unc_conditions(f0: FrameSystem, f1: FrameSystem, scope: str = "exhaustive",
     for lo in range(0, len(ms), chunk):
         cases = [_sigma_cases(f0, f1, stacks, m, inner_mode, wanted, seed)
                  for m in ms[lo:lo + chunk]]
-        _grade_vi(cases, f0.space.norm)
+        _grade_pending(cases, f0.space.norm)
         for m, (metrics, st, ts, _) in zip(ms[lo:lo + chunk], cases):
             if np.isfinite(st):
                 max_st = max(max_st, st)
