@@ -11,7 +11,11 @@ class InputError(WeavelabError):
 
 class NotInvertible(WeavelabError):
     """Raised when a matrix is singular, or too ill-conditioned to invert
-    under the condition cap ``normed.DEFAULT_COND_CAP`` and residual tolerance."""
+    under the condition cap ``normed.DEFAULT_COND_CAP`` and residual tolerance.
+
+    The message names the condition number (from an SVD, which a residual
+    certificate spares every matrix it clears), LAPACK's ``solve`` error, or
+    the residual after refinement, as ``normed.BatchInverse.reason`` does."""
 
 
 class NotABasis(WeavelabError):

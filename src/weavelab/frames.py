@@ -20,8 +20,8 @@ import numpy as np
 
 from . import search
 from .errors import InputError, NotABasis, NotAFrame, NotInvertible
-from .normed import (DEFAULT_COND_CAP, Bound, DenseOperator, NormedSpace,
-                     batch_opnorm_values, invert, operator_norm, require_finite)
+from .normed import (Bound, DenseOperator, NormedSpace, batch_opnorm_values,
+                     condition_capped, invert, operator_norm, require_finite)
 from .search import EXHAUSTIVE, SearchMode, heuristic  # heuristic is re-exported
 
 BIORTHOGONAL_TOL = 1e-10
@@ -144,27 +144,35 @@ def biorthogonals(vectors: np.ndarray) -> np.ndarray:
     """Rows of the inverse basis matrix: duals with x*_j(x_k) = delta_jk.
 
     ``vectors`` holds the basis as rows.  Raises NotABasis for non-square
-    or dependent input (residual above ``BIORTHOGONAL_TOL`` after refinement).
+    input, for a basis matrix over the condition cap (``condition_capped``,
+    which takes an SVD only when the residual of the solved duals cannot
+    clear it), when ``solve`` fails, or for a residual above
+    ``BIORTHOGONAL_TOL`` after up to four Newton steps, checked in that
+    order.
     """
     v = np.asarray(vectors, dtype=np.float64)
     if v.ndim != 2 or v.shape[0] != v.shape[1]:
         raise NotABasis(f"need a square vector family, got shape {v.shape}")
     b = v.T  # columns are the basis vectors
-    cond = np.linalg.cond(b)
-    if not np.isfinite(cond) or cond > DEFAULT_COND_CAP:
-        raise NotABasis(f"vectors are dependent (condition number {cond:.3e})")
     eye = np.eye(b.shape[0])
     try:
-        duals = np.linalg.solve(b, eye)
+        duals, solve_error = np.linalg.solve(b, eye), None
     except np.linalg.LinAlgError as exc:
-        raise NotABasis(str(exc)) from None
-    res = np.inf
-    for _ in range(5):
+        duals, solve_error = np.full_like(b, np.nan), str(exc)
+    with np.errstate(over="ignore", invalid="ignore"):  # above the cap, the duals may overflow
         r = eye - duals @ b
-        res = float(np.abs(r).max())
+    res = float(np.abs(r).max())
+    capped, cond = condition_capped(b[None], duals[None], np.array([res]))
+    if capped[0]:
+        raise NotABasis(f"vectors are dependent (condition number {cond[0]:.3e})")
+    if solve_error is not None:
+        raise NotABasis(solve_error)
+    for _ in range(4):
         if res <= BIORTHOGONAL_TOL:
             break
         duals = duals + r @ duals
+        r = eye - duals @ b
+        res = float(np.abs(r).max())
     if res > BIORTHOGONAL_TOL:
         raise NotABasis(f"biorthogonality residual {res:.3e} above {BIORTHOGONAL_TOL:.1e}")
     return duals

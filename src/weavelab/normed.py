@@ -23,6 +23,8 @@ INVERT_RESIDUAL_TOL = 1e-9
 ASCENT_STARTS = 64
 ASCENT_MAX_STEPS = 100
 
+_UNIT_ROUNDOFF = 2.0 ** -53  # of float64
+_CLEAR_FRO = DEFAULT_COND_CAP / 200  # largest ||A||_F ||X||_F a residual certificate clears
 _ASCENT_SEED = 7  # fixed: operator_norm must be a pure function of its input
 _ASCENT_CELLS = 1 << 16  # matrix entries gathered per lockstep chunk of climbs
 
@@ -433,15 +435,20 @@ def operator_norm(M: DenseOperator) -> Bound:
 class BatchInverse:
     """Guarded inverses of an (m, d, d) stack, one verdict per matrix.
 
-    ``cond`` is each matrix's 2-norm condition number.  ``residual`` is the
-    max-norm residual ``|I - A X|`` of the refined inverse, NaN where no
-    inverse was computed (condition cap exceeded or ``solve`` failed).
-    ``inverses`` holds zeros where ``accepted`` is false.  ``solve_errors``
-    maps the index of each matrix ``solve`` refused to LAPACK's message.
+    ``capped`` marks the matrices refused by the condition cap, as
+    ``condition_capped`` decides it.  ``cond`` is numpy's 2-norm condition
+    number where that test took it, and NaN for the matrices the residual
+    certificate cleared (their condition number is at most
+    ``DEFAULT_COND_CAP``/100).  ``residual`` is the max-norm residual
+    ``|I - A X|`` of the refined inverse, NaN where no inverse counts
+    (condition cap exceeded or ``solve`` failed).  ``inverses`` holds zeros
+    where ``accepted`` is false.  ``solve_errors`` maps the index of each
+    uncapped matrix ``solve`` refused to LAPACK's message.
     """
 
     inverses: np.ndarray
     accepted: np.ndarray
+    capped: np.ndarray
     cond: np.ndarray
     residual: np.ndarray
     solve_errors: dict[int, str]
@@ -450,31 +457,64 @@ class BatchInverse:
         """Why matrix ``i`` was rejected (``invert``'s message), None if accepted."""
         if self.accepted[i]:
             return None
-        cond = self.cond[i]
-        if not np.isfinite(cond) or cond > DEFAULT_COND_CAP:
-            return f"condition number {cond:.3e} exceeds cap {DEFAULT_COND_CAP:.1e}"
+        if self.capped[i]:
+            return f"condition number {self.cond[i]:.3e} exceeds cap {DEFAULT_COND_CAP:.1e}"
         if i in self.solve_errors:
             return self.solve_errors[i]
         return f"inversion residual {self.residual[i]:.3e} above {INVERT_RESIDUAL_TOL:.1e}"
 
 
-def _solve_identity(a: np.ndarray, eye: np.ndarray) -> tuple[np.ndarray, dict[int, str]]:
-    """(A^-1 per matrix by LU solve, {position: message} of the ones it refused).
+def condition_capped(mats: np.ndarray, inverses: np.ndarray,
+                     residual: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(capped, cond): numpy's ``cond(A) > DEFAULT_COND_CAP`` test (or a
+    non-finite ``cond``) for each matrix of an (m, d, d) stack, with an SVD
+    only where a residual certificate cannot decide it.
 
-    One singular pivot makes the stacked solve raise for the whole stack, so
-    the stack is then solved matrix by matrix (the same LAPACK call each).
+    ``inverses`` holds an approximate inverse X of each matrix and
+    ``residual`` the max-norm of its residual, ``I - A X`` or ``I - X A``
+    (NaN where there is none).  q = d (res + gamma_{d+1} (1 + ||A||_F ||X||_F))
+    bounds the 2-norm of the exact residual, rounding of the computed one
+    included, and q <= 1/2 gives kappa_2(A) <= 2 ||A||_F ||X||_F (Higham
+    2002, section 3.5 and ch. 14).  A matrix with q <= 1/2 and
+    ||A||_F ||X||_F at most ``DEFAULT_COND_CAP``/200 is cleared: its
+    kappa_2 is at most ``DEFAULT_COND_CAP``/100, and LAPACK's singular
+    values are off by at most p(d) eps sigma_1, which keeps numpy's
+    ``cond`` below the cap too.  Every other matrix gets ``np.linalg.cond``,
+    so each verdict is the plain cap test's.  ``cond`` is NaN where the
+    certificate decided.
+    """
+    d = mats.shape[-1]
+    gamma = (d + 1) * _UNIT_ROUNDOFF / (1.0 - (d + 1) * _UNIT_ROUNDOFF)  # Higham's gamma_{d+1}
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite product clears nothing
+        fro2 = np.einsum("mij,mij->m", mats, mats) * np.einsum("mij,mij->m", inverses, inverses)
+    # q <= 1/2 for every ||A||_F ||X||_F up to _CLEAR_FRO
+    cleared = (fro2 <= _CLEAR_FRO ** 2) & (residual <= 0.5 / d - gamma * (1.0 + _CLEAR_FRO))
+    cond = np.full(len(mats), np.nan)
+    undecided = np.flatnonzero(~cleared)
+    if undecided.size:
+        cond[undecided] = np.linalg.cond(mats[undecided])
+    return ~cleared & ~(cond <= DEFAULT_COND_CAP), cond
+
+
+def _solve_identity(a: np.ndarray, eye: np.ndarray, x: np.ndarray,
+                    idx: np.ndarray) -> dict[int, str]:
+    """Solve A X = I by LU for the matrices ``idx`` of ``a``, into ``x``.
+
+    Returns {index: LAPACK's message} of the ones ``solve`` refused.  One
+    zero pivot makes the stacked solve raise for the whole stack, so the
+    stack is then solved matrix by matrix (the same LAPACK call each).
     """
     try:
-        return np.linalg.solve(a, eye), {}
+        x[idx] = np.linalg.solve(a[idx], eye)
+        return {}
     except np.linalg.LinAlgError:
-        x = np.zeros_like(a)
         errors = {}
-        for i, mat in enumerate(a):
+        for i in idx.tolist():
             try:
-                x[i] = np.linalg.solve(mat, eye)
+                x[i] = np.linalg.solve(a[i], eye)
             except np.linalg.LinAlgError as exc:
                 errors[i] = str(exc)
-        return x, errors
+        return errors
 
 
 def batch_invert(mats: np.ndarray) -> BatchInverse:
@@ -482,54 +522,76 @@ def batch_invert(mats: np.ndarray) -> BatchInverse:
 
     A matrix is accepted when its condition number is finite and at most
     ``DEFAULT_COND_CAP``, ``solve`` succeeds, and Newton refinement (up to
-    five steps, tracked per matrix) brings the max-norm residual to
-    ``INVERT_RESIDUAL_TOL``.  Each matrix meets the same LAPACK calls and
-    the same refinement steps whatever stack it sits in, so its inverse
-    is bit-for-bit the one ``invert`` returns for it alone.  Raises
-    InputError when an entry of the stack, or of an accepted inverse, is
-    not finite.
+    four steps, tracked per matrix) brings the max-norm residual to
+    ``INVERT_RESIDUAL_TOL``.  The stack is solved first, and
+    ``condition_capped`` decides the cap from each solution's residual,
+    with an SVD only of the matrices that residual cannot clear; only the
+    matrices under the cap are refined.  So each verdict and message is the
+    one of testing ``np.linalg.cond`` first.  When a zero pivot refuses the
+    stacked solve, the matrices the cap will most likely refuse wait for it
+    unsolved (those whose own LU meets a zero pivot, and those whose
+    determinant is below ||A||_F^d / ``DEFAULT_COND_CAP``), and the rest are
+    solved again as a stack; one the cap passes after all is solved then.
+    Each matrix meets the same LAPACK calls and the same refinement steps
+    whatever stack it sits in, so its inverse is bit-for-bit the one
+    ``invert`` returns for it alone.  Raises InputError when an entry of
+    the stack, or of an accepted inverse, is not finite.
     """
     require_finite(mats)
     m, d = mats.shape[0], mats.shape[-1]
-    inverses = np.zeros_like(mats)
-    accepted = np.zeros(m, dtype=bool)
-    residual = np.full(m, np.nan)
-    solve_errors = {}
-    cond = np.linalg.cond(mats)
-    idx = np.flatnonzero(np.isfinite(cond) & (cond <= DEFAULT_COND_CAP))
     eye = np.eye(d)
-    if idx.size:
-        a = mats[idx]
-        x, errors = _solve_identity(a, eye)
-        solve_errors = {int(idx[i]): msg for i, msg in errors.items()}
-        solved = np.ones(len(idx), dtype=bool)
-        solved[list(errors)] = False
-        a, x, idx = a[solved], x[solved], idx[solved]
-        res = np.full(len(idx), np.inf)
-        live = np.arange(len(idx))
-        for _ in range(5):
-            r = eye - a[live] @ x[live]
-            res[live] = np.abs(r).max(axis=(1, 2))
-            step = ~(res[live] <= INVERT_RESIDUAL_TOL)
-            live, r = live[step], r[step]
-            if not live.size:
-                break
-            x[live] = x[live] + x[live] @ r
-        keep = ~(res > INVERT_RESIDUAL_TOL)  # as in a scalar loop, NaN is not above
-        inverses[idx[keep]] = x[keep]
-        accepted[idx] = keep
-        residual[idx] = res
+    put_off = np.zeros(m, dtype=bool)
+    try:
+        x, errors = np.linalg.solve(mats, eye), {}
+    except np.linalg.LinAlgError:
+        sign, logdet = np.linalg.slogdet(mats)
+        with np.errstate(divide="ignore", over="ignore"):  # a zero or huge matrix is put off
+            log_fro = np.log(np.sqrt(np.einsum("mij,mij->m", mats, mats)))
+        put_off = (sign == 0) | (logdet < d * log_fro - np.log(DEFAULT_COND_CAP))
+        x = np.zeros_like(mats)
+        errors = _solve_identity(mats, eye, x, np.flatnonzero(~put_off))
+    solved = ~put_off
+    solved[list(errors)] = False
+    r = np.empty_like(mats)
+
+    def residuals(idx):  # I - A X into r, and its max-norm (NaN if unsolved), for idx
+        with np.errstate(over="ignore", invalid="ignore"):  # above the cap, X may overflow
+            r[idx] = eye - mats[idx] @ x[idx]
+        return np.where(solved[idx], np.abs(r[idx]).max(axis=(1, 2)), np.nan)
+
+    residual = residuals(slice(None))
+    capped, cond = condition_capped(mats, x, residual)
+    late = np.flatnonzero(put_off & ~capped)
+    if late.size:  # under the cap after all: solve them as any other matrix
+        late_errors = _solve_identity(mats, eye, x, late)
+        solved[late] = True
+        solved[list(late_errors)] = False
+        errors.update(late_errors)
+        residual[late] = residuals(late)
+    live = np.flatnonzero(solved & ~capped)
+    for _ in range(4):  # Newton steps X <- X + X (I - A X)
+        live = live[~(residual[live] <= INVERT_RESIDUAL_TOL)]
+        if not live.size:
+            break
+        x[live] = x[live] + x[live] @ r[live]
+        residual[live] = residuals(live)
+    residual[capped] = np.nan
+    accepted = solved & ~capped & ~(residual > INVERT_RESIDUAL_TOL)  # NaN is not above
+    inverses = np.where(accepted[:, None, None], x, 0.0)
     require_finite(inverses)
-    return BatchInverse(inverses, accepted, cond, residual, solve_errors)
+    return BatchInverse(inverses, accepted, capped, cond, residual,
+                        {i: msg for i, msg in errors.items() if not capped[i]})
 
 
 def invert(M: DenseOperator) -> DenseOperator:
     """Guarded inversion: M^-1 with max-norm residual at most 1e-9.
 
     A batch of one through ``batch_invert``.  Raises NotInvertible when the
-    condition number exceeds ``DEFAULT_COND_CAP``, ``solve`` fails, or
-    Newton refinement cannot reach the residual tolerance.  The inverse
-    maps the codomain back to the domain, so the norm tags swap.
+    condition number exceeds ``DEFAULT_COND_CAP`` (numpy's ``cond``, taken
+    only when the residual certificate of ``condition_capped`` cannot clear
+    the matrix), ``solve`` fails, or Newton refinement cannot reach the
+    residual tolerance.  The inverse maps the codomain back to the domain,
+    so the norm tags swap.
     """
     if M.rows != M.cols:
         raise InputError(f"cannot invert a {M.rows}x{M.cols} operator")

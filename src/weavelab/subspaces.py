@@ -46,9 +46,20 @@ RATIO_STEPS = 60  # steps per climb
 _ASCENT_SEED = 11
 
 
+def _unit_rows(g: np.ndarray) -> np.ndarray:
+    """``g`` with each row scaled by a power of two (exactly) to a largest
+    entry in [1/2, 1); a zero row stays zero."""
+    return np.ldexp(g, -np.frexp(np.abs(g).max(axis=1))[1][:, None])
+
+
 @dataclass(frozen=True, eq=False)
 class SpannedSubspace:
-    """The span of independent generator rows inside a normed space."""
+    """The span of independent generator rows inside a normed space.
+
+    Independence is tested on the rows scaled by ``_unit_rows``, so a scale
+    gap between rows, or rows far below unit scale, never reads as
+    dependence; the generators are stored unscaled.
+    """
 
     space: NormedSpace
     generators: np.ndarray
@@ -63,7 +74,7 @@ class SpannedSubspace:
                              f"dim-{self.space.dim} space")
         if not np.all(np.isfinite(g)):
             raise InputError("generators must be finite")
-        svals = np.linalg.svd(g, compute_uv=False)
+        svals = np.linalg.svd(_unit_rows(g), compute_uv=False)
         if len(svals) < len(g) or svals[-1] <= INDEPENDENCE_TOL * max(1.0, svals[0]):
             raise InputError("generators are linearly dependent within tolerance")
         g.flags.writeable = False
@@ -389,16 +400,14 @@ def _direct_sum(a: SpannedSubspace, b: SpannedSubspace
                 ) -> tuple[np.ndarray, np.ndarray] | None:
     """The two lifts whose restricted norms are ||P_A|| and ||P_B|| on A + B,
     as (D, G) stacks for ``_lift_norms``: D = [A^T 0] and [0 B^T] over
-    G = [A; B], each row of G scaled by a power of two to a largest entry in
-    [1/2, 1) so that no scale gap reads as dependence.  None when [A; B] is
+    G = [A; B], its rows scaled by ``_unit_rows``.  None when [A; B] is
     dependent within ``INDEPENDENCE_TOL``: when A and B intersect (so when
     dim A + dim B exceeds the dimension)."""
     if a.space != b.space:
         raise InputError("subspaces live in different spaces")
-    g = np.vstack([a.generators, b.generators])
-    g = np.ldexp(g, -np.frexp(np.abs(g).max(axis=1))[1][:, None])
+    g = _unit_rows(np.vstack([a.generators, b.generators]))
     try:
-        g = SpannedSubspace(a.space, g).generators
+        SpannedSubspace(a.space, g)
     except InputError:
         return None
     in_a = np.arange(len(g)) < a.dim

@@ -6,16 +6,17 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from weavelab import (L1, L2, LINF, DenseOperator, Exactness, FrameSystem,
-                      InputError, NormKind, NormedSpace, NotInvertible,
-                      dual_norm, invert, lp, norming_vector, operator_norm,
+                      GallerySpec, InputError, NormKind, NormedSpace,
+                      NotABasis, NotInvertible, biorthogonals, dual_norm,
+                      generate, invert, lp, norming_vector, operator_norm,
                       vector_norm)
 from weavelab import normed, search
-from weavelab.frames import frame_constants, outer_stack, pattern_sums
+from weavelab.frames import BIORTHOGONAL_TOL, frame_constants, outer_stack, pattern_sums
 from weavelab.normed import (ASCENT_STARTS, DEFAULT_COND_CAP, INVERT_RESIDUAL_TOL,
                              batch_ascent, batch_invert, batch_opnorm_values,
                              batch_vector_norms)
 from weavelab.weaving import worst_weaving
-from conftest import NORMS, random_frame_system
+from conftest import NORMS, random_basis, random_frame_system
 
 finite_floats = st.floats(min_value=-10, max_value=10, allow_nan=False)
 small_vectors = st.lists(finite_floats, min_size=1, max_size=6)
@@ -428,6 +429,134 @@ def test_batch_invert_refuses_non_finite_entries_and_inverses():
         batch_invert(tiny)
     with pytest.raises(InputError, match="operator entries must be finite"):
         invert(DenseOperator(tiny[1], L1, L1))
+
+
+def _reference_biorthogonals(v):
+    """The cond-first loop biorthogonals replaced: (duals or None, message)."""
+    b = v.T
+    cond = np.linalg.cond(b)
+    if not np.isfinite(cond) or cond > DEFAULT_COND_CAP:
+        return None, f"vectors are dependent (condition number {cond:.3e})"
+    eye = np.eye(b.shape[0])
+    try:
+        duals = np.linalg.solve(b, eye)
+    except np.linalg.LinAlgError as exc:
+        return None, str(exc)
+    res = np.inf
+    for _ in range(5):
+        r = eye - duals @ b
+        res = float(np.abs(r).max())
+        if res <= BIORTHOGONAL_TOL:
+            break
+        duals = duals + r @ duals
+    if res > BIORTHOGONAL_TOL:
+        return None, f"biorthogonality residual {res:.3e} above {BIORTHOGONAL_TOL:.1e}"
+    return duals, None
+
+
+def _near_cap_stacks(rng):
+    """Per dimension: condition numbers 1, 1e4 and 1e8 .. 1e14 (a diagonal
+    scaling between two random orthogonal matrices, at three scales) and
+    exactly singular integer matrices; d = 2 also holds the diag(1e5, 3e-8)
+    repro."""
+    stacks = {}
+    for d in (2, 3, 5, 8):
+        mats = []
+        for log_cond in (0.0, 4.0, *np.linspace(8.0, 14.0, 13)):
+            for scale in (1e-3, 1.0, 1e3):
+                u = np.linalg.qr(rng.standard_normal((d, d)))[0]
+                v = np.linalg.qr(rng.standard_normal((d, d)))[0]
+                mats.append(scale * (u * np.logspace(0, -log_cond, d)) @ v.T)
+        for _ in range(6):
+            a = rng.integers(-3, 4, (d, d)).astype(float)
+            a[-1] = a[0] - 2.0 * a[1] if d > 2 else 3.0 * a[0]
+            mats.append(a)
+        if d == 2:
+            mats.append(np.diag([1e5, 3e-8]))
+        stacks[d] = np.array(mats)
+    return stacks
+
+
+def test_batch_invert_near_the_cap_matches_testing_cond_first(rng):
+    messages = []
+    for mats in _near_cap_stacks(rng).values():
+        batch = batch_invert(mats)
+        for i, a in enumerate(mats):
+            x, message = _reference_invert(a)
+            messages.append(message)
+            assert batch.accepted[i] == (x is not None)
+            assert batch.reason(i) == message
+            expected = x if x is not None else np.zeros_like(a)
+            assert batch.inverses[i].tobytes() == expected.tobytes()
+    assert "condition number 3.333e+12 exceeds cap 1.0e+12" in messages  # the repro
+    assert "condition number inf exceeds cap 1.0e+12" in messages
+    assert any(m and m.startswith("inversion residual") for m in messages)
+    assert 0 < sum(m is None for m in messages) < len(messages)
+
+
+def test_biorthogonals_near_the_cap_match_testing_cond_first(rng):
+    messages = []
+    for mats in _near_cap_stacks(rng).values():
+        for a in mats:
+            duals, message = _reference_biorthogonals(a.T)
+            messages.append(message)
+            if duals is None:
+                with pytest.raises(NotABasis) as exc:
+                    biorthogonals(a.T)
+                assert str(exc.value) == message
+            else:
+                assert biorthogonals(a.T).tobytes() == duals.tobytes()
+    assert "vectors are dependent (condition number 3.333e+12)" in messages
+    assert any(m and m.startswith("biorthogonality residual") for m in messages)
+    assert 0 < sum(m is None for m in messages) < len(messages)
+
+
+def _count_svds(monkeypatch):
+    """Count the matrices np.linalg.cond takes from here on."""
+    taken = []
+    cond = np.linalg.cond
+
+    def counting_cond(x, *args, **kwargs):
+        taken.append(int(np.prod(np.shape(x)[:-2])))
+        return cond(x, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "cond", counting_cond)
+    return taken
+
+
+def test_well_conditioned_inversions_take_no_svd(rng, monkeypatch):
+    f0 = generate(GallerySpec("standard-c0", 8))
+    f1 = generate(GallerySpec("summing-c0", 8))
+    basis = random_basis(rng, 10)
+    taken = _count_svds(monkeypatch)
+    result = worst_weaving(f0, f1, log_all_patterns=True)
+    biorthogonals(basis)
+    assert sum(taken) == 0
+    assert all(np.isfinite(b) for _, _, b in result.per_pattern_log)
+    mats = np.array([rng.standard_normal((5, 5)) + 3 * np.eye(5) for _ in range(8)])
+    clear = batch_invert(mats)
+    assert sum(taken) == 0 and clear.accepted.all() and np.isnan(clear.cond).all()
+    mats[3] = np.outer(np.arange(1.0, 6.0), np.arange(2.0, 7.0))  # exactly singular
+    batch = batch_invert(mats)
+    assert sum(taken) == 1
+    assert batch.capped.tolist() == [i == 3 for i in range(8)]
+    assert batch.reason(3) == _reference_invert(mats[3])[1]
+    keep = [0, 1, 2, 4, 5, 6, 7]
+    assert batch.inverses[keep].tobytes() == clear.inverses[keep].tobytes()
+
+
+def test_batch_invert_finishes_a_put_off_matrix_under_the_cap(rng, monkeypatch):
+    """A matrix the stacked solve leaves for later is solved and refined as
+    any other once the cap has passed it."""
+    mats = np.array([rng.standard_normal((4, 4)) + 3 * np.eye(4) for _ in range(5)]
+                    + [np.zeros((4, 4))])  # the zero matrix refuses the stacked solve
+    clean = batch_invert(mats[:5])
+    monkeypatch.setattr(np.linalg, "slogdet",
+                        lambda a: (np.zeros(len(a)), np.full(len(a), -np.inf)))
+    batch = batch_invert(mats)
+    assert batch.accepted.tolist() == [True] * 5 + [False]
+    assert batch.inverses[:5].tobytes() == clean.inverses.tobytes()
+    assert batch.reason(5) == "condition number inf exceeds cap 1.0e+12"
 
 
 def test_frame_constants_equal_the_weaving_table_row(rng):

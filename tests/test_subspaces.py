@@ -566,6 +566,23 @@ def test_spanned_subspace_validation():
         SpannedSubspace(sp, [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]])
 
 
+def test_independence_is_relative_to_each_generator_row():
+    tiny = SpannedSubspace(NormedSpace(2, L1), [[1e-11, 0]])
+    assert tiny.generators.tobytes() == np.array([[1e-11, 0.0]]).tobytes()
+    gap = [[1e-11, 0.0, 0.0], [0.0, 1e11, 1.0]]
+    assert np.array_equal(SpannedSubspace(NormedSpace(3, L1), gap).generators, gap)
+    with pytest.raises(InputError, match="dependent"):
+        SpannedSubspace(NormedSpace(2, L1), [[1e-11, 1e-11], [1e-11, 1e-11]])
+    # a perfectly conditioned basis far below (and its duals far above) unit scale
+    space = NormedSpace(2, L1)
+    f0 = FrameSystem(space, np.eye(2), np.eye(2))
+    f1 = FrameSystem(space, 1e-11 * np.eye(2), 1e11 * np.eye(2))
+    for name in ("v", "vi"):
+        outcome = unc_conditions(f0, f1, conditions=name).conditions[name]
+        assert outcome.holds and outcome.exactness is Exactness.EXACT
+        assert outcome.constant == pytest.approx(1.0, rel=1e-12)
+
+
 def test_projection_pair():
     from weavelab import projection_pair
     std = standard_system(4)
