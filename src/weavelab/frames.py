@@ -20,8 +20,9 @@ import numpy as np
 
 from . import search
 from .errors import InputError, NotABasis, NotAFrame, NotInvertible
-from .normed import (Bound, DenseOperator, NormedSpace, batch_opnorm_values,
-                     condition_capped, invert, operator_norm, require_finite)
+from .normed import (DEFAULT_COND_CAP, Bound, DenseOperator, NormedSpace,
+                     batch_opnorm_values, condition_capped, invert, operator_norm,
+                     require_finite)
 from .search import EXHAUSTIVE, SearchMode, heuristic  # heuristic is re-exported
 
 BIORTHOGONAL_TOL = 1e-10
@@ -162,9 +163,9 @@ def biorthogonals(vectors: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):  # above the cap, the duals may overflow
         r = eye - duals @ b
     res = float(np.abs(r).max())
-    capped, cond = condition_capped(b[None], duals[None], np.array([res]))
-    if capped[0]:
-        raise NotABasis(f"vectors are dependent (condition number {cond[0]:.3e})")
+    cond = condition_capped(b[None], duals[None], np.array([res]))[0]
+    if cond > DEFAULT_COND_CAP:
+        raise NotABasis(f"vectors are dependent (condition number {cond:.3e})")
     if solve_error is not None:
         raise NotABasis(solve_error)
     for _ in range(4):

@@ -435,20 +435,19 @@ def operator_norm(M: DenseOperator) -> Bound:
 class BatchInverse:
     """Guarded inverses of an (m, d, d) stack, one verdict per matrix.
 
-    ``capped`` marks the matrices refused by the condition cap, as
-    ``condition_capped`` decides it.  ``cond`` is numpy's 2-norm condition
-    number where that test took it, and NaN for the matrices the residual
-    certificate cleared (their condition number is at most
-    ``DEFAULT_COND_CAP``/100).  ``residual`` is the max-norm residual
-    ``|I - A X|`` of the refined inverse, NaN where no inverse counts
-    (condition cap exceeded or ``solve`` failed).  ``inverses`` holds zeros
-    where ``accepted`` is false.  ``solve_errors`` maps the index of each
-    uncapped matrix ``solve`` refused to LAPACK's message.
+    ``cond`` is numpy's 2-norm condition number where ``condition_capped``
+    took it, and NaN for the matrices its residual certificate cleared
+    (their condition number is at most ``DEFAULT_COND_CAP``/100); a matrix
+    is refused by the cap exactly where ``cond > DEFAULT_COND_CAP``.
+    ``residual`` is the max-norm residual ``|I - A X|`` of the refined
+    inverse, NaN where no inverse counts (condition cap exceeded or
+    ``solve`` failed).  ``inverses`` holds zeros where ``accepted`` is
+    false.  ``solve_errors`` maps the index of each uncapped matrix
+    ``solve`` refused to LAPACK's message.
     """
 
     inverses: np.ndarray
     accepted: np.ndarray
-    capped: np.ndarray
     cond: np.ndarray
     residual: np.ndarray
     solve_errors: dict[int, str]
@@ -457,7 +456,7 @@ class BatchInverse:
         """Why matrix ``i`` was rejected (``invert``'s message), None if accepted."""
         if self.accepted[i]:
             return None
-        if self.capped[i]:
+        if self.cond[i] > DEFAULT_COND_CAP:
             return f"condition number {self.cond[i]:.3e} exceeds cap {DEFAULT_COND_CAP:.1e}"
         if i in self.solve_errors:
             return self.solve_errors[i]
@@ -465,10 +464,11 @@ class BatchInverse:
 
 
 def condition_capped(mats: np.ndarray, inverses: np.ndarray,
-                     residual: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(capped, cond): numpy's ``cond(A) > DEFAULT_COND_CAP`` test (or a
-    non-finite ``cond``) for each matrix of an (m, d, d) stack, with an SVD
-    only where a residual certificate cannot decide it.
+                     residual: np.ndarray) -> np.ndarray:
+    """The condition numbers that decide ``cond(A) > DEFAULT_COND_CAP`` for
+    each matrix of an (m, d, d) stack, with an SVD only where a residual
+    certificate cannot decide it: NaN for each matrix the certificate
+    cleared, numpy's ``cond`` (+inf when singular) for the rest.
 
     ``inverses`` holds an approximate inverse X of each matrix and
     ``residual`` the max-norm of its residual, ``I - A X`` or ``I - X A``
@@ -480,8 +480,7 @@ def condition_capped(mats: np.ndarray, inverses: np.ndarray,
     kappa_2 is at most ``DEFAULT_COND_CAP``/100, and LAPACK's singular
     values are off by at most p(d) eps sigma_1, which keeps numpy's
     ``cond`` below the cap too.  Every other matrix gets ``np.linalg.cond``,
-    so each verdict is the plain cap test's.  ``cond`` is NaN where the
-    certificate decided.
+    so ``cond > DEFAULT_COND_CAP`` is the plain cap test's verdict.
     """
     d = mats.shape[-1]
     gamma = (d + 1) * _UNIT_ROUNDOFF / (1.0 - (d + 1) * _UNIT_ROUNDOFF)  # Higham's gamma_{d+1}
@@ -493,7 +492,7 @@ def condition_capped(mats: np.ndarray, inverses: np.ndarray,
     undecided = np.flatnonzero(~cleared)
     if undecided.size:
         cond[undecided] = np.linalg.cond(mats[undecided])
-    return ~cleared & ~(cond <= DEFAULT_COND_CAP), cond
+    return cond
 
 
 def _solve_identity(a: np.ndarray, eye: np.ndarray, x: np.ndarray,
@@ -528,30 +527,22 @@ def batch_invert(mats: np.ndarray) -> BatchInverse:
     with an SVD only of the matrices that residual cannot clear; only the
     matrices under the cap are refined.  So each verdict and message is the
     one of testing ``np.linalg.cond`` first.  When a zero pivot refuses the
-    stacked solve, the matrices the cap will most likely refuse wait for it
-    unsolved (those whose own LU meets a zero pivot, and those whose
-    determinant is below ||A||_F^d / ``DEFAULT_COND_CAP``), and the rest are
-    solved again as a stack; one the cap passes after all is solved then.
-    Each matrix meets the same LAPACK calls and the same refinement steps
-    whatever stack it sits in, so its inverse is bit-for-bit the one
-    ``invert`` returns for it alone.  Raises InputError when an entry of
-    the stack, or of an accepted inverse, is not finite.
+    stacked solve, every matrix waits for the cap unsolved (so each gets an
+    SVD), and those under it are solved then.  Each matrix meets the same
+    LAPACK calls and the same refinement steps whatever stack it sits in,
+    so its inverse is bit-for-bit the one ``invert`` returns for it alone.
+    Raises InputError when an entry of the stack, or of an accepted
+    inverse, is not finite.
     """
     require_finite(mats)
-    m, d = mats.shape[0], mats.shape[-1]
+    d = mats.shape[-1]
     eye = np.eye(d)
-    put_off = np.zeros(m, dtype=bool)
     try:
-        x, errors = np.linalg.solve(mats, eye), {}
+        x = np.linalg.solve(mats, eye)
+        solved = np.ones(len(mats), dtype=bool)
     except np.linalg.LinAlgError:
-        sign, logdet = np.linalg.slogdet(mats)
-        with np.errstate(divide="ignore", over="ignore"):  # a zero or huge matrix is put off
-            log_fro = np.log(np.sqrt(np.einsum("mij,mij->m", mats, mats)))
-        put_off = (sign == 0) | (logdet < d * log_fro - np.log(DEFAULT_COND_CAP))
         x = np.zeros_like(mats)
-        errors = _solve_identity(mats, eye, x, np.flatnonzero(~put_off))
-    solved = ~put_off
-    solved[list(errors)] = False
+        solved = np.zeros(len(mats), dtype=bool)
     r = np.empty_like(mats)
 
     def residuals(idx):  # I - A X into r, and its max-norm (NaN if unsolved), for idx
@@ -560,13 +551,14 @@ def batch_invert(mats: np.ndarray) -> BatchInverse:
         return np.where(solved[idx], np.abs(r[idx]).max(axis=(1, 2)), np.nan)
 
     residual = residuals(slice(None))
-    capped, cond = condition_capped(mats, x, residual)
-    late = np.flatnonzero(put_off & ~capped)
-    if late.size:  # under the cap after all: solve them as any other matrix
-        late_errors = _solve_identity(mats, eye, x, late)
+    cond = condition_capped(mats, x, residual)
+    capped = cond > DEFAULT_COND_CAP
+    errors = {}
+    late = np.flatnonzero(~solved & ~capped)
+    if late.size:  # the stacked solve was refused: solve those under the cap
+        errors = _solve_identity(mats, eye, x, late)
         solved[late] = True
-        solved[list(late_errors)] = False
-        errors.update(late_errors)
+        solved[list(errors)] = False
         residual[late] = residuals(late)
     live = np.flatnonzero(solved & ~capped)
     for _ in range(4):  # Newton steps X <- X + X (I - A X)
@@ -579,8 +571,7 @@ def batch_invert(mats: np.ndarray) -> BatchInverse:
     accepted = solved & ~capped & ~(residual > INVERT_RESIDUAL_TOL)  # NaN is not above
     inverses = np.where(accepted[:, None, None], x, 0.0)
     require_finite(inverses)
-    return BatchInverse(inverses, accepted, capped, cond, residual,
-                        {i: msg for i, msg in errors.items() if not capped[i]})
+    return BatchInverse(inverses, accepted, cond, residual, errors)
 
 
 def invert(M: DenseOperator) -> DenseOperator:

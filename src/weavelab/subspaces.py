@@ -58,7 +58,10 @@ class SpannedSubspace:
 
     Independence is tested on the rows scaled by ``_unit_rows``, so a scale
     gap between rows, or rows far below unit scale, never reads as
-    dependence; the generators are stored unscaled.
+    dependence; the generators are stored unscaled.  The lifts built on
+    them (``restricted_inverse``, ``oblique_projection``) solve by least
+    squares on the unscaled generators, so there a gap near 1/eps between
+    row scales reads as a singular restriction (NotInvertible).
     """
 
     space: NormedSpace

@@ -569,18 +569,36 @@ def test_spanned_subspace_validation():
 def test_independence_is_relative_to_each_generator_row():
     tiny = SpannedSubspace(NormedSpace(2, L1), [[1e-11, 0]])
     assert tiny.generators.tobytes() == np.array([[1e-11, 0.0]]).tobytes()
-    gap = [[1e-11, 0.0, 0.0], [0.0, 1e11, 1.0]]
-    assert np.array_equal(SpannedSubspace(NormedSpace(3, L1), gap).generators, gap)
     with pytest.raises(InputError, match="dependent"):
         SpannedSubspace(NormedSpace(2, L1), [[1e-11, 1e-11], [1e-11, 1e-11]])
-    # a perfectly conditioned basis far below (and its duals far above) unit scale
+    # a perfectly conditioned basis far below (and its duals far above) unit
+    # scale, and one whose vectors differ in scale by 1e11
     space = NormedSpace(2, L1)
     f0 = FrameSystem(space, np.eye(2), np.eye(2))
-    f1 = FrameSystem(space, 1e-11 * np.eye(2), 1e11 * np.eye(2))
-    for name in ("v", "vi"):
-        outcome = unc_conditions(f0, f1, conditions=name).conditions[name]
-        assert outcome.holds and outcome.exactness is Exactness.EXACT
-        assert outcome.constant == pytest.approx(1.0, rel=1e-12)
+    for vectors, functionals in ((1e-11 * np.eye(2), 1e11 * np.eye(2)),
+                                 (np.diag([1.0, 1e-11]), np.diag([1.0, 1e11]))):
+        f1 = FrameSystem(space, vectors, functionals)
+        for name in ("v", "vi"):
+            outcome = unc_conditions(f0, f1, conditions=name).conditions[name]
+            assert outcome.holds and outcome.exactness is Exactness.EXACT
+            assert outcome.constant == pytest.approx(1.0, rel=1e-12)
+
+
+def test_restricted_inverse_across_a_scale_gap_between_generator_rows():
+    """The lift solves by least squares on the unscaled generators: a gap of
+    1e11 between row scales still inverts exactly, one of 1e22 reads as
+    singular."""
+    space = NormedSpace(3, L1)
+    eye = DenseOperator.identity(space)
+    gap = SpannedSubspace(space, [[1e-11, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    inv = restricted_inverse(eye, gap, gap)
+    assert np.allclose(inv.coefficients, np.eye(2), rtol=0, atol=1e-12)
+    assert inv.norm.exactness is Exactness.EXACT
+    assert inv.norm.value == pytest.approx(1.0, rel=1e-12)
+    wide = [[1e-11, 0.0, 0.0], [0.0, 1e11, 1.0]]
+    assert np.array_equal(SpannedSubspace(space, wide).generators, wide)
+    with pytest.raises(NotInvertible, match="singular within the condition cap"):
+        restricted_inverse(eye, SpannedSubspace(space, wide), SpannedSubspace(space, wide))
 
 
 def test_projection_pair():
