@@ -495,25 +495,23 @@ def condition_capped(mats: np.ndarray, inverses: np.ndarray,
     return cond
 
 
-def _solve_identity(a: np.ndarray, eye: np.ndarray, x: np.ndarray,
-                    idx: np.ndarray) -> dict[int, str]:
-    """Solve A X = I by LU for the matrices ``idx`` of ``a``, into ``x``.
+def _solve_identity(a: np.ndarray, eye: np.ndarray) -> tuple[np.ndarray, dict[int, str]]:
+    """(A^-1 per matrix by LU solve, {position: message} of the ones it refused).
 
-    Returns {index: LAPACK's message} of the ones ``solve`` refused.  One
-    zero pivot makes the stacked solve raise for the whole stack, so the
-    stack is then solved matrix by matrix (the same LAPACK call each).
+    One singular pivot makes the stacked solve raise for the whole stack, so
+    the stack is then solved matrix by matrix (the same LAPACK call each).
     """
     try:
-        x[idx] = np.linalg.solve(a[idx], eye)
-        return {}
+        return np.linalg.solve(a, eye), {}
     except np.linalg.LinAlgError:
+        x = np.zeros_like(a)
         errors = {}
-        for i in idx.tolist():
+        for i, mat in enumerate(a):
             try:
-                x[i] = np.linalg.solve(a[i], eye)
+                x[i] = np.linalg.solve(mat, eye)
             except np.linalg.LinAlgError as exc:
                 errors[i] = str(exc)
-        return errors
+        return x, errors
 
 
 def batch_invert(mats: np.ndarray) -> BatchInverse:
@@ -556,7 +554,8 @@ def batch_invert(mats: np.ndarray) -> BatchInverse:
     errors = {}
     late = np.flatnonzero(~solved & ~capped)
     if late.size:  # the stacked solve was refused: solve those under the cap
-        errors = _solve_identity(mats, eye, x, late)
+        x[late], errors = _solve_identity(mats[late], eye)
+        errors = {int(late[i]): msg for i, msg in errors.items()}
         solved[late] = True
         solved[list(errors)] = False
         residual[late] = residuals(late)
