@@ -23,12 +23,16 @@ the peak RSS after it) and four whole CLI commands, one of them an lp:3
 the same files).  Each
 command adds to the file and rewrites its summary: per workload, trace
 setting and metric, each side's median and quartiles, in how many pairs
-the head read lower, and the head/parent ratio of the medians.
+the head read lower, and the head/parent ratio of the medians.  Before
+timing, both commands compile the bytecode of each side's ``src/`` and
+``perfbench/``, so that no side pays for compiling what the other reads
+from ``__pycache__``.
 """
 
 from __future__ import annotations
 
 import argparse
+import compileall
 import hashlib
 import json
 import os
@@ -123,6 +127,16 @@ def _src_digest(root: str) -> str:
     return h.hexdigest()[:16]
 
 
+def compile_bytecode(root: str):
+    """Write current bytecode for every module of the checkout's ``src/``
+    and ``perfbench/``, so every run of either side imports from
+    ``__pycache__`` whatever the checkout held before."""
+    for sub in ("src", "perfbench"):
+        path = os.path.join(root, sub)
+        if os.path.isdir(path) and not compileall.compile_dir(path, quiet=1):
+            raise RuntimeError(f"cannot compile {path}")
+
+
 def _load(path: str) -> dict:
     if os.path.exists(path):
         with open(path) as fh:
@@ -180,6 +194,8 @@ def _save(path: str, doc: dict):
 
 
 def run_pairs(args, doc: dict):
+    for root in (args.parent, args.head):
+        compile_bytecode(root)
     first = _next_pair([r for r in doc["runs"] if (r["workload"], r["seed"], r["trace"])
                         == (args.workload, args.seed, args.trace)])
     for pair in range(first, first + args.pairs):
@@ -200,6 +216,8 @@ def run_pairs(args, doc: dict):
 
 
 def run_layers(args, doc: dict):
+    for root in (args.parent, args.head):
+        compile_bytecode(root)
     first = _next_pair(doc["layers"])
     for pair in range(first, first + args.pairs):
         for order, side in enumerate(_sides(pair)):

@@ -26,6 +26,7 @@ from .normed import (DEFAULT_COND_CAP, Bound, DenseOperator, NormedSpace,
 from .search import EXHAUSTIVE, SearchMode, heuristic  # heuristic is re-exported
 
 BIORTHOGONAL_TOL = 1e-10
+LEVEL_CELLS = 2 ** 13  # floats of plain summing that cost about one pattern_sums level
 
 
 @dataclass(frozen=True, eq=False)
@@ -201,9 +202,49 @@ def pattern_sums(on: np.ndarray, off: np.ndarray | float, ms: np.ndarray) -> np.
     scalar.  Weaving tables and probes, subset and sign sums, and
     perturbation certificates all build their operators here, so
     exhaustive tables and single-pattern probes agree bit for bit.
+
+    Each sum is 0.0 + term 0 + term 1 + ..., left to right, as
+    ``np.add.reduce`` takes it over an outer axis.  Indices next to each
+    other in ``ms`` share leading bits, so the terms of the top bits are
+    reduced once per distinct prefix, and each later level adds one term
+    to the partial sums of the distinct bit prefixes it extends: about two
+    d x d additions per index of a run of consecutive ones instead of n.
+    Every sum still gets the same additions in the same order, so it is
+    bit for bit the plain reduce; a single index, or a chunk too small to
+    pay for the levels' numpy calls, is exactly that reduce.  Any order of
+    ``ms`` gives the same sums; ascending order shares the most.
     """
-    bits = search.bit_rows(ms, on.shape[0])
-    return np.add.reduce(np.where(bits[:, :, None, None], on, off), axis=1)
+    n, d = on.shape[0], on.shape[1]
+    bits = search.bit_rows(ms, n)
+    # Only the last levels are built, and none above the bits that every
+    # index shares (all n of a single index): each built level halves the
+    # floats, about len(ms) n d^2, that the reduce above it sums, and is
+    # worth its numpy calls while that saves LEVEL_CELLS floats.  numpy sums
+    # the terms of a 1 x 1 cell pairwise, not left to right, so there every
+    # sum stays one reduce.
+    shared = n - int(np.bitwise_or.reduce(ms ^ ms[:1])).bit_length()
+    levels = max(0, (len(bits) * n * d * d // LEVEL_CELLS).bit_length() - 1)
+    start = n if d == 1 else max(0, shared, n - levels)
+    if start == n:
+        return np.add.reduce(np.where(bits[:, :, None, None], on, off), axis=1)
+    if np.ndim(off) == 0:
+        off = np.full_like(on, off)
+    # the first bit in which each index leaves the one before it (bit 0 for
+    # a repeat, which so gets partial sums of its own)
+    split = np.full(len(bits), -1)
+    split[1:] = (bits[1:] != bits[:-1]).argmax(axis=1)
+    heads = np.flatnonzero(split < start)  # the first index of each distinct start-bit prefix
+    sums = np.add.reduce(np.where(bits[heads, :start, None, None], on[:start], off[:start]),
+                         axis=1)
+    for j in range(start, n):
+        children = np.flatnonzero(split <= j)
+        sums = sums[np.searchsorted(heads, children, side="right") - 1]
+        # each index takes its term in place: a level allocates only its sums
+        bit = bits[children, j, None, None]
+        np.add(sums, on[j], out=sums, where=bit)
+        np.add(sums, off[j], out=sums, where=~bit)
+        heads = children
+    return sums
 
 
 def _frame_inverse(system: FrameSystem) -> np.ndarray:

@@ -134,7 +134,7 @@ def _certify_residuals(f0: FrameSystem, f1: FrameSystem, s_inv: np.ndarray,
     o0 = outer_stack(f0.vectors, f0.functionals)
     o1 = outer_stack(f1.vectors, f1.functionals)
     eye = np.eye(f0.space.dim)
-    chunk = search.chunk_size_for(n, f0.space.dim ** 2)
+    chunk = search.chunk_size_for(search.CELLS_PER_SUM * f0.space.dim ** 2)
     max_res = 0.0
     failures = []
     for c0 in range(0, len(ms), chunk):

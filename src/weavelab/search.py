@@ -21,7 +21,13 @@ import numpy as np
 from .errors import InputError
 
 DEFAULT_EXHAUSTIVE_CAP = 2 ** 22
-CHUNK_BUDGET = 2 ** 17  # float cells per chunk of an exhaustive table
+# Floats that one chunk of an exhaustive table may hold at once.  Chunks are
+# sized per pattern row (``chunk_size_for``), because no array of a chunk
+# grows with the number of bits, only with what each pattern's row holds.  A
+# pattern-sum row holds CELLS_PER_SUM d x d cells: the sum, its inverse and
+# the solver's working copies.
+CHUNK_BUDGET = 2 ** 17
+CELLS_PER_SUM = 4
 
 
 @dataclass(frozen=True)
@@ -57,8 +63,8 @@ def worker_count() -> int:
 
 def bit_rows(ms: np.ndarray, n_bits: int) -> np.ndarray:
     """Boolean (len(ms), n_bits) matrix of the patterns' bits, MSB first."""
-    shifts = np.arange(n_bits - 1, -1, -1, dtype=np.uint64)
-    return ((ms[:, None].astype(np.uint64) >> shifts) & 1).astype(bool)
+    octets = np.asarray(ms, dtype=">u8").view(np.uint8).reshape(-1, 8)
+    return np.unpackbits(octets, axis=1)[:, 64 - n_bits:].view(bool)
 
 
 def bits_of_index(m: int, n_bits: int) -> tuple[int, ...]:
@@ -72,14 +78,16 @@ def index_of_bits(bits) -> int:
     return m
 
 
-def chunk_size_for(n_bits: int, cell: int) -> int:
-    """Fixed chunk size for a given problem shape.
+def chunk_size_for(row_cells: int) -> int:
+    """Patterns per chunk when one pattern's row holds ``row_cells`` floats:
+    ``CHUNK_BUDGET // row_cells``, at least 1 and at most 1024.
 
-    Depends only on the instance (never on the worker count) so chunk
-    contents, and hence floating-point results, are schedule-independent.
+    Pattern-sum tables pass ``CELLS_PER_SUM * d * d``, so a d x d chunk
+    holds 2**15 // d**2 patterns; ``unc_conditions`` passes n**3.  Depends
+    only on the instance (never on the worker count) so chunk contents, and
+    hence floating-point results, are schedule-independent.
     """
-    per_row = max(1, n_bits * cell)
-    return max(1, min(1024, CHUNK_BUDGET // per_row))
+    return max(1, min(1024, CHUNK_BUDGET // row_cells))
 
 
 def exhaustive_table(n_bits: int, rows_of: Callable[[np.ndarray], np.ndarray],
@@ -176,7 +184,8 @@ def maximize(n_bits: int, rows_of: Callable[[np.ndarray], np.ndarray], mode: Sea
     """Maximize the largest entry of a pattern's row over all n_bits patterns.
 
     ``rows_of`` maps a uint64 array of pattern indices to their rows, flat
-    when ``columns == 1``; ``cell`` (floats per bit term) sizes the chunks.
+    when ``columns == 1``; ``cell``, the floats of one pattern's sum, sizes
+    the chunks at ``CELLS_PER_SUM`` such cells per pattern.
     Exhaustive mode tabulates every row, but above ``exhaustive_cap``
     patterns it is demoted to ``heuristic(mode.restarts)``, which
     hill-climbs (seeded by greedy growth when ``greedy``) and evaluates
@@ -187,7 +196,8 @@ def maximize(n_bits: int, rows_of: Callable[[np.ndarray], np.ndarray], mode: Sea
     if mode.kind == "exhaustive" and (1 << n_bits) > exhaustive_cap:
         mode = heuristic(mode.restarts)
     if mode.kind == "exhaustive":
-        rows = exhaustive_table(n_bits, rows_of, columns, chunk_size_for(n_bits, cell))
+        rows = exhaustive_table(n_bits, rows_of, columns,
+                                chunk_size_for(CELLS_PER_SUM * cell))
         values = rows if columns == 1 else rows.max(axis=1)
         return mode, first_argmax(values), range(1 << n_bits), rows
 

@@ -651,7 +651,7 @@ def unc_conditions(f0: FrameSystem, f1: FrameSystem, scope: str = "exhaustive",
     exact = dict.fromkeys(wanted, scope_used == "exhaustive")
     agree = True
     max_st = max_ts = 0.0
-    chunk = chunk_size_for(n, n * n)  # fixed by the shape, never by the worker count
+    chunk = chunk_size_for(n * n * n)  # fixed by the shape, never by the worker count
     for lo in range(0, len(ms), chunk):
         cases = [_sigma_cases(f0, f1, stacks, m, inner_mode, wanted, seed)
                  for m in ms[lo:lo + chunk]]

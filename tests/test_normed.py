@@ -15,7 +15,7 @@ from weavelab.frames import BIORTHOGONAL_TOL, frame_constants, outer_stack, patt
 from weavelab.normed import (ASCENT_STARTS, DEFAULT_COND_CAP, INVERT_RESIDUAL_TOL,
                              batch_ascent, batch_invert, batch_opnorm_values,
                              batch_vector_norms)
-from weavelab.weaving import worst_weaving
+from weavelab.weaving import sample_patterns, worst_weaving
 from conftest import NORMS, random_basis, random_frame_system
 
 finite_floats = st.floats(min_value=-10, max_value=10, allow_nan=False)
@@ -250,7 +250,7 @@ def test_batch_ascent_does_not_depend_on_its_stack(rng, monkeypatch):
 def test_lp_weaving_table_does_not_depend_on_thread_count(rng, monkeypatch):
     f0 = random_frame_system(rng, 5, lp(3.0))
     f1 = random_frame_system(rng, 5, lp(3.0))
-    monkeypatch.setattr(search, "CHUNK_BUDGET", 8 * 5 * 25)  # four chunks of 8 patterns
+    monkeypatch.setattr(search, "CHUNK_BUDGET", 8 * 4 * 25)  # four chunks of 8 patterns
     logs = []
     for threads in ("1", "2"):
         monkeypatch.setenv("WEAVELAB_THREADS", threads)
@@ -570,6 +570,41 @@ def test_frame_constants_equal_the_weaving_table_row(rng):
             s, s_inv, _ = frame_constants(mat, f0.space)
             assert s.value == s_norm, pattern
             assert (s_inv.value if s_inv is not None else np.inf) == s_inv_norm, pattern
+
+
+def _plain_pattern_sums(on, off, ms):
+    """Every pattern's terms in one array, reduced left to right over its bits."""
+    bits = (ms[:, None] >> np.arange(on.shape[0] - 1, -1, -1, dtype=np.uint64)) & 1 == 1
+    return np.add.reduce(np.where(bits[:, :, None, None], on, off), axis=1)
+
+
+def _sparse_stack(rng, n, d, zero):
+    stack = rng.standard_normal((n, d, d)) * 10.0 ** rng.integers(-3, 4, size=(n, 1, 1))
+    stack[rng.random((n, d, d)) < 0.3] = 0.0
+    stack[:, 0, 1:] = zero  # the same signed zero in every term
+    return stack
+
+
+def test_pattern_sums_match_the_plain_reduce_bit_for_bit(rng):
+    # n != d, and d = 1, whose 1 x 1 cells numpy sums pairwise
+    for n, d in ((10, 10), (11, 11), (12, 12), (13, 13), (14, 14), (9, 3), (5, 8), (16, 1)):
+        on, g = _sparse_stack(rng, n, d, -0.0), _sparse_stack(rng, n, d, 0.0)
+        total = 1 << n
+        unaligned = [(0, 777), (max(0, total // 2 - 300), 777), (total - total % 777, 777)]
+        aligned = [(0, 256), (total - 256, 256), (total // 2, search.chunk_size_for(4 * d * d))]
+        runs = [np.arange(m0, min(m0 + size, total)) for m0, size in unaligned + aligned]
+        singles = [np.array([m]) for m in (0, total - 1, int(rng.integers(total)))]
+        draws = [np.array(sample_patterns(n, 300, seed)) for seed in (0, 1)]
+        for off in (g, 0.0, -g):  # weaving sums, subset sums (C_s), sign sums (C_u)
+            for ms in runs + singles + draws:
+                ms = ms.astype(np.uint64)
+                got = pattern_sums(on, off, ms)
+                assert got.tobytes() == _plain_pattern_sums(on, off, ms).tobytes(), (n, d, ms[0])
+    whole = np.arange(1 << 10, dtype=np.uint64)
+    on, g = _sparse_stack(rng, 10, 4, -0.0), _sparse_stack(rng, 10, 4, 0.0)
+    for size in (777, 1):  # every index of a run or one at a time: the same bits
+        parts = [pattern_sums(on, -g, whole[m0:m0 + size]) for m0 in range(0, 1 << 10, size)]
+        assert np.concatenate(parts).tobytes() == _plain_pattern_sums(on, -g, whole).tobytes()
 
 
 def test_operator_validation():

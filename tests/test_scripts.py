@@ -1,6 +1,8 @@
 """Smoke tests: the README's experiment scripts run to completion, the test
-suite collects without errors, and the benchmark's self-tests pass."""
+suite collects without errors, the benchmark's self-tests pass, and the
+benchmark recorder compiles both sides' bytecode before timing them."""
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -46,3 +48,39 @@ def test_benchmark_selftest_passes():
                           capture_output=True, text=True, env=_env(), cwd=ROOT,
                           timeout=300)
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def _bench_record():
+    spec = importlib.util.spec_from_file_location("bench_record",
+                                                  ROOT / "scripts" / "bench_record.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_record_gives_both_sides_the_same_bytecode(tmp_path):
+    # one side holds stale bytecode and the other none; after the helper
+    # both import every module from a current __pycache__ entry
+    sides = []
+    for name in ("parent", "head"):
+        pkg = tmp_path / name / "src" / "pkg"
+        pkg.mkdir(parents=True)
+        (pkg / "__init__.py").write_text("")
+        (pkg / "mod.py").write_text(f"SIDE = {name!r}\n")
+        (tmp_path / name / "perfbench").mkdir()
+        (tmp_path / name / "perfbench" / "run.py").write_text("")
+        sides.append(tmp_path / name)
+    stale = Path(importlib.util.cache_from_source(str(sides[0] / "src" / "pkg" / "mod.py")))
+    stale.parent.mkdir()
+    stale.write_bytes(b"not bytecode")
+    bench_record = _bench_record()
+    for side in sides:
+        bench_record.compile_bytecode(str(side))
+    for side in sides:
+        for source in [*side.glob("src/pkg/*.py"), side / "perfbench" / "run.py"]:
+            cached = Path(importlib.util.cache_from_source(str(source)))
+            data = cached.read_bytes()
+            assert data[:4] == importlib.util.MAGIC_NUMBER, cached
+            flags = int.from_bytes(data[4:8], "little")
+            mtime = int.from_bytes(data[8:12], "little")
+            assert flags == 0 and mtime == int(source.stat().st_mtime), cached

@@ -169,7 +169,7 @@ def test_heuristic_log_holds_the_evaluated_patterns():
 def test_exhaustive_results_do_not_depend_on_thread_count(rng, monkeypatch):
     f0 = random_frame_system(rng, 10, LINF)
     f1 = random_frame_system(rng, 10, LINF)
-    assert search.chunk_size_for(10, 10 * 10) < 2 ** 10  # several chunks to share
+    assert search.chunk_size_for(4 * 10 * 10) < 2 ** 10  # several chunks to share
     seen = []
     for threads in ("1", "3"):
         monkeypatch.setenv("WEAVELAB_THREADS", threads)
