@@ -327,6 +327,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "seed", 0) < 0:
+            raise InputError(f"argument --seed: must be nonnegative, got {args.seed}")
         handler = {
             "analyze": _cmd_analyze,
             "weave-search": _cmd_weave_search,

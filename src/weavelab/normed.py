@@ -357,27 +357,26 @@ def batch_ascent(mats: np.ndarray, domain: NormKind,
     per matrix.  Every (matrix, start) climb alternates norming vectors of
     ``M x`` and ``M^T g`` while the value grows by more than a relative
     1e-14, for at most ``ASCENT_MAX_STEPS`` steps; the climbs advance in
-    lockstep, in chunks of about ``_ASCENT_CELLS`` gathered entries.  Each
-    matrix keeps its first start whose value is strictly above 0.0 and
-    largest (the first start when none is).  A climb meets the same
-    arithmetic whatever stack it sits in, so each value and witness is the
-    one this returns for its matrix alone.  Raises InputError when a vector
-    of a climb is not finite.
+    lockstep, in chunks of whole matrices of about ``_ASCENT_CELLS`` gathered
+    entries.  Each matrix keeps its first largest start.  A climb meets the
+    same arithmetic whatever stack it sits in, so each value and witness is
+    the one this returns for its matrix alone.  Raises InputError when a
+    vector of a climb is not finite.
     """
     m, r, c = mats.shape
     starts, dual = _ascent_starts(c, domain), codomain.dual()
     n_s = len(starts)
     values = np.zeros(m)
-    witnesses = np.tile(starts[0], (m, 1))
-    block = max(1, _ASCENT_CELLS // (r * c))
-    for lo in range(0, m * n_s, block):
-        hi = min(lo + block, m * n_s)
-        owner = np.arange(lo, hi) // n_s
-        x = starts[np.arange(lo, hi) % n_s]
+    witnesses = np.empty((m, c))
+    per = max(1, _ASCENT_CELLS // (r * c * n_s))  # whole matrices per chunk
+    for lo in range(0, m, per):
+        hi = min(lo + per, m)
+        owner = np.repeat(np.arange(lo, hi), n_s)
+        x = np.tile(starts, (hi - lo, 1))
         y = _mat_vecs(mats[owner], x)
         _require_finite_vectors(y)
         val = batch_vector_norms(y, codomain)
-        live = np.arange(hi - lo)
+        live = np.arange(len(owner))
         for _ in range(ASCENT_MAX_STEPS):
             a = mats[owner[live]]
             g = batch_norming_vectors(y[live], dual)
@@ -392,16 +391,9 @@ def batch_ascent(mats: np.ndarray, domain: NormKind,
             if not live.size:
                 break
             x[live], y[live], val[live] = x_new[up], y_new[up], val_new[up]
-        # the first largest climb of each matrix in this chunk, against the earlier chunks
-        first = lo // n_s
-        grid = np.full((owner[-1] - first + 1) * n_s, -np.inf)
-        grid[lo - first * n_s:hi - first * n_s] = val
-        grid = grid.reshape(-1, n_s)
-        best = grid.argmax(axis=1)
-        cand = grid[np.arange(len(grid)), best]
-        wins = np.flatnonzero(cand > values[first:owner[-1] + 1])
-        values[first + wins] = cand[wins]
-        witnesses[first + wins] = x[(first + wins) * n_s + best[wins] - lo]
+        best = val.reshape(-1, n_s).argmax(axis=1)
+        values[lo:hi] = val.reshape(-1, n_s).max(axis=1)
+        witnesses[lo:hi] = x.reshape(-1, n_s, c)[np.arange(hi - lo), best]
     return values, witnesses
 
 

@@ -123,33 +123,36 @@ def _certify_residuals(f0: FrameSystem, f1: FrameSystem, s_inv: np.ndarray,
                        bound: float, seed: int) -> BoundCertificate:
     """Check ||Id - S_sigma S^-1|| <= bound and invertibility per pattern.
 
-    Patterns are graded in the chunks of an exhaustive weaving table: one
-    stacked residual, its operator norms and one ``batch_invert`` each.
+    A row function on ``search.pattern_table`` grades a chunk of patterns
+    (all up to ``EXHAUSTIVE_CERT_CAP`` bits, else a seeded sample) by one
+    stacked residual, its norms and one ``batch_invert`` into (residual,
+    passed) rows.  It lists the first 16 failures in index order.
     """
     n = f0.n
     kind = f0.space.norm
     exhaustive = n <= EXHAUSTIVE_CERT_CAP
-    ms = np.arange(1 << n, dtype=np.uint64) if exhaustive \
-        else np.array(sample_patterns(n, 512, seed), dtype=np.uint64)
+    ms = range(1 << n) if exhaustive else sample_patterns(n, 512, seed)
     o0 = outer_stack(f0.vectors, f0.functionals)
     o1 = outer_stack(f1.vectors, f1.functionals)
     eye = np.eye(f0.space.dim)
-    chunk = search.chunk_size_for(search.CELLS_PER_SUM * f0.space.dim ** 2)
-    max_res = 0.0
-    failures = []
-    for c0 in range(0, len(ms), chunk):
-        part = ms[c0:c0 + chunk]
+
+    def rows_of(part: np.ndarray) -> np.ndarray:
         s_sigma = pattern_sums(o1, o0, part)
         gap = eye - s_sigma @ s_inv
         require_finite(gap)
         res = batch_opnorm_values(gap, kind, kind)
-        max_res = max(max_res, float(res.max()))
         ok = res <= bound + CERT_SLACK
         ok[ok] = batch_invert(s_sigma[ok]).accepted
-        failures.extend(str(WeavePattern.from_index(int(m), n)) for m in part[~ok])
-    return BoundCertificate(holds=not failures, bound=bound, max_residual=max_res,
+        return np.column_stack((res, ok))
+
+    table = search.pattern_table(ms, rows_of, search.CELLS_PER_SUM * f0.space.dim ** 2,
+                                 columns=2)
+    failed = np.flatnonzero(table[:, 1] == 0)[:16]
+    return BoundCertificate(holds=failed.size == 0, bound=bound,
+                            max_residual=max(0.0, float(table[:, 0].max())),
                             patterns_checked=len(ms), exhaustive=exhaustive,
-                            failures=tuple(failures[:16]))
+                            failures=tuple(str(WeavePattern.from_index(ms[i], n))
+                                           for i in failed))
 
 
 def operator_perturbation_check(system: FrameSystem, op,

@@ -1,17 +1,20 @@
 """Deterministic enumeration and local search over binary patterns.
 
-Exhaustive searches enumerate bitstrings in lexicographic order (bit 1 is
-the most significant), evaluate fixed-size chunks, and reduce with
-first-maximum tie-breaking, so the winning pattern is the lexicographically
-smallest maximizer and the result does not depend on the number of worker
-threads (``WEAVELAB_THREADS``).  :func:`maximize` is the one driver: it
-demotes an exhaustive search above its cap to the heuristic one, and both
-modes read the same row function, so their values agree bit for bit.
+:func:`pattern_table` is the one loop over chunks of patterns, for
+exhaustive searches, perturbation certificates and the six-way check.  It
+grades sorted pattern indices (all 2**n in lexicographic order, bit 1 the
+most significant, or a sample) in chunks fixed by the instance, on up to
+``WEAVELAB_THREADS`` threads, and callers reduce with first-index
+tie-breaking: the winner is the lexicographically smallest maximizer, for
+any thread count.  :func:`maximize` demotes an exhaustive search above its
+cap to the heuristic one; both modes read the same row function, so their
+values agree bit for bit.
 """
 
 from __future__ import annotations
 
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -28,6 +31,7 @@ DEFAULT_EXHAUSTIVE_CAP = 2 ** 22
 # the solver's working copies.
 CHUNK_BUDGET = 2 ** 17
 CELLS_PER_SUM = 4
+_worker = threading.local()  # ``busy`` in the driver's own worker threads
 
 
 @dataclass(frozen=True)
@@ -90,29 +94,35 @@ def chunk_size_for(row_cells: int) -> int:
     return max(1, min(1024, CHUNK_BUDGET // row_cells))
 
 
-def exhaustive_table(n_bits: int, rows_of: Callable[[np.ndarray], np.ndarray],
-                     columns: int = 1, chunk: int = 1024) -> np.ndarray:
-    """Evaluate rows_of over all 2**n_bits patterns, ``chunk`` consecutive
-    indices at a time.
+def pattern_table(ms: Sequence[int], rows_of: Callable[[np.ndarray], np.ndarray],
+                  row_cells: int, columns: int = 1) -> np.ndarray:
+    """Evaluate rows_of over the pattern indices ``ms`` in increasing order,
+    ``chunk_size_for(row_cells)`` consecutive entries at a time.
 
-    Returns the stacked (2**n_bits, columns) table (or a flat array when
-    ``columns == 1``).  rows_of must be a pure function of its indices.
+    ``ms`` is ``range(1 << n_bits)`` for a full table, whose chunks are built
+    by ``np.arange`` (no index array of the whole range), or a sorted list.
+    Returns the (len(ms), columns) table (a flat array when ``columns ==
+    1``).  rows_of maps a uint64 array of indices to their rows and must be a
+    pure function of them.  A table that a row function builds (the
+    six-way's C_u per pattern) runs in its worker thread alone, so thread
+    pools never nest.
     """
-    total = 1 << n_bits
-    out = np.empty((total, columns), dtype=np.float64)
-    spans = [(m0, min(m0 + chunk, total)) for m0 in range(0, total, chunk)]
+    chunk = chunk_size_for(row_cells)
+    out = np.empty((len(ms), columns), dtype=np.float64)
+    spans = [(lo, min(lo + chunk, len(ms))) for lo in range(0, len(ms), chunk)]
 
     def run(span):
-        m0, m1 = span
-        rows = np.asarray(rows_of(np.arange(m0, m1, dtype=np.uint64)), dtype=np.float64)
-        out[m0:m1] = rows.reshape(m1 - m0, columns)
+        lo, hi = span
+        idx = np.arange(lo, hi, dtype=np.uint64) if isinstance(ms, range) \
+            else np.asarray(ms[lo:hi], dtype=np.uint64)
+        out[lo:hi] = np.asarray(rows_of(idx), dtype=np.float64).reshape(hi - lo, columns)
 
-    w = worker_count()
+    w = 1 if getattr(_worker, "busy", False) else worker_count()
     if w <= 1 or len(spans) <= 1:
         for span in spans:
             run(span)
     else:
-        with ThreadPoolExecutor(max_workers=w) as ex:
+        with ThreadPoolExecutor(w, initializer=setattr, initargs=(_worker, "busy", True)) as ex:
             list(ex.map(run, spans))
     return out[:, 0] if columns == 1 else out
 
@@ -196,8 +206,7 @@ def maximize(n_bits: int, rows_of: Callable[[np.ndarray], np.ndarray], mode: Sea
     if mode.kind == "exhaustive" and (1 << n_bits) > exhaustive_cap:
         mode = heuristic(mode.restarts)
     if mode.kind == "exhaustive":
-        rows = exhaustive_table(n_bits, rows_of, columns,
-                                chunk_size_for(CELLS_PER_SUM * cell))
+        rows = pattern_table(range(1 << n_bits), rows_of, CELLS_PER_SUM * cell, columns)
         values = rows if columns == 1 else rows.max(axis=1)
         return mode, first_argmax(values), range(1 << n_bits), rows
 

@@ -30,7 +30,7 @@ from .normed import (DEFAULT_COND_CAP, L2, Bound, DenseOperator, Exactness,
                      vector_norm)
 from .frames import (EXHAUSTIVE, FrameSystem, biorthogonals, heuristic,
                      outer_stack, signed_ratio_constant, unconditional_constant)
-from .search import chunk_size_for
+from .search import pattern_table
 from .weaving import WeavePattern, sample_patterns, weave
 
 DEFAULT_UNC_THRESHOLD = 4.0
@@ -469,6 +469,7 @@ class UncVerdict:
 
 
 _ALL_CONDITIONS = ("i", "ii", "iii", "iv", "v", "vi")
+_SIGMA_ORDER = ("i", "ii", "iv", "iii", "v", "vi")  # columns, and per_sigma's key order
 
 
 def _check_biorthogonal(system: FrameSystem, name: str):
@@ -479,11 +480,13 @@ def _check_biorthogonal(system: FrameSystem, name: str):
                          f"(residual {res:.3e}); pass the basis with its duals")
 
 
-def _scope_patterns(n: int, scope: str, samples: int, seed: int) -> tuple[list[int], str]:
+def _scope_patterns(n: int, scope: str, samples: int, seed: int) -> tuple[range | list[int], str]:
     if scope not in ("exhaustive", "sampled"):
         raise InputError(f"unknown scope {scope!r}")
+    if samples < 0:
+        raise InputError(f"samples must be nonnegative, got {samples!r}")
     if scope == "exhaustive" and n <= EXHAUSTIVE_SCOPE_BITS:
-        return list(range(1 << n)), "exhaustive"
+        return range(1 << n), "exhaustive"
     return sample_patterns(n, samples + 4, seed), "sampled"
 
 
@@ -612,12 +615,16 @@ def unc_conditions(f0: FrameSystem, f1: FrameSystem, scope: str = "exhaustive",
     constant exceeds ``threshold``, which must be finite and positive
     (InputError otherwise); (v)'s constant is 1/d(X1, Y2), from the lifts
     ``subspace_distance`` takes.
-    A condition is labelled exact when the scope is exhaustive and every
-    constant it folded was exact (the infinite constant of a refused
+    A row function on ``search.pattern_table`` grades each chunk of patterns
+    into a row per pattern: (constant, exact) for each wanted condition in
+    ``per_sigma``'s order (i, ii, iv, iii, v, vi), then the (iii) residuals.
+    A condition's witness is its first failing pattern, otherwise its first
+    maximizer; it is labelled exact when the scope is exhaustive and every
+    constant in its column is exact (the infinite constant of a refused
     inversion counts as exact), a lower bound otherwise.
     Exhaustive scope enumerates all patterns up to ``EXHAUSTIVE_SCOPE_BITS``
-    bits; above that a seeded sample plus the alternating and constant
-    patterns is used.
+    bits; above that a seeded sample of ``samples`` draws (InputError when
+    negative) plus the alternating and constant patterns is used.
     """
     if f0.space != f1.space or f0.n != f1.n:
         raise InputError("bases are incompatible")
@@ -633,10 +640,11 @@ def unc_conditions(f0: FrameSystem, f1: FrameSystem, scope: str = "exhaustive",
     if unknown:
         raise InputError(f"unknown conditions {', '.join(map(repr, unknown))} "
                          f"(expected some of {', '.join(_ALL_CONDITIONS)})")
-    wanted = tuple(c for c in _ALL_CONDITIONS if c in conditions)
+    wanted = tuple(c for c in _SIGMA_ORDER if c in conditions)
     if not wanted:
         raise InputError("no conditions selected")
     n = f0.n
+    ms, scope_used = _scope_patterns(n, scope, samples, seed)
     inner_mode = EXHAUSTIVE if (1 << n) <= INNER_EXHAUSTIVE_CAP else heuristic(16)
     base0 = unconditional_constant(f0, inner_mode, seed=seed).value
     base1 = unconditional_constant(f1, inner_mode, seed=seed).value
@@ -644,45 +652,29 @@ def unc_conditions(f0: FrameSystem, f1: FrameSystem, scope: str = "exhaustive",
         raise NotAFrame("input bases must have finite unconditional constants")
 
     stacks = (outer_stack(f0.vectors, f0.functionals), outer_stack(f1.vectors, f1.functionals))
-    ms, scope_used = _scope_patterns(n, scope, samples, seed)
-    per_sigma = {} if len(ms) <= PER_SIGMA_CAP else None
-    worst: dict[str, tuple[float, int]] = {c: (-np.inf, ms[0]) for c in wanted}
-    first_fail: dict[str, int | None] = {c: None for c in wanted}
-    exact = dict.fromkeys(wanted, scope_used == "exhaustive")
-    agree = True
-    max_st = max_ts = 0.0
-    chunk = chunk_size_for(n * n * n)  # fixed by the shape, never by the worker count
-    for lo in range(0, len(ms), chunk):
-        cases = [_sigma_cases(f0, f1, stacks, m, inner_mode, wanted, seed)
-                 for m in ms[lo:lo + chunk]]
-        _grade_pending(cases, f0.space.norm)
-        for m, (metrics, st, ts, _) in zip(ms[lo:lo + chunk], cases):
-            if np.isfinite(st):
-                max_st = max(max_st, st)
-            if np.isfinite(ts):
-                max_ts = max(max_ts, ts)
-            flags = {c: bool(value <= threshold) for c, (value, _) in metrics.items()}
-            if len(set(flags.values())) > 1:
-                agree = False
-            for c in wanted:
-                value, value_exact = metrics[c]
-                exact[c] = exact[c] and value_exact
-                if value > worst[c][0]:
-                    worst[c] = (value, m)
-                if not flags[c] and first_fail[c] is None:
-                    first_fail[c] = m
-            if per_sigma is not None:
-                per_sigma[str(WeavePattern.from_index(m, n))] = flags
 
+    def rows_of(part: np.ndarray) -> np.ndarray:
+        cases = [_sigma_cases(f0, f1, stacks, m, inner_mode, wanted, seed) for m in part]
+        _grade_pending(cases, f0.space.norm)
+        return np.array([[x for c in wanted for x in metrics[c]] + [st, ts]
+                         for metrics, st, ts, _ in cases])
+
+    table = pattern_table(ms, rows_of, n * n * n, columns=2 * len(wanted) + 2)
+    values, exact = table[:, :-2:2], table[:, 1:-2:2] == 1
+    flags = values <= threshold
+    max_st, max_ts = (float(np.max(r[np.isfinite(r)], initial=0.0)) for r in table[:, -2:].T)
     outcomes = dict.fromkeys(_ALL_CONDITIONS)
-    for c in wanted:
-        value, arg_m = worst[c]
-        fail_m = first_fail[c]
+    for j, c in enumerate(wanted):
+        fails = np.flatnonzero(~flags[:, j])
+        at = fails[0] if fails.size else np.argmax(values[:, j])
         outcomes[c] = ConditionOutcome(
-            holds=fail_m is None, constant=float(value),
-            exactness=Exactness.EXACT if exact[c] else Exactness.LOWER_BOUND,
-            witness=WeavePattern.from_index(arg_m if fail_m is None else fail_m, n))
-    return UncVerdict(conditions=outcomes, agree=agree, per_sigma=per_sigma,
-                      max_st_residual=max_st, max_ts_residual=max_ts,
+            holds=fails.size == 0, constant=float(values[:, j].max()),
+            exactness=Exactness.EXACT if scope_used == "exhaustive" and exact[:, j].all()
+            else Exactness.LOWER_BOUND,
+            witness=WeavePattern.from_index(ms[at], n))
+    per_sigma = {str(WeavePattern.from_index(m, n)): dict(zip(wanted, row))
+                 for m, row in zip(ms, flags.tolist())} if len(ms) <= PER_SIGMA_CAP else None
+    return UncVerdict(conditions=outcomes, agree=bool((flags == flags[:, :1]).all()),
+                      per_sigma=per_sigma, max_st_residual=max_st, max_ts_residual=max_ts,
                       scope_used=scope_used, patterns_checked=len(ms),
                       threshold=threshold, base_unconditional=(base0, base1))

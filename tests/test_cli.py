@@ -189,6 +189,20 @@ def test_thresholds_must_be_finite_and_positive(capsys, args):
     assert "must be finite and positive" in err
 
 
+@pytest.mark.parametrize("args", [
+    ["weave-search", "gallery:standard-c0", "gallery:summing-c0", "--mode", "heuristic",
+     "--seed", "-1"],
+    ["check-woven", "gallery:blockpair-a0", "gallery:blockpair-a1", "--scope", "sampled",
+     "--seed", "-2"],
+    ["check-woven", "gallery:blockpair-a0", "gallery:blockpair-a1", "--scope", "sampled",
+     "--samples", "-3"],
+])
+def test_seeds_and_sample_counts_must_be_nonnegative(capsys, args):
+    code, out, err = run_cli(args + ["--dim", "4"], capsys)
+    assert code == 1 and out == ""
+    assert "must be nonnegative" in err
+
+
 def test_check_woven_and_condition_selection(capsys):
     code, out, _ = run_cli(["check-woven", "gallery:standard-l1",
                             "gallery:standard-l1", "--dim", "4"], capsys)

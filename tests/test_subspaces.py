@@ -16,7 +16,7 @@ from weavelab import (L1, L2, LINF, DenseOperator, DistanceZero, Exactness,
                       biorthogonals, direct_sum_projection, distance_to_span,
                       lp, norming_vector, oblique_projection,
                       restricted_inverse, subspace_distance, unc_conditions)
-from weavelab import subspaces
+from weavelab import search, subspaces
 from weavelab.fileio import load_system
 from weavelab.normed import batch_vector_norms
 from weavelab.subspaces import batch_ratio_ascent
@@ -554,6 +554,27 @@ def test_unc_conditions_sampled_scope():
     assert verdict.scope_used == "sampled"
     assert verdict.patterns_checked <= 10
     assert verdict.holds_all()
+    with pytest.raises(InputError, match="samples must be nonnegative"):
+        unc_conditions(std, std, scope="sampled", samples=-3)
+
+
+def test_unc_conditions_folds_its_columns_across_chunks():
+    # only the first vector differs: (v) first fails at 1000000000 and (vi)
+    # at 0100000000, both past the first of eight 131-pattern chunks
+    f0 = standard_system(10)
+    v1 = np.eye(10)
+    v1[0, 1] = 0.9
+    f1 = FrameSystem(f0.space, v1, biorthogonals(v1))
+    assert search.chunk_size_for(10 ** 3) == 131
+    verdict = unc_conditions(f0, f1, threshold=1.5, conditions=("v", "vi"))
+    flags = verdict.per_sigma  # in index order
+    assert len(flags) == 1024
+    for c, first in (("v", "1000000000"), ("vi", "0100000000")):
+        failing = [p for p, f in flags.items() if not f[c]]
+        assert not verdict.conditions[c].holds
+        assert str(verdict.conditions[c].witness) == failing[0] == first
+    assert len({tuple(f.values()) for f in flags.values()}) > 1
+    assert verdict.agree is False
 
 
 def test_spanned_subspace_validation():

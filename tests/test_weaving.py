@@ -13,11 +13,11 @@ from weavelab import (L1, LINF, Exactness, FrameSystem, InputError,
                       lower_bound_profile, partial_operator,
                       pair_perturbation_check, partial_operator_subset, search,
                       suppression_constant, tail_profile,
-                      unconditional_constant, uniform_bound_profile, weave,
-                      worst_weaving)
-from weavelab.perturb import _certify_residuals
+                      unc_conditions, unconditional_constant,
+                      uniform_bound_profile, weave, worst_weaving)
+from weavelab.perturb import EXHAUSTIVE_CERT_CAP, _certify_residuals
 from weavelab.weaving import sample_patterns, weaving_basis_constants
-from conftest import random_frame_system
+from conftest import random_basis, random_frame_system
 from test_frames import standard_system, summing_system
 
 
@@ -166,19 +166,52 @@ def test_heuristic_log_holds_the_evaluated_patterns():
         assert (a, b) == exhaustive[p]  # one evaluation path: bit for bit
 
 
+def certificate_fields(cert):
+    return (cert.holds, cert.max_residual, cert.patterns_checked, cert.exhaustive, cert.failures)
+
+
 def test_exhaustive_results_do_not_depend_on_thread_count(rng, monkeypatch):
     f0 = random_frame_system(rng, 10, LINF)
     f1 = random_frame_system(rng, 10, LINF)
     assert search.chunk_size_for(4 * 10 * 10) < 2 ** 10  # several chunks to share
+    s_inv = np.linalg.inv(frame_operator(f0).entries)
+    g0, g1 = (random_frame_system(rng, EXHAUSTIVE_CERT_CAP + 1, LINF) for _ in range(2))
+    g_inv = np.linalg.inv(frame_operator(g0).entries)
+    # bases near each other, so that the six-way flags are mixed; 3 chunks at d = 9
+    v0 = random_basis(rng, 9)
+    v1 = v0 + 0.03 * rng.standard_normal((9, 9))
+    b0, b1 = (FrameSystem(NormedSpace(9, L1), v, biorthogonals(v)) for v in (v0, v1))
+    assert search.chunk_size_for(9 ** 3) < 2 ** 9
     seen = []
     for threads in ("1", "3"):
         monkeypatch.setenv("WEAVELAB_THREADS", threads)
         res = worst_weaving(f0, f1, log_all_patterns=True)
         c_s = suppression_constant(f1)
         c_u = unconditional_constant(f1)
+        certs = (_certify_residuals(f0, f1, s_inv, bound=1.0, seed=0),
+                 _certify_residuals(g0, g1, g_inv, bound=1.0, seed=5))
+        unc = unc_conditions(b0, b1, threshold=16.0)
         seen.append((str(res.worst_pattern), res.worst_constant, res.per_pattern_log,
-                     c_s.value, c_s.witness, c_u.value, c_u.witness))
+                     c_s.value, c_s.witness, c_u.value, c_u.witness,
+                     [certificate_fields(c) for c in certs],
+                     unc.per_sigma, unc.agree, unc.max_st_residual, unc.max_ts_residual,
+                     {c: (o.holds, o.constant, str(o.witness), o.exactness)
+                      for c, o in unc.conditions.items()}))
     assert seen[0] == seen[1]
+    assert [c.exhaustive for c in certs] == [True, False]
+    assert not unc.agree  # the flags differ between conditions or patterns
+
+
+def test_certificate_lists_the_first_failures_across_chunks():
+    # only the first pair differs, so exactly the patterns from 1000000000 on fail
+    f0 = standard_system(10)
+    v1 = np.eye(10)
+    v1[0, 1] = 0.9
+    f1 = FrameSystem(f0.space, v1, np.eye(10))
+    assert search.chunk_size_for(4 * 10 * 10) < 512  # the failures start past the first chunk
+    cert = _certify_residuals(f0, f1, np.eye(10), bound=0.0, seed=0)
+    assert not cert.holds and cert.patterns_checked == 1024
+    assert cert.failures == tuple(str(WeavePattern.from_index(m, 10)) for m in range(512, 528))
 
 
 def test_tail_profile_examples():
@@ -297,7 +330,7 @@ def test_log_cap_checked_before_enumerating(monkeypatch):
     def no_table(*args, **kwargs):
         raise AssertionError("the table was enumerated before the log cap check")
 
-    monkeypatch.setattr(search, "exhaustive_table", no_table)
+    monkeypatch.setattr(search, "pattern_table", no_table)
     std = standard_system(13, LINF)
     with pytest.raises(InputError):
         worst_weaving(std, summing_system(13), log_all_patterns=True)
