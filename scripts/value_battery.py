@@ -1,0 +1,175 @@
+#!/usr/bin/env python3
+"""A fixed battery of weavelab values, printed bit for bit.
+
+Runs a fixed list of instances through the library and prints one line
+per value, label or verdict, every float as ``float.hex``, then one line
+``sha256 <digest>`` over the lines before it.  The instances cover weaving
+tables and their logs, ``lower_bound_profile``, ``uniform_bound_profile``
+(exhaustive and sampled), C_s and C_u (exhaustive and heuristic), both
+perturbation certificates (exhaustive and sampled), six-way outcomes with
+``per_sigma``, restricted inverses, subspace distances and the subset
+operators.  A change meant to keep every value compares the digest of two
+checkouts, and of one checkout under different ``WEAVELAB_THREADS``:
+
+    PYTHONPATH=src python scripts/value_battery.py | tail -1
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import enum
+import hashlib
+import sys
+
+import numpy as np
+
+from weavelab import (DenseOperator, FrameSystem, GallerySpec, NormKind,
+                      NormedSpace, SpannedSubspace, WeavelabError, WeavePattern,
+                      basis_projection, biorthogonals, distance_to_span, generate,
+                      heuristic, lower_bound_profile, operator_perturbation_check,
+                      pair_perturbation_check, partial_operator_subset,
+                      restricted_inverse, subspace_distance, suppression_constant,
+                      tail_profile, unc_conditions, unconditional_constant,
+                      uniform_bound_profile, worst_weaving)
+
+
+def _leaves(path: str, obj):
+    """(path, text) for every leaf of a result, floats as ``float.hex``."""
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, WeavePattern):
+        for field in dataclasses.fields(obj):
+            yield from _leaves(f"{path}.{field.name}", getattr(obj, field.name))
+    elif isinstance(obj, dict):
+        for key, value in obj.items():
+            yield from _leaves(f"{path}[{key}]", value)
+    elif isinstance(obj, (list, tuple, np.ndarray)) and any(
+            isinstance(x, (float, np.floating, list, tuple, np.ndarray)) for x in obj):
+        for i, value in enumerate(obj):
+            yield from _leaves(f"{path}[{i}]", value)
+    elif isinstance(obj, (float, np.floating)):
+        yield path, float(obj).hex()
+    elif isinstance(obj, enum.Enum):
+        yield path, obj.name
+    else:
+        yield path, str(obj)
+
+
+class Battery:
+    def __init__(self):
+        self.digest = hashlib.sha256()
+
+    def emit(self, label: str, call, *args, **kwargs):
+        """Print every leaf of ``call(*args, **kwargs)``, or the error it raises."""
+        try:
+            leaves = list(_leaves(label, call(*args, **kwargs)))
+        except WeavelabError as exc:
+            leaves = [(label, f"raises {type(exc).__name__}: {exc}")]
+        for path, text in leaves:
+            line = f"{path} {text}"
+            print(line)
+            self.digest.update(line.encode() + b"\n")
+
+
+def _gallery(name: str, d: int) -> FrameSystem:
+    return generate(GallerySpec(name, d))
+
+
+def _random_pair(rng, norm: str, d: int, n: int, eps: float) -> tuple[FrameSystem, FrameSystem]:
+    """A random frame of n pairs in dimension d (a basis with its duals when
+    n = d) and a perturbation of it of relative size ``eps``."""
+    space = NormedSpace(d, NormKind.parse(norm))
+    v0 = np.eye(d) + 0.3 * rng.standard_normal((d, d)) if n == d else rng.standard_normal((n, d))
+    v1 = v0 + eps * rng.standard_normal(v0.shape)
+    if n == d:
+        return (FrameSystem(space, v0, biorthogonals(v0)),
+                FrameSystem(space, v1, biorthogonals(v1)))
+    f0 = rng.standard_normal((n, d)) / n
+    f1 = f0 + eps * rng.standard_normal(f0.shape)
+    return FrameSystem(space, v0, f0), FrameSystem(space, v1, f1)
+
+
+def _weaving(b: Battery, tag: str, f0: FrameSystem, f1: FrameSystem, log: bool = True):
+    b.emit(f"{tag}.table", worst_weaving, f0, f1, log_all_patterns=log)
+    b.emit(f"{tag}.heuristic", worst_weaving, f0, f1, heuristic(2), seed=3)
+    b.emit(f"{tag}.lower_bound_profile", lower_bound_profile, f0, f1)
+    b.emit(f"{tag}.uniform_bound_profile", uniform_bound_profile, f0, f1)
+    b.emit(f"{tag}.tail_profile", tail_profile, f0, f1, np.linspace(1.0, 2.0, f0.space.dim), 1)
+    b.emit(f"{tag}.subset", partial_operator_subset, f0, f1,
+           WeavePattern.alternating(f0.n), range(1, f0.n + 1, 2))
+    b.emit(f"{tag}.projection", basis_projection, f1, [1, f0.n])
+
+
+def _constants(b: Battery, tag: str, system: FrameSystem):
+    b.emit(f"{tag}.c_s", suppression_constant, system)
+    b.emit(f"{tag}.c_u", unconditional_constant, system)
+    b.emit(f"{tag}.c_s.heuristic", suppression_constant, system, heuristic(2), seed=5)
+    b.emit(f"{tag}.c_u.heuristic", unconditional_constant, system, heuristic(2), seed=5)
+
+
+def _subspaces(b: Battery, rng, norm: str, d: int):
+    space = NormedSpace(d, NormKind.parse(norm))
+    m = np.eye(d) + 0.2 * rng.standard_normal((d, d))
+    for k in sorted({1, 2, 3, d // 2}):
+        a = rng.standard_normal((k, d))
+        mix = np.eye(k) + 0.5 * rng.standard_normal((k, k))
+        dom = SpannedSubspace(space, a)
+        cod = SpannedSubspace(space, mix @ (m @ a.T).T)
+        b.emit(f"{norm}.d{d}.k{k}.restricted_inverse", restricted_inverse,
+               DenseOperator.on_space(m, space), dom, cod)
+        other = SpannedSubspace(space, rng.standard_normal((d - k, d)))
+        b.emit(f"{norm}.d{d}.k{k}.subspace_distance", subspace_distance, dom, other)
+        b.emit(f"{norm}.d{d}.k{k}.distance_to_span", distance_to_span,
+               rng.standard_normal(d), dom)
+
+
+def main() -> int:
+    b = Battery()
+    rng = np.random.default_rng(20151)
+    for a, c in (("standard-c0", "summing-c0"), ("standard-l1", "difference-l1")):
+        for d in range(2, 9):
+            _weaving(b, f"{a}|{c}.d{d}", _gallery(a, d), _gallery(c, d), log=d <= 6)
+        _constants(b, f"{c}.d6", _gallery(c, 6))
+    for norm in ("l1", "l2", "linf", "lp:3"):
+        for d, n in ((1, 10), (3, 3), (3, 6), (5, 5)):
+            f0, f1 = _random_pair(rng, norm, d, n, 0.2)
+            _weaving(b, f"{norm}.d{d}.n{n}", f0, f1, log=n <= 6)
+            _constants(b, f"{norm}.d{d}.n{n}", f1)
+        _subspaces(b, rng, norm, 5)
+    _subspaces(b, rng, "l1", 10)
+    f0, f1 = _random_pair(rng, "linf", 2, 19, 0.3)
+    b.emit("linf.d2.n19.uniform_bound_profile.sampled", uniform_bound_profile, f0, f1)
+
+    b.emit("biorthogonals.tiny", biorthogonals, 1e-308 * np.eye(3))
+    b.emit("biorthogonals.dependent", biorthogonals, np.ones((3, 3)))
+    b.emit("biorthogonals.near_cap", biorthogonals, np.diag([1.0, 1.0, 3e-13]))
+
+    std4 = _gallery("standard-l1", 4)
+    near4 = FrameSystem(std4.space, std4.vectors + 0.02 * rng.standard_normal((4, 4)),
+                        std4.functionals)
+    b.emit("certificate.pair.d4", pair_perturbation_check, std4, near4)
+    b.emit("certificate.operator.d4", operator_perturbation_check, std4,
+           np.eye(4) + 0.05 * rng.standard_normal((4, 4)))
+    std13 = _gallery("standard-c0", 13)
+    near13 = FrameSystem(std13.space, std13.vectors + 0.002 * rng.standard_normal((13, 13)),
+                         std13.functionals)
+    b.emit("certificate.pair.d13.sampled", pair_perturbation_check, std13, near13, seed=4)
+    b.emit("certificate.operator.d13.sampled", operator_perturbation_check, std13,
+           np.eye(13) + 0.001 * rng.standard_normal((13, 13)), seed=4)
+
+    for d in (4, 5):
+        b.emit(f"blockpair.d{d}.six_way", unc_conditions, _gallery("blockpair-a0", d),
+               _gallery("blockpair-a1", d))
+    b.emit("blockpair.d5.sampled.six_way", unc_conditions, _gallery("blockpair-a0", 5),
+           _gallery("blockpair-a1", 5), scope="sampled", samples=6, seed=2)
+    b.emit("subspace.d4.six_way", unc_conditions, _gallery("subspace-b0", 4),
+           _gallery("subspace-b1", 4))
+    b.emit("c0.d4.six_way", unc_conditions, _gallery("standard-c0", 4),
+           _gallery("summing-c0", 4), threshold=2.0)
+    for norm, d in (("l1", 5), ("linf", 4), ("l2", 4), ("lp:3", 3)):
+        f0, f1 = _random_pair(rng, norm, d, d, 0.1)
+        b.emit(f"{norm}.d{d}.six_way", unc_conditions, f0, f1, threshold=1.5)
+    print(f"sha256 {b.digest.hexdigest()}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -110,6 +110,15 @@ def outer_stack(vectors: np.ndarray, functionals: np.ndarray) -> np.ndarray:
     return stack
 
 
+def subset_sum(stack: np.ndarray, indices) -> np.ndarray:
+    """sum_{i in Gamma} stack[i - 1] over the distinct 1-based indices of
+    Gamma, in increasing order; zeros for the empty set."""
+    idx = np.array(sorted(set(int(i) for i in indices)), dtype=np.intp)
+    if idx.size and (idx[0] < 1 or idx[-1] > len(stack)):
+        raise InputError(f"indices out of range 1..{len(stack)}")
+    return np.add.reduce(stack[idx - 1], axis=0)
+
+
 def frame_operator(system: FrameSystem) -> DenseOperator:
     """S = sum_i x_i f_i^T; the identity for a basis with its biorthogonals."""
     s = np.add.reduce(outer_stack(system.vectors, system.functionals), axis=0)
@@ -148,7 +157,7 @@ def biorthogonals(vectors: np.ndarray) -> np.ndarray:
     ``vectors`` holds the basis as rows.  Raises NotABasis for non-square
     input, for a basis matrix over the condition cap (``condition_capped``,
     which takes an SVD only when the residual of the solved duals cannot
-    clear it), when ``solve`` fails, or for a residual above
+    clear it), when ``solve`` fails, or for a residual that is not at most
     ``BIORTHOGONAL_TOL`` after up to four Newton steps, checked in that
     order.
     """
@@ -175,7 +184,7 @@ def biorthogonals(vectors: np.ndarray) -> np.ndarray:
         duals = duals + r @ duals
         r = eye - duals @ b
         res = float(np.abs(r).max())
-    if res > BIORTHOGONAL_TOL:
+    if not res <= BIORTHOGONAL_TOL:  # also a NaN residual, from duals that overflow
         raise NotABasis(f"biorthogonality residual {res:.3e} above {BIORTHOGONAL_TOL:.1e}")
     return duals
 

@@ -143,7 +143,10 @@ def hill_climb(n_bits: int, value_of: Callable[[int], float], restarts: int,
     Starts from the all-zeros and all-ones patterns, any ``extra_starts``,
     and ``restarts`` seeded random patterns.  Ties among the climbs' end
     points prefer the smaller index.  ``value_of`` should be memoized.
+    A negative seed raises InputError.
     """
+    if seed < 0:
+        raise InputError(f"seed must be nonnegative, got {seed!r}")
     total = 1 << n_bits
     rng = np.random.default_rng(seed)
     starts = [0, total - 1]

@@ -25,13 +25,14 @@ import numpy as np
 from .errors import (DistanceZero, InputError, NotABasis, NotAFrame,
                      NotInvertible)
 from .normed import (DEFAULT_COND_CAP, L2, Bound, DenseOperator, Exactness,
-                     NormedSpace, NormKind, _mat_vecs, batch_invert,
+                     NormedSpace, NormKind, _as_vector, _mat_vecs, batch_invert,
                      batch_norming_vectors, batch_vector_norms, require_finite,
                      vector_norm)
 from .frames import (EXHAUSTIVE, FrameSystem, biorthogonals, heuristic,
-                     outer_stack, signed_ratio_constant, unconditional_constant)
+                     outer_stack, signed_ratio_constant, subset_sum,
+                     unconditional_constant)
 from .search import pattern_table
-from .weaving import WeavePattern, sample_patterns, weave
+from .weaving import WeavePattern, sample_patterns
 
 DEFAULT_UNC_THRESHOLD = 4.0
 INNER_EXHAUSTIVE_CAP = 2 ** 12  # patterns; above it inner C_u is heuristic(16)
@@ -111,15 +112,8 @@ def projection_pair(f0: FrameSystem, f1: FrameSystem, indices) -> ProjectionPair
 def basis_projection(system: FrameSystem, indices) -> DenseOperator:
     """P_Gamma = sum_{i in Gamma} x_i x*_i^T for 1-based Gamma; satisfies
     P_Gamma + P_complement = I (exactly in exact arithmetic)."""
-    idx = sorted(set(int(i) for i in indices))
-    if idx and (idx[0] < 1 or idx[-1] > system.n):
-        raise InputError(f"projection indices out of range 1..{system.n}")
-    d = system.space.dim
-    if not idx:
-        return DenseOperator.on_space(np.zeros((d, d)), system.space)
-    stack = outer_stack(system.vectors, system.functionals)
     return DenseOperator.on_space(
-        np.add.reduce(stack[[i - 1 for i in idx]], axis=0), system.space)
+        subset_sum(outer_stack(system.vectors, system.functionals), indices), system.space)
 
 
 @dataclass(frozen=True, eq=False)
@@ -277,11 +271,13 @@ def _lift_norms(d1s: np.ndarray, gens: np.ndarray, kind: NormKind
     marks a value whose candidates or climbs were not finite.
     """
     m, d, k = d1s.shape
-    if k == 1 or kind.tag == "l2":
-        return np.array([vector_norm(d1[:, 0], kind) / vector_norm(g[0], kind) if k == 1
-                         else np.linalg.svd(d1 @ np.linalg.inv(np.linalg.qr(g.T)[1]),
-                                            compute_uv=False)[0]
-                         for d1, g in zip(d1s, gens)]), np.ones(m, dtype=bool)
+    if k == 1:
+        return (batch_vector_norms(d1s[:, :, 0], kind) / batch_vector_norms(gens[:, 0], kind),
+                np.ones(m, dtype=bool))
+    if kind.tag == "l2":  # the largest singular value of D R^-1, for G^T = QR
+        r = np.linalg.qr(gens.transpose(0, 2, 1))[1]
+        return (np.linalg.svd(d1s @ np.linalg.inv(r), compute_uv=False)[:, 0],
+                np.ones(m, dtype=bool))
     if kind.tag not in ("l1", "linf") or math.comb(d, k) > ENUMERATION_CAP:
         return batch_ratio_ascent(d1s, gens, kind), np.zeros(m, dtype=bool)
     bmat = gens.transpose(0, 2, 1)
@@ -357,8 +353,12 @@ def direct_sum_projection(p: DenseOperator, q: DenseOperator,
 
 
 def distance_to_span(x, sub: SpannedSubspace) -> float:
-    """Exact distance from the point x to the subspace (convex problem)."""
-    x = np.asarray(x, dtype=np.float64)
+    """min_t ||x - B t|| for a finite point x of the space (InputError
+    otherwise): least squares in l2, a HiGHS LP optimum within the solver's
+    tolerance in l1/linf, and in lp an L-BFGS-B value, only an upper bound."""
+    x = _as_vector(x)
+    if x.size != sub.space.dim:
+        raise InputError(f"point of length {x.size} in a dim-{sub.space.dim} space")
     return _convex_distance(x, sub.generators.T, sub.space.norm)
 
 
@@ -505,21 +505,24 @@ def _sigma_cases(f0, f1, stacks, m, inner_mode, wanted, seed):
     whose norms ``_grade_pending`` takes for many patterns at once.
     """
     space = f0.space
-    pattern = WeavePattern.from_index(m, f0.n)
-    one = np.array(pattern.bits, dtype=bool)
+    one = np.array(WeavePattern.from_index(m, f0.n).bits, dtype=bool)
     metrics: dict[str, tuple[float, bool]] = {}
     st = ts = np.nan
 
-    def graded(bound: Bound) -> tuple[float, bool]:
+    def c_u(stack: np.ndarray, mat: np.ndarray) -> tuple[float, bool]:
+        # C_u of the stack against mat's guarded inverse; +inf, exact, if refused
+        inv = batch_invert(mat[None])
+        if not inv.accepted[0]:
+            return np.inf, True
+        bound = signed_ratio_constant(stack, inv.inverses[0], space.norm, inner_mode, seed=seed)
         return bound.value, bound.exactness is Exactness.EXACT
 
     if any(c in wanted for c in ("i", "ii", "iv")):
-        woven = weave(f0, f1, pattern)
+        vectors = np.where(one[:, None], f1.vectors, f0.vectors)
         try:
-            fresh = biorthogonals(woven.vectors)
-            cu = graded(unconditional_constant(FrameSystem(space, woven.vectors, fresh),
-                                               inner_mode, seed=seed))
-        except (NotABasis, NotAFrame):
+            woven = outer_stack(vectors, biorthogonals(vectors))
+            cu = c_u(woven, np.add.reduce(woven, axis=0))
+        except NotABasis:
             cu = (np.inf, True)
         metrics.update((c, cu) for c in ("i", "ii", "iv") if c in wanted)
 
@@ -549,10 +552,7 @@ def _sigma_cases(f0, f1, stacks, m, inner_mode, wanted, seed):
 
     if "iii" in wanted:
         s = p + (eye - q)
-        inv = batch_invert(s[None])
-        metrics["iii"] = graded(signed_ratio_constant(
-            np.where(one[:, None, None], stacks[1], stacks[0]), inv.inverses[0],
-            space.norm, inner_mode, seed=seed)) if inv.accepted[0] else (np.inf, True)
+        metrics["iii"] = c_u(np.where(one[:, None, None], stacks[1], stacks[0]), s)
 
         def term(present, left, right, mat):  # None where a lift is singular
             if not present:

@@ -11,6 +11,7 @@ inclusive, matching the reports.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +21,7 @@ from .errors import InputError, NotABasis
 from .normed import (Bound, Exactness, batch_invert, batch_opnorm_values,
                      batch_vector_norms)
 from .frames import (FrameSystem, basis_constant, biorthogonals, outer_stack,
-                     pattern_sums)
+                     pattern_sums, subset_sum)
 from .search import EXHAUSTIVE, SearchMode
 
 DEFAULT_BLOW_UP = 1e8
@@ -128,12 +129,6 @@ def weave(f0: FrameSystem, f1: FrameSystem, pattern: WeavePattern) -> FrameSyste
                        label=f"weave[{pattern}]({f0.label}|{f1.label})")
 
 
-def _selected_stack(f0: FrameSystem, f1: FrameSystem, pattern: WeavePattern) -> np.ndarray:
-    sel = np.array(pattern.bits, dtype=bool)[:, None, None]
-    return np.where(sel, outer_stack(f1.vectors, f1.functionals),
-                    outer_stack(f0.vectors, f0.functionals))
-
-
 def partial_operator_subset(f0: FrameSystem, f1: FrameSystem, pattern: WeavePattern,
                             indices) -> "np.ndarray":
     """Matrix of sum_{j in Gamma} x_j^(sigma) f_j^(sigma)T, Gamma 1-based.
@@ -141,15 +136,8 @@ def partial_operator_subset(f0: FrameSystem, f1: FrameSystem, pattern: WeavePatt
     The subset variant is only meaningful for unconditional systems; the
     interval form is the one backed by convergence at infinite scale.
     """
-    _require_compatible(f0, f1)
-    idx = sorted(set(int(i) for i in indices))
-    if idx and (idx[0] < 1 or idx[-1] > f0.n):
-        raise InputError(f"subset indices out of range 1..{f0.n}")
-    d = f0.space.dim
-    if not idx:
-        return np.zeros((d, d))
-    stack = _selected_stack(f0, f1, pattern)
-    return np.add.reduce(stack[[i - 1 for i in idx]], axis=0)
+    woven = weave(f0, f1, pattern)
+    return subset_sum(outer_stack(woven.vectors, woven.functionals), indices)
 
 
 def partial_operator(f0: FrameSystem, f1: FrameSystem,
@@ -256,7 +244,7 @@ def uniform_bound_profile(f0: FrameSystem, f1: FrameSystem) -> Bound:
     interval is sampled and the result is flagged as a lower bound.
     """
     _require_compatible(f0, f1)
-    n, d = f0.n, f0.space.dim
+    n = f0.n
     kind = f0.space.norm
     o0 = outer_stack(f0.vectors, f0.functionals)
     o1 = outer_stack(f1.vectors, f1.functionals)
@@ -264,22 +252,17 @@ def uniform_bound_profile(f0: FrameSystem, f1: FrameSystem) -> Bound:
     exhaustive = total <= PROFILE_CAP
     rng = np.random.default_rng(PROFILE_SEED)
     best = 0.0
-    for m in range(1, n + 1):
+    for m, k in itertools.combinations_with_replacement(range(1, n + 1), 2):  # [m, k]
+        local = 2 ** (k - m + 1)
         if exhaustive:
-            mats = np.zeros((1, d, d))
-            for k in range(m, n + 1):
-                mats = np.concatenate([mats + o0[k - 1], mats + o1[k - 1]])
-                best = max(best, float(batch_opnorm_values(mats, kind, kind).max()))
+            ms = np.arange(local, dtype=np.uint64)
         else:
-            for k in range(m, n + 1):
-                width = k - m + 1
-                n_samp = min(2 ** width, PROFILE_SAMPLES)
-                picks = {0, 2 ** width - 1}
-                while len(picks) < n_samp:
-                    picks.add(int(rng.integers(0, 2 ** width)))
-                mats = pattern_sums(o1[m - 1:k], o0[m - 1:k],
-                                    np.array(sorted(picks), dtype=np.uint64))
-                best = max(best, float(batch_opnorm_values(mats, kind, kind).max()))
+            picks = {0, local - 1}
+            while len(picks) < min(local, PROFILE_SAMPLES):
+                picks.add(int(rng.integers(0, local)))
+            ms = np.array(sorted(picks), dtype=np.uint64)
+        mats = pattern_sums(o1[m - 1:k], o0[m - 1:k], ms)
+        best = max(best, float(batch_opnorm_values(mats, kind, kind).max()))
     return Bound(best, hi=best if exhaustive and kind.is_exact_kind else np.inf)
 
 
@@ -323,8 +306,10 @@ def sample_patterns(n: int, count: int, seed: int) -> list[int]:
 
     Always holds all zeros, all ones, the alternating pattern and its
     complement, then seeded uniform draws until min(count, 2^n) distinct
-    patterns are picked.
+    patterns are picked.  A negative seed raises InputError.
     """
+    if seed < 0:
+        raise InputError(f"seed must be nonnegative, got {seed!r}")
     rng = np.random.default_rng(seed)
     alt = WeavePattern.alternating(n)
     picks = {0, (1 << n) - 1, alt.index, alt.complement().index}

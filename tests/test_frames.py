@@ -93,6 +93,15 @@ def test_biorthogonals_rejects_bad_input():
         biorthogonals(np.ones((2, 3)))
 
 
+def test_biorthogonals_refuses_duals_that_overflow():
+    # well conditioned, but the inverse of 1e-310 I overflows and leaves a
+    # NaN residual; 1e-308 I still inverts
+    with pytest.raises(NotABasis, match="residual nan"):
+        biorthogonals(1e-310 * np.eye(3))
+    tiny = 1e-308 * np.eye(3)
+    assert np.abs(biorthogonals(tiny) @ tiny - np.eye(3)).max() <= 1e-10
+
+
 # --- basis constant ---------------------------------------------------------
 
 def brute_force_basis_constant(vectors, norm):

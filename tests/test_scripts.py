@@ -1,9 +1,11 @@
-"""Smoke tests: the README's experiment scripts run to completion, the test
-suite collects without errors, the benchmark's self-tests pass, and the
-benchmark recorder compiles both sides' bytecode before timing them."""
+"""Smoke tests: the README's experiment scripts and the value battery run
+to completion, the test suite collects without errors, the benchmark's
+self-tests pass, and the benchmark recorder compiles both sides' bytecode
+before timing them."""
 
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -28,6 +30,15 @@ def test_script_runs(script, args):
     proc = subprocess.run([sys.executable, str(ROOT / "scripts" / script), *args],
                           capture_output=True, text=True, env=_env(), timeout=300)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_value_battery_ends_in_its_digest():
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "value_battery.py")],
+                          capture_output=True, text=True, env=_env(), timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    *lines, last = proc.stdout.splitlines()
+    assert len(lines) > 1000 and not any(line.startswith("sha256 ") for line in lines)
+    assert re.fullmatch(r"sha256 [0-9a-f]{64}", last)
 
 
 def test_suite_collects_without_errors():

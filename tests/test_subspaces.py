@@ -11,11 +11,13 @@ import pytest
 import weavelab
 
 from weavelab import (L1, L2, LINF, DenseOperator, DistanceZero, Exactness,
-                      FrameSystem, InputError, NormedSpace, NotInvertible,
-                      SpannedSubspace, WeavePattern, basis_projection,
-                      biorthogonals, direct_sum_projection, distance_to_span,
-                      lp, norming_vector, oblique_projection,
-                      restricted_inverse, subspace_distance, unc_conditions)
+                      FrameSystem, GallerySpec, InputError, NormedSpace,
+                      NotABasis, NotAFrame, NotInvertible, SpannedSubspace,
+                      WeavePattern, basis_projection, biorthogonals,
+                      direct_sum_projection, distance_to_span, generate, lp,
+                      norming_vector, oblique_projection, restricted_inverse,
+                      subspace_distance, unc_conditions, unconditional_constant,
+                      vector_norm, weave)
 from weavelab import search, subspaces
 from weavelab.fileio import load_system
 from weavelab.normed import batch_vector_norms
@@ -231,6 +233,26 @@ def test_restricted_inverse_norm_is_the_ascent_of_its_lift(rng):
     assert got.norm.exactness is Exactness.LOWER_BOUND
 
 
+def test_lift_norms_closed_forms_match_the_per_pair_forms(rng):
+    # k = 1 in every norm, ||D_i|| / ||G_i||, and l2 for k >= 2, the top
+    # singular value of D_i R_i^-1 for G_i^T = Q_i R_i, one pair at a time
+    for kind in (L1, L2, LINF, lp(3.0)):
+        for d in range(1, 9):
+            scale = 10.0 ** rng.uniform(-3, 3, (50, 1, 1))
+            d1s, gens = scale * rng.standard_normal((50, d, 1)), rng.standard_normal((50, 1, d))
+            values, exact = subspaces._lift_norms(d1s, gens, kind)
+            ref = [vector_norm(d1[:, 0], kind) / vector_norm(g[0], kind)
+                   for d1, g in zip(d1s, gens)]
+            assert values.tobytes() == np.array(ref).tobytes() and exact.all()
+    for d in range(2, 9):
+        for k in range(2, d + 1):
+            d1s, gens = rng.standard_normal((15, d, k)), rng.standard_normal((15, k, d))
+            values, exact = subspaces._lift_norms(d1s, gens, L2)
+            ref = [np.linalg.svd(d1 @ np.linalg.inv(np.linalg.qr(g.T)[1]), compute_uv=False)[0]
+                   for d1, g in zip(d1s, gens)]
+            assert values.tobytes() == np.array(ref).tobytes() and exact.all()
+
+
 def _perturbed_pair(rng, d, norm=L1):
     v0 = random_one_unconditional_basis(rng, d, L1)
     v1 = v0 + 0.1 * rng.standard_normal((d, d))
@@ -370,6 +392,18 @@ def _bracket(bound):
     return bound.lo, bound.value, bound.hi
 
 
+def test_distance_to_span_refuses_a_point_that_is_not_a_finite_vector_of_the_space():
+    for kind in (L1, LINF, L2, lp(3.0)):
+        sub = SpannedSubspace(NormedSpace(4, kind), [[1, 1, 0, 0], [0, 1, 1, 0]])
+        for x, message in (([1.0, 0, 0], "point of length 3"),
+                           ([1.0, 0, 0, 0, 0], "point of length 5"),
+                           ([1.0, 0, np.nan, 0], "non-finite"),
+                           ([1.0, 0, 0, np.inf], "non-finite"),
+                           (np.eye(4), "expected a vector")):
+            with pytest.raises(InputError, match=message):
+                distance_to_span(x, sub)
+
+
 def test_distance_trivial_cases():
     sp = NormedSpace(3, L1)
     a = SpannedSubspace(sp, [[1, 0, 0]])
@@ -429,6 +463,31 @@ def test_distance_ignores_the_scale_of_generators():
 
 
 # --- the six-way checker ------------------------------------------------------
+
+def _golden_input(name):
+    return load_system(str(Path(__file__).parent / "golden" / "inputs" / name))
+
+
+@pytest.mark.parametrize("pair", [  # the block pair and two golden check-woven pairs
+    lambda: (generate(GallerySpec("blockpair-a0", 5)), generate(GallerySpec("blockpair-a1", 5))),
+    lambda: (generate(GallerySpec("standard-l1", 4)), _golden_input("perturbed-l1-d4.json")),
+    lambda: (_golden_input("standard-lp3-d4.json"), _golden_input("perturbed-lp3-d4.json")),
+])
+def test_unc_conditions_i_is_the_worst_c_u_of_the_woven_bases(pair):
+    # each weaving W with its fresh biorthogonals as a system of its own,
+    # +inf where W is not a basis or its frame operator is not invertible
+    f0, f1 = pair()
+    worst = 0.0
+    for m in range(1 << f0.n):
+        w = weave(f0, f1, WeavePattern.from_index(m, f0.n)).vectors
+        try:
+            value = unconditional_constant(FrameSystem(f0.space, w, biorthogonals(w))).value
+        except (NotABasis, NotAFrame):
+            value = np.inf
+        worst = max(worst, value)
+    verdict = unc_conditions(f0, f1, conditions=("i", "ii", "iv"))
+    assert {verdict.conditions[c].constant for c in ("i", "ii", "iv")} == {worst}
+
 
 def test_unc_conditions_identical_standard():
     std = standard_system(4)

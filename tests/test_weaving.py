@@ -6,18 +6,20 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from weavelab import (L1, LINF, Exactness, FrameSystem, InputError,
-                      IntervalOperatorQuery, NormedSpace, NotABasis,
+from weavelab import (L1, L2, LINF, Exactness, FrameSystem, GallerySpec,
+                      InputError, IntervalOperatorQuery, NormedSpace, NotABasis,
                       WeavePattern, basis_constant, biorthogonals,
-                      check_approximate_frame, frame_operator, heuristic,
+                      check_approximate_frame, frame_operator, generate, heuristic, lp,
                       lower_bound_profile, partial_operator,
                       pair_perturbation_check, partial_operator_subset, search,
                       suppression_constant, tail_profile,
                       unc_conditions, unconditional_constant,
                       uniform_bound_profile, weave, worst_weaving)
+from weavelab.frames import outer_stack
+from weavelab.normed import batch_opnorm_values
 from weavelab.perturb import EXHAUSTIVE_CERT_CAP, _certify_residuals
 from weavelab.weaving import sample_patterns, weaving_basis_constants
-from conftest import random_basis, random_frame_system
+from conftest import random_basis, random_basis_system, random_frame_system
 from test_frames import standard_system, summing_system
 
 
@@ -53,6 +55,16 @@ def test_partial_operator_examples():
     assert np.array_equal(
         partial_operator_subset(std, summing, WeavePattern.from_string("10"), []),
         np.zeros((2, 2)))
+    with pytest.raises(InputError, match="out of range"):
+        partial_operator_subset(std, summing, WeavePattern.from_string("10"), [3])
+
+
+def test_partial_operator_subset_refuses_a_pattern_of_another_length():
+    # a one-bit pattern would otherwise broadcast over every pair
+    std, summing = standard_system(3, LINF), summing_system(3)
+    for bits in ("1", "11"):
+        with pytest.raises(InputError, match="pattern of length"):
+            partial_operator_subset(std, summing, WeavePattern.from_string(bits), [1, 2, 3])
 
 
 def test_partial_operator_full_matches_frame_operator(rng):
@@ -255,6 +267,44 @@ def test_uniform_bound_profile():
     assert doubled.value == 4.0
 
 
+def _uniform_profile_by_concatenation(f0, f1):
+    """Reference: every interval [m, k] grown from [m, k - 1] by one
+    concatenation of its sums plus each system's k-th term."""
+    d, kind = f0.space.dim, f0.space.norm
+    o0 = outer_stack(f0.vectors, f0.functionals)
+    o1 = outer_stack(f1.vectors, f1.functionals)
+    best = 0.0
+    for m in range(1, f0.n + 1):
+        mats = np.zeros((1, d, d))
+        for k in range(m, f0.n + 1):
+            mats = np.concatenate([mats + o0[k - 1], mats + o1[k - 1]])
+            best = max(best, float(batch_opnorm_values(mats, kind, kind).max()))
+    return best
+
+
+def test_uniform_bound_profile_matches_a_concatenated_build(rng):
+    pairs = [(generate(GallerySpec(a, d)), generate(GallerySpec(b, d)))
+             for a, b in (("standard-c0", "summing-c0"), ("standard-l1", "difference-l1"))
+             for d in range(2, 13)]
+    pairs += [(random_basis_system(rng, d, kind), random_basis_system(rng, d, kind))
+              for kind in (L1, L2, LINF, lp(3.0)) for d in (3, 5, 7)]
+    for f0, f1 in pairs:
+        got = uniform_bound_profile(f0, f1)
+        assert got.value.hex() == _uniform_profile_by_concatenation(f0, f1).hex()
+
+
+def test_uniform_bound_profile_dominates_every_weaving_sum(rng):
+    # its interval [1, n] holds every S_sigma of the weaving table, summed
+    # in the table's order, also for 1 x 1 sums of eight or more terms
+    sp = NormedSpace(1, L1)
+    for n in range(8, 13):
+        for _ in range(6):
+            f0, f1 = (FrameSystem(sp, rng.standard_normal((n, 1)), rng.standard_normal((n, 1)))
+                      for _ in range(2))
+            table = worst_weaving(f0, f1, log_all_patterns=True).per_pattern_log
+            assert uniform_bound_profile(f0, f1).value >= max(s for _, s, _ in table)
+
+
 def test_lower_bound_profile():
     std = standard_system(3)
     assert lower_bound_profile(std, std) == 1.0
@@ -365,3 +415,15 @@ def test_sample_patterns_anchors_and_count():
             alternating.complement().index} <= set(picks)
     assert sample_patterns(3, 40, seed=3) == list(range(8))
     assert sample_patterns(9, 40, seed=3) == picks
+
+
+def test_negative_seeds_are_refused_where_they_reach_a_generator():
+    std, summing = standard_system(4, LINF), summing_system(4)
+    calls = (lambda: worst_weaving(std, summing, heuristic(2), seed=-1),
+             lambda: suppression_constant(summing, heuristic(2), seed=-1),
+             lambda: unc_conditions(std, summing, scope="sampled", seed=-1),
+             lambda: sample_patterns(9, 40, seed=-1),
+             lambda: search.hill_climb(4, float, 2, seed=-1))
+    for call in calls:
+        with pytest.raises(InputError, match="seed must be nonnegative, got -1"):
+            call()
