@@ -5,10 +5,11 @@ Runs a fixed list of instances through the library and prints one line
 per value, label or verdict, every float as ``float.hex``, then one line
 ``sha256 <digest>`` over the lines before it.  The instances cover weaving
 tables and their logs, ``lower_bound_profile``, ``uniform_bound_profile``
-(exhaustive and sampled), C_s and C_u (exhaustive and heuristic), both
-perturbation certificates (exhaustive and sampled), six-way outcomes with
-``per_sigma``, restricted inverses, subspace distances and the subset
-operators.  A change meant to keep every value compares the digest of two
+(exhaustive, also over several chunks, and sampled),
+``weaving_basis_constants`` (also with dependent weavings), C_s and C_u
+(exhaustive and heuristic), both perturbation certificates (exhaustive and
+sampled), six-way outcomes with ``per_sigma``, restricted inverses,
+subspace distances and the subset operators.  A change meant to keep every value compares the digest of two
 checkouts, and of one checkout under different ``WEAVELAB_THREADS``:
 
     PYTHONPATH=src python scripts/value_battery.py | tail -1
@@ -31,6 +32,7 @@ from weavelab import (DenseOperator, FrameSystem, GallerySpec, NormKind,
                       restricted_inverse, subspace_distance, suppression_constant,
                       tail_profile, unc_conditions, unconditional_constant,
                       uniform_bound_profile, worst_weaving)
+from weavelab.weaving import weaving_basis_constants
 
 
 def _leaves(path: str, obj):
@@ -127,6 +129,9 @@ def main() -> int:
     for a, c in (("standard-c0", "summing-c0"), ("standard-l1", "difference-l1")):
         for d in range(2, 9):
             _weaving(b, f"{a}|{c}.d{d}", _gallery(a, d), _gallery(c, d), log=d <= 6)
+            if d >= 4:
+                b.emit(f"{a}|{c}.d{d}.weaving_basis_constants", weaving_basis_constants,
+                       _gallery(a, d), _gallery(c, d))
         _constants(b, f"{c}.d6", _gallery(c, 6))
     for norm in ("l1", "l2", "linf", "lp:3"):
         for d, n in ((1, 10), (3, 3), (3, 6), (5, 5)):
@@ -137,6 +142,16 @@ def main() -> int:
     _subspaces(b, rng, "l1", 10)
     f0, f1 = _random_pair(rng, "linf", 2, 19, 0.3)
     b.emit("linf.d2.n19.uniform_bound_profile.sampled", uniform_bound_profile, f0, f1)
+    # exhaustive, with 5 chunks of 910 patterns on the interval [1, 12]
+    f0, f1 = _random_pair(rng, "l1", 6, 12, 0.2)
+    b.emit("l1.d6.n12.uniform_bound_profile", uniform_bound_profile, f0, f1)
+    # x_1 of the second basis is e_2: every weaving that takes x_1 from it and
+    # x_2 from the first repeats e_2
+    std6 = _gallery("standard-l1", 6)
+    v1 = np.eye(6) + 0.2 * rng.standard_normal((6, 6))
+    v1[0] = np.eye(6)[1]
+    dependent = FrameSystem(std6.space, v1, biorthogonals(v1))
+    b.emit("l1.d6.dependent.weaving_basis_constants", weaving_basis_constants, std6, dependent)
 
     b.emit("biorthogonals.tiny", biorthogonals, 1e-308 * np.eye(3))
     b.emit("biorthogonals.dependent", biorthogonals, np.ones((3, 3)))

@@ -14,6 +14,7 @@ consistent with each other.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,7 +113,12 @@ def outer_stack(vectors: np.ndarray, functionals: np.ndarray) -> np.ndarray:
 
 def subset_sum(stack: np.ndarray, indices) -> np.ndarray:
     """sum_{i in Gamma} stack[i - 1] over the distinct 1-based indices of
-    Gamma, in increasing order; zeros for the empty set."""
+    Gamma, in increasing order; zeros for the empty set.  InputError for an
+    index that is not a whole number or is out of range."""
+    indices = list(indices)
+    if not all(isinstance(i, numbers.Integral) or isinstance(i, numbers.Real)
+               and float(i).is_integer() for i in indices):
+        raise InputError(f"indices must be whole numbers, got {indices!r}")
     idx = np.array(sorted(set(int(i) for i in indices)), dtype=np.intp)
     if idx.size and (idx[0] < 1 or idx[-1] > len(stack)):
         raise InputError(f"indices out of range 1..{len(stack)}")
@@ -198,7 +204,7 @@ def basis_constant(vectors: np.ndarray, space: NormedSpace,
     outers = outer_stack(v, duals)
     prefixes = np.cumsum(outers, axis=0)
     values = batch_opnorm_values(prefixes, space.norm, space.norm)
-    k = search.first_argmax(values)
+    k = int(np.argmax(values))
     value = float(values[k])
     return Bound(value, hi=value if space.norm.is_exact_kind else np.inf, witness=(k + 1,))
 
@@ -302,18 +308,8 @@ def unconditional_constant(system: FrameSystem, mode: SearchMode = EXHAUSTIVE,
                            exhaustive_cap: int = search.DEFAULT_EXHAUSTIVE_CAP,
                            seed: int = 0) -> Bound:
     """C_u: the worst ||(sum_i eps_i x_i f_i^T) S^-1|| over signs eps."""
-    return signed_ratio_constant(outer_stack(system.vectors, system.functionals),
-                                 _frame_inverse(system), system.space.norm,
-                                 mode, exhaustive_cap, seed)
-
-
-def signed_ratio_constant(stack: np.ndarray, s_inv_entries: np.ndarray, kind,
-                          mode: SearchMode = EXHAUSTIVE,
-                          exhaustive_cap: int = search.DEFAULT_EXHAUSTIVE_CAP,
-                          seed: int = 0) -> Bound:
-    """C_u against an externally supplied inverse (stack @ s_inv terms)."""
-    return _max_norm_over_patterns(stack @ s_inv_entries, True, kind, mode,
-                                   exhaustive_cap, seed)
+    g = outer_stack(system.vectors, system.functionals) @ _frame_inverse(system)
+    return _max_norm_over_patterns(g, True, system.space.norm, mode, exhaustive_cap, seed)
 
 
 def square_function(vectors: np.ndarray, coeffs, lattice_vectors: np.ndarray,

@@ -5,10 +5,10 @@ exhaustive searches, perturbation certificates and the six-way check.  It
 grades sorted pattern indices (all 2**n in lexicographic order, bit 1 the
 most significant, or a sample) in chunks fixed by the instance, on up to
 ``WEAVELAB_THREADS`` threads, and callers reduce with first-index
-tie-breaking: the winner is the lexicographically smallest maximizer, for
-any thread count.  :func:`maximize` demotes an exhaustive search above its
-cap to the heuristic one; both modes read the same row function, so their
-values agree bit for bit.
+tie-breaking (``np.argmax``): the winner is the lexicographically smallest
+maximizer, for any thread count.  :func:`maximize` is the one place where a
+search is demoted, from exhaustive above its cap to heuristic; both modes
+read the same row function, so their values agree bit for bit.
 """
 
 from __future__ import annotations
@@ -127,15 +127,6 @@ def pattern_table(ms: Sequence[int], rows_of: Callable[[np.ndarray], np.ndarray]
     return out[:, 0] if columns == 1 else out
 
 
-def first_argmax(values: np.ndarray) -> int:
-    """Index of the maximum; ties resolve to the smallest index.
-
-    With lexicographic pattern enumeration this is the lexicographically
-    smallest maximizer.  NaNs are rejected upstream; +inf is allowed.
-    """
-    return int(np.argmax(values))
-
-
 def hill_climb(n_bits: int, value_of: Callable[[int], float], restarts: int,
                seed: int, extra_starts: tuple[int, ...] = ()) -> int:
     """Single-bit-flip hill climbing; returns the best pattern index found.
@@ -211,7 +202,7 @@ def maximize(n_bits: int, rows_of: Callable[[np.ndarray], np.ndarray], mode: Sea
     if mode.kind == "exhaustive":
         rows = pattern_table(range(1 << n_bits), rows_of, CELLS_PER_SUM * cell, columns)
         values = rows if columns == 1 else rows.max(axis=1)
-        return mode, first_argmax(values), range(1 << n_bits), rows
+        return mode, int(np.argmax(values)), range(1 << n_bits), rows
 
     memo: dict[int, tuple[float, np.ndarray]] = {}
 

@@ -28,14 +28,13 @@ from .normed import (DEFAULT_COND_CAP, L2, Bound, DenseOperator, Exactness,
                      NormedSpace, NormKind, _as_vector, _mat_vecs, batch_invert,
                      batch_norming_vectors, batch_vector_norms, require_finite,
                      vector_norm)
-from .frames import (EXHAUSTIVE, FrameSystem, biorthogonals, heuristic,
-                     outer_stack, signed_ratio_constant, subset_sum,
-                     unconditional_constant)
-from .search import pattern_table
+from .frames import (FrameSystem, _max_norm_over_patterns, biorthogonals,
+                     outer_stack, subset_sum, unconditional_constant)
+from .search import SearchMode, bit_rows, pattern_table
 from .weaving import WeavePattern, sample_patterns
 
 DEFAULT_UNC_THRESHOLD = 4.0
-INNER_EXHAUSTIVE_CAP = 2 ** 12  # patterns; above it inner C_u is heuristic(16)
+INNER_EXHAUSTIVE_CAP = 2 ** 12  # patterns; above it ``maximize`` makes C_u heuristic(16)
 EXHAUSTIVE_SCOPE_BITS = 16  # above it, exhaustive scope falls back to sampled
 PER_SIGMA_CAP = 4096  # per-pattern flags are kept up to this many patterns
 RANGE_RESIDUAL_TOL = 1e-8
@@ -490,13 +489,15 @@ def _scope_patterns(n: int, scope: str, samples: int, seed: int) -> tuple[range 
     return sample_patterns(n, samples + 4, seed), "sampled"
 
 
-def _sigma_cases(f0, f1, stacks, m, inner_mode, wanted, seed):
-    """Evaluate the conditions at one pattern; returns (metrics, st, ts, pending).
+def _sigma_cases(f0, f1, stacks, one, inner, wanted, seed):
+    """Evaluate the conditions at the pattern whose bits are the boolean row
+    ``one``; returns (metrics, st, ts, pending).
 
     ``metrics`` maps each condition to its constant and whether that
     constant is exact; the infinite constant of a refused inversion counts
-    as exact.  ``stacks`` are the two bases' ``outer_stack``s.  The lifts
-    are r_p = (P|Y1)^-1, r_q = (Q|X1)^-1, r_ip = ((I-P)|Y2)^-1 and
+    as exact.  ``stacks`` are the two bases' ``outer_stack``s, and ``inner``
+    is the search mode of each C_u, capped at ``INNER_EXHAUSTIVE_CAP``.
+    The lifts are r_p = (P|Y1)^-1, r_q = (Q|X1)^-1, r_ip = ((I-P)|Y2)^-1 and
     r_iq = ((I-Q)|X2)^-1, where X1, Y1 (X2, Y2) span f0, f1 at the 0-bits
     (1-bits); (iii) reads all four.  (v) and (vi) are each the larger of two
     restricted norms: ||P_X1|| and ||P_Y2|| on X1 + Y2 = X, which is
@@ -505,7 +506,6 @@ def _sigma_cases(f0, f1, stacks, m, inner_mode, wanted, seed):
     whose norms ``_grade_pending`` takes for many patterns at once.
     """
     space = f0.space
-    one = np.array(WeavePattern.from_index(m, f0.n).bits, dtype=bool)
     metrics: dict[str, tuple[float, bool]] = {}
     st = ts = np.nan
 
@@ -514,7 +514,8 @@ def _sigma_cases(f0, f1, stacks, m, inner_mode, wanted, seed):
         inv = batch_invert(mat[None])
         if not inv.accepted[0]:
             return np.inf, True
-        bound = signed_ratio_constant(stack, inv.inverses[0], space.norm, inner_mode, seed=seed)
+        bound = _max_norm_over_patterns(stack @ inv.inverses[0], True, space.norm, inner,
+                                        INNER_EXHAUSTIVE_CAP, seed)
         return bound.value, bound.exactness is Exactness.EXACT
 
     if any(c in wanted for c in ("i", "ii", "iv")):
@@ -622,6 +623,9 @@ def unc_conditions(f0: FrameSystem, f1: FrameSystem, scope: str = "exhaustive",
     maximizer; it is labelled exact when the scope is exhaustive and every
     constant in its column is exact (the infinite constant of a refused
     inversion counts as exact), a lower bound otherwise.
+    Each C_u, the bases' own and the one (i)-(iv) take per pattern, asks
+    ``search.maximize`` for an exhaustive search, which it demotes to
+    heuristic(16) above ``INNER_EXHAUSTIVE_CAP`` patterns.
     Exhaustive scope enumerates all patterns up to ``EXHAUSTIVE_SCOPE_BITS``
     bits; above that a seeded sample of ``samples`` draws (InputError when
     negative) plus the alternating and constant patterns is used.
@@ -645,16 +649,17 @@ def unc_conditions(f0: FrameSystem, f1: FrameSystem, scope: str = "exhaustive",
         raise InputError("no conditions selected")
     n = f0.n
     ms, scope_used = _scope_patterns(n, scope, samples, seed)
-    inner_mode = EXHAUSTIVE if (1 << n) <= INNER_EXHAUSTIVE_CAP else heuristic(16)
-    base0 = unconditional_constant(f0, inner_mode, seed=seed).value
-    base1 = unconditional_constant(f1, inner_mode, seed=seed).value
+    inner = SearchMode("exhaustive", 16)
+    base0, base1 = (unconditional_constant(f, inner, INNER_EXHAUSTIVE_CAP, seed).value
+                    for f in (f0, f1))
     if not (np.isfinite(base0) and np.isfinite(base1)):
         raise NotAFrame("input bases must have finite unconditional constants")
 
     stacks = (outer_stack(f0.vectors, f0.functionals), outer_stack(f1.vectors, f1.functionals))
 
     def rows_of(part: np.ndarray) -> np.ndarray:
-        cases = [_sigma_cases(f0, f1, stacks, m, inner_mode, wanted, seed) for m in part]
+        cases = [_sigma_cases(f0, f1, stacks, one, inner, wanted, seed)
+                 for one in bit_rows(part, n)]
         _grade_pending(cases, f0.space.norm)
         return np.array([[x for c in wanted for x in metrics[c]] + [st, ts]
                          for metrics, st, ts, _ in cases])

@@ -240,8 +240,8 @@ def uniform_bound_profile(f0: FrameSystem, f1: FrameSystem) -> Bound:
     """The finite-scale uniform bound D: the worst ||P_{sigma,[m,k]}|| over
     all intervals and local patterns.
 
-    Exhaustive within ``PROFILE_CAP`` total evaluations; beyond that each
-    interval is sampled and the result is flagged as a lower bound.
+    Each interval is one ``search.pattern_table`` of its local patterns: all
+    within ``PROFILE_CAP`` total evaluations, else a sample (a lower bound).
     """
     _require_compatible(f0, f1)
     n = f0.n
@@ -255,14 +255,17 @@ def uniform_bound_profile(f0: FrameSystem, f1: FrameSystem) -> Bound:
     for m, k in itertools.combinations_with_replacement(range(1, n + 1), 2):  # [m, k]
         local = 2 ** (k - m + 1)
         if exhaustive:
-            ms = np.arange(local, dtype=np.uint64)
+            ms = range(local)
         else:
             picks = {0, local - 1}
             while len(picks) < min(local, PROFILE_SAMPLES):
                 picks.add(int(rng.integers(0, local)))
-            ms = np.array(sorted(picks), dtype=np.uint64)
-        mats = pattern_sums(o1[m - 1:k], o0[m - 1:k], ms)
-        best = max(best, float(batch_opnorm_values(mats, kind, kind).max()))
+            ms = sorted(picks)
+        on, off = o1[m - 1:k], o0[m - 1:k]
+        table = search.pattern_table(
+            ms, lambda part: batch_opnorm_values(pattern_sums(on, off, part), kind, kind),
+            search.CELLS_PER_SUM * f0.space.dim ** 2)
+        best = max(best, float(table.max()))
     return Bound(best, hi=best if exhaustive and kind.is_exact_kind else np.inf)
 
 
@@ -272,33 +275,35 @@ def lower_bound_profile(f0: FrameSystem, f1: FrameSystem) -> float:
     _require_compatible(f0, f1)
     if (1 << f0.n) > search.DEFAULT_EXHAUSTIVE_CAP:
         raise InputError("lower bound profile requires exhaustive enumeration")
-    _, _, _, table = search.maximize(f0.n, _weaving_rows(f0, f1), EXHAUSTIVE,
-                                     search.DEFAULT_EXHAUSTIVE_CAP, 0, f0.space.dim ** 2,
-                                     columns=2)
-    worst_inv = float(table[:, 1].max())
-    if not np.isfinite(worst_inv):
-        return 0.0
-    return 1.0 / worst_inv
+    table = search.pattern_table(range(1 << f0.n), _weaving_rows(f0, f1),
+                                 search.CELLS_PER_SUM * f0.space.dim ** 2, columns=2)
+    return 1.0 / float(table[:, 1].max())  # 1/inf = 0.0 where a weaving is singular
 
 
 def weaving_basis_constants(f0: FrameSystem, f1: FrameSystem) -> tuple[bool, float]:
     """(every weaving is a basis, worst basis constant over the weavings that are).
 
-    Enumerates all 2^n weavings of the vectors; a dependent weaving
+    A row function on ``search.pattern_table`` grades all 2^n weavings of
+    the vectors into (is a basis, basis constant) rows; a dependent weaving
     (NotABasis) clears the first flag and is left out of the maximum.
     """
     _require_compatible(f0, f1)
     n = f0.n
-    all_bases, worst = True, 0.0
-    for bits in search.bit_rows(np.arange(1 << n, dtype=np.uint64), n):
-        vectors = np.where(bits[:, None], f1.vectors, f0.vectors)
-        try:
-            duals = biorthogonals(vectors)
-        except NotABasis:
-            all_bases = False
-            continue
-        worst = max(worst, basis_constant(vectors, f0.space, duals).value)
-    return all_bases, worst
+
+    def rows_of(ms: np.ndarray) -> np.ndarray:
+        rows = np.zeros((len(ms), 2))
+        for row, bits in zip(rows, search.bit_rows(ms, n)):
+            vectors = np.where(bits[:, None], f1.vectors, f0.vectors)
+            try:
+                duals = biorthogonals(vectors)
+            except NotABasis:
+                continue
+            row[:] = 1.0, basis_constant(vectors, f0.space, duals).value
+        return rows
+
+    table = search.pattern_table(range(1 << n), rows_of,
+                                 search.CELLS_PER_SUM * f0.space.dim ** 2, columns=2)
+    return bool(table[:, 0].all()), float(table[:, 1].max())
 
 
 def sample_patterns(n: int, count: int, seed: int) -> list[int]:

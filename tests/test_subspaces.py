@@ -14,8 +14,9 @@ from weavelab import (L1, L2, LINF, DenseOperator, DistanceZero, Exactness,
                       FrameSystem, GallerySpec, InputError, NormedSpace,
                       NotABasis, NotAFrame, NotInvertible, SpannedSubspace,
                       WeavePattern, basis_projection, biorthogonals,
-                      direct_sum_projection, distance_to_span, generate, lp,
-                      norming_vector, oblique_projection, restricted_inverse,
+                      direct_sum_projection, distance_to_span, generate, heuristic, lp,
+                      norming_vector, oblique_projection, partial_operator_subset,
+                      projection_pair, restricted_inverse,
                       subspace_distance, unc_conditions, unconditional_constant,
                       vector_norm, weave)
 from weavelab import search, subspaces
@@ -44,6 +45,21 @@ def test_basis_projection_examples():
     assert np.array_equal(only1, np.outer(np.eye(3)[0], np.eye(3)[0]))
     with pytest.raises(InputError):
         basis_projection(std, [0])
+
+
+def test_subset_indices_must_be_whole_numbers():
+    # 1.7 used to be truncated to the index 1
+    std, summing = standard_system(3), summing_system(3)
+    for bad in ([1.7], [1, 2.5], [float("nan")], [float("inf")], ["1"]):
+        with pytest.raises(InputError, match="whole numbers"):
+            basis_projection(std, bad)
+    with pytest.raises(InputError, match="whole numbers"):
+        projection_pair(std, summing, [0.5])
+    with pytest.raises(InputError, match="whole numbers"):
+        partial_operator_subset(std, std, WeavePattern.zeros(3), [np.float64(2.2)])
+    # a whole number of any numeric type is that index
+    assert np.array_equal(basis_projection(std, [1.0, np.int64(3)]).entries,
+                          basis_projection(std, [1, 3]).entries)
 
 
 def test_basis_projection_idempotent_complement_exact_integers():
@@ -580,6 +596,20 @@ def test_unc_conditions_lp_v_holds_where_the_distance_reaches_the_threshold():
     assert v.constant == 1.0 / dist.value
 
 
+def test_unc_conditions_inner_c_u_is_demoted_by_maximize(rng):
+    # 2^13 sign patterns lie above INNER_EXHAUSTIVE_CAP, so the bases' C_u is
+    # the heuristic(16) search, bit for bit, and only a lower bound
+    assert 2 ** 13 > subspaces.INNER_EXHAUSTIVE_CAP
+    v0 = random_basis(rng, 13)
+    v1 = v0 + 0.03 * rng.standard_normal((13, 13))
+    b0, b1 = (FrameSystem(NormedSpace(13, L1), v, biorthogonals(v)) for v in (v0, v1))
+    unc = unc_conditions(b0, b1, scope="sampled", samples=0, seed=3, conditions=("i", "v"))
+    expected = [unconditional_constant(b, heuristic(16), seed=3) for b in (b0, b1)]
+    assert [c.hex() for c in unc.base_unconditional] == [b.value.hex() for b in expected]
+    assert all(b.exactness is Exactness.LOWER_BOUND for b in expected)
+    assert unc.conditions["i"].exactness is Exactness.LOWER_BOUND
+
+
 def test_unc_conditions_subset_and_errors():
     std = standard_system(3)
     verdict = unc_conditions(std, std, conditions=("v", "vi"))
@@ -682,7 +712,6 @@ def test_restricted_inverse_across_a_scale_gap_between_generator_rows():
 
 
 def test_projection_pair():
-    from weavelab import projection_pair
     std = standard_system(4)
     summing = summing_system(4)
     pair = projection_pair(std, summing, [1, 3])

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -182,6 +183,22 @@ def certificate_fields(cert):
     return (cert.holds, cert.max_residual, cert.patterns_checked, cert.exhaustive, cert.failures)
 
 
+def _basis_constants_one_by_one(f0, f1):
+    """Reference: the per-weaving loop that ``weaving_basis_constants`` ran
+    before it became a row function on ``search.pattern_table``."""
+    n = f0.n
+    all_bases, worst = True, 0.0
+    for bits in search.bit_rows(np.arange(1 << n, dtype=np.uint64), n):
+        vectors = np.where(bits[:, None], f1.vectors, f0.vectors)
+        try:
+            duals = biorthogonals(vectors)
+        except NotABasis:
+            all_bases = False
+            continue
+        worst = max(worst, basis_constant(vectors, f0.space, duals).value)
+    return all_bases, worst
+
+
 def test_exhaustive_results_do_not_depend_on_thread_count(rng, monkeypatch):
     f0 = random_frame_system(rng, 10, LINF)
     f1 = random_frame_system(rng, 10, LINF)
@@ -194,6 +211,16 @@ def test_exhaustive_results_do_not_depend_on_thread_count(rng, monkeypatch):
     v1 = v0 + 0.03 * rng.standard_normal((9, 9))
     b0, b1 = (FrameSystem(NormedSpace(9, L1), v, biorthogonals(v)) for v in (v0, v1))
     assert search.chunk_size_for(9 ** 3) < 2 ** 9
+    # the c0 gallery pair, and a pair whose weavings that take x_1 from the
+    # second system and x_2 from the first repeat e_2
+    c0_pair = (generate(GallerySpec("standard-c0", 10)), generate(GallerySpec("summing-c0", 10)))
+    v_dep = random_basis(rng, 8)
+    v_dep[0] = np.eye(8)[1]
+    dep_pair = (standard_system(8, LINF), FrameSystem(NormedSpace(8, LINF), v_dep,
+                                                      biorthogonals(v_dep)))
+    basis_pairs = (c0_pair, dep_pair)
+    references = [_basis_constants_one_by_one(*pair) for pair in basis_pairs]
+    assert references[0][0] and not references[1][0]
     seen = []
     for threads in ("1", "3"):
         monkeypatch.setenv("WEAVELAB_THREADS", threads)
@@ -203,12 +230,16 @@ def test_exhaustive_results_do_not_depend_on_thread_count(rng, monkeypatch):
         certs = (_certify_residuals(f0, f1, s_inv, bound=1.0, seed=0),
                  _certify_residuals(g0, g1, g_inv, bound=1.0, seed=5))
         unc = unc_conditions(b0, b1, threshold=16.0)
+        with monkeypatch.context() as patch:
+            patch.setattr(search, "CHUNK_BUDGET", 4 * 8 * 8 * 40)  # chunks of 25 and 40 weavings
+            bases = [weaving_basis_constants(*pair) for pair in basis_pairs]
+        assert bases == references
         seen.append((str(res.worst_pattern), res.worst_constant, res.per_pattern_log,
                      c_s.value, c_s.witness, c_u.value, c_u.witness,
                      [certificate_fields(c) for c in certs],
                      unc.per_sigma, unc.agree, unc.max_st_residual, unc.max_ts_residual,
                      {c: (o.holds, o.constant, str(o.witness), o.exactness)
-                      for c, o in unc.conditions.items()}))
+                      for c, o in unc.conditions.items()}, bases))
     assert seen[0] == seen[1]
     assert [c.exhaustive for c in certs] == [True, False]
     assert not unc.agree  # the flags differ between conditions or patterns
@@ -291,6 +322,21 @@ def test_uniform_bound_profile_matches_a_concatenated_build(rng):
     for f0, f1 in pairs:
         got = uniform_bound_profile(f0, f1)
         assert got.value.hex() == _uniform_profile_by_concatenation(f0, f1).hex()
+
+
+def test_uniform_bound_profile_memory_is_bounded_by_the_chunk_budget(rng):
+    # the interval [1, 16] has 65,536 local patterns: graded in one call,
+    # their 6 x 6 sums alone would take 18 MiB
+    sp = NormedSpace(6, L1)
+    f0, f1 = (FrameSystem(sp, rng.standard_normal((16, 6)), rng.standard_normal((16, 6)) / 16)
+              for _ in range(2))
+    tracemalloc.start()
+    try:
+        uniform_bound_profile(f0, f1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 8 * search.CHUNK_BUDGET  # 4 MiB: a few chunks' floats
 
 
 def test_uniform_bound_profile_dominates_every_weaving_sum(rng):
