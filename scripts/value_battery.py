@@ -8,7 +8,8 @@ tables and their logs, ``lower_bound_profile``, ``uniform_bound_profile``
 (exhaustive, also over several chunks, and sampled),
 ``weaving_basis_constants`` (also with dependent weavings), C_s and C_u
 (exhaustive and heuristic), both perturbation certificates (exhaustive and
-sampled), six-way outcomes with ``per_sigma``, restricted inverses,
+sampled), six-way outcomes with ``per_sigma`` (also with dependent weavings,
+and sampled at d = 13, where the inner C_u is heuristic), restricted inverses,
 subspace distances and the subset operators.  A change meant to keep every value compares the digest of two
 checkouts, and of one checkout under different ``WEAVELAB_THREADS``:
 
@@ -152,6 +153,8 @@ def main() -> int:
     v1[0] = np.eye(6)[1]
     dependent = FrameSystem(std6.space, v1, biorthogonals(v1))
     b.emit("l1.d6.dependent.weaving_basis_constants", weaving_basis_constants, std6, dependent)
+    # the same weavings in the six-way check: chunks with members that are no basis
+    b.emit("l1.d6.dependent.six_way", unc_conditions, std6, dependent)
 
     b.emit("biorthogonals.tiny", biorthogonals, 1e-308 * np.eye(3))
     b.emit("biorthogonals.dependent", biorthogonals, np.ones((3, 3)))
@@ -175,6 +178,9 @@ def main() -> int:
                _gallery("blockpair-a1", d))
     b.emit("blockpair.d5.sampled.six_way", unc_conditions, _gallery("blockpair-a0", 5),
            _gallery("blockpair-a1", 5), scope="sampled", samples=6, seed=2)
+    # 2^13 sign patterns: search.maximize demotes the inner C_u to heuristic(16)
+    b.emit("blockpair.d13.sampled.six_way", unc_conditions, _gallery("blockpair-a0", 13),
+           _gallery("blockpair-a1", 13), scope="sampled", samples=4, seed=3)
     b.emit("subspace.d4.six_way", unc_conditions, _gallery("subspace-b0", 4),
            _gallery("subspace-b1", 4))
     b.emit("c0.d4.six_way", unc_conditions, _gallery("standard-c0", 4),

@@ -21,9 +21,9 @@ import numpy as np
 
 from . import search
 from .errors import InputError, NotABasis, NotAFrame, NotInvertible
-from .normed import (DEFAULT_COND_CAP, Bound, DenseOperator, NormedSpace,
-                     batch_opnorm_values, condition_capped, invert, operator_norm,
-                     require_finite)
+from .normed import (DEFAULT_COND_CAP, Bound, DenseOperator, NormedSpace, _identity,
+                     _solve_identity, batch_opnorm_values, condition_capped, invert,
+                     operator_norm, require_finite)
 from .search import EXHAUSTIVE, SearchMode, heuristic  # heuristic is re-exported
 
 BIORTHOGONAL_TOL = 1e-10
@@ -104,9 +104,10 @@ class ConstantReport:
 
 
 def outer_stack(vectors: np.ndarray, functionals: np.ndarray) -> np.ndarray:
-    """(n, d, d) stack of rank-one terms x_i f_i^T; InputError if a term overflows."""
+    """(n, d, d) stack of rank-one terms x_i f_i^T, or an (m, n, d, d) stack
+    of them for (m, n, d) stacks of pairs; InputError if a term overflows."""
     with np.errstate(over="ignore"):
-        stack = vectors[:, :, None] * functionals[:, None, :]
+        stack = vectors[..., :, None] * functionals[..., None, :]
     require_finite(stack)
     return stack
 
@@ -165,34 +166,61 @@ def biorthogonals(vectors: np.ndarray) -> np.ndarray:
     which takes an SVD only when the residual of the solved duals cannot
     clear it), when ``solve`` fails, or for a residual that is not at most
     ``BIORTHOGONAL_TOL`` after up to four Newton steps, checked in that
-    order.
+    order.  A stack of one through ``batch_biorthogonals``.
     """
     v = np.asarray(vectors, dtype=np.float64)
     if v.ndim != 2 or v.shape[0] != v.shape[1]:
         raise NotABasis(f"need a square vector family, got shape {v.shape}")
-    b = v.T  # columns are the basis vectors
-    eye = np.eye(b.shape[0])
-    try:
-        duals, solve_error = np.linalg.solve(b, eye), None
-    except np.linalg.LinAlgError as exc:
-        duals, solve_error = np.full_like(b, np.nan), str(exc)
+    duals, refused = batch_biorthogonals(v[None])
+    if refused:
+        raise NotABasis(refused[0])
+    return duals[0]
+
+
+def batch_biorthogonals(vectors: np.ndarray) -> tuple[np.ndarray, dict[int, str]]:
+    """``biorthogonals`` of each basis of an (m, d, d) stack of vector rows:
+    (duals, refused), where ``refused`` maps the position of each family that
+    ``biorthogonals`` refuses to its NotABasis message, and its duals are
+    zeros.
+
+    Each family meets the refusals in ``biorthogonals``' order, its own
+    Newton steps and the same LAPACK calls whatever stack it sits in (a zero
+    pivot that refuses the stacked solve makes it solve family by family),
+    so its duals are bit for bit the ones ``biorthogonals`` returns for it.
+    """
+    v = np.asarray(vectors, dtype=np.float64)
+    b = v.transpose(0, 2, 1)  # columns are the basis vectors
+    eye = _identity(b.shape[-1])
+    duals, solve_errors = _solve_identity(b, eye)
     with np.errstate(over="ignore", invalid="ignore"):  # above the cap, the duals may overflow
         r = eye - duals @ b
-    res = float(np.abs(r).max())
-    cond = condition_capped(b[None], duals[None], np.array([res]))[0]
-    if cond > DEFAULT_COND_CAP:
-        raise NotABasis(f"vectors are dependent (condition number {cond:.3e})")
-    if solve_error is not None:
-        raise NotABasis(solve_error)
-    for _ in range(4):
-        if res <= BIORTHOGONAL_TOL:
+    res = np.abs(r).max(axis=(1, 2))
+    if solve_errors:
+        res[list(solve_errors)] = np.nan
+    cond = condition_capped(b, duals, res)
+    # Python's loops beat numpy's calls on the one-family stacks of ``biorthogonals``
+    if all(c != c for c in cond.tolist()) and all(x <= BIORTHOGONAL_TOL for x in res.tolist()):
+        return duals, {}  # every family cleared the cap and needs no Newton step
+    capped = cond > DEFAULT_COND_CAP
+    live = np.setdiff1d(np.flatnonzero(~capped), list(solve_errors))
+    for _ in range(4):  # Newton steps X <- X + (I - X B) X
+        live = live[~(res[live] <= BIORTHOGONAL_TOL)]
+        if not live.size:
             break
-        duals = duals + r @ duals
-        r = eye - duals @ b
-        res = float(np.abs(r).max())
-    if not res <= BIORTHOGONAL_TOL:  # also a NaN residual, from duals that overflow
-        raise NotABasis(f"biorthogonality residual {res:.3e} above {BIORTHOGONAL_TOL:.1e}")
-    return duals
+        duals[live] = duals[live] + r[live] @ duals[live]
+        with np.errstate(over="ignore", invalid="ignore"):
+            r[live] = eye - duals[live] @ b[live]
+        res[live] = np.abs(r[live]).max(axis=(1, 2))
+    refused = {}
+    for i in np.flatnonzero(capped | ~(res <= BIORTHOGONAL_TOL)).tolist():
+        if capped[i]:
+            refused[i] = f"vectors are dependent (condition number {cond[i]:.3e})"
+        elif i in solve_errors:
+            refused[i] = solve_errors[i]
+        else:  # also a NaN residual, from duals that overflow
+            refused[i] = f"biorthogonality residual {res[i]:.3e} above {BIORTHOGONAL_TOL:.1e}"
+    duals[list(refused)] = 0.0
+    return duals, refused
 
 
 def basis_constant(vectors: np.ndarray, space: NormedSpace,
@@ -201,22 +229,29 @@ def basis_constant(vectors: np.ndarray, space: NormedSpace,
     v = np.asarray(vectors, dtype=np.float64)
     if duals is None:
         duals = biorthogonals(v)
-    outers = outer_stack(v, duals)
-    prefixes = np.cumsum(outers, axis=0)
-    values = batch_opnorm_values(prefixes, space.norm, space.norm)
+    values = projection_norms(v[None], np.asarray(duals)[None], space.norm)[0]
     k = int(np.argmax(values))
     value = float(values[k])
     return Bound(value, hi=value if space.norm.is_exact_kind else np.inf, witness=(k + 1,))
+
+
+def projection_norms(vectors: np.ndarray, duals: np.ndarray, kind) -> np.ndarray:
+    """(m, n) table of ||P_k||, k = 1..n, for the partial-sum projections of
+    each basis of an (m, n, d) stack of vectors with their duals."""
+    prefixes = np.cumsum(outer_stack(vectors, duals), axis=1)
+    d = prefixes.shape[-1]
+    return batch_opnorm_values(prefixes.reshape(-1, d, d), kind, kind).reshape(prefixes.shape[:2])
 
 
 def pattern_sums(on: np.ndarray, off: np.ndarray | float, ms: np.ndarray) -> np.ndarray:
     """Per pattern index in ``ms``: the sum over i of ``on[i]`` where bit i
     is set and ``off[i]`` where it is not (bit 0 is the most significant).
 
-    ``on`` is an (n, d, d) stack; ``off`` is a stack of the same shape or a
-    scalar.  Weaving tables and probes, subset and sign sums, and
-    perturbation certificates all build their operators here, so
-    exhaustive tables and single-pattern probes agree bit for bit.
+    ``on`` is an (n, r, c) stack (d x d operators, or several laid side by
+    side as (n, p d, d)); ``off`` is a stack of the same shape or a scalar.
+    Weaving tables and probes, subset and sign sums, and perturbation
+    certificates all build their operators here, so exhaustive tables and
+    single-pattern probes agree bit for bit.
 
     Each sum is 0.0 + term 0 + term 1 + ..., left to right, as
     ``np.add.reduce`` takes it over an outer axis.  Indices next to each
@@ -229,17 +264,17 @@ def pattern_sums(on: np.ndarray, off: np.ndarray | float, ms: np.ndarray) -> np.
     pay for the levels' numpy calls, is exactly that reduce.  Any order of
     ``ms`` gives the same sums; ascending order shares the most.
     """
-    n, d = on.shape[0], on.shape[1]
+    n, cells = on.shape[0], on[0].size
     bits = search.bit_rows(ms, n)
     # Only the last levels are built, and none above the bits that every
     # index shares (all n of a single index): each built level halves the
-    # floats, about len(ms) n d^2, that the reduce above it sums, and is
+    # floats, about len(ms) n cells, that the reduce above it sums, and is
     # worth its numpy calls while that saves LEVEL_CELLS floats.  numpy sums
     # the terms of a 1 x 1 cell pairwise, not left to right, so there every
     # sum stays one reduce.
     shared = n - int(np.bitwise_or.reduce(ms ^ ms[:1])).bit_length()
-    levels = max(0, (len(bits) * n * d * d // LEVEL_CELLS).bit_length() - 1)
-    start = n if d == 1 else max(0, shared, n - levels)
+    levels = max(0, (len(bits) * n * cells // LEVEL_CELLS).bit_length() - 1)
+    start = n if cells == 1 else max(0, shared, n - levels)
     if start == n:
         return np.add.reduce(np.where(bits[:, :, None, None], on, off), axis=1)
     if np.ndim(off) == 0:
@@ -270,22 +305,56 @@ def _frame_inverse(system: FrameSystem) -> np.ndarray:
         raise NotAFrame(f"frame operator not invertible: {exc}") from None
 
 
-def _max_norm_over_patterns(g: np.ndarray, signed: bool, kind, mode: SearchMode,
-                            exhaustive_cap: int, seed: int) -> Bound:
-    """Max of ||sum of the selected rows of g|| over bit patterns.
+def _max_norms_over_patterns(stacks: np.ndarray, inverses: np.ndarray, signed: bool, kind,
+                             mode: SearchMode, exhaustive_cap: int, seed: int
+                             ) -> tuple[np.ndarray, bool, list[int]]:
+    """Max of ||sum of the selected rows of g|| over bit patterns, for each
+    g = stacks[j] @ inverses[j] of an (m, n, d, d) stack and an (m, d, d)
+    stack: (the maxima, whether they are exact, the index of each one's
+    maximizing pattern).
 
-    Subset patterns drop the unselected rows; signed patterns negate them
-    and report the witness as +-1 signs.  Subset local search is seeded by
-    greedy growth.
+    Subset patterns drop the unselected rows and signed patterns negate
+    them; subset local search is seeded by greedy growth.  The first g is
+    searched alone.  If ``search.maximize`` keeps that search exhaustive,
+    the others share tables, as many as ``search.CHUNK_BUDGET`` holds whole:
+    laid side by side as one (n, p d, d) stack, whose pattern sums are each
+    g's own bit for bit, since addition is elementwise.  A demoted search
+    climbs one value, so there every g is searched alone.
     """
-    n, d = g.shape[0], g.shape[1]
-    off = -g if signed else 0.0
-    mode_used, best, ms, values = search.maximize(
-        n, lambda idx: batch_opnorm_values(pattern_sums(g, off, idx), kind, kind),
-        mode, exhaustive_cap, seed, d * d, greedy=not signed)
-    value = float(values[best])
-    exact = mode_used.kind == "exhaustive" and kind.is_exact_kind
-    bits = search.bits_of_index(ms[best], n)
+    m, n, d = stacks.shape[0], stacks.shape[1], stacks.shape[2]
+    values, witnesses = np.empty(m), []
+    width, exact = 1, kind.is_exact_kind
+    while len(witnesses) < m:
+        lo = len(witnesses)
+        p = min(width, m - lo)
+        g = stacks[lo:lo + p] @ inverses[lo:lo + p, None]
+        on = g.transpose(1, 0, 2, 3).reshape(n, p * d, d)
+        off = -on if signed else 0.0
+        mode_used, best, ms, rows = search.maximize(
+            n, lambda idx: batch_opnorm_values(pattern_sums(on, off, idx).reshape(-1, d, d),
+                                               kind, kind),
+            mode, exhaustive_cap, seed, p * d * d, columns=p, greedy=not signed)
+        rows = np.reshape(rows, (len(ms), p))
+        for j, k in enumerate([best] if p == 1 else rows.argmax(axis=0).tolist()):
+            values[lo + j] = rows[k, j]
+            witnesses.append(ms[k])
+        if mode_used.kind == "exhaustive":
+            width = search.chunk_size_for(search.CELLS_PER_SUM * d * d << n)
+        else:
+            exact = False
+    return values, exact, witnesses
+
+
+def _max_norm_over_patterns(system: FrameSystem, signed: bool, mode: SearchMode,
+                            exhaustive_cap: int, seed: int) -> Bound:
+    """``_max_norms_over_patterns`` of g = x_i f_i^T S^-1 for one system, as
+    a Bound whose witness is the maximizing pattern's bits, or +-1 signs
+    when ``signed``."""
+    values, exact, witnesses = _max_norms_over_patterns(
+        outer_stack(system.vectors, system.functionals)[None], _frame_inverse(system)[None],
+        signed, system.space.norm, mode, exhaustive_cap, seed)
+    value = float(values[0])
+    bits = search.bits_of_index(witnesses[0], system.n)
     return Bound(value, hi=value if exact else np.inf,
                  witness=tuple(1 if b else -1 for b in bits) if signed else bits)
 
@@ -299,17 +368,14 @@ def suppression_constant(system: FrameSystem, mode: SearchMode = EXHAUSTIVE,
     ``exhaustive_cap``); heuristic mode runs greedy growth plus single-flip
     local search and reports a lower bound.
     """
-    g = outer_stack(system.vectors, system.functionals) @ _frame_inverse(system)
-    return _max_norm_over_patterns(g, False, system.space.norm, mode,
-                                   exhaustive_cap, seed)
+    return _max_norm_over_patterns(system, False, mode, exhaustive_cap, seed)
 
 
 def unconditional_constant(system: FrameSystem, mode: SearchMode = EXHAUSTIVE,
                            exhaustive_cap: int = search.DEFAULT_EXHAUSTIVE_CAP,
                            seed: int = 0) -> Bound:
     """C_u: the worst ||(sum_i eps_i x_i f_i^T) S^-1|| over signs eps."""
-    g = outer_stack(system.vectors, system.functionals) @ _frame_inverse(system)
-    return _max_norm_over_patterns(g, True, system.space.norm, mode, exhaustive_cap, seed)
+    return _max_norm_over_patterns(system, True, mode, exhaustive_cap, seed)
 
 
 def square_function(vectors: np.ndarray, coeffs, lattice_vectors: np.ndarray,

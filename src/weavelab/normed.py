@@ -481,10 +481,19 @@ def condition_capped(mats: np.ndarray, inverses: np.ndarray,
     # q <= 1/2 for every ||A||_F ||X||_F up to _CLEAR_FRO
     cleared = (fro2 <= _CLEAR_FRO ** 2) & (residual <= 0.5 / d - gamma * (1.0 + _CLEAR_FRO))
     cond = np.full(len(mats), np.nan)
-    undecided = np.flatnonzero(~cleared)
-    if undecided.size:
-        cond[undecided] = np.linalg.cond(mats[undecided])
+    if not cleared.all():
+        cond[~cleared] = np.linalg.cond(mats[~cleared])
     return cond
+
+
+@functools.lru_cache(maxsize=64)
+def _identity(d: int) -> np.ndarray:
+    """The read-only d x d identity, built once per d: the kernels that
+    invert one small matrix per call would otherwise spend a tenth of it
+    on ``np.eye``."""
+    eye = np.eye(d)
+    eye.flags.writeable = False
+    return eye
 
 
 def _solve_identity(a: np.ndarray, eye: np.ndarray) -> tuple[np.ndarray, dict[int, str]]:
@@ -525,8 +534,7 @@ def batch_invert(mats: np.ndarray) -> BatchInverse:
     inverse, is not finite.
     """
     require_finite(mats)
-    d = mats.shape[-1]
-    eye = np.eye(d)
+    eye = _identity(mats.shape[-1])
     try:
         x = np.linalg.solve(mats, eye)
         solved = np.ones(len(mats), dtype=bool)

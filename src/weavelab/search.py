@@ -103,9 +103,9 @@ def pattern_table(ms: Sequence[int], rows_of: Callable[[np.ndarray], np.ndarray]
     by ``np.arange`` (no index array of the whole range), or a sorted list.
     Returns the (len(ms), columns) table (a flat array when ``columns ==
     1``).  rows_of maps a uint64 array of indices to their rows and must be a
-    pure function of them.  A table that a row function builds (the
-    six-way's C_u per pattern) runs in its worker thread alone, so thread
-    pools never nest.
+    pure function of them.  A table that a row function builds (the sign
+    tables of a six-way chunk's C_u) runs in its worker thread alone, so
+    thread pools never nest.
     """
     chunk = chunk_size_for(row_cells)
     out = np.empty((len(ms), columns), dtype=np.float64)

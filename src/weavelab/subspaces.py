@@ -22,13 +22,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (DistanceZero, InputError, NotABasis, NotAFrame,
-                     NotInvertible)
+from .errors import DistanceZero, InputError, NotAFrame, NotInvertible
 from .normed import (DEFAULT_COND_CAP, L2, Bound, DenseOperator, Exactness,
                      NormedSpace, NormKind, _as_vector, _mat_vecs, batch_invert,
                      batch_norming_vectors, batch_vector_norms, require_finite,
                      vector_norm)
-from .frames import (FrameSystem, _max_norm_over_patterns, biorthogonals,
+from .frames import (FrameSystem, _max_norms_over_patterns, batch_biorthogonals,
                      outer_stack, subset_sum, unconditional_constant)
 from .search import SearchMode, bit_rows, pattern_table
 from .weaving import WeavePattern, sample_patterns
@@ -489,14 +488,47 @@ def _scope_patterns(n: int, scope: str, samples: int, seed: int) -> tuple[range 
     return sample_patterns(n, samples + 4, seed), "sampled"
 
 
-def _sigma_cases(f0, f1, stacks, one, inner, wanted, seed):
-    """Evaluate the conditions at the pattern whose bits are the boolean row
-    ``one``; returns (metrics, st, ts, pending).
+def _c_u_column(stacks: np.ndarray, mats: np.ndarray, kind: NormKind, inner: SearchMode,
+                seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """(C_u, exact) per pattern of a chunk: the C_u of its (n, d, d) stack of
+    ``stacks`` against the guarded inverse of its matrix of ``mats``, from
+    one ``batch_invert`` and the shared sign tables of
+    ``_max_norms_over_patterns``; +inf, exact, where the inverse is refused.
+    ``inner`` is the search mode, capped at ``INNER_EXHAUSTIVE_CAP``."""
+    inv = batch_invert(mats)
+    # a refused inverse is zeros, so its stack's table reads 0 and is dropped
+    values, exact, _ = _max_norms_over_patterns(stacks, inv.inverses, True, kind, inner,
+                                                INNER_EXHAUSTIVE_CAP, seed)
+    values[~inv.accepted] = np.inf
+    return values, exact | ~inv.accepted
 
-    ``metrics`` maps each condition to its constant and whether that
-    constant is exact; the infinite constant of a refused inversion counts
-    as exact.  ``stacks`` are the two bases' ``outer_stack``s, and ``inner``
-    is the search mode of each C_u, capped at ``INNER_EXHAUSTIVE_CAP``.
+
+def _woven_c_u(f0, f1, bits: np.ndarray, inner: SearchMode,
+               seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """(C_u, exact) of the woven basis of each pattern of a chunk (the
+    boolean rows ``bits``), with its duals from one ``batch_biorthogonals``:
+    the (i), (ii) and (iv) constant.  +inf, exact, where the weaving is not
+    a basis."""
+    vectors = np.where(bits[:, :, None], f1.vectors, f0.vectors)
+    duals, refused = batch_biorthogonals(vectors)
+    basis = np.ones(len(bits), dtype=bool)
+    basis[list(refused)] = False
+    values, exact = np.full(len(bits), np.inf), np.ones(len(bits), dtype=bool)
+    woven = outer_stack(vectors[basis], duals[basis])
+    values[basis], exact[basis] = _c_u_column(woven, np.add.reduce(woven, axis=1),
+                                              f0.space.norm, inner, seed)
+    return values, exact
+
+
+def _sigma_cases(f0, f1, stacks, one, wanted):
+    """Evaluate the lifts of the conditions at the pattern whose bits are
+    the boolean row ``one``; returns (metrics, st, ts, pending, s).
+
+    ``metrics`` maps each condition decided here to its constant and
+    whether that constant is exact; the infinite constant of a refused
+    inversion counts as exact.  ``stacks`` are the two bases'
+    ``outer_stack``s.  The C_u of (i)-(iv) is left to the chunk: ``s`` is
+    (iii)'s P + (I - Q), None when (iii) is not wanted.
     The lifts are r_p = (P|Y1)^-1, r_q = (Q|X1)^-1, r_ip = ((I-P)|Y2)^-1 and
     r_iq = ((I-Q)|X2)^-1, where X1, Y1 (X2, Y2) span f0, f1 at the 0-bits
     (1-bits); (iii) reads all four.  (v) and (vi) are each the larger of two
@@ -508,24 +540,7 @@ def _sigma_cases(f0, f1, stacks, one, inner, wanted, seed):
     space = f0.space
     metrics: dict[str, tuple[float, bool]] = {}
     st = ts = np.nan
-
-    def c_u(stack: np.ndarray, mat: np.ndarray) -> tuple[float, bool]:
-        # C_u of the stack against mat's guarded inverse; +inf, exact, if refused
-        inv = batch_invert(mat[None])
-        if not inv.accepted[0]:
-            return np.inf, True
-        bound = _max_norm_over_patterns(stack @ inv.inverses[0], True, space.norm, inner,
-                                        INNER_EXHAUSTIVE_CAP, seed)
-        return bound.value, bound.exactness is Exactness.EXACT
-
-    if any(c in wanted for c in ("i", "ii", "iv")):
-        vectors = np.where(one[:, None], f1.vectors, f0.vectors)
-        try:
-            woven = outer_stack(vectors, biorthogonals(vectors))
-            cu = c_u(woven, np.add.reduce(woven, axis=0))
-        except NotABasis:
-            cu = (np.inf, True)
-        metrics.update((c, cu) for c in ("i", "ii", "iv") if c in wanted)
+    s = None
 
     @functools.cache
     def span(side, bit):  # X1, Y1, X2, Y2 are span(0, 0), span(1, 0), span(0, 1), span(1, 1)
@@ -553,7 +568,6 @@ def _sigma_cases(f0, f1, stacks, one, inner, wanted, seed):
 
     if "iii" in wanted:
         s = p + (eye - q)
-        metrics["iii"] = c_u(np.where(one[:, None, None], stacks[1], stacks[0]), s)
 
         def term(present, left, right, mat):  # None where a lift is singular
             if not present:
@@ -584,7 +598,7 @@ def _sigma_cases(f0, f1, stacks, one, inner, wanted, seed):
             metrics["vi"], pending["vi"] = None, (np.array([r_p.d1, r_q.d1]),
                                                   np.array([r_p.generators, r_q.generators]))
 
-    return metrics, st, ts, pending
+    return metrics, st, ts, pending, s
 
 
 def _grade_pending(cases, kind: NormKind):
@@ -593,7 +607,7 @@ def _grade_pending(cases, kind: NormKind):
     infinite and inexact where one is not finite.  One ``_lift_norms`` call
     per lift dimension takes the norms of every pending lift."""
     groups: dict[int, list] = {}
-    for metrics, _, _, pending in cases:
+    for metrics, _, _, pending, _ in cases:
         for c, (d1s, gens) in pending.items():
             groups.setdefault(d1s.shape[2], []).append((metrics, c, d1s, gens))
     for group in groups.values():
@@ -623,9 +637,14 @@ def unc_conditions(f0: FrameSystem, f1: FrameSystem, scope: str = "exhaustive",
     maximizer; it is labelled exact when the scope is exhaustive and every
     constant in its column is exact (the infinite constant of a refused
     inversion counts as exact), a lower bound otherwise.
-    Each C_u, the bases' own and the one (i)-(iv) take per pattern, asks
-    ``search.maximize`` for an exhaustive search, which it demotes to
-    heuristic(16) above ``INNER_EXHAUSTIVE_CAP`` patterns.
+    A chunk's C_u are graded together: one ``batch_biorthogonals`` of its
+    woven bases and one ``batch_invert`` of their frame operators for
+    (i)/(ii)/(iv), one ``batch_invert`` of its P + (I - Q) for (iii), and
+    sign tables shared by several patterns (``_max_norms_over_patterns``);
+    the lifts are still taken pattern by pattern.  Each C_u, the bases' own
+    and the chunk's, asks ``search.maximize`` for an exhaustive search,
+    which it demotes to heuristic(16) above ``INNER_EXHAUSTIVE_CAP``
+    patterns.
     Exhaustive scope enumerates all patterns up to ``EXHAUSTIVE_SCOPE_BITS``
     bits; above that a seeded sample of ``samples`` draws (InputError when
     negative) plus the alternating and constant patterns is used.
@@ -658,11 +677,21 @@ def unc_conditions(f0: FrameSystem, f1: FrameSystem, scope: str = "exhaustive",
     stacks = (outer_stack(f0.vectors, f0.functionals), outer_stack(f1.vectors, f1.functionals))
 
     def rows_of(part: np.ndarray) -> np.ndarray:
-        cases = [_sigma_cases(f0, f1, stacks, one, inner, wanted, seed)
-                 for one in bit_rows(part, n)]
+        bits = bit_rows(part, n)
+        cases = [_sigma_cases(f0, f1, stacks, one, wanted) for one in bits]
+        c_u = {}
+        if any(c in wanted for c in ("i", "ii", "iv")):
+            c_u["i"] = c_u["ii"] = c_u["iv"] = _woven_c_u(f0, f1, bits, inner, seed)
+        if "iii" in wanted:
+            c_u["iii"] = _c_u_column(np.where(bits[:, :, None, None], stacks[1], stacks[0]),
+                                     np.array([s for *_, s in cases]), f0.space.norm,
+                                     inner, seed)
+        for j, (metrics, *_) in enumerate(cases):
+            metrics.update((c, (float(v[j]), bool(e[j]))) for c, (v, e) in c_u.items()
+                           if c in wanted)
         _grade_pending(cases, f0.space.norm)
         return np.array([[x for c in wanted for x in metrics[c]] + [st, ts]
-                         for metrics, st, ts, _ in cases])
+                         for metrics, st, ts, *_ in cases])
 
     table = pattern_table(ms, rows_of, n * n * n, columns=2 * len(wanted) + 2)
     values, exact = table[:, :-2:2], table[:, 1:-2:2] == 1

@@ -17,11 +17,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import search
-from .errors import InputError, NotABasis
+from .errors import InputError
 from .normed import (Bound, Exactness, batch_invert, batch_opnorm_values,
                      batch_vector_norms)
-from .frames import (FrameSystem, basis_constant, biorthogonals, outer_stack,
-                     pattern_sums, subset_sum)
+from .frames import (FrameSystem, batch_biorthogonals, outer_stack, pattern_sums,
+                     projection_norms, subset_sum)
 from .search import EXHAUSTIVE, SearchMode
 
 DEFAULT_BLOW_UP = 1e8
@@ -284,21 +284,24 @@ def weaving_basis_constants(f0: FrameSystem, f1: FrameSystem) -> tuple[bool, flo
     """(every weaving is a basis, worst basis constant over the weavings that are).
 
     A row function on ``search.pattern_table`` grades all 2^n weavings of
-    the vectors into (is a basis, basis constant) rows; a dependent weaving
-    (NotABasis) clears the first flag and is left out of the maximum.
+    the vectors into (is a basis, basis constant) rows, a chunk at a time:
+    one ``batch_biorthogonals`` and one ``projection_norms`` table, so each
+    row holds the bits ``biorthogonals`` and ``basis_constant`` give for
+    that weaving alone.  A dependent weaving (refused by
+    ``batch_biorthogonals``) clears the first flag and is left out of the
+    maximum.
     """
     _require_compatible(f0, f1)
     n = f0.n
 
     def rows_of(ms: np.ndarray) -> np.ndarray:
-        rows = np.zeros((len(ms), 2))
-        for row, bits in zip(rows, search.bit_rows(ms, n)):
-            vectors = np.where(bits[:, None], f1.vectors, f0.vectors)
-            try:
-                duals = biorthogonals(vectors)
-            except NotABasis:
-                continue
-            row[:] = 1.0, basis_constant(vectors, f0.space, duals).value
+        vectors = np.where(search.bit_rows(ms, n)[:, :, None], f1.vectors, f0.vectors)
+        duals, refused = batch_biorthogonals(vectors)
+        rows = np.ones((len(ms), 2))
+        rows[list(refused)] = 0.0
+        basis = rows[:, 0] == 1.0
+        rows[basis, 1] = projection_norms(vectors[basis], duals[basis],
+                                          f0.space.norm).max(axis=1)
         return rows
 
     table = search.pattern_table(range(1 << n), rows_of,

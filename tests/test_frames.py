@@ -9,7 +9,9 @@ from weavelab import (EXHAUSTIVE, L1, LINF, Exactness, FrameSystem,
                       frame_operator, heuristic, square_function,
                       suppression_constant, unconditional_constant,
                       worst_weaving)
+from weavelab.frames import batch_biorthogonals
 from conftest import NORMS, random_basis, random_frame_system
+from test_normed import _near_cap_stacks
 
 
 def summing_system(d):
@@ -100,6 +102,39 @@ def test_biorthogonals_refuses_duals_that_overflow():
         biorthogonals(1e-310 * np.eye(3))
     tiny = 1e-308 * np.eye(3)
     assert np.abs(biorthogonals(tiny) @ tiny - np.eye(3)).max() <= 1e-10
+
+
+def _check_stack_against_biorthogonals_alone(families):
+    duals, refused = batch_biorthogonals(families)
+    for i, v in enumerate(families):
+        try:
+            alone = biorthogonals(v)
+        except NotABasis as exc:
+            assert refused[i] == str(exc)
+            assert not duals[i].any()
+        else:
+            assert i not in refused
+            assert duals[i].tobytes() == alone.tobytes()
+    return refused
+
+
+def test_batch_biorthogonals_matches_biorthogonals_alone(rng):
+    # the near-cap battery (condition numbers 1 .. 1e14 at three scales, and
+    # integer families that are dependent), as vector rows
+    messages = []
+    for mats in _near_cap_stacks(rng).values():
+        messages += _check_stack_against_biorthogonals_alone(mats.transpose(0, 2, 1)).values()
+    assert "vectors are dependent (condition number 3.333e+12)" in messages
+    assert any(m.startswith("biorthogonality residual") for m in messages)
+    # one exactly singular family among well-conditioned ones: its zero
+    # pivot refuses the stacked solve, so the stack is solved family by family
+    families = np.array([random_basis(rng, 5) for _ in range(6)])
+    families[3, 2] = 0.0
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(families.transpose(0, 2, 1), np.eye(5))
+    refused = _check_stack_against_biorthogonals_alone(families)
+    assert list(refused) == [3]
+    assert _check_stack_against_biorthogonals_alone(families[:0]) == {}
 
 
 # --- basis constant ---------------------------------------------------------

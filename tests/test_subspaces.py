@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import os
 import subprocess
@@ -664,6 +665,47 @@ def test_unc_conditions_folds_its_columns_across_chunks():
         assert str(verdict.conditions[c].witness) == failing[0] == first
     assert len({tuple(f.values()) for f in flags.values()}) > 1
     assert verdict.agree is False
+
+
+def test_unc_conditions_does_not_depend_on_thread_count(monkeypatch):
+    # at d = 7 the 128 patterns make one chunk whose sign tables are shared
+    # by 5 patterns each; with a 2^14-float budget they make three chunks,
+    # graded in parallel on two threads, and every pattern has its own table
+    f0, f1 = (generate(GallerySpec(name, 7)) for name in ("blockpair-a0", "blockpair-a1"))
+    verdicts = set()
+    for budget, chunk, tables in ((search.CHUNK_BUDGET, 2 ** 7, 5), (2 ** 14, 47, 1)):
+        monkeypatch.setattr(search, "CHUNK_BUDGET", budget)
+        assert min(search.chunk_size_for(7 ** 3), 2 ** 7) == chunk
+        assert search.chunk_size_for(search.CELLS_PER_SUM * 7 * 7 << 7) == tables
+        for threads in ("1", "2"):
+            monkeypatch.setenv("WEAVELAB_THREADS", threads)
+            verdict = unc_conditions(f0, f1)
+            assert len(verdict.per_sigma) == 2 ** 7
+            verdicts.add(repr(dataclasses.astuple(verdict)))
+    assert len(verdicts) == 1
+
+
+def test_unc_conditions_reads_infinity_exactly_where_a_weaving_is_no_basis():
+    # x_1 of the second basis is e_2, so a weaving that takes x_1 from it and
+    # x_2 from the standard basis repeats e_2; (i) is +inf, exact, there only
+    std = generate(GallerySpec("standard-l1", 6))
+    v1 = np.eye(6) + 0.2 * np.random.default_rng(5).standard_normal((6, 6))
+    v1[0] = np.eye(6)[1]
+    dependent = FrameSystem(std.space, v1, biorthogonals(v1))
+    no_basis = set()
+    for m in range(1 << 6):
+        pattern = WeavePattern.from_index(m, 6)
+        try:
+            biorthogonals(weave(std, dependent, pattern).vectors)
+        except NotABasis:
+            no_basis.add(str(pattern))
+    assert 0 < len(no_basis) < 1 << 6
+    # every finite constant holds below this threshold, so a failure is +inf
+    verdict = unc_conditions(std, dependent, threshold=1e300, conditions=("i",))
+    assert {p for p, flags in verdict.per_sigma.items() if not flags["i"]} == no_basis
+    outcome = verdict.conditions["i"]
+    assert outcome.constant == np.inf and outcome.exactness is Exactness.EXACT
+    assert str(outcome.witness) == min(no_basis)
 
 
 def test_spanned_subspace_validation():
