@@ -9,9 +9,10 @@ tables and their logs, ``lower_bound_profile``, ``uniform_bound_profile``
 ``weaving_basis_constants`` (also with dependent weavings), C_s and C_u
 (exhaustive and heuristic), both perturbation certificates (exhaustive and
 sampled), six-way outcomes with ``per_sigma`` (also with dependent weavings,
-and sampled at d = 13, where the inner C_u is heuristic), restricted inverses,
-subspace distances and the subset operators.  A change meant to keep every value compares the digest of two
-checkouts, and of one checkout under different ``WEAVELAB_THREADS``:
+and sampled at d = 13, where the inner C_u is heuristic), restricted inverses
+(also each of their refusals), subspace distances and the subset operators.
+A change meant to keep every value compares the digest of two checkouts, and
+of one checkout under different ``WEAVELAB_THREADS``:
 
     PYTHONPATH=src python scripts/value_battery.py | tail -1
 """
@@ -124,6 +125,27 @@ def _subspaces(b: Battery, rng, norm: str, d: int):
                rng.standard_normal(d), dom)
 
 
+def _refusals(b: Battery):
+    """Restricted inverses in l1 at d = 3 that are refused, and one just
+    inside the condition cap: M A outside the codomain span, a C that is
+    singular, just past the cap or across a 1e22 gap between generator
+    scales, A C^-1 that overflows, and unequal dimensions."""
+    space = NormedSpace(3, NormKind.parse("l1"))
+    e = np.eye(3)
+    gap = [[1e-11, 0.0, 0.0], [0.0, 1e11, 1.0]]
+    big = 1e10 * np.array([[1.0, 0.5, 0.0], [0.0, 1.0, 0.25]])
+    for tag, m, dom, cod in (("range", e, e[:1], e[1:2]),
+                             ("cap.singular", np.diag([1.0, 0.0, 0.0]), e[1:2], e[:1]),
+                             ("cap.past", np.diag([1e-13, 1.0, 1.0]), e[:2], e[:2]),
+                             ("cap.inside", np.diag([1e-11, 1.0, 1.0]), e[:2], e[:2]),
+                             ("cap.scale_gap", e, gap, gap),
+                             ("entries", 1e-300 * e, big, big),
+                             ("dimensions", e, e[:2], e[:1])):
+        b.emit(f"l1.d3.lift.{tag}.restricted_inverse", restricted_inverse,
+               DenseOperator.on_space(m, space), SpannedSubspace(space, dom),
+               SpannedSubspace(space, cod))
+
+
 def main() -> int:
     b = Battery()
     rng = np.random.default_rng(20151)
@@ -188,6 +210,7 @@ def main() -> int:
     for norm, d in (("l1", 5), ("linf", 4), ("l2", 4), ("lp:3", 3)):
         f0, f1 = _random_pair(rng, norm, d, d, 0.1)
         b.emit(f"{norm}.d{d}.six_way", unc_conditions, f0, f1, threshold=1.5)
+    _refusals(b)
     print(f"sha256 {b.digest.hexdigest()}")
     return 0
 

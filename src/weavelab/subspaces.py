@@ -9,7 +9,11 @@ closed form in l2, a finite enumeration in l1 and linf (exact up to
 A distance is 1/max(||P_A||, ||P_B||) for the projections of A + B onto
 each subspace along the other, so it is exact where both norms are and an
 upper bound otherwise.  The six-way (v) is 1/d(X1, Y2), from the same two
-lifts.  Only ``distance_to_span`` loads scipy.optimize.
+lifts.  Lifts are taken in stacks (``_batch_lift``, ``_direct_sums``) and
+spans tested for independence in stacks (``_dependent``); a restricted
+inverse, a subspace and a distance are stacks of one, and the six-way
+grades a chunk of patterns a span dimension at a time.  Only
+``distance_to_span`` loads scipy.optimize.
 """
 
 from __future__ import annotations
@@ -43,12 +47,24 @@ RATIO_STARTS = 64  # candidate coefficients scanned per restricted inverse (at l
 RATIO_CLIMBS = 4  # climbs from the best candidates
 RATIO_STEPS = 60  # steps per climb
 _ASCENT_SEED = 11
+_DEPENDENT = "generators are linearly dependent within tolerance"
 
 
 def _unit_rows(g: np.ndarray) -> np.ndarray:
-    """``g`` with each row scaled by a power of two (exactly) to a largest
-    entry in [1/2, 1); a zero row stays zero."""
-    return np.ldexp(g, -np.frexp(np.abs(g).max(axis=1))[1][:, None])
+    """``g`` (rows, or a stack of them) with each row scaled by a power of
+    two (exactly) to a largest entry in [1/2, 1); a zero row stays zero."""
+    return np.ldexp(g, -np.frexp(np.abs(g).max(axis=-1))[1][..., None])
+
+
+def _dependent(gens: np.ndarray) -> np.ndarray:
+    """Which generator families of an (m, k, dim) stack are linearly
+    dependent within ``INDEPENDENCE_TOL``, tested on the rows scaled by
+    ``_unit_rows``: one stacked SVD, none when k > dim (all are)."""
+    m, k, dim = gens.shape
+    if k > dim:
+        return np.ones(m, dtype=bool)
+    svals = np.linalg.svd(_unit_rows(gens), compute_uv=False)
+    return svals[:, -1] <= INDEPENDENCE_TOL * np.maximum(1.0, svals[:, 0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,9 +92,8 @@ class SpannedSubspace:
                              f"dim-{self.space.dim} space")
         if not np.all(np.isfinite(g)):
             raise InputError("generators must be finite")
-        svals = np.linalg.svd(_unit_rows(g), compute_uv=False)
-        if len(svals) < len(g) or svals[-1] <= INDEPENDENCE_TOL * max(1.0, svals[0]):
-            raise InputError("generators are linearly dependent within tolerance")
+        if _dependent(g[None])[0]:
+            raise InputError(_DEPENDENT)
         g.flags.writeable = False
         object.__setattr__(self, "generators", g)
 
@@ -217,41 +232,64 @@ def batch_ratio_ascent(numers: np.ndarray, gens: np.ndarray, kind: NormKind) -> 
 
 
 class _Lift(NamedTuple):
-    """M restricted from span(A) onto span(B), where M A = B C for the
-    generator columns A and B, before any norm is taken."""
+    """A stack of matrices M_i restricted from span(A_i) onto span(B_i),
+    where M_i A_i = B_i C_i for the generator columns A_i and B_i, before
+    any norm is taken."""
 
-    coefficients: np.ndarray  # C^-1
-    d1: np.ndarray  # A C^-1
-    generators: np.ndarray  # the rows of B
+    coefficients: np.ndarray  # (m, k, k): C^-1
+    d1: np.ndarray  # (m, d, k): A C^-1
+    generators: np.ndarray  # (m, k, d): the rows of B
 
     @property
     def ambient(self) -> np.ndarray:
-        """A C^-1 B^+, the lift acting on vectors in span(B); taken on each read."""
-        return self.d1 @ np.linalg.pinv(self.generators.T)
+        """A C^-1 B^+ per lift, acting on vectors in span(B): one stacked
+        ``pinv``, taken on each read."""
+        return self.d1 @ np.linalg.pinv(self.generators.transpose(0, 2, 1))
 
 
-def _lift(m: np.ndarray, domain: SpannedSubspace, codomain: SpannedSubspace) -> _Lift:
-    """Invert the matrix M restricted from ``domain`` onto ``codomain``,
-    without its norm."""
-    if domain.dim != codomain.dim:
-        raise InputError("restricted inversion needs equal subspace dimensions")
-    if domain.space != codomain.space:
-        raise InputError("subspaces live in different spaces")
-    a = domain.generators.T
-    b = codomain.generators.T
-    ma = m @ a
-    coeff, *_ = np.linalg.lstsq(b, ma, rcond=None)
-    scale = 1.0 + np.abs(ma).max()
-    if np.abs(b @ coeff - ma).max() > RANGE_RESIDUAL_TOL * scale:
-        raise InputError("operator does not map the domain into the codomain span")
-    svals = np.linalg.svd(coeff, compute_uv=False)
-    if svals[-1] <= 0 or svals[0] / svals[-1] > DEFAULT_COND_CAP:
-        raise NotInvertible("restricted operator is singular within the condition cap")
-    inv_coeff = np.linalg.inv(coeff)
-    d1 = a @ inv_coeff
-    if not np.all(np.isfinite(d1)):
-        raise InputError("restricted inverse has non-finite entries")
-    return _Lift(inv_coeff, d1, codomain.generators)
+def _batch_lift(mats: np.ndarray, domain_gens: np.ndarray, codomain_gens: np.ndarray
+                ) -> tuple[_Lift, dict[int, Exception]]:
+    """Invert each M_i of an (m, d, d) stack restricted from the span of the
+    (m, k, d) rows ``domain_gens[i]`` onto that of ``codomain_gens[i]``,
+    without norms: (lifts, refused).
+
+    ``refused`` maps the position of each refused lift to the error that
+    ``restricted_inverse`` raises for it, the first that applies: M_i does
+    not map the domain into the codomain span (InputError), C_i is singular
+    within ``DEFAULT_COND_CAP`` (NotInvertible), A C^-1 is not finite
+    (InputError).  A refused lift's entries are zeros.  The range product,
+    the condition SVD, ``inv`` and A C^-1 are each one stacked call, and
+    ``lstsq``, which takes no stacks, one call per lift: the LAPACK calls of
+    a stack of one, so no lift depends on the stack it sits in.
+    """
+    a = domain_gens.transpose(0, 2, 1)
+    b = codomain_gens.transpose(0, 2, 1)
+    ma = mats @ a
+    coeff = np.empty((len(ma), a.shape[2], a.shape[2]))
+    for i, (bi, mai) in enumerate(zip(b, ma)):
+        coeff[i] = np.linalg.lstsq(bi, mai, rcond=None)[0]
+    off_range = (np.abs(b @ coeff - ma).max(axis=(1, 2))
+                 > RANGE_RESIDUAL_TOL * (1.0 + np.abs(ma).max(axis=(1, 2))))
+    live = np.flatnonzero(~off_range)
+    svals = np.linalg.svd(coeff[live], compute_uv=False)
+    capped = np.zeros(len(ma), dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        capped[live] = (svals[:, -1] <= 0) | (svals[:, 0] / svals[:, -1] > DEFAULT_COND_CAP)
+    inv = np.zeros_like(coeff)
+    ok = ~(off_range | capped)
+    inv[ok] = np.linalg.inv(coeff[ok])
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        d1 = a @ inv
+    refused = {}
+    for i in np.flatnonzero(~(ok & np.isfinite(d1).all(axis=(1, 2)))).tolist():
+        if off_range[i]:
+            refused[i] = InputError("operator does not map the domain into the codomain span")
+        elif capped[i]:
+            refused[i] = NotInvertible("restricted operator is singular within the condition cap")
+        else:
+            refused[i] = InputError("restricted inverse has non-finite entries")
+        inv[i] = d1[i] = 0.0
+    return _Lift(inv, d1, codomain_gens), refused
 
 
 def _lift_norms(d1s: np.ndarray, gens: np.ndarray, kind: NormKind
@@ -302,12 +340,19 @@ def restricted_inverse(m: DenseOperator, domain: SpannedSubspace,
     ``ENUMERATION_CAP`` blocks and for one-dimensional restrictions,
     otherwise a ratio-ascent lower bound.
     """
-    lift = _lift(m.entries, domain, codomain)
-    values, exact = _lift_norms(lift.d1[None], lift.generators[None], domain.space.norm)
+    if domain.dim != codomain.dim:
+        raise InputError("restricted inversion needs equal subspace dimensions")
+    if domain.space != codomain.space:
+        raise InputError("subspaces live in different spaces")
+    lift, refused = _batch_lift(m.entries[None], domain.generators[None],
+                                codomain.generators[None])
+    if refused:
+        raise refused[0]
+    values, exact = _lift_norms(lift.d1, lift.generators, domain.space.norm)
     value = float(values[0])
     if np.isnan(value):
         raise InputError("vector has non-finite entries")
-    return RestrictedInverse(lift.coefficients, lift.ambient,
+    return RestrictedInverse(lift.coefficients[0], lift.ambient[0],
                              Bound(value, hi=value if exact[0] else np.inf))
 
 
@@ -397,22 +442,29 @@ def _convex_distance(x: np.ndarray, bcols: np.ndarray, kind) -> float:
     return float(res.fun)
 
 
+def _direct_sums(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For the generator rows A_i and B_i of an (m, ka, d) and an (m, kb, d)
+    stack, the two lifts whose restricted norms are ||P_A|| and ||P_B|| on
+    A + B, as (m, 2, d, k) D and (m, 2, k, d) G stacks for ``_lift_norms``:
+    D = [A^T 0] and [0 B^T] over G = [A; B], its rows scaled by
+    ``_unit_rows``.  Also the mask of the pairs whose [A; B] is independent
+    within ``INDEPENDENCE_TOL`` (one ``_dependent`` test); the others
+    intersect (as they do when ka + kb exceeds d), and their lifts are not to
+    be read."""
+    g = _unit_rows(np.concatenate([a, b], axis=1))
+    gt = g.transpose(0, 2, 1)
+    in_a = np.arange(g.shape[1]) < a.shape[1]
+    return np.stack([gt * in_a, gt * ~in_a], axis=1), np.stack([g, g], axis=1), ~_dependent(g)
+
+
 def _direct_sum(a: SpannedSubspace, b: SpannedSubspace
                 ) -> tuple[np.ndarray, np.ndarray] | None:
-    """The two lifts whose restricted norms are ||P_A|| and ||P_B|| on A + B,
-    as (D, G) stacks for ``_lift_norms``: D = [A^T 0] and [0 B^T] over
-    G = [A; B], its rows scaled by ``_unit_rows``.  None when [A; B] is
-    dependent within ``INDEPENDENCE_TOL``: when A and B intersect (so when
-    dim A + dim B exceeds the dimension)."""
+    """``_direct_sums`` of one pair of subspaces: its (D, G) stacks, or None
+    when A and B intersect within tolerance."""
     if a.space != b.space:
         raise InputError("subspaces live in different spaces")
-    g = _unit_rows(np.vstack([a.generators, b.generators]))
-    try:
-        SpannedSubspace(a.space, g)
-    except InputError:
-        return None
-    in_a = np.arange(len(g)) < a.dim
-    return np.stack([g.T * in_a, g.T * ~in_a]), np.stack([g, g])
+    d1s, gens, independent = _direct_sums(a.generators[None], b.generators[None])
+    return (d1s[0], gens[0]) if independent[0] else None
 
 
 def subspace_distance(a: SpannedSubspace, b: SpannedSubspace) -> Bound:
@@ -520,15 +572,17 @@ def _woven_c_u(f0, f1, bits: np.ndarray, inner: SearchMode,
     return values, exact
 
 
-def _sigma_cases(f0, f1, stacks, one, wanted):
-    """Evaluate the lifts of the conditions at the pattern whose bits are
-    the boolean row ``one``; returns (metrics, st, ts, pending, s).
+def _sigma_cases(f0, f1, stacks, bits: np.ndarray, wanted):
+    """Evaluate the lifts of the conditions at each pattern of a chunk, the
+    boolean rows ``bits``; returns (cases, st, ts, s).
 
-    ``metrics`` maps each condition decided here to its constant and
-    whether that constant is exact; the infinite constant of a refused
-    inversion counts as exact.  ``stacks`` are the two bases'
-    ``outer_stack``s.  The C_u of (i)-(iv) is left to the chunk: ``s`` is
-    (iii)'s P + (I - Q), None when (iii) is not wanted.
+    ``cases`` holds a (metrics, pending) pair per pattern.  ``metrics`` maps
+    each condition decided here to its constant and whether that constant
+    is exact; the infinite constant of a refused inversion counts as exact.
+    ``stacks`` are the two bases' ``outer_stack``s.  The C_u of (i)-(iv) is
+    left to the chunk: ``s`` stacks (iii)'s P + (I - Q), None when (iii) is
+    not wanted, and ``st`` and ``ts`` are (iii)'s residuals, NaN where it is
+    not wanted or a lift it reads is refused.
     The lifts are r_p = (P|Y1)^-1, r_q = (Q|X1)^-1, r_ip = ((I-P)|Y2)^-1 and
     r_iq = ((I-Q)|X2)^-1, where X1, Y1 (X2, Y2) span f0, f1 at the 0-bits
     (1-bits); (iii) reads all four.  (v) and (vi) are each the larger of two
@@ -536,69 +590,89 @@ def _sigma_cases(f0, f1, stacks, one, wanted):
     1/d(X1, Y2), and those of r_p and r_q.  Where one is not decided here,
     its metric is None and ``pending`` holds its two lifts as (D, G) stacks,
     whose norms ``_grade_pending`` takes for many patterns at once.
+    Patterns are graded a span dimension (their count of 0-bits) at a time:
+    one ``_dependent`` test per span read, one ``_batch_lift`` per lift
+    kind, (iii)'s terms as stacked products and one ``_direct_sums`` for
+    (v), each bit for bit a stack of one.  A span that is dependent, or a
+    P or Q that is not finite, raises InputError at the first pattern, in
+    chunk order, that reads it, as ``SpannedSubspace`` and
+    ``require_finite`` do.
     """
-    space = f0.space
-    metrics: dict[str, tuple[float, bool]] = {}
-    st = ts = np.nan
-    s = None
+    m, n = bits.shape
+    lifts = "iii" in wanted or "vi" in wanted  # r_p and r_q; (iii) also r_ip and r_iq
+    zeros = n - np.count_nonzero(bits, axis=1)
+    p = q = s = None
+    if lifts:  # every lift reads both basis projections
+        p, q = np.empty((m, n, n)), np.empty((m, n, n))
+    bad = np.zeros(m, dtype=bool)  # a span it reads is dependent, or P or Q is not finite
+    groups = []
+    for k in sorted(set(zeros.tolist())):
+        idx = np.flatnonzero(zeros == k)
+        off, on = (np.nonzero(b)[1].reshape(len(idx), -1) for b in (~bits[idx], bits[idx]))
+        x1, y1, x2, y2 = f0.vectors[off], f1.vectors[off], f0.vectors[on], f1.vectors[on]
+        mixed = "v" in wanted and 0 < k < n
+        for gens, read in ((x1, k and (lifts or mixed)), (y1, k and lifts),
+                           (x2, k < n and "iii" in wanted),
+                           (y2, k < n and ("iii" in wanted or mixed))):
+            if read:
+                bad[idx] |= _dependent(gens)
+        if lifts:
+            p[idx], q[idx] = (np.add.reduce(stack[off], axis=1) for stack in stacks)
+        groups.append((k, idx, x1, y1, x2, y2, mixed))
+    if lifts:
+        bad |= ~(np.isfinite(p).all(axis=(1, 2)) & np.isfinite(q).all(axis=(1, 2)))
+    if bad.any():
+        j = int(np.argmax(bad))
+        if lifts:
+            require_finite(np.array((p[j], q[j])))
+        raise InputError(_DEPENDENT)
 
-    @functools.cache
-    def span(side, bit):  # X1, Y1, X2, Y2 are span(0, 0), span(1, 0), span(0, 1), span(1, 1)
-        return SpannedSubspace(space, (f0, f1)[side].vectors[one == bit],
-                               label=f"x{side}|sigma={bit}")
-
-    def lift(mat, domain, codomain):
-        try:
-            return _lift(mat, domain, codomain)
-        except (NotInvertible, InputError):
-            return None
-
-    r_p = r_q = r_ip = r_iq = None
-    if "iii" in wanted or "vi" in wanted:  # every lift reads both basis projections
-        p, q = (np.add.reduce(stack[~one], axis=0) for stack in stacks)
-        require_finite(np.array((p, q)))
-        eye = np.eye(space.dim)
-        i_p = eye - p
-        if not one.all():
-            r_q = lift(q, span(0, 0), span(1, 0))
-            r_p = lift(p, span(1, 0), span(0, 0))
-        if one.any() and "iii" in wanted:
-            r_ip = lift(i_p, span(1, 1), span(0, 1))
-            r_iq = lift(eye - q, span(0, 1), span(1, 1))
-
+    eye = np.eye(n)
+    cases = [({}, {}) for _ in range(m)]
+    st, ts = np.full(m, np.nan), np.full(m, np.nan)
     if "iii" in wanted:
         s = p + (eye - q)
-
-        def term(present, left, right, mat):  # None where a lift is singular
-            if not present:
-                return np.zeros((space.dim, space.dim))
-            return None if left is None or right is None else left.ambient @ right.ambient @ mat
-
-        term1, term2 = term(not one.all(), r_p, r_q, q), term(one.any(), r_iq, r_ip, i_p)
-        if term1 is not None and term2 is not None:
-            t_mat = term1 + term2
-            st = float(np.abs(s @ t_mat - eye).max())
-            ts = float(np.abs(t_mat @ s - eye).max())
-
-    pending = {}
-    if "v" in wanted:
-        mixed = one.any() and not one.all()
-        lifts = _direct_sum(span(0, 0), span(1, 1)) if mixed else None
-        if lifts is None:  # one side is {0}, at distance 1, or X1 and Y2 intersect
-            metrics["v"] = (np.inf if mixed else 1.0, True)
-        else:
-            metrics["v"], pending["v"] = None, lifts
-
-    if "vi" in wanted:
-        if one.all():
-            metrics["vi"] = (0.0, True)
-        elif r_p is None or r_q is None:
-            metrics["vi"] = (np.inf, True)
-        else:
-            metrics["vi"], pending["vi"] = None, (np.array([r_p.d1, r_q.d1]),
-                                                  np.array([r_p.generators, r_q.generators]))
-
-    return metrics, st, ts, pending, s
+    for k, idx, x1, y1, x2, y2, mixed in groups:
+        if lifts and k:
+            r_q, refused_q = _batch_lift(q[idx], x1, y1)
+            r_p, refused_p = _batch_lift(p[idx], y1, x1)
+            refused_pq = set(refused_p) | set(refused_q)
+        if "iii" in wanted:  # T = r_p r_q Q + r_iq r_ip (I - P), a term 0 where its side is {0}
+            terms, refused = np.zeros((2, len(idx), n, n)), set()
+            if k:
+                terms[0] = r_p.ambient @ r_q.ambient @ q[idx]
+                refused |= refused_pq
+            if k < n:
+                i_p = eye - p[idx]
+                r_ip, refused_ip = _batch_lift(i_p, y2, x2)
+                r_iq, refused_iq = _batch_lift(eye - q[idx], x2, y2)
+                terms[1] = r_iq.ambient @ r_ip.ambient @ i_p
+                refused |= set(refused_ip) | set(refused_iq)
+            t_mat, s_k = terms[0] + terms[1], s[idx]
+            read = np.ones(len(idx), dtype=bool)
+            read[list(refused)] = False
+            st[idx] = np.where(read, np.abs(s_k @ t_mat - eye).max(axis=(1, 2)), np.nan)
+            ts[idx] = np.where(read, np.abs(t_mat @ s_k - eye).max(axis=(1, 2)), np.nan)
+        if mixed:
+            sum_d1s, sum_gens, independent = _direct_sums(x1, y2)
+        if "vi" in wanted and k:
+            vi_d1s = np.stack([r_p.d1, r_q.d1], axis=1)
+            vi_gens = np.stack([r_p.generators, r_q.generators], axis=1)
+        for pos, j in enumerate(idx.tolist()):
+            metrics, pending = cases[j]
+            if "v" in wanted:  # one side is {0}, at distance 1, or X1 and Y2 intersect
+                if mixed and independent[pos]:
+                    metrics["v"], pending["v"] = None, (sum_d1s[pos], sum_gens[pos])
+                else:
+                    metrics["v"] = (np.inf if mixed else 1.0, True)
+            if "vi" in wanted:
+                if not k:
+                    metrics["vi"] = (0.0, True)
+                elif pos in refused_pq:
+                    metrics["vi"] = (np.inf, True)
+                else:
+                    metrics["vi"], pending["vi"] = None, (vi_d1s[pos], vi_gens[pos])
+    return cases, st, ts, s
 
 
 def _grade_pending(cases, kind: NormKind):
@@ -607,7 +681,7 @@ def _grade_pending(cases, kind: NormKind):
     infinite and inexact where one is not finite.  One ``_lift_norms`` call
     per lift dimension takes the norms of every pending lift."""
     groups: dict[int, list] = {}
-    for metrics, _, _, pending, _ in cases:
+    for metrics, pending in cases:
         for c, (d1s, gens) in pending.items():
             groups.setdefault(d1s.shape[2], []).append((metrics, c, d1s, gens))
     for group in groups.values():
@@ -640,11 +714,14 @@ def unc_conditions(f0: FrameSystem, f1: FrameSystem, scope: str = "exhaustive",
     A chunk's C_u are graded together: one ``batch_biorthogonals`` of its
     woven bases and one ``batch_invert`` of their frame operators for
     (i)/(ii)/(iv), one ``batch_invert`` of its P + (I - Q) for (iii), and
-    sign tables shared by several patterns (``_max_norms_over_patterns``);
-    the lifts are still taken pattern by pattern.  Each C_u, the bases' own
-    and the chunk's, asks ``search.maximize`` for an exhaustive search,
-    which it demotes to heuristic(16) above ``INNER_EXHAUSTIVE_CAP``
-    patterns.
+    sign tables shared by several patterns (``_max_norms_over_patterns``).
+    So are its spans and lifts, a span dimension at a time
+    (``_sigma_cases``): one stacked independence test per span, one
+    ``_batch_lift`` per lift kind, whose ``lstsq`` alone is still one call
+    per lift, and (iii)'s products and (v)'s direct sums stacked.  Each
+    C_u, the bases' own and the chunk's, asks ``search.maximize`` for an
+    exhaustive search, which it demotes to heuristic(16) above
+    ``INNER_EXHAUSTIVE_CAP`` patterns.
     Exhaustive scope enumerates all patterns up to ``EXHAUSTIVE_SCOPE_BITS``
     bits; above that a seeded sample of ``samples`` draws (InputError when
     negative) plus the alternating and constant patterns is used.
@@ -678,20 +755,19 @@ def unc_conditions(f0: FrameSystem, f1: FrameSystem, scope: str = "exhaustive",
 
     def rows_of(part: np.ndarray) -> np.ndarray:
         bits = bit_rows(part, n)
-        cases = [_sigma_cases(f0, f1, stacks, one, wanted) for one in bits]
+        cases, st, ts, s = _sigma_cases(f0, f1, stacks, bits, wanted)
         c_u = {}
         if any(c in wanted for c in ("i", "ii", "iv")):
             c_u["i"] = c_u["ii"] = c_u["iv"] = _woven_c_u(f0, f1, bits, inner, seed)
         if "iii" in wanted:
             c_u["iii"] = _c_u_column(np.where(bits[:, :, None, None], stacks[1], stacks[0]),
-                                     np.array([s for *_, s in cases]), f0.space.norm,
-                                     inner, seed)
-        for j, (metrics, *_) in enumerate(cases):
+                                     s, f0.space.norm, inner, seed)
+        for j, (metrics, _) in enumerate(cases):
             metrics.update((c, (float(v[j]), bool(e[j]))) for c, (v, e) in c_u.items()
                            if c in wanted)
         _grade_pending(cases, f0.space.norm)
-        return np.array([[x for c in wanted for x in metrics[c]] + [st, ts]
-                         for metrics, st, ts, *_ in cases])
+        return np.array([[x for c in wanted for x in metrics[c]] + [st[j], ts[j]]
+                         for j, (metrics, _) in enumerate(cases)])
 
     table = pattern_table(ms, rows_of, n * n * n, columns=2 * len(wanted) + 2)
     values, exact = table[:, :-2:2], table[:, 1:-2:2] == 1

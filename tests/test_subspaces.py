@@ -21,6 +21,7 @@ from weavelab import (L1, L2, LINF, DenseOperator, DistanceZero, Exactness,
                       subspace_distance, unc_conditions, unconditional_constant,
                       vector_norm, weave)
 from weavelab import search, subspaces
+from weavelab.frames import outer_stack
 from weavelab.fileio import load_system
 from weavelab.normed import batch_vector_norms
 from weavelab.subspaces import batch_ratio_ascent
@@ -308,16 +309,28 @@ def test_unc_conditions_takes_no_norm_that_vi_does_not_read(rng, monkeypatch):
 
 def test_unc_conditions_builds_only_the_lifts_it_reads(rng, monkeypatch):
     # (vi) reads r_p and r_q, named by their domains; (v) reads a subspace
-    # distance and builds no lift
+    # distance and builds no lift.  A lift handed to _batch_lift is named by
+    # its matrix and domain: r_q of pattern sigma is Q on x0|sigma=0, r_p P
+    # on x1|sigma=0, r_ip I - P on x1|sigma=1 and r_iq I - Q on x0|sigma=1.
+    # The first basis is 1-unconditional, so I - P of sigma is bit for bit P
+    # of its complement, and that r_ip is named by the r_p it equals
     f0, f1 = _perturbed_pair(rng, 4)
     full = unc_conditions(f0, f1)
-    real, domains = subspaces._lift, []
+    stacks = [outer_stack(f.vectors, f.functionals) for f in (f0, f1)]
+    names = {}
+    for bit in (1, 0):
+        for one in map(np.array, itertools.product((False, True), repeat=4)):
+            p, q = (np.add.reduce(stack[~one], axis=0) for stack in stacks)
+            for side, mat in enumerate((q, p) if bit == 0 else (np.eye(4) - q, np.eye(4) - p)):
+                domain = (f0, f1)[side].vectors[one == bit]
+                names[mat.tobytes(), domain.tobytes()] = f"x{side}|sigma={bit}"
+    real, domains = subspaces._batch_lift, []
 
-    def counting(m, domain, codomain):
-        domains.append(domain.label)
-        return real(m, domain, codomain)
+    def counting(mats, domain_gens, codomain_gens):
+        domains.extend(names[m.tobytes(), g.tobytes()] for m, g in zip(mats, domain_gens))
+        return real(mats, domain_gens, codomain_gens)
 
-    monkeypatch.setattr(subspaces, "_lift", counting)
+    monkeypatch.setattr(subspaces, "_batch_lift", counting)
     for key, read, count in (("vi", {"x1|sigma=0", "x0|sigma=0"}, 2 * (2 ** 4 - 1)),
                              ("v", set(), 0)):
         domains.clear()
@@ -326,6 +339,106 @@ def test_unc_conditions_builds_only_the_lifts_it_reads(rng, monkeypatch):
         assert got.conditions[key].constant == full.conditions[key].constant
         assert {p: f[key] for p, f in got.per_sigma.items()} == \
             {p: f[key] for p, f in full.per_sigma.items()}
+
+
+def _lift_alone(m, a_rows, b_rows):
+    """One lift taken alone, one numpy call per step: (C^-1, A C^-1,
+    A C^-1 B^+), or the (type, message) of the error that refuses it."""
+    a, b = a_rows.T, b_rows.T
+    ma = m @ a
+    coeff, *_ = np.linalg.lstsq(b, ma, rcond=None)
+    if np.abs(b @ coeff - ma).max() > subspaces.RANGE_RESIDUAL_TOL * (1.0 + np.abs(ma).max()):
+        return InputError, "operator does not map the domain into the codomain span"
+    svals = np.linalg.svd(coeff, compute_uv=False)
+    if svals[-1] <= 0 or svals[0] / svals[-1] > subspaces.DEFAULT_COND_CAP:
+        return NotInvertible, "restricted operator is singular within the condition cap"
+    inv = np.linalg.inv(coeff)
+    with np.errstate(over="ignore", invalid="ignore"):
+        d1 = a @ inv
+    if not np.all(np.isfinite(d1)):
+        return InputError, "restricted inverse has non-finite entries"
+    return inv, d1, d1 @ np.linalg.pinv(b)
+
+
+def test_batch_lift_matches_one_lift_at_a_time(rng):
+    d, k = 5, 3
+    space = NormedSpace(d, L1)
+    e = np.eye(d)
+    cases = []  # (M, domain rows, codomain rows)
+    for _ in range(4):  # accepted: the codomain spans M A
+        m = e + 0.3 * rng.standard_normal((d, d))
+        a = rng.standard_normal((k, d))
+        cases.append((m, a, (np.eye(k) + 0.5 * rng.standard_normal((k, k))) @ (m @ a.T).T))
+    # range residual: M A leaves the codomain span
+    cases.append((e, rng.standard_normal((k, d)), rng.standard_normal((k, d))))
+    # the condition cap: M kills e1 of the domain, or shrinks it by 1e-13;
+    # a shrink by 1e-11 stays under the cap
+    cases.append((np.diag([0.0, 1, 1, 1, 1]), e[:3], e[1:4]))
+    for shrink in (1e-13, 1e-11):
+        cases.append((np.diag([shrink, 1, 1, 1, 1]), e[:3], e[:3]))
+    # C^-1 near 1e300 over generators near 1e10: A C^-1 overflows
+    big = 1e10 * (e[:3] + 0.1 * rng.standard_normal((k, d)))
+    cases.append((1e-300 * e, big, big))
+    mats, doms, cods = (np.array(x) for x in zip(*cases))
+    lifts, refused = subspaces._batch_lift(mats, doms, cods)
+    ambient = lifts.ambient
+    kinds = []
+    for i, (m, a, b) in enumerate(cases):
+        ref = _lift_alone(m, a, b)
+        op, dom, cod = DenseOperator.on_space(m, space), SpannedSubspace(space, a), \
+            SpannedSubspace(space, b)
+        if len(ref) == 2:  # refused, by the same error restricted_inverse raises
+            kinds.append(ref[1].split()[-1])
+            assert type(refused[i]) is ref[0] and str(refused[i]) == ref[1]
+            with pytest.raises(ref[0]) as raised:
+                restricted_inverse(op, dom, cod)
+            assert type(raised.value) is ref[0] and str(raised.value) == ref[1]
+            assert not lifts.coefficients[i].any() and not lifts.d1[i].any()
+            continue
+        kinds.append("accepted")
+        assert i not in refused
+        for got, want in zip((lifts.coefficients[i], lifts.d1[i], ambient[i]), ref):
+            assert got.tobytes() == want.tobytes()
+        alone = restricted_inverse(op, dom, cod)
+        assert alone.coefficients.tobytes() == ref[0].tobytes()
+        assert alone.ambient.tobytes() == ref[2].tobytes()
+    assert kinds == ["accepted"] * 4 + ["span", "cap", "cap", "accepted", "entries"]
+    # no lift depends on the stack it sits in
+    order = rng.permutation(len(cases))
+    shuffled, moved = subspaces._batch_lift(mats[order], doms[order], cods[order])
+    assert {int(order[i]): str(x) for i, x in moved.items()} == \
+        {i: str(x) for i, x in refused.items()}
+    for field in ("coefficients", "d1", "generators"):
+        assert getattr(shuffled, field).tobytes() == getattr(lifts, field)[order].tobytes()
+    assert shuffled.ambient.tobytes() == ambient[order].tobytes()
+
+
+def _count_linalg_calls(monkeypatch):
+    """Record each np.linalg.svd and np.linalg.pinv call from here on."""
+    calls = []
+    for name in ("svd", "pinv"):
+        def counting(*args, _real=getattr(np.linalg, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    return calls
+
+
+def test_unc_conditions_takes_its_svds_a_span_dimension_at_a_time(monkeypatch):
+    # one chunk holds all 2^d patterns of the block pair; per span dimension
+    # it tests at most four spans and one [X1; Y2], and each of the four
+    # lift kinds takes one condition SVD and one pinv, however many patterns
+    # share that dimension
+    calls = _count_linalg_calls(monkeypatch)
+    total = {}
+    for d in (5, 7):
+        f0, f1 = (generate(GallerySpec(name, d)) for name in ("blockpair-a0", "blockpair-a1"))
+        calls.clear()
+        unc_conditions(f0, f1)
+        assert calls.count("pinv") <= 4 * d and calls.count("svd") <= (4 + 1 + 4) * d, d
+        total[d] = len(calls)
+    assert total[7] < 2 * total[5]  # four times the patterns
 
 
 def test_unc_conditions_vi_fails_where_a_climb_is_not_finite(rng, monkeypatch):
@@ -708,6 +821,24 @@ def test_unc_conditions_reads_infinity_exactly_where_a_weaving_is_no_basis():
     assert str(outcome.witness) == min(no_basis)
 
 
+def test_unc_conditions_refuses_a_dependent_span_it_reads():
+    # x_1 and x_2 of the second basis are 1e-11 apart, so its spans that hold
+    # both are dependent within tolerance: (vi) reads one as Y1 at the
+    # patterns with both bits 0, (v) as Y2 at the mixed ones with both bits 1,
+    # (iii) both, and each refuses the pair as SpannedSubspace does; (i)
+    # reads no span
+    std = standard_system(4)
+    v1 = np.eye(4)
+    v1[1] = v1[0] + 1e-11 * np.eye(4)[1]
+    near = FrameSystem(std.space, v1, biorthogonals(v1))
+    with pytest.raises(InputError, match="linearly dependent"):
+        SpannedSubspace(std.space, v1[:2])
+    for c in ("iii", "v", "vi"):
+        with pytest.raises(InputError, match="linearly dependent"):
+            unc_conditions(std, near, conditions=c)
+    assert unc_conditions(std, near, conditions="i").conditions["i"].constant > 1e11
+
+
 def test_spanned_subspace_validation():
     sp = NormedSpace(3, L1)
     with pytest.raises(InputError):
@@ -814,3 +945,20 @@ def test_six_way_checks_in_exact_norms_leave_scipy_optimize_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=env, check=True)
     assert proc.stdout.split() == ["False", "False", "True", "True", "True", "False"]
+
+
+def test_six_way_checks_leave_numpy_ma_unloaded():
+    # np.unique loads numpy.ma, which raised the six-way's peak RSS by about
+    # 1.5 MB when a chunk grouped its patterns by span dimension with it
+    src = str(Path(weavelab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = textwrap.dedent("""
+        import sys
+        from weavelab import GallerySpec, generate, unc_conditions
+        unc_conditions(*(generate(GallerySpec(name, 5)) for name in ("blockpair-a0",
+                                                                    "blockpair-a1")))
+        print("numpy.ma" in sys.modules)
+    """)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, check=True)
+    assert proc.stdout.strip() == "False"
