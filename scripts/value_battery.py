@@ -8,9 +8,11 @@ tables and their logs, ``lower_bound_profile``, ``uniform_bound_profile``
 (exhaustive, also over several chunks, and sampled),
 ``weaving_basis_constants`` (also with dependent weavings), C_s and C_u
 (exhaustive and heuristic), both perturbation certificates (exhaustive and
-sampled), six-way outcomes with ``per_sigma`` (also with dependent weavings,
-and sampled at d = 13, where the inner C_u is heuristic), restricted inverses
-(also each of their refusals), subspace distances and the subset operators.
+sampled), six-way outcomes with ``per_sigma`` and the per-pattern row table
+behind them (also with dependent weavings, sampled at d = 13, where the inner
+C_u is heuristic, and lp pairs checked for (v) alone, with (vi) and for all
+six), restricted inverses (also each of their refusals), subspace distances
+and the subset operators.
 A change meant to keep every value compares the digest of two checkouts, and
 of one checkout under different ``WEAVELAB_THREADS``:
 
@@ -26,6 +28,7 @@ import sys
 
 import numpy as np
 
+from weavelab import subspaces
 from weavelab import (DenseOperator, FrameSystem, GallerySpec, NormKind,
                       NormedSpace, SpannedSubspace, WeavelabError, WeavePattern,
                       basis_projection, biorthogonals, distance_to_span, generate,
@@ -71,6 +74,24 @@ class Battery:
             line = f"{path} {text}"
             print(line)
             self.digest.update(line.encode() + b"\n")
+
+
+def _six_way(b: Battery, label: str, *args, **kwargs):
+    """``emit`` of ``unc_conditions``, then of the per-pattern row table it
+    builds: (constant, exact) per condition, then the (iii) residuals."""
+    real, tables = subspaces.pattern_table, []
+
+    def recording(*a, **k):
+        tables.append(real(*a, **k))
+        return tables[-1]
+
+    subspaces.pattern_table = recording
+    try:
+        b.emit(label, unc_conditions, *args, **kwargs)
+    finally:
+        subspaces.pattern_table = real
+    for table in tables:
+        b.emit(f"{label}.rows", lambda: table)
 
 
 def _gallery(name: str, d: int) -> FrameSystem:
@@ -176,7 +197,7 @@ def main() -> int:
     dependent = FrameSystem(std6.space, v1, biorthogonals(v1))
     b.emit("l1.d6.dependent.weaving_basis_constants", weaving_basis_constants, std6, dependent)
     # the same weavings in the six-way check: chunks with members that are no basis
-    b.emit("l1.d6.dependent.six_way", unc_conditions, std6, dependent)
+    _six_way(b, "l1.d6.dependent.six_way", std6, dependent)
 
     b.emit("biorthogonals.tiny", biorthogonals, 1e-308 * np.eye(3))
     b.emit("biorthogonals.dependent", biorthogonals, np.ones((3, 3)))
@@ -196,20 +217,25 @@ def main() -> int:
            np.eye(13) + 0.001 * rng.standard_normal((13, 13)), seed=4)
 
     for d in (4, 5):
-        b.emit(f"blockpair.d{d}.six_way", unc_conditions, _gallery("blockpair-a0", d),
-               _gallery("blockpair-a1", d))
-    b.emit("blockpair.d5.sampled.six_way", unc_conditions, _gallery("blockpair-a0", 5),
-           _gallery("blockpair-a1", 5), scope="sampled", samples=6, seed=2)
+        _six_way(b, f"blockpair.d{d}.six_way", _gallery("blockpair-a0", d),
+                 _gallery("blockpair-a1", d))
+    _six_way(b, "blockpair.d5.sampled.six_way", _gallery("blockpair-a0", 5),
+             _gallery("blockpair-a1", 5), scope="sampled", samples=6, seed=2)
     # 2^13 sign patterns: search.maximize demotes the inner C_u to heuristic(16)
-    b.emit("blockpair.d13.sampled.six_way", unc_conditions, _gallery("blockpair-a0", 13),
-           _gallery("blockpair-a1", 13), scope="sampled", samples=4, seed=3)
-    b.emit("subspace.d4.six_way", unc_conditions, _gallery("subspace-b0", 4),
-           _gallery("subspace-b1", 4))
-    b.emit("c0.d4.six_way", unc_conditions, _gallery("standard-c0", 4),
-           _gallery("summing-c0", 4), threshold=2.0)
+    _six_way(b, "blockpair.d13.sampled.six_way", _gallery("blockpair-a0", 13),
+             _gallery("blockpair-a1", 13), scope="sampled", samples=4, seed=3)
+    _six_way(b, "subspace.d4.six_way", _gallery("subspace-b0", 4), _gallery("subspace-b1", 4))
+    _six_way(b, "c0.d4.six_way", _gallery("standard-c0", 4), _gallery("summing-c0", 4),
+             threshold=2.0)
     for norm, d in (("l1", 5), ("linf", 4), ("l2", 4), ("lp:3", 3)):
         f0, f1 = _random_pair(rng, norm, d, d, 0.1)
-        b.emit(f"{norm}.d{d}.six_way", unc_conditions, f0, f1, threshold=1.5)
+        _six_way(b, f"{norm}.d{d}.six_way", f0, f1, threshold=1.5)
+    # in lp, (v)'s values must not depend on which other conditions are asked for
+    for norm in ("lp:3", "lp:1.5"):
+        f0, f1 = _random_pair(rng, norm, 4, 4, 0.2)
+        for conditions in (("v",), ("v", "vi"), ("i", "ii", "iii", "iv", "v", "vi")):
+            _six_way(b, f"{norm}.d4.six_way.{'+'.join(conditions)}", f0, f1,
+                     conditions=conditions)
     _refusals(b)
     print(f"sha256 {b.digest.hexdigest()}")
     return 0

@@ -8,11 +8,12 @@ closed form in l2, a finite enumeration in l1 and linf (exact up to
 ``ENUMERATION_CAP`` blocks), and a ratio-ascent lower bound otherwise.
 A distance is 1/max(||P_A||, ||P_B||) for the projections of A + B onto
 each subspace along the other, so it is exact where both norms are and an
-upper bound otherwise.  The six-way (v) is 1/d(X1, Y2), from the same two
-lifts.  Lifts are taken in stacks (``_batch_lift``, ``_direct_sums``) and
-spans tested for independence in stacks (``_dependent``); a restricted
-inverse, a subspace and a distance are stacks of one, and the six-way
-grades a chunk of patterns a span dimension at a time.  Only
+upper bound otherwise.  The six-way (v) is the larger of the same two
+norms, so 1/d(X1, Y2) up to the rounding of that reciprocal.  Lifts are
+taken in stacks (``_batch_lift``, ``_direct_sums``) and spans tested for
+independence in stacks (``_dependent``); a restricted inverse, a subspace
+and a distance are stacks of one, and the six-way grades a chunk of
+patterns a span dimension at a time, a column per condition.  Only
 ``distance_to_span`` loads scipy.optimize.
 """
 
@@ -172,8 +173,10 @@ def batch_ratio_ascent(numers: np.ndarray, gens: np.ndarray, kind: NormKind) -> 
     zero norm or after ``RATIO_STEPS`` steps.  The value is the best scanned
     ratio folded with each climb's in candidate order.  Every climb of the
     stack advances in lockstep, one gemv per climb and product, so a value
-    does not depend on the stack it sits in.  A pair whose climb meets a
-    non-finite vector gets NaN.
+    does not depend on the other pairs of the stack or on its place in it.
+    Its last bits do depend on the memory layout of ``numers`` and
+    ``gens``: numpy's ``matmul`` picks BLAS or its own loop by strides.  A
+    pair whose climb meets a non-finite vector gets NaN.
     """
     m, d, k = numers.shape
     cmat = _ratio_starts(k)
@@ -572,36 +575,49 @@ def _woven_c_u(f0, f1, bits: np.ndarray, inner: SearchMode,
     return values, exact
 
 
-def _sigma_cases(f0, f1, stacks, bits: np.ndarray, wanted):
-    """Evaluate the lifts of the conditions at each pattern of a chunk, the
-    boolean rows ``bits``; returns (cases, st, ts, s).
+def _larger_norms(d1s: np.ndarray, gens: np.ndarray, kind: NormKind
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """The larger of each pair's two restricted norms, for (m, 2, d, k) lifts
+    and (m, 2, k, d) codomain generators, from one ``_lift_norms`` call:
+    exact where both are, and +inf, inexact, where one is NaN."""
+    m, _, d, k = d1s.shape
+    values, exact = _lift_norms(d1s.reshape(-1, d, k), gens.reshape(-1, k, d), kind)
+    values, exact = values.reshape(m, 2), exact.reshape(m, 2)
+    nan = np.isnan(values).any(axis=1)
+    return np.where(nan, np.inf, values.max(axis=1)), exact.all(axis=1) & ~nan
 
-    ``cases`` holds a (metrics, pending) pair per pattern.  ``metrics`` maps
-    each condition decided here to its constant and whether that constant
-    is exact; the infinite constant of a refused inversion counts as exact.
-    ``stacks`` are the two bases' ``outer_stack``s.  The C_u of (i)-(iv) is
-    left to the chunk: ``s`` stacks (iii)'s P + (I - Q), None when (iii) is
-    not wanted, and ``st`` and ``ts`` are (iii)'s residuals, NaN where it is
-    not wanted or a lift it reads is refused.
+
+def _chunk_rows(f0, f1, stacks, bits: np.ndarray, wanted, inner: SearchMode,
+                seed: int) -> np.ndarray:
+    """The six-way rows of a chunk of patterns, the boolean rows ``bits``:
+    (constant, exact) for each condition of ``wanted`` in ``_SIGMA_ORDER``,
+    then (iii)'s residuals st and ts, NaN where (iii) is not wanted or a lift
+    it reads is refused.  The infinite constant of a refused inversion counts
+    as exact.  ``stacks`` are the two bases' ``outer_stack``s.
     The lifts are r_p = (P|Y1)^-1, r_q = (Q|X1)^-1, r_ip = ((I-P)|Y2)^-1 and
     r_iq = ((I-Q)|X2)^-1, where X1, Y1 (X2, Y2) span f0, f1 at the 0-bits
     (1-bits); (iii) reads all four.  (v) and (vi) are each the larger of two
-    restricted norms: ||P_X1|| and ||P_Y2|| on X1 + Y2 = X, which is
-    1/d(X1, Y2), and those of r_p and r_q.  Where one is not decided here,
-    its metric is None and ``pending`` holds its two lifts as (D, G) stacks,
-    whose norms ``_grade_pending`` takes for many patterns at once.
-    Patterns are graded a span dimension (their count of 0-bits) at a time:
+    restricted norms (``_larger_norms``): ||P_X1|| and ||P_Y2|| on
+    X1 + Y2 = X, which is 1/d(X1, Y2), and those of r_p and r_q.  Their
+    columns start at their defaults: (v) is 1 where one side is {0} and +inf
+    where X1 and Y2 intersect, (vi) 0 where there are no 0-bits and +inf
+    elsewhere, which stays where r_p or r_q is refused.
+    Patterns are lifted a span dimension (their count of 0-bits) at a time:
     one ``_dependent`` test per span read, one ``_batch_lift`` per lift
-    kind, (iii)'s terms as stacked products and one ``_direct_sums`` for
-    (v), each bit for bit a stack of one.  A span that is dependent, or a
-    P or Q that is not finite, raises InputError at the first pattern, in
-    chunk order, that reads it, as ``SpannedSubspace`` and
-    ``require_finite`` do.
+    kind, (iii)'s terms as stacked products, one ``_direct_sums`` for (v)
+    and one ``_larger_norms`` for (vi), each bit for bit a stack of one.
+    (v)'s lifts, all of dimension n, are selected from each group's
+    ``_direct_sums`` and graded in one call per chunk, whatever else is
+    wanted; they keep that stack's memory layout, on which the ratio
+    ascent's last bits depend.  A span that is dependent, or a P or Q that
+    is not finite, raises InputError at the first pattern, in chunk order,
+    that reads it, as ``SpannedSubspace`` and ``require_finite`` do.
     """
     m, n = bits.shape
+    kind = f0.space.norm
     lifts = "iii" in wanted or "vi" in wanted  # r_p and r_q; (iii) also r_ip and r_iq
     zeros = n - np.count_nonzero(bits, axis=1)
-    p = q = s = None
+    p = q = None
     if lifts:  # every lift reads both basis projections
         p, q = np.empty((m, n, n)), np.empty((m, n, n))
     bad = np.zeros(m, dtype=bool)  # a span it reads is dependent, or P or Q is not finite
@@ -627,18 +643,27 @@ def _sigma_cases(f0, f1, stacks, bits: np.ndarray, wanted):
             require_finite(np.array((p[j], q[j])))
         raise InputError(_DEPENDENT)
 
+    rows = np.full((m, 2 * len(wanted) + 2), np.nan)
+    column = {c: 2 * j for j, c in enumerate(wanted)}
+
+    def put(c, values, exact, at=slice(None)):
+        rows[at, column[c]], rows[at, column[c] + 1] = values, exact
+
+    sums = []  # (v)'s lifts where X1 and Y2 are independent: (D, G, positions)
+    if "v" in wanted:
+        put("v", np.where((0 < zeros) & (zeros < n), np.inf, 1.0), True)
+    if "vi" in wanted:
+        put("vi", np.where(zeros, np.inf, 0.0), True)
     eye = np.eye(n)
-    cases = [({}, {}) for _ in range(m)]
-    st, ts = np.full(m, np.nan), np.full(m, np.nan)
     if "iii" in wanted:
         s = p + (eye - q)
     for k, idx, x1, y1, x2, y2, mixed in groups:
         if lifts and k:
             r_q, refused_q = _batch_lift(q[idx], x1, y1)
             r_p, refused_p = _batch_lift(p[idx], y1, x1)
-            refused_pq = set(refused_p) | set(refused_q)
+            refused_pq = np.isin(np.arange(len(idx)), [*refused_p, *refused_q])
         if "iii" in wanted:  # T = r_p r_q Q + r_iq r_ip (I - P), a term 0 where its side is {0}
-            terms, refused = np.zeros((2, len(idx), n, n)), set()
+            terms, refused = np.zeros((2, len(idx), n, n)), np.zeros(len(idx), dtype=bool)
             if k:
                 terms[0] = r_p.ambient @ r_q.ambient @ q[idx]
                 refused |= refused_pq
@@ -647,49 +672,31 @@ def _sigma_cases(f0, f1, stacks, bits: np.ndarray, wanted):
                 r_ip, refused_ip = _batch_lift(i_p, y2, x2)
                 r_iq, refused_iq = _batch_lift(eye - q[idx], x2, y2)
                 terms[1] = r_iq.ambient @ r_ip.ambient @ i_p
-                refused |= set(refused_ip) | set(refused_iq)
+                refused |= np.isin(np.arange(len(idx)), [*refused_ip, *refused_iq])
             t_mat, s_k = terms[0] + terms[1], s[idx]
-            read = np.ones(len(idx), dtype=bool)
-            read[list(refused)] = False
-            st[idx] = np.where(read, np.abs(s_k @ t_mat - eye).max(axis=(1, 2)), np.nan)
-            ts[idx] = np.where(read, np.abs(t_mat @ s_k - eye).max(axis=(1, 2)), np.nan)
+            rows[idx, -2] = np.where(refused, np.nan, np.abs(s_k @ t_mat - eye).max(axis=(1, 2)))
+            rows[idx, -1] = np.where(refused, np.nan, np.abs(t_mat @ s_k - eye).max(axis=(1, 2)))
         if mixed:
-            sum_d1s, sum_gens, independent = _direct_sums(x1, y2)
-        if "vi" in wanted and k:
-            vi_d1s = np.stack([r_p.d1, r_q.d1], axis=1)
-            vi_gens = np.stack([r_p.generators, r_q.generators], axis=1)
-        for pos, j in enumerate(idx.tolist()):
-            metrics, pending = cases[j]
-            if "v" in wanted:  # one side is {0}, at distance 1, or X1 and Y2 intersect
-                if mixed and independent[pos]:
-                    metrics["v"], pending["v"] = None, (sum_d1s[pos], sum_gens[pos])
-                else:
-                    metrics["v"] = (np.inf if mixed else 1.0, True)
-            if "vi" in wanted:
-                if not k:
-                    metrics["vi"] = (0.0, True)
-                elif pos in refused_pq:
-                    metrics["vi"] = (np.inf, True)
-                else:
-                    metrics["vi"], pending["vi"] = None, (vi_d1s[pos], vi_gens[pos])
-    return cases, st, ts, s
-
-
-def _grade_pending(cases, kind: NormKind):
-    """Set every constant that a chunk's cases left pending, (v) and (vi)
-    alike: the larger of its two restricted norms, exact when both are, and
-    infinite and inexact where one is not finite.  One ``_lift_norms`` call
-    per lift dimension takes the norms of every pending lift."""
-    groups: dict[int, list] = {}
-    for metrics, pending in cases:
-        for c, (d1s, gens) in pending.items():
-            groups.setdefault(d1s.shape[2], []).append((metrics, c, d1s, gens))
-    for group in groups.values():
-        values, exact = _lift_norms(np.concatenate([d1s for _, _, d1s, _ in group]),
-                                    np.concatenate([gens for *_, gens in group]), kind)
-        for (metrics, c, _, _), pair, both in zip(group, values.reshape(-1, 2),
-                                                  exact.reshape(-1, 2).all(axis=1)):
-            metrics[c] = (np.inf if np.isnan(pair).any() else float(pair.max()), bool(both))
+            d1s, gens, independent = _direct_sums(x1, y2)
+            if independent.any():
+                sums.append((d1s[independent], gens[independent], idx[independent]))
+        if "vi" in wanted and k and not refused_pq.all():
+            live = ~refused_pq
+            put("vi", *_larger_norms(np.stack([r_p.d1, r_q.d1], axis=1)[live],
+                                     np.stack([r_p.generators, r_q.generators], axis=1)[live],
+                                     kind), idx[live])
+    woven = [c for c in ("i", "ii", "iv") if c in wanted]
+    if woven:
+        c_u = _woven_c_u(f0, f1, bits, inner, seed)
+        for c in woven:
+            put(c, *c_u)
+    if "iii" in wanted:
+        put("iii", *_c_u_column(np.where(bits[:, :, None, None], stacks[1], stacks[0]),
+                                s, kind, inner, seed))
+    if sums:
+        d1s, gens, at = (np.concatenate(x) for x in zip(*sums))
+        put("v", *_larger_norms(d1s, gens, kind), at)
+    return rows
 
 
 def unc_conditions(f0: FrameSystem, f1: FrameSystem, scope: str = "exhaustive",
@@ -702,8 +709,9 @@ def unc_conditions(f0: FrameSystem, f1: FrameSystem, scope: str = "exhaustive",
     string is one name); an unknown name raises InputError.
     Per pattern, each condition reports a constant and *fails* when that
     constant exceeds ``threshold``, which must be finite and positive
-    (InputError otherwise); (v)'s constant is 1/d(X1, Y2), from the lifts
-    ``subspace_distance`` takes.
+    (InputError otherwise); (v)'s constant is the larger restricted norm of
+    the lifts ``subspace_distance`` takes, bit for bit, so 1/d(X1, Y2) up to
+    the rounding of that reciprocal.
     A row function on ``search.pattern_table`` grades each chunk of patterns
     into a row per pattern: (constant, exact) for each wanted condition in
     ``per_sigma``'s order (i, ii, iv, iii, v, vi), then the (iii) residuals.
@@ -716,9 +724,10 @@ def unc_conditions(f0: FrameSystem, f1: FrameSystem, scope: str = "exhaustive",
     (i)/(ii)/(iv), one ``batch_invert`` of its P + (I - Q) for (iii), and
     sign tables shared by several patterns (``_max_norms_over_patterns``).
     So are its spans and lifts, a span dimension at a time
-    (``_sigma_cases``): one stacked independence test per span, one
+    (``_chunk_rows``): one stacked independence test per span, one
     ``_batch_lift`` per lift kind, whose ``lstsq`` alone is still one call
-    per lift, and (iii)'s products and (v)'s direct sums stacked.  Each
+    per lift, (iii)'s products and (v)'s direct sums stacked, one
+    ``_lift_norms`` for (vi)'s lifts and one per chunk for (v)'s.  Each
     C_u, the bases' own and the chunk's, asks ``search.maximize`` for an
     exhaustive search, which it demotes to heuristic(16) above
     ``INNER_EXHAUSTIVE_CAP`` patterns.
@@ -753,23 +762,9 @@ def unc_conditions(f0: FrameSystem, f1: FrameSystem, scope: str = "exhaustive",
 
     stacks = (outer_stack(f0.vectors, f0.functionals), outer_stack(f1.vectors, f1.functionals))
 
-    def rows_of(part: np.ndarray) -> np.ndarray:
-        bits = bit_rows(part, n)
-        cases, st, ts, s = _sigma_cases(f0, f1, stacks, bits, wanted)
-        c_u = {}
-        if any(c in wanted for c in ("i", "ii", "iv")):
-            c_u["i"] = c_u["ii"] = c_u["iv"] = _woven_c_u(f0, f1, bits, inner, seed)
-        if "iii" in wanted:
-            c_u["iii"] = _c_u_column(np.where(bits[:, :, None, None], stacks[1], stacks[0]),
-                                     s, f0.space.norm, inner, seed)
-        for j, (metrics, _) in enumerate(cases):
-            metrics.update((c, (float(v[j]), bool(e[j]))) for c, (v, e) in c_u.items()
-                           if c in wanted)
-        _grade_pending(cases, f0.space.norm)
-        return np.array([[x for c in wanted for x in metrics[c]] + [st[j], ts[j]]
-                         for j, (metrics, _) in enumerate(cases)])
-
-    table = pattern_table(ms, rows_of, n * n * n, columns=2 * len(wanted) + 2)
+    table = pattern_table(
+        ms, lambda part: _chunk_rows(f0, f1, stacks, bit_rows(part, n), wanted, inner, seed),
+        n * n * n, columns=2 * len(wanted) + 2)
     values, exact = table[:, :-2:2], table[:, 1:-2:2] == 1
     flags = values <= threshold
     max_st, max_ts = (float(np.max(r[np.isfinite(r)], initial=0.0)) for r in table[:, -2:].T)

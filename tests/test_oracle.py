@@ -14,8 +14,8 @@ import pytest
 
 import oracle
 from weavelab import (L1, LINF, DenseOperator, Exactness, FrameSystem, GallerySpec,
-                      NormedSpace, SpannedSubspace, generate, restricted_inverse,
-                      subspace_distance, unc_conditions)
+                      NormedSpace, SpannedSubspace, distance_to_span, generate,
+                      restricted_inverse, subspace_distance, unc_conditions)
 from weavelab.fileio import load_system
 
 INPUTS = Path(__file__).parent / "golden" / "inputs"
@@ -90,6 +90,25 @@ def test_subspace_distance_matches_the_oracle(kind):
         got = subspace_distance(SpannedSubspace(sp, a_rows), SpannedSubspace(sp, b_rows))
         assert got.exactness is Exactness.EXACT
         assert got.value == pytest.approx(float(expected), rel=1e-12, abs=0)
+
+
+def test_distance_to_span_linf_matches_the_oracle():
+    # dist(x, Y) = ||x|| / ||P_x||, where P_x projects span(x) + Y onto
+    # span(x) along Y: the lift x e_1^T over B = [x Y^T]; distance_to_span
+    # is a HiGHS LP optimum, so it matches to within the solver's tolerance
+    rng = np.random.default_rng(5)
+    for d, k in ((3, 1), (4, 2), (5, 2), (5, 4), (6, 3)):
+        while True:
+            rows = rng.integers(-3, 4, (k + 1, d))
+            if np.linalg.matrix_rank(rows) == k + 1:
+                break
+        bmat = oracle.matrix(rows.T.tolist())
+        lift = [[row[0]] + [Fraction(0)] * k for row in bmat]
+        expected = Fraction(int(np.abs(rows[0]).max())) / oracle.restricted_norm(lift, bmat,
+                                                                                 "linf")
+        got = distance_to_span(rows[0].astype(float),
+                               SpannedSubspace(NormedSpace(d, LINF), rows[1:]))
+        assert got == pytest.approx(float(expected), rel=1e-7, abs=1e-9)
 
 
 @pytest.mark.parametrize("kind", [L1, LINF], ids=["l1", "linf"])

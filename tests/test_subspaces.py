@@ -572,6 +572,36 @@ def test_distance_l2_matches_principal_angles(rng):
         assert got.value == pytest.approx(np.sqrt(1.0 - min(top, 1.0) ** 2), rel=1e-9)
 
 
+def test_distance_to_span_l2_is_the_residual_off_the_span(rng):
+    # the norm of x's component in the orthogonal complement of Y, read off
+    # a complete QR of Y's generator columns
+    for d, k in ((3, 1), (5, 2), (6, 5), (8, 3)):
+        y, x = rng.standard_normal((k, d)), rng.standard_normal(d)
+        q = np.linalg.qr(y.T, mode="complete")[0]
+        expected = np.linalg.norm(q[:, k:].T @ x)
+        got = distance_to_span(x, SpannedSubspace(NormedSpace(d, L2), y))
+        assert got == pytest.approx(expected, rel=1e-12)
+
+
+def test_distance_to_span_lp_lies_in_its_bracket(rng):
+    # an f that vanishes on Y gives |f(x)| = |f(x - y)| <= ||f||_q ||x - y||_p,
+    # and L-BFGS-B starts from the least-squares point t, so
+    # |f(x)| / ||f||_q <= value <= ||x - Y^T t||_p; for k = d - 1 the
+    # annihilator is a line and its bound is the distance (Hahn-Banach)
+    for p in (1.5, 3.0):
+        kind, dual = lp(p), lp(p / (p - 1.0))
+        for d, k in ((3, 1), (4, 3), (5, 2), (6, 5)):
+            y, x = rng.standard_normal((k, d)), rng.standard_normal(d)
+            value = distance_to_span(x, SpannedSubspace(NormedSpace(d, kind), y))
+            t, *_ = np.linalg.lstsq(y.T, x, rcond=None)
+            assert value <= vector_norm(x - y.T @ t, kind) * (1 + 1e-12)
+            for f in np.linalg.svd(y)[2][k:]:  # rows spanning the annihilator of Y
+                lower = abs(f @ x) / vector_norm(f, dual)
+                assert lower <= value * (1 + 1e-12)
+                if k == d - 1:
+                    assert value == pytest.approx(lower, rel=1e-3)
+
+
 def test_distance_between_coordinate_planes_is_exact():
     for kind in (L1, LINF):
         sp = NormedSpace(4, kind)
@@ -708,6 +738,27 @@ def test_unc_conditions_lp_v_holds_where_the_distance_reaches_the_threshold():
     dist = subspace_distance(SpannedSubspace(f0.space, f0.vectors[~one]),
                              SpannedSubspace(f0.space, f1.vectors[one]))
     assert v.constant == 1.0 / dist.value
+
+
+@pytest.mark.parametrize("kind,d", [(lp(3.0), 4), (lp(3.0), 5), (lp(1.5), 4), (lp(1.5), 5),
+                                    (L1, 4)],
+                         ids=["lp3-d4", "lp3-d5", "lp1.5-d4", "lp1.5-d5", "l1-d4"])
+def test_unc_conditions_v_does_not_depend_on_the_other_conditions(kind, d):
+    # (v)'s lifts are graded in one stack of their own, so in lp, where the
+    # ratio ascent's last bits depend on the stack's layout, asking for
+    # (vi) or all six leaves (v)'s outcome unchanged to the bit
+    rng = np.random.default_rng(21 + d)
+    sp = NormedSpace(d, kind)
+    v0 = np.eye(d) + 0.3 * rng.standard_normal((d, d))
+    v1 = v0 + 0.2 * rng.standard_normal((d, d))
+    f0, f1 = (FrameSystem(sp, v, biorthogonals(v)) for v in (v0, v1))
+    seen = []
+    for conditions in (("v",), ("v", "vi"), subspaces._ALL_CONDITIONS):
+        verdict = unc_conditions(f0, f1, conditions=conditions)
+        v = verdict.conditions["v"]
+        seen.append((v.constant.hex(), str(v.witness), v.exactness,
+                     {p: flags["v"] for p, flags in verdict.per_sigma.items()}))
+    assert seen[1] == seen[0] and seen[2] == seen[0]
 
 
 def test_unc_conditions_inner_c_u_is_demoted_by_maximize(rng):
