@@ -14,7 +14,8 @@ numbered on from the last one already recorded for the same workload, seed
 and trace setting.  ``layers`` times, on both sides and alternating the
 same way, the L0 instance (``operator_norm`` lp:3 -> lp:3 on five fixed
 seeded matrices at d = 6 and 8, median per call), the L2 instances
-(exhaustive ``worst_weaving`` on standard-c0/summing-c0 at d = 10, 12, 14),
+(exhaustive ``worst_weaving`` on standard-c0/summing-c0 at d = 10, 12, 14,
+each with its time and its minor page faults, the ``ru_minflt`` delta),
 the L3 instances (``unc_conditions`` on the block pair at d = 7 and on the
 perturbed l1 pair of the six-way workload at d = 6, built here, after
 ``scipy.optimize`` is loaded), cold start (a fresh ``import weavelab`` and
@@ -66,9 +67,12 @@ for d in %r:
 for d in %r:
     f0 = generate(GallerySpec("standard-c0", d))
     f1 = generate(GallerySpec("summing-c0", d))
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     t = time.perf_counter()
     worst_weaving(f0, f1)
     out["worst_weaving_c0_d%%d_ms" %% d] = (time.perf_counter() - t) * 1e3
+    out["worst_weaving_c0_d%%d_minflt" %% d] = \
+        resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
 import scipy.optimize  # loaded by the first distance LP; not part of the L3 instance
 block_d, pert_d = %r, %r
 block = (generate(GallerySpec("blockpair-a0", block_d)),

@@ -4,15 +4,16 @@
 Runs a fixed list of instances through the library and prints one line
 per value, label or verdict, every float as ``float.hex``, then one line
 ``sha256 <digest>`` over the lines before it.  The instances cover weaving
-tables and their logs, ``lower_bound_profile``, ``uniform_bound_profile``
-(exhaustive, also over several chunks, and sampled),
-``weaving_basis_constants`` (also with dependent weavings), C_s and C_u
-(exhaustive and heuristic), both perturbation certificates (exhaustive and
-sampled), six-way outcomes with ``per_sigma`` and the per-pattern row table
-behind them (also with dependent weavings, sampled at d = 13, where the inner
-C_u is heuristic, and lp pairs checked for (v) alone, with (vi) and for all
-six), restricted inverses (also each of their refusals), subspace distances
-and the subset operators.
+tables and their logs (also over several chunks, with exactly singular and
+with near-cap weavings, and in l2), ``lower_bound_profile``,
+``uniform_bound_profile`` (exhaustive, also over several chunks, and
+sampled), ``weaving_basis_constants`` (also with dependent weavings), C_s
+and C_u (exhaustive and heuristic), both perturbation certificates
+(exhaustive, also over several chunks, and sampled), six-way outcomes with
+``per_sigma`` and the per-pattern row table behind them (also with dependent
+weavings, sampled at d = 13, where the inner C_u is heuristic, and lp pairs
+checked for (v) alone, with (vi) and for all six), restricted inverses (also
+each of their refusals), subspace distances and the subset operators.
 A change meant to keep every value compares the digest of two checkouts, and
 of one checkout under different ``WEAVELAB_THREADS``:
 
@@ -167,6 +168,42 @@ def _refusals(b: Battery):
                SpannedSubspace(space, cod))
 
 
+def _multi_chunk(b: Battery):
+    """Weaving tables and certificates over several chunks of
+    ``search.chunk_size_for`` patterns (327 at d = 10, 270 at d = 11), each
+    chunk graded by one ``weavelab.frames.ChunkEvaluator``."""
+    rng = np.random.default_rng(2211)
+    # 2,048 patterns: seven chunks of 270 and a last one of 158
+    _weaving(b, "standard-c0|summing-c0.d11", _gallery("standard-c0", 11),
+             _gallery("summing-c0", 11))
+    # x_1 of the second system is zero: half the weavings are exactly
+    # singular, and the chunks that hold them refuse the stacked solve
+    std10, sum10 = _gallery("standard-c0", 10), _gallery("summing-c0", 10)
+    vectors = sum10.vectors.copy()
+    vectors[0] = 0.0
+    zeroed = FrameSystem(sum10.space, vectors, sum10.functionals)
+    b.emit("c0.d10.zeroed.table", worst_weaving, std10, zeroed, log_all_patterns=True)
+    b.emit("c0.d10.zeroed.lower_bound_profile", lower_bound_profile, std10, zeroed)
+    # x_10 of the second system is x_9 of the first moved by 1e-7: half the
+    # weavings have condition numbers near 1e8 and take Newton steps
+    space = NormedSpace(10, NormKind.parse("l1"))
+    v0 = np.eye(10) + 0.3 * rng.standard_normal((10, 10))
+    f0 = FrameSystem(space, v0, biorthogonals(v0))
+    v1 = v0.copy()
+    v1[-1] = v0[-2] + 1e-7 * rng.standard_normal(10)
+    b.emit("l1.d10.near_cap.table", worst_weaving, f0,
+           FrameSystem(space, v1, f0.functionals), log_all_patterns=True)
+    f0, f1 = _random_pair(rng, "l2", 10, 10, 0.2)
+    b.emit("l2.d10.table", worst_weaving, f0, f1, log_all_patterns=True)
+    b.emit("l2.d10.lower_bound_profile", lower_bound_profile, f0, f1)
+    std10 = _gallery("standard-l1", 10)
+    near10 = FrameSystem(std10.space, std10.vectors + 0.002 * rng.standard_normal((10, 10)),
+                         std10.functionals)
+    b.emit("certificate.pair.d10", pair_perturbation_check, std10, near10)
+    b.emit("certificate.operator.d10", operator_perturbation_check, std10,
+           np.eye(10) + 0.005 * rng.standard_normal((10, 10)))
+
+
 def main() -> int:
     b = Battery()
     rng = np.random.default_rng(20151)
@@ -237,6 +274,7 @@ def main() -> int:
             _six_way(b, f"{norm}.d4.six_way.{'+'.join(conditions)}", f0, f1,
                      conditions=conditions)
     _refusals(b)
+    _multi_chunk(b)
     print(f"sha256 {b.digest.hexdigest()}")
     return 0
 

@@ -15,15 +15,16 @@ consistent with each other.
 from __future__ import annotations
 
 import numbers
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import search
 from .errors import InputError, NotABasis, NotAFrame, NotInvertible
-from .normed import (DEFAULT_COND_CAP, Bound, DenseOperator, NormedSpace, _identity,
-                     _solve_identity, batch_opnorm_values, condition_capped, invert,
-                     operator_norm, require_finite)
+from .normed import (DEFAULT_COND_CAP, Bound, DenseOperator, NormedSpace, _batch_invert,
+                     _identity, _opnorm_values, _solve_identity, batch_opnorm_values,
+                     condition_capped, invert, operator_norm, require_finite)
 from .search import EXHAUSTIVE, SearchMode, heuristic  # heuristic is re-exported
 
 BIORTHOGONAL_TOL = 1e-10
@@ -264,6 +265,15 @@ def pattern_sums(on: np.ndarray, off: np.ndarray | float, ms: np.ndarray) -> np.
     pay for the levels' numpy calls, is exactly that reduce.  Any order of
     ``ms`` gives the same sums; ascending order shares the most.
     """
+    return _pattern_sums(on, off, ms, None)
+
+
+def _pattern_sums(on: np.ndarray, off: np.ndarray | float, ms: np.ndarray,
+                  levels: list[np.ndarray] | None) -> np.ndarray:
+    """``pattern_sums``, its levels gathered into ``levels``: two C-contiguous
+    stacks of at least ``len(ms)`` of ``on``'s cells (None for new ones) that
+    take turns, so that the first of them holds the sums on return.  The
+    plain reduce allocates its own result."""
     n, cells = on.shape[0], on[0].size
     bits = search.bit_rows(ms, n)
     # Only the last levels are built, and none above the bits that every
@@ -273,28 +283,118 @@ def pattern_sums(on: np.ndarray, off: np.ndarray | float, ms: np.ndarray) -> np.
     # the terms of a 1 x 1 cell pairwise, not left to right, so there every
     # sum stays one reduce.
     shared = n - int(np.bitwise_or.reduce(ms ^ ms[:1])).bit_length()
-    levels = max(0, (len(bits) * n * cells // LEVEL_CELLS).bit_length() - 1)
-    start = n if cells == 1 else max(0, shared, n - levels)
+    depth = max(0, (len(bits) * n * cells // LEVEL_CELLS).bit_length() - 1)
+    start = n if cells == 1 else max(0, shared, n - depth)
     if start == n:
         return np.add.reduce(np.where(bits[:, :, None, None], on, off), axis=1)
     if np.ndim(off) == 0:
         off = np.full_like(on, off)
+    if levels is None:
+        levels = [np.empty((len(ms),) + on.shape[1:]) for _ in range(2)]
     # the first bit in which each index leaves the one before it (bit 0 for
     # a repeat, which so gets partial sums of its own)
     split = np.full(len(bits), -1)
     split[1:] = (bits[1:] != bits[:-1]).argmax(axis=1)
     heads = np.flatnonzero(split < start)  # the first index of each distinct start-bit prefix
     sums = np.add.reduce(np.where(bits[heads, :start, None, None], on[:start], off[:start]),
-                         axis=1)
+                         axis=1, out=levels[0][:len(heads)])
     for j in range(start, n):
         children = np.flatnonzero(split <= j)
-        sums = sums[np.searchsorted(heads, children, side="right") - 1]
-        # each index takes its term in place: a level allocates only its sums
+        # "clip" gathers straight into the other level (the indices are in range)
+        sums = np.take(sums, np.searchsorted(heads, children, side="right") - 1, axis=0,
+                       out=levels[1][:len(children)], mode="clip")
+        levels.reverse()
+        # each index takes its term in place
         bit = bits[children, j, None, None]
         np.add(sums, on[j], out=sums, where=bit)
         np.add(sums, off[j], out=sums, where=~bit)
         heads = children
     return sums
+
+
+class _Workspace:
+    """One worker thread's buffers for a ``ChunkEvaluator``: the two
+    pattern-sum levels that take turns and a third stack, ``rows`` sums each."""
+
+    def __init__(self, rows: int, cell: tuple[int, ...]):
+        self.levels = [np.empty((rows,) + cell) for _ in range(2)]
+        self.spare = np.empty((rows,) + cell)
+
+
+class ChunkEvaluator:
+    """The one row function of every pattern-sum table: it grades a chunk of
+    pattern indices by the ``pattern_sums`` of one ``on``/``off`` pair under
+    the norm ``kind``, into the columns a caller asks for (``norms``,
+    ``constants``, ``residuals``).
+
+    Each worker thread builds one workspace at its first chunk and keeps it
+    to the end of the evaluator: three stacks of ``search.chunk_size_for``
+    sums (at most 2^n, n the stacks' length).  The pattern-sum levels,
+    ``batch_invert``'s residuals and the l1/linf norms' temporaries are
+    written into it, so a table does not free and regrow its working set on
+    every chunk.  A scalar ``off`` is expanded once, here.  Every value is bit
+    for bit the one the kernels give the pattern alone.
+    """
+
+    def __init__(self, on: np.ndarray, off: np.ndarray | float, kind):
+        self.on = on
+        self.off = np.full_like(on, off) if np.ndim(off) == 0 else off
+        self.kind = kind
+        self.rows = min(search.chunk_size_for(search.CELLS_PER_SUM * on[0].size), 1 << len(on))
+        self._local = threading.local()
+        # cached for good, so taken before any workspace: first taken in a
+        # chunk, it would sit above the workspace in the heap and keep the
+        # heap from shrinking once the table is done
+        self.eye = _identity(on.shape[-1])
+
+    @staticmethod
+    def weavings(f0: FrameSystem, f1: FrameSystem) -> "ChunkEvaluator":
+        """The evaluator of the frame operators S_sigma of the weavings of f0
+        (bit 0) and f1 (bit 1)."""
+        return ChunkEvaluator(outer_stack(f1.vectors, f1.functionals),
+                              outer_stack(f0.vectors, f0.functionals), f0.space.norm)
+
+    def _sums(self, ms: np.ndarray, bits: slice = slice(None)):
+        """(sums over the ``bits`` of the stacks, two free stacks of as many cells)."""
+        ws = getattr(self._local, "ws", None)
+        if ws is None:
+            ws = self._local.ws = _Workspace(self.rows, self.on.shape[1:])
+        sums = _pattern_sums(self.on[bits], self.off[bits], ms, ws.levels)
+        return sums, ws.levels[1][:len(ms)], ws.spare[:len(ms)]
+
+    def _norms(self, mats: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+        return _opnorm_values(mats, self.kind, self.kind, scratch)
+
+    def norms(self, ms: np.ndarray, bits: slice = slice(None)) -> np.ndarray:
+        """||S_sigma|| of each d x d block of the sums over the ``bits`` of
+        the stacks, pattern by pattern (flat)."""
+        sums, scratch, _ = self._sums(ms, bits)
+        d = sums.shape[-1]
+        return self._norms(sums.reshape(-1, d, d), scratch.reshape(-1, d, d))
+
+    def constants(self, ms: np.ndarray) -> np.ndarray:
+        """(len(ms), 2) rows of (||S_sigma||, ||S_sigma^-1||, +inf where
+        ``batch_invert`` refuses S_sigma)."""
+        sums, r, t = self._sums(ms)
+        inv = _batch_invert(sums, r, t)
+        rows = np.full((len(ms), 2), np.inf)
+        rows[:, 0] = self._norms(sums, t)
+        inverses = inv.inverses if inv.accepted.all() else inv.inverses[inv.accepted]
+        rows[inv.accepted, 1] = self._norms(inverses, t[:len(inverses)])
+        return rows
+
+    def residuals(self, ms: np.ndarray, x: np.ndarray, limit: float) -> np.ndarray:
+        """(len(ms), 2) rows of (||I - S_sigma X||, 1.0 where that is at most
+        ``limit`` and ``batch_invert`` accepts S_sigma, else 0.0).  InputError
+        when a residual is not finite."""
+        sums, r, t = self._sums(ms)
+        gap = np.subtract(self.eye, np.matmul(sums, x, out=t), out=r)
+        require_finite(gap)
+        res = self._norms(gap, t)
+        ok = res <= limit
+        k = int(ok.sum())
+        ok[ok] = _batch_invert(sums if k == len(ms) else sums[ok], r[:k], t[:k]).accepted
+        return np.column_stack((res, ok))
 
 
 def _frame_inverse(system: FrameSystem) -> np.ndarray:
@@ -329,10 +429,8 @@ def _max_norms_over_patterns(stacks: np.ndarray, inverses: np.ndarray, signed: b
         p = min(width, m - lo)
         g = stacks[lo:lo + p] @ inverses[lo:lo + p, None]
         on = g.transpose(1, 0, 2, 3).reshape(n, p * d, d)
-        off = -on if signed else 0.0
         mode_used, best, ms, rows = search.maximize(
-            n, lambda idx: batch_opnorm_values(pattern_sums(on, off, idx).reshape(-1, d, d),
-                                               kind, kind),
+            n, ChunkEvaluator(on, -on if signed else 0.0, kind).norms,
             mode, exhaustive_cap, seed, p * d * d, columns=p, greedy=not signed)
         rows = np.reshape(rows, (len(ms), p))
         for j, k in enumerate([best] if p == 1 else rows.argmax(axis=0).tolist()):

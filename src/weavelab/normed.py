@@ -316,11 +316,17 @@ def batch_opnorm_values(mats: np.ndarray, domain: NormKind, codomain: NormKind) 
     otherwise.  For a single matrix this is the same code path as
     ``operator_norm``, so repeated evaluations are bit-for-bit reproducible.
     """
+    return _opnorm_values(mats, domain, codomain, None)
+
+
+def _opnorm_values(mats: np.ndarray, domain: NormKind, codomain: NormKind,
+                   scratch: np.ndarray | None) -> np.ndarray:
+    """``batch_opnorm_values``, with l1/linf's |entries| written into
+    ``scratch`` (a C-contiguous stack of ``mats``' shape, or None for a new
+    one)."""
     if domain == codomain:
-        if domain.tag == "l1":
-            return np.abs(mats).sum(axis=1).max(axis=1)
-        if domain.tag == "linf":
-            return np.abs(mats).sum(axis=2).max(axis=1)
+        if domain.tag in ("l1", "linf"):
+            return np.abs(mats, out=scratch).sum(axis=1 if domain.tag == "l1" else 2).max(axis=1)
         if domain.tag == "l2":
             return np.linalg.svd(mats, compute_uv=False)[..., 0]
     return batch_ascent(mats, domain, codomain)[0]
@@ -533,6 +539,16 @@ def batch_invert(mats: np.ndarray) -> BatchInverse:
     Raises InputError when an entry of the stack, or of an accepted
     inverse, is not finite.
     """
+    return _batch_invert(mats, np.empty(np.shape(mats)), np.empty(np.shape(mats)))
+
+
+def _batch_invert(mats: np.ndarray, r: np.ndarray, t: np.ndarray) -> BatchInverse:
+    """``batch_invert``, with the stack's residuals I - A X written into
+    ``r`` and its products A X and |I - A X| into ``t``: C-contiguous stacks
+    of ``mats``' shape that overlap neither ``mats`` nor each other.  Only
+    ``solve``'s result, and the steps of the matrices that need refining or
+    solving one by one, are new arrays.  The inverses are ``solve``'s result
+    itself when every matrix is accepted."""
     require_finite(mats)
     eye = _identity(mats.shape[-1])
     try:
@@ -541,12 +557,16 @@ def batch_invert(mats: np.ndarray) -> BatchInverse:
     except np.linalg.LinAlgError:
         x = np.zeros_like(mats)
         solved = np.zeros(len(mats), dtype=bool)
-    r = np.empty_like(mats)
 
     def residuals(idx):  # I - A X into r, and its max-norm (NaN if unsolved), for idx
         with np.errstate(over="ignore", invalid="ignore"):  # above the cap, X may overflow
-            r[idx] = eye - mats[idx] @ x[idx]
-        return np.where(solved[idx], np.abs(r[idx]).max(axis=(1, 2)), np.nan)
+            if isinstance(idx, slice):  # the whole stack, in the buffers
+                np.subtract(eye, np.matmul(mats, x, out=t), out=r)
+                size = np.abs(r, out=t).max(axis=(1, 2))
+            else:
+                r[idx] = eye - mats[idx] @ x[idx]
+                size = np.abs(r[idx]).max(axis=(1, 2))
+        return np.where(solved[idx], size, np.nan)
 
     residual = residuals(slice(None))
     cond = condition_capped(mats, x, residual)
@@ -568,7 +588,7 @@ def batch_invert(mats: np.ndarray) -> BatchInverse:
         residual[live] = residuals(live)
     residual[capped] = np.nan
     accepted = solved & ~capped & ~(residual > INVERT_RESIDUAL_TOL)  # NaN is not above
-    inverses = np.where(accepted[:, None, None], x, 0.0)
+    inverses = x if accepted.all() else np.where(accepted[:, None, None], x, 0.0)
     require_finite(inverses)
     return BatchInverse(inverses, accepted, cond, residual, errors)
 

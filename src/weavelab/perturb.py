@@ -10,6 +10,7 @@ exhaustive cap, flagged accordingly).
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -17,13 +18,11 @@ import numpy as np
 
 from . import search
 from .errors import InputError, NotABasis, NotAFrame
-from .normed import (Bound, DenseOperator, Exactness, batch_invert,
-                     batch_opnorm_values, dual_norm, invert, operator_norm,
-                     require_finite, vector_norm)
-from .frames import (EXHAUSTIVE, FrameSystem, biorthogonals,
+from .normed import (Bound, DenseOperator, Exactness, dual_norm, invert,
+                     operator_norm, vector_norm)
+from .frames import (EXHAUSTIVE, ChunkEvaluator, FrameSystem, biorthogonals,
                      check_approximate_frame, equivalence_constants,
-                     frame_operator, outer_stack, pattern_sums,
-                     suppression_constant)
+                     frame_operator, suppression_constant)
 from .weaving import (WeavePattern, WeaveSearchResult, sample_patterns,
                       weaving_basis_constants, worst_weaving)
 
@@ -123,28 +122,16 @@ def _certify_residuals(f0: FrameSystem, f1: FrameSystem, s_inv: np.ndarray,
                        bound: float, seed: int) -> BoundCertificate:
     """Check ||Id - S_sigma S^-1|| <= bound and invertibility per pattern.
 
-    A row function on ``search.pattern_table`` grades a chunk of patterns
-    (all up to ``EXHAUSTIVE_CERT_CAP`` bits, else a seeded sample) by one
-    stacked residual, its norms and one ``batch_invert`` into (residual,
-    passed) rows.  It lists the first 16 failures in index order.
+    ``ChunkEvaluator.residuals`` grades the patterns (all up to
+    ``EXHAUSTIVE_CERT_CAP`` bits, else a seeded sample) on
+    ``search.pattern_table`` into (residual, passed) rows.  It lists the
+    first 16 failures in index order.
     """
     n = f0.n
-    kind = f0.space.norm
     exhaustive = n <= EXHAUSTIVE_CERT_CAP
     ms = range(1 << n) if exhaustive else sample_patterns(n, 512, seed)
-    o0 = outer_stack(f0.vectors, f0.functionals)
-    o1 = outer_stack(f1.vectors, f1.functionals)
-    eye = np.eye(f0.space.dim)
-
-    def rows_of(part: np.ndarray) -> np.ndarray:
-        s_sigma = pattern_sums(o1, o0, part)
-        gap = eye - s_sigma @ s_inv
-        require_finite(gap)
-        res = batch_opnorm_values(gap, kind, kind)
-        ok = res <= bound + CERT_SLACK
-        ok[ok] = batch_invert(s_sigma[ok]).accepted
-        return np.column_stack((res, ok))
-
+    rows_of = functools.partial(ChunkEvaluator.weavings(f0, f1).residuals, x=s_inv,
+                                limit=bound + CERT_SLACK)
     table = search.pattern_table(ms, rows_of, search.CELLS_PER_SUM * f0.space.dim ** 2,
                                  columns=2)
     failed = np.flatnonzero(table[:, 1] == 0)[:16]

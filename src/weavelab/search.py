@@ -27,8 +27,8 @@ DEFAULT_EXHAUSTIVE_CAP = 2 ** 22
 # Floats that one chunk of an exhaustive table may hold at once.  Chunks are
 # sized per pattern row (``chunk_size_for``), because no array of a chunk
 # grows with the number of bits, only with what each pattern's row holds.  A
-# pattern-sum row holds CELLS_PER_SUM d x d cells: the sum, its inverse and
-# the solver's working copies.
+# pattern-sum row holds CELLS_PER_SUM d x d cells: the two pattern-sum levels
+# and the third stack of a ``frames.ChunkEvaluator`` workspace, and the inverse.
 CHUNK_BUDGET = 2 ** 17
 CELLS_PER_SUM = 4
 _worker = threading.local()  # ``busy`` in the driver's own worker threads
@@ -56,13 +56,16 @@ def heuristic(restarts: int = SearchMode.restarts) -> SearchMode:
 
 
 def worker_count() -> int:
-    """Worker cap from WEAVELAB_THREADS (default 1)."""
+    """Worker cap from WEAVELAB_THREADS (default 1); InputError unless it is
+    an integer of at least 1."""
     raw = os.environ.get("WEAVELAB_THREADS", "1")
     try:
         n = int(raw)
     except ValueError:
-        raise InputError(f"WEAVELAB_THREADS must be an integer, got {raw!r}") from None
-    return max(1, n)
+        n = 0
+    if n < 1:
+        raise InputError(f"WEAVELAB_THREADS must be an integer of at least 1, got {raw!r}")
+    return n
 
 
 def bit_rows(ms: np.ndarray, n_bits: int) -> np.ndarray:

@@ -11,6 +11,7 @@ inclusive, matching the reports.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -18,9 +19,8 @@ import numpy as np
 
 from . import search
 from .errors import InputError
-from .normed import (Bound, Exactness, batch_invert, batch_opnorm_values,
-                     batch_vector_norms)
-from .frames import (FrameSystem, batch_biorthogonals, outer_stack, pattern_sums,
+from .normed import Bound, Exactness, batch_vector_norms
+from .frames import (ChunkEvaluator, FrameSystem, batch_biorthogonals, outer_stack,
                      projection_norms, subset_sum)
 from .search import EXHAUSTIVE, SearchMode
 
@@ -147,30 +147,6 @@ def partial_operator(f0: FrameSystem, f1: FrameSystem,
                                    range(query.lo, query.hi + 1))
 
 
-def _weaving_rows(f0: FrameSystem, f1: FrameSystem):
-    """Row function: pattern indices -> (len, 2) rows of
-    (||S_sigma||, ||S_sigma^-1|| or +inf).
-
-    A chunk is graded in one pass: its pattern sums, one ``batch_invert``
-    (which refuses non-finite sums and inverses) and the stacked operator
-    norms, so every row holds the bits ``frame_constants`` gives for that
-    weaving alone.
-    """
-    kind = f0.space.norm
-    o0 = outer_stack(f0.vectors, f0.functionals)
-    o1 = outer_stack(f1.vectors, f1.functionals)
-
-    def rows_of(ms: np.ndarray) -> np.ndarray:
-        sums = pattern_sums(o1, o0, ms)
-        inv = batch_invert(sums)
-        rows = np.full((len(ms), 2), np.inf)
-        rows[:, 0] = batch_opnorm_values(sums, kind, kind)
-        rows[inv.accepted, 1] = batch_opnorm_values(inv.inverses[inv.accepted], kind, kind)
-        return rows
-
-    return rows_of
-
-
 def worst_weaving(f0: FrameSystem, f1: FrameSystem, mode: SearchMode = EXHAUSTIVE,
                   blow_up_threshold: float = DEFAULT_BLOW_UP,
                   exhaustive_cap: int = search.DEFAULT_EXHAUSTIVE_CAP,
@@ -193,9 +169,9 @@ def worst_weaving(f0: FrameSystem, f1: FrameSystem, mode: SearchMode = EXHAUSTIV
     n = f0.n
     if log_all_patterns and (1 << n) > LOG_CAP:
         raise InputError(f"per-pattern log limited to 2^n <= {LOG_CAP}")
-    mode_used, best, ms, rows = search.maximize(n, _weaving_rows(f0, f1), mode,
-                                                exhaustive_cap, seed, f0.space.dim ** 2,
-                                                columns=2)
+    mode_used, best, ms, rows = search.maximize(n, ChunkEvaluator.weavings(f0, f1).constants,
+                                                mode, exhaustive_cap, seed,
+                                                f0.space.dim ** 2, columns=2)
     offenders = np.flatnonzero(np.maximum(rows[:, 0], rows[:, 1]) > blow_up_threshold)
     witness = ms[offenders[0]] if offenders.size else None
     s_norm, s_inv = float(rows[best, 0]), float(rows[best, 1])
@@ -246,8 +222,7 @@ def uniform_bound_profile(f0: FrameSystem, f1: FrameSystem) -> Bound:
     _require_compatible(f0, f1)
     n = f0.n
     kind = f0.space.norm
-    o0 = outer_stack(f0.vectors, f0.functionals)
-    o1 = outer_stack(f1.vectors, f1.functionals)
+    weavings = ChunkEvaluator.weavings(f0, f1)
     total = sum(2 ** (n - m + 2) for m in range(1, n + 1))
     exhaustive = total <= PROFILE_CAP
     rng = np.random.default_rng(PROFILE_SEED)
@@ -261,10 +236,8 @@ def uniform_bound_profile(f0: FrameSystem, f1: FrameSystem) -> Bound:
             while len(picks) < min(local, PROFILE_SAMPLES):
                 picks.add(int(rng.integers(0, local)))
             ms = sorted(picks)
-        on, off = o1[m - 1:k], o0[m - 1:k]
-        table = search.pattern_table(
-            ms, lambda part: batch_opnorm_values(pattern_sums(on, off, part), kind, kind),
-            search.CELLS_PER_SUM * f0.space.dim ** 2)
+        table = search.pattern_table(ms, functools.partial(weavings.norms, bits=slice(m - 1, k)),
+                                     search.CELLS_PER_SUM * f0.space.dim ** 2)
         best = max(best, float(table.max()))
     return Bound(best, hi=best if exhaustive and kind.is_exact_kind else np.inf)
 
@@ -275,7 +248,7 @@ def lower_bound_profile(f0: FrameSystem, f1: FrameSystem) -> float:
     _require_compatible(f0, f1)
     if (1 << f0.n) > search.DEFAULT_EXHAUSTIVE_CAP:
         raise InputError("lower bound profile requires exhaustive enumeration")
-    table = search.pattern_table(range(1 << f0.n), _weaving_rows(f0, f1),
+    table = search.pattern_table(range(1 << f0.n), ChunkEvaluator.weavings(f0, f1).constants,
                                  search.CELLS_PER_SUM * f0.space.dim ** 2, columns=2)
     return 1.0 / float(table[:, 1].max())  # 1/inf = 0.0 where a weaving is singular
 

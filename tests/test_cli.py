@@ -298,6 +298,15 @@ def test_bad_thread_setting_exits_one(monkeypatch, capsys):
     assert "WEAVELAB_THREADS must be an integer" in err
 
 
+@pytest.mark.parametrize("raw", ["0", "-3"])
+def test_thread_setting_below_one_exits_one(monkeypatch, capsys, raw):
+    monkeypatch.setenv("WEAVELAB_THREADS", raw)
+    code, out, err = run_cli(["weave-search", "gallery:standard-c0",
+                              "gallery:summing-c0", "--dim", "3"], capsys)
+    assert code == 1 and out == ""
+    assert f"WEAVELAB_THREADS must be an integer of at least 1, got '{raw}'" in err
+
+
 def test_example_matches_gallery(tmp_path, capsys):
     path = tmp_path / "diff.json"
     code, _, _ = run_cli(["example", "difference-l1", "--dim", "3",

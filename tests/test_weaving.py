@@ -1,4 +1,5 @@
 import itertools
+import threading
 import tracemalloc
 import warnings
 
@@ -16,7 +17,8 @@ from weavelab import (L1, L2, LINF, Exactness, FrameSystem, GallerySpec,
                       suppression_constant, tail_profile,
                       unc_conditions, unconditional_constant,
                       uniform_bound_profile, weave, worst_weaving)
-from weavelab.frames import outer_stack
+from weavelab import frames
+from weavelab.frames import frame_constants, outer_stack
 from weavelab.normed import batch_opnorm_values
 from weavelab.perturb import EXHAUSTIVE_CERT_CAP, _certify_residuals
 from weavelab.weaving import sample_patterns, weaving_basis_constants
@@ -473,3 +475,74 @@ def test_negative_seeds_are_refused_where_they_reach_a_generator():
     for call in calls:
         with pytest.raises(InputError, match="seed must be nonnegative, got -1"):
             call()
+
+
+def _c0_pair(d: int):
+    return generate(GallerySpec("standard-c0", d)), generate(GallerySpec("summing-c0", d))
+
+
+def test_chunk_evaluator_keeps_one_workspace_per_table_and_thread(monkeypatch):
+    built = []
+
+    class Counting(frames._Workspace):
+        def __init__(self, *args):
+            built.append(threading.get_ident())
+            super().__init__(*args)
+
+    monkeypatch.setattr(frames, "_Workspace", Counting)
+    monkeypatch.setattr(search, "CHUNK_BUDGET", 4 * 6 * 6 * 10)  # chunks of 10 weavings
+    f0, f1 = _c0_pair(6)
+    tables = (lambda: worst_weaving(f0, f1), lambda: lower_bound_profile(f0, f1),
+              lambda: suppression_constant(f1),
+              lambda: _certify_residuals(f0, f1, np.eye(6), bound=1.0, seed=0))
+    for threads in ("1", "2"):
+        monkeypatch.setenv("WEAVELAB_THREADS", threads)
+        for table in tables:  # 7 chunks each
+            built.clear()
+            table()
+            assert 1 <= len(built) <= int(threads) and len(set(built)) == len(built)
+    # one evaluator, and so one workspace, for all 21 interval tables
+    monkeypatch.setenv("WEAVELAB_THREADS", "1")
+    built.clear()
+    uniform_bound_profile(f0, f1)
+    assert len(built) == 1
+
+
+def _rows_one_by_one(f0, f1, log):
+    rows = []
+    for bits, _, _ in log:
+        woven = weave(f0, f1, WeavePattern.from_string(bits))
+        s_norm, s_inv, _ = frame_constants(frame_operator(woven).entries, woven.space)
+        rows.append((bits, s_norm.value, np.inf if s_inv is None else s_inv.value))
+    return rows
+
+
+def test_table_rows_over_a_partial_last_chunk_match_frame_constants():
+    # 2,048 weavings at d = 11: seven chunks of 270 and a last one of 158
+    assert search.chunk_size_for(search.CELLS_PER_SUM * 11 * 11) == 270
+    f0, f1 = _c0_pair(11)
+    log = worst_weaving(f0, f1, log_all_patterns=True).per_pattern_log
+    assert len(log) == 2048
+    assert log == _rows_one_by_one(f0, f1, log)
+
+
+def test_tables_with_singular_weavings_in_every_chunk_do_not_depend_on_threads(monkeypatch):
+    # the last vector of the second system is zero, so every odd pattern's
+    # S_sigma is exactly singular: each of the 4 chunks refuses the stacked solve
+    pairs = []
+    for a, b in (("standard-c0", "summing-c0"), ("standard-l1", "difference-l1")):
+        f0, f1 = generate(GallerySpec(a, 10)), generate(GallerySpec(b, 10))
+        vectors = f1.vectors.copy()
+        vectors[-1] = 0.0
+        pairs.append((f0, FrameSystem(f1.space, vectors, f1.functionals)))
+    assert search.chunk_size_for(search.CELLS_PER_SUM * 10 * 10) == 327
+    seen = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("WEAVELAB_THREADS", threads)
+        seen.append([(worst_weaving(f0, f1, log_all_patterns=True).per_pattern_log,
+                      lower_bound_profile(f0, f1)) for f0, f1 in pairs])
+    assert seen[0] == seen[1]
+    for (f0, f1), (log, lower) in zip(pairs, seen[0]):
+        assert lower == 0.0
+        assert all(s_inv == np.inf for _, _, s_inv in log[1::2])
+        assert log[::97] == _rows_one_by_one(f0, f1, log[::97])
