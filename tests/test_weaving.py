@@ -1,4 +1,5 @@
 import itertools
+import sys
 import threading
 import tracemalloc
 import warnings
@@ -546,3 +547,19 @@ def test_tables_with_singular_weavings_in_every_chunk_do_not_depend_on_threads(m
         assert lower == 0.0
         assert all(s_inv == np.inf for _, _, s_inv in log[1::2])
         assert log[::97] == _rows_one_by_one(f0, f1, log[::97])
+
+
+def test_threads_do_not_share_a_workspace(monkeypatch, rng):
+    # more workers than cores and a short switch interval, so that the
+    # chunks of one table interleave: a shared workspace would mix their sums
+    f0, f1 = random_basis_system(rng, 10, L1), random_basis_system(rng, 10, L1)
+    monkeypatch.setattr(search, "CHUNK_BUDGET", 4 * 10 * 10 * 64)  # 16 chunks of 64
+    reference = worst_weaving(f0, f1, log_all_patterns=True).per_pattern_log
+    monkeypatch.setenv("WEAVELAB_THREADS", "4")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            assert worst_weaving(f0, f1, log_all_patterns=True).per_pattern_log == reference
+    finally:
+        sys.setswitchinterval(interval)
