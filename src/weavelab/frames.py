@@ -23,8 +23,8 @@ import numpy as np
 from . import search
 from .errors import InputError, NotABasis, NotAFrame, NotInvertible
 from .normed import (DEFAULT_COND_CAP, Bound, DenseOperator, NormedSpace, _batch_invert,
-                     _identity, _opnorm_values, _solve_identity, batch_opnorm_values,
-                     condition_capped, invert, operator_norm, require_finite)
+                     _identity, _opnorm_values, batch_opnorm_values, invert, operator_norm,
+                     require_finite)
 from .search import EXHAUSTIVE, SearchMode, heuristic  # heuristic is re-exported
 
 BIORTHOGONAL_TOL = 1e-10
@@ -162,12 +162,11 @@ def check_approximate_frame(system: FrameSystem) -> ConstantReport:
 def biorthogonals(vectors: np.ndarray) -> np.ndarray:
     """Rows of the inverse basis matrix: duals with x*_j(x_k) = delta_jk.
 
-    ``vectors`` holds the basis as rows.  Raises NotABasis for non-square
-    input, for a basis matrix over the condition cap (``condition_capped``,
-    which takes an SVD only when the residual of the solved duals cannot
-    clear it), when ``solve`` fails, or for a residual that is not at most
-    ``BIORTHOGONAL_TOL`` after up to four Newton steps, checked in that
-    order.  A stack of one through ``batch_biorthogonals``.
+    ``vectors`` holds the basis as rows.  Raises InputError for an entry
+    that is not finite, and NotABasis for non-square input, for a basis
+    matrix over the condition cap, when ``solve`` fails, or for a residual
+    that is not at most ``BIORTHOGONAL_TOL`` after up to four Newton steps,
+    checked in that order.  A stack of one through ``batch_biorthogonals``.
     """
     v = np.asarray(vectors, dtype=np.float64)
     if v.ndim != 2 or v.shape[0] != v.shape[1]:
@@ -184,44 +183,24 @@ def batch_biorthogonals(vectors: np.ndarray) -> tuple[np.ndarray, dict[int, str]
     ``biorthogonals`` refuses to its NotABasis message, and its duals are
     zeros.
 
-    Each family meets the refusals in ``biorthogonals``' order, its own
-    Newton steps and the same LAPACK calls whatever stack it sits in (a zero
-    pivot that refuses the stacked solve makes it solve family by family),
-    so its duals are bit for bit the ones ``biorthogonals`` returns for it.
+    The duals are the left inverses X of the basis matrices B (the vectors
+    as columns) under ``batch_invert``'s guard, with the residual I - X B
+    and ``BIORTHOGONAL_TOL``, so each family's duals and message are bit for
+    bit the ones ``biorthogonals`` gives it, whatever stack it sits in.
     """
-    v = np.asarray(vectors, dtype=np.float64)
-    b = v.transpose(0, 2, 1)  # columns are the basis vectors
-    eye = _identity(b.shape[-1])
-    duals, solve_errors = _solve_identity(b, eye)
-    with np.errstate(over="ignore", invalid="ignore"):  # above the cap, the duals may overflow
-        r = eye - duals @ b
-    res = np.abs(r).max(axis=(1, 2))
-    if solve_errors:
-        res[list(solve_errors)] = np.nan
-    cond = condition_capped(b, duals, res)
-    # Python's loops beat numpy's calls on the one-family stacks of ``biorthogonals``
-    if all(c != c for c in cond.tolist()) and all(x <= BIORTHOGONAL_TOL for x in res.tolist()):
-        return duals, {}  # every family cleared the cap and needs no Newton step
-    capped = cond > DEFAULT_COND_CAP
-    live = np.setdiff1d(np.flatnonzero(~capped), list(solve_errors))
-    for _ in range(4):  # Newton steps X <- X + (I - X B) X
-        live = live[~(res[live] <= BIORTHOGONAL_TOL)]
-        if not live.size:
-            break
-        duals[live] = duals[live] + r[live] @ duals[live]
-        with np.errstate(over="ignore", invalid="ignore"):
-            r[live] = eye - duals[live] @ b[live]
-        res[live] = np.abs(r[live]).max(axis=(1, 2))
+    b = np.asarray(vectors, dtype=np.float64).transpose(0, 2, 1)  # columns are the basis vectors
+    inv = _batch_invert(b, np.empty(b.shape), np.empty(b.shape), left=True,
+                        tol=BIORTHOGONAL_TOL)
     refused = {}
-    for i in np.flatnonzero(capped | ~(res <= BIORTHOGONAL_TOL)).tolist():
-        if capped[i]:
-            refused[i] = f"vectors are dependent (condition number {cond[i]:.3e})"
-        elif i in solve_errors:
-            refused[i] = solve_errors[i]
+    for i in [i for i, ok in enumerate(inv.accepted.tolist()) if not ok]:
+        if inv.cond[i] > DEFAULT_COND_CAP:
+            refused[i] = f"vectors are dependent (condition number {inv.cond[i]:.3e})"
+        elif i in inv.solve_errors:
+            refused[i] = inv.solve_errors[i]
         else:  # also a NaN residual, from duals that overflow
-            refused[i] = f"biorthogonality residual {res[i]:.3e} above {BIORTHOGONAL_TOL:.1e}"
-    duals[list(refused)] = 0.0
-    return duals, refused
+            refused[i] = (f"biorthogonality residual {inv.residual[i]:.3e} above "
+                          f"{BIORTHOGONAL_TOL:.1e}")
+    return inv.inverses, refused
 
 
 def basis_constant(vectors: np.ndarray, space: NormedSpace,

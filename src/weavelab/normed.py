@@ -437,11 +437,11 @@ class BatchInverse:
     took it, and NaN for the matrices its residual certificate cleared
     (their condition number is at most ``DEFAULT_COND_CAP``/100); a matrix
     is refused by the cap exactly where ``cond > DEFAULT_COND_CAP``.
-    ``residual`` is the max-norm residual ``|I - A X|`` of the refined
-    inverse, NaN where no inverse counts (condition cap exceeded or
-    ``solve`` failed).  ``inverses`` holds zeros where ``accepted`` is
-    false.  ``solve_errors`` maps the index of each uncapped matrix
-    ``solve`` refused to LAPACK's message.
+    ``residual`` is the max-norm residual ``|I - A X|`` (or ``|I - X A|``)
+    of the refined inverse, NaN where no inverse counts (condition cap
+    exceeded or ``solve`` failed).  ``inverses`` holds zeros where
+    ``accepted`` is false.  ``solve_errors`` maps the index of each
+    uncapped matrix ``solve`` refused to LAPACK's message.
     """
 
     inverses: np.ndarray
@@ -478,16 +478,19 @@ def condition_capped(mats: np.ndarray, inverses: np.ndarray,
     kappa_2 is at most ``DEFAULT_COND_CAP``/100, and LAPACK's singular
     values are off by at most p(d) eps sigma_1, which keeps numpy's
     ``cond`` below the cap too.  Every other matrix gets ``np.linalg.cond``,
-    so ``cond > DEFAULT_COND_CAP`` is the plain cap test's verdict.
+    so ``cond > DEFAULT_COND_CAP`` is the plain cap test's verdict.  A
+    matrix that is not finite is never cleared, and raises InputError before
+    any SVD is taken.  Its caller ignores the warnings of products that
+    overflow: such a product clears nothing.
     """
     d = mats.shape[-1]
     gamma = (d + 1) * _UNIT_ROUNDOFF / (1.0 - (d + 1) * _UNIT_ROUNDOFF)  # Higham's gamma_{d+1}
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite product clears nothing
-        fro2 = np.einsum("mij,mij->m", mats, mats) * np.einsum("mij,mij->m", inverses, inverses)
+    fro2 = np.einsum("mij,mij->m", mats, mats) * np.einsum("mij,mij->m", inverses, inverses)
     # q <= 1/2 for every ||A||_F ||X||_F up to _CLEAR_FRO
     cleared = (fro2 <= _CLEAR_FRO ** 2) & (residual <= 0.5 / d - gamma * (1.0 + _CLEAR_FRO))
     cond = np.full(len(mats), np.nan)
     if not cleared.all():
+        require_finite(mats)  # a non-finite matrix is never cleared
         cond[~cleared] = np.linalg.cond(mats[~cleared])
     return cond
 
@@ -511,8 +514,7 @@ def _solve_identity(a: np.ndarray, eye: np.ndarray) -> tuple[np.ndarray, dict[in
     try:
         return np.linalg.solve(a, eye), {}
     except np.linalg.LinAlgError:
-        x = np.zeros_like(a)
-        errors = {}
+        x, errors = np.zeros_like(a), {}
         for i, mat in enumerate(a):
             try:
                 x[i] = np.linalg.solve(mat, eye)
@@ -542,52 +544,61 @@ def batch_invert(mats: np.ndarray) -> BatchInverse:
     return _batch_invert(mats, np.empty(np.shape(mats)), np.empty(np.shape(mats)))
 
 
-def _batch_invert(mats: np.ndarray, r: np.ndarray, t: np.ndarray) -> BatchInverse:
-    """``batch_invert``, with the stack's residuals I - A X written into
-    ``r`` and its products A X and |I - A X| into ``t``: C-contiguous stacks
-    of ``mats``' shape that overlap neither ``mats`` nor each other.  Only
+def _batch_invert(mats: np.ndarray, r: np.ndarray, t: np.ndarray, left: bool = False,
+                  tol: float = INVERT_RESIDUAL_TOL) -> BatchInverse:
+    """``batch_invert``, with the stack's residuals written into ``r`` and
+    its products and |residuals| into ``t``: C-contiguous stacks of
+    ``mats``' shape that overlap neither ``mats`` nor each other.  ``left``
+    takes the residual I - X A and the Newton step X <- X + (I - X A) X for
+    I - A X and X <- X + X (I - A X), and ``tol`` is the residual an inverse
+    must reach.  On the left an X that overflows (a NaN residual) refuses
+    its matrix; on the right it is accepted and refused as input.  Only
     ``solve``'s result, and the steps of the matrices that need refining or
-    solving one by one, are new arrays.  The inverses are ``solve``'s result
-    itself when every matrix is accepted."""
-    require_finite(mats)
+    solving one by one, are new arrays; the inverses are that result itself
+    when every matrix is accepted."""
     eye = _identity(mats.shape[-1])
-    try:
-        x = np.linalg.solve(mats, eye)
-        solved = np.ones(len(mats), dtype=bool)
-    except np.linalg.LinAlgError:
-        x = np.zeros_like(mats)
-        solved = np.zeros(len(mats), dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore"):  # above the cap, X may overflow
+        try:
+            x, stacked = np.linalg.solve(mats, eye), True
+        except np.linalg.LinAlgError:  # a zero pivot refuses the stacked solve
+            x, stacked = np.zeros_like(mats), False
+            residual = np.full(len(mats), np.nan)
+        else:
+            np.subtract(eye, np.matmul(x, mats, out=t) if left else np.matmul(mats, x, out=t),
+                        out=r)
+            residual = np.abs(r, out=t).max(axis=(1, 2))
+        cond = condition_capped(mats, x, residual)
+        # Python's loops beat numpy's calls on the one-matrix stacks of ``invert``
+        # and ``biorthogonals``
+        if all(c != c for c in cond.tolist()) and all(q <= tol for q in residual.tolist()):
+            return BatchInverse(x, cond != cond, cond, residual, {})  # all cleared, no Newton step
 
-    def residuals(idx):  # I - A X into r, and its max-norm (NaN if unsolved), for idx
-        with np.errstate(over="ignore", invalid="ignore"):  # above the cap, X may overflow
-            if isinstance(idx, slice):  # the whole stack, in the buffers
-                np.subtract(eye, np.matmul(mats, x, out=t), out=r)
-                size = np.abs(r, out=t).max(axis=(1, 2))
-            else:
-                r[idx] = eye - mats[idx] @ x[idx]
-                size = np.abs(r[idx]).max(axis=(1, 2))
-        return np.where(solved[idx], size, np.nan)
+        def residuals(idx):  # the residuals into r, and their max-norms, for idx
+            r[idx] = eye - (x[idx] @ mats[idx] if left else mats[idx] @ x[idx])
+            return np.abs(r[idx]).max(axis=(1, 2))
 
-    residual = residuals(slice(None))
-    cond = condition_capped(mats, x, residual)
-    capped = cond > DEFAULT_COND_CAP
-    errors = {}
-    late = np.flatnonzero(~solved & ~capped)
-    if late.size:  # the stacked solve was refused: solve those under the cap
-        x[late], errors = _solve_identity(mats[late], eye)
-        errors = {int(late[i]): msg for i, msg in errors.items()}
-        solved[late] = True
-        solved[list(errors)] = False
-        residual[late] = residuals(late)
-    live = np.flatnonzero(solved & ~capped)
-    for _ in range(4):  # Newton steps X <- X + X (I - A X)
-        live = live[~(residual[live] <= INVERT_RESIDUAL_TOL)]
-        if not live.size:
-            break
-        x[live] = x[live] + x[live] @ r[live]
-        residual[live] = residuals(live)
+        solved = np.full(len(mats), stacked)
+        capped = cond > DEFAULT_COND_CAP
+        errors = {}
+        late = np.flatnonzero(~solved & ~capped)
+        if late.size:  # the stacked solve was refused: solve those under the cap
+            x[late], errors = _solve_identity(mats[late], eye)
+            errors = {int(late[i]): msg for i, msg in errors.items()}
+            solved[late] = True
+            solved[list(errors)] = False
+            residual[late] = residuals(late)
+            residual[list(errors)] = np.nan
+        live = np.flatnonzero(solved & ~capped)
+        for _ in range(4):  # Newton steps
+            live = live[~(residual[live] <= tol)]
+            if not live.size:
+                break
+            x[live] = x[live] + (r[live] @ x[live] if left else x[live] @ r[live])
+            residual[live] = residuals(live)
     residual[capped] = np.nan
-    accepted = solved & ~capped & ~(residual > INVERT_RESIDUAL_TOL)  # NaN is not above
+    # the residual is NaN where capped or unsolved, and where X overflowed: on
+    # the left that refuses the matrix, on the right require_finite refuses it
+    accepted = residual <= tol if left else solved & ~capped & ~(residual > tol)
     inverses = x if accepted.all() else np.where(accepted[:, None, None], x, 0.0)
     require_finite(inverses)
     return BatchInverse(inverses, accepted, cond, residual, errors)

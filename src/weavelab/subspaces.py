@@ -261,7 +261,7 @@ def _batch_lift(mats: np.ndarray, domain_gens: np.ndarray, codomain_gens: np.nda
     not map the domain into the codomain span (InputError), C_i is singular
     within ``DEFAULT_COND_CAP`` (NotInvertible), A C^-1 is not finite
     (InputError).  A refused lift's entries are zeros.  The range product,
-    the condition SVD, ``inv`` and A C^-1 are each one stacked call, and
+    ``cond``, ``inv`` and A C^-1 are each one stacked call, and
     ``lstsq``, which takes no stacks, one call per lift: the LAPACK calls of
     a stack of one, so no lift depends on the stack it sits in.
     """
@@ -274,10 +274,8 @@ def _batch_lift(mats: np.ndarray, domain_gens: np.ndarray, codomain_gens: np.nda
     off_range = (np.abs(b @ coeff - ma).max(axis=(1, 2))
                  > RANGE_RESIDUAL_TOL * (1.0 + np.abs(ma).max(axis=(1, 2))))
     live = np.flatnonzero(~off_range)
-    svals = np.linalg.svd(coeff[live], compute_uv=False)
     capped = np.zeros(len(ma), dtype=bool)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        capped[live] = (svals[:, -1] <= 0) | (svals[:, 0] / svals[:, -1] > DEFAULT_COND_CAP)
+    capped[live] = np.linalg.cond(coeff[live]) > DEFAULT_COND_CAP  # +inf where singular
     inv = np.zeros_like(coeff)
     ok = ~(off_range | capped)
     inv[ok] = np.linalg.inv(coeff[ok])
@@ -363,8 +361,7 @@ def oblique_projection(p: DenseOperator, z: SpannedSubspace) -> DenseOperator:
     """(P|_Z)^-1 P: the projection onto Z along ker P, lifted to the space."""
     zm = z.generators.T
     g = p.entries @ zm
-    svals = np.linalg.svd(g, compute_uv=False)
-    if svals[-1] <= 0 or svals[0] / svals[-1] > DEFAULT_COND_CAP:
+    if np.linalg.cond(g) > DEFAULT_COND_CAP:  # +inf where singular
         raise NotInvertible("projection restricted to the subspace is singular")
     w, *_ = np.linalg.lstsq(g, p.entries, rcond=None)
     scale = 1.0 + np.abs(p.entries).max()

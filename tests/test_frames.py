@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from weavelab import (EXHAUSTIVE, L1, LINF, Exactness, FrameSystem,
+from weavelab import (EXHAUSTIVE, L1, LINF, Exactness, FrameSystem, InputError,
                       NormedSpace, NotABasis, basis_constant, biorthogonals,
                       check_approximate_frame, equivalence_constants,
                       frame_operator, heuristic, square_function,
@@ -102,6 +102,19 @@ def test_biorthogonals_refuses_duals_that_overflow():
         biorthogonals(1e-310 * np.eye(3))
     tiny = 1e-308 * np.eye(3)
     assert np.abs(biorthogonals(tiny) @ tiny - np.eye(3)).max() <= 1e-10
+
+
+def test_biorthogonals_refuses_non_finite_vectors():
+    # neither numpy's SVD error nor a dependent-family verdict: bad input
+    for bad in (np.nan, np.inf, -np.inf):
+        v = np.eye(2)
+        v[0, 0] = bad
+        for call in (lambda: biorthogonals(v),
+                     lambda: batch_biorthogonals(np.array([np.eye(2), v])),
+                     lambda: basis_constant(v, NormedSpace(2, L1)),
+                     lambda: square_function(np.eye(2), [1.0, 1.0], v)):
+            with pytest.raises(InputError, match="must be finite"):
+                call()
 
 
 def _check_stack_against_biorthogonals_alone(families):

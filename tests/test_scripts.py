@@ -53,11 +53,18 @@ def test_suite_collects_without_errors():
 def test_benchmark_selftest_passes():
     # the benchmark's output checker reads result fields by name and rebuilds
     # results with dataclasses.replace, so a renamed or derived field breaks
-    # it; its multi-process counts test is left to a full selftest run
-    proc = subprocess.run([sys.executable, "-m", "pytest", "perfbench/selftest.py", "-q",
-                           "-k", "not counts_repeat"],
-                          capture_output=True, text=True, env=_env(), cwd=ROOT,
-                          timeout=300)
+    # it; its multi-process counts test is left to a full selftest run.  The
+    # growth-sweep CLI reports its runs write are removed, and only those
+    out = ROOT / "perfbench" / "out"
+    before = set(out.glob("weave-search-*.json"))
+    try:
+        proc = subprocess.run([sys.executable, "-m", "pytest", "perfbench/selftest.py", "-q",
+                               "-k", "not counts_repeat"],
+                              capture_output=True, text=True, env=_env(), cwd=ROOT,
+                              timeout=300)
+    finally:
+        for report in set(out.glob("weave-search-*.json")) - before:
+            report.unlink()
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
