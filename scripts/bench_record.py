@@ -15,7 +15,11 @@ and trace setting.  ``layers`` times, on both sides and alternating the
 same way, the L0 instance (``operator_norm`` lp:3 -> lp:3 on five fixed
 seeded matrices at d = 6 and 8, median per call), the L2 instances
 (exhaustive ``worst_weaving`` on standard-c0/summing-c0 at d = 10, 12, 14,
-each with its time and its minor page faults, the ``ru_minflt`` delta),
+each with its time and its minor page faults, the ``ru_minflt`` delta; the
+pattern sums alone of that pair's d = 12 table, built chunk by chunk by one
+``frames.ChunkEvaluator`` as the tables build them, in µs per pattern,
+median of five tables; and the ``heuristic(8)`` climb, seed 0, on the pair
+at d = 32, probe's, in µs per evaluated pattern),
 the L3 instances (``unc_conditions`` on the block pair at d = 7 and on the
 perturbed l1 pair of the six-way workload at d = 6, built here, after
 ``scipy.optimize`` is loaded), cold start (a fresh ``import weavelab`` and
@@ -45,6 +49,7 @@ import time
 LAYER_DIMS = (10, 12, 14)
 OPNORM_DIMS = (6, 8)
 UNC_BLOCK_DIM, UNC_PERTURBED_DIM = 7, 6
+SUMS_DIM, CLIMB_DIM = 12, 32
 LAYER_PROBE = """
 import json, resource, statistics, time
 t0 = time.perf_counter()
@@ -53,8 +58,8 @@ import_s = time.perf_counter() - t0
 rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 import numpy as np
 from weavelab import (L1, DenseOperator, FrameSystem, GallerySpec, NormedSpace,
-                      biorthogonals, generate, lp, operator_norm, unc_conditions,
-                      worst_weaving)
+                      biorthogonals, frames, generate, heuristic, lp, operator_norm,
+                      search, unc_conditions, worst_weaving)
 out = {"import_s": import_s, "import_peak_rss_mb": rss_mb}
 for d in %r:
     times = []
@@ -73,6 +78,22 @@ for d in %r:
     out["worst_weaving_c0_d%%d_ms" %% d] = (time.perf_counter() - t) * 1e3
     out["worst_weaving_c0_d%%d_minflt" %% d] = \
         resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+sums_d, climb_d = %r, %r
+evaluator = frames.ChunkEvaluator.weavings(generate(GallerySpec("standard-c0", sums_d)),
+                                           generate(GallerySpec("summing-c0", sums_d)))
+times = []
+for _ in range(5):
+    t = time.perf_counter()
+    search.pattern_table(range(1 << sums_d), lambda ms: evaluator._sums(ms)[0][:, 0, 0],
+                         search.CELLS_PER_SUM * sums_d ** 2)
+    times.append(time.perf_counter() - t)
+out["pattern_sums_c0_d%%d_us_per_pattern" %% sums_d] = statistics.median(times) * 1e6 / 2 ** sums_d
+f0 = generate(GallerySpec("standard-c0", climb_d))
+f1 = generate(GallerySpec("summing-c0", climb_d))
+t = time.perf_counter()
+climb = worst_weaving(f0, f1, heuristic(8), seed=0)
+out["heuristic8_c0_d%%d_us_per_pattern" %% climb_d] = \
+    (time.perf_counter() - t) * 1e6 / climb.patterns_evaluated
 import scipy.optimize  # loaded by the first distance LP; not part of the L3 instance
 block_d, pert_d = %r, %r
 block = (generate(GallerySpec("blockpair-a0", block_d)),
@@ -89,7 +110,7 @@ for name, pair in (("unc_conditions_block_d%%d_s" %% block_d, block),
     unc_conditions(*pair)
     out[name] = time.perf_counter() - t
 print(json.dumps(out))
-""" % (OPNORM_DIMS, LAYER_DIMS, UNC_BLOCK_DIM, UNC_PERTURBED_DIM)
+""" % (OPNORM_DIMS, LAYER_DIMS, SUMS_DIM, CLIMB_DIM, UNC_BLOCK_DIM, UNC_PERTURBED_DIM)
 _INPUTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
                        "tests", "golden", "inputs")
 CLI_INSTANCES = {  # L4: whole commands in a fresh interpreter, wall seconds

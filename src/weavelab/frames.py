@@ -6,8 +6,8 @@ operator, the approximate-frame verdict, biorthogonal functionals, basis
 constants, suppression and sign unconditionality constants, square
 functions, and equivalence constants between bases.
 
-Subset and sign searches share one canonical evaluation path (select rows
-of a precomputed outer-product stack, pairwise-sum, take a norm), so
+Subset and sign searches share one canonical evaluation path (gather rows
+of a precomputed table of outer products, pairwise-sum, take a norm), so
 exhaustive tables, heuristic probes, and reported winners are bit-for-bit
 consistent with each other.
 """
@@ -187,10 +187,15 @@ def batch_biorthogonals(vectors: np.ndarray) -> tuple[np.ndarray, dict[int, str]
     as columns) under ``batch_invert``'s guard, with the residual I - X B
     and ``BIORTHOGONAL_TOL``, so each family's duals and message are bit for
     bit the ones ``biorthogonals`` gives it, whatever stack it sits in.
+    The kernel finds entries that are not finite only where some family is
+    not cleared (no such family is), and they are refused as basis vectors.
     """
     b = np.asarray(vectors, dtype=np.float64).transpose(0, 2, 1)  # columns are the basis vectors
-    inv = _batch_invert(b, np.empty(b.shape), np.empty(b.shape), left=True,
-                        tol=BIORTHOGONAL_TOL)
+    try:
+        inv = _batch_invert(b, np.empty(b.shape), np.empty(b.shape), left=True,
+                            tol=BIORTHOGONAL_TOL)
+    except InputError:
+        raise InputError("basis vectors must be finite") from None
     refused = {}
     for i in [i for i, ok in enumerate(inv.accepted.tolist()) if not ok]:
         if inv.cond[i] > DEFAULT_COND_CAP:
@@ -244,17 +249,31 @@ def pattern_sums(on: np.ndarray, off: np.ndarray | float, ms: np.ndarray) -> np.
     pay for the levels' numpy calls, is exactly that reduce.  Any order of
     ``ms`` gives the same sums; ascending order shares the most.
     """
-    return _pattern_sums(on, off, ms, None)
+    terms = np.empty((len(on), 2) + on.shape[1:])
+    terms[:, 0], terms[:, 1] = off, on
+    return _pattern_sums(terms, ms, None)
 
 
-def _pattern_sums(on: np.ndarray, off: np.ndarray | float, ms: np.ndarray,
+def _gather(table: np.ndarray, idx: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """``np.take`` of the rows ``idx`` of ``table``, into the front of the
+    C-contiguous ``buf`` where they fit (the indices are in range, so "clip"
+    writes there straight)."""
+    size = idx.size * table[0].size
+    out = buf.reshape(-1)[:size].reshape(idx.shape + table.shape[1:]) if size <= buf.size else None
+    return np.take(table, idx, axis=0, out=out, mode="clip")
+
+
+def _pattern_sums(terms: np.ndarray, ms: np.ndarray,
                   levels: list[np.ndarray] | None) -> np.ndarray:
-    """``pattern_sums``, its levels gathered into ``levels``: two C-contiguous
-    stacks of at least ``len(ms)`` of ``on``'s cells (None for new ones) that
-    take turns, so that the first of them holds the sums on return.  The
-    plain reduce allocates its own result."""
-    n, cells = on.shape[0], on[0].size
+    """``pattern_sums`` of an (n, 2, r, c) table, ``terms[i, b]`` the term
+    of bit i = b, its levels gathered into ``levels``: two C-contiguous
+    stacks of at least ``len(ms)`` cells (None for new ones) that take
+    turns, so that the first holds the sums on return.  Terms are gathered
+    by their bits into the second level where they fit, never selected."""
+    n, cells = terms.shape[0], terms[0, 0].size
     bits = search.bit_rows(ms, n)
+    if levels is None:
+        levels = [np.empty((len(ms),) + terms.shape[2:]) for _ in range(2)]
     # Only the last levels are built, and none above the bits that every
     # index shares (all n of a single index): each built level halves the
     # floats, about len(ms) n cells, that the reduce above it sums, and is
@@ -264,29 +283,26 @@ def _pattern_sums(on: np.ndarray, off: np.ndarray | float, ms: np.ndarray,
     shared = n - int(np.bitwise_or.reduce(ms ^ ms[:1])).bit_length()
     depth = max(0, (len(bits) * n * cells // LEVEL_CELLS).bit_length() - 1)
     start = n if cells == 1 else max(0, shared, n - depth)
+    # term i of a pattern is row 2 i + bit i of the flat (2 n, r, c) table
+    flat = terms.reshape((2 * n,) + terms.shape[2:])
     if start == n:
-        return np.add.reduce(np.where(bits[:, :, None, None], on, off), axis=1)
-    if np.ndim(off) == 0:
-        off = np.full_like(on, off)
-    if levels is None:
-        levels = [np.empty((len(ms),) + on.shape[1:]) for _ in range(2)]
+        return np.add.reduce(_gather(flat, bits + np.arange(0, 2 * n, 2), levels[1]), axis=1,
+                             out=levels[0][:len(ms)])
     # the first bit in which each index leaves the one before it (bit 0 for
     # a repeat, which so gets partial sums of its own)
     split = np.full(len(bits), -1)
     split[1:] = (bits[1:] != bits[:-1]).argmax(axis=1)
     heads = np.flatnonzero(split < start)  # the first index of each distinct start-bit prefix
-    sums = np.add.reduce(np.where(bits[heads, :start, None, None], on[:start], off[:start]),
-                         axis=1, out=levels[0][:len(heads)])
+    top = _gather(flat, bits[heads, :start] + np.arange(0, 2 * start, 2), levels[1])
+    sums = np.add.reduce(top, axis=1, out=levels[0][:len(heads)])
     for j in range(start, n):
         children = np.flatnonzero(split <= j)
-        # "clip" gathers straight into the other level (the indices are in range)
         sums = np.take(sums, np.searchsorted(heads, children, side="right") - 1, axis=0,
                        out=levels[1][:len(children)], mode="clip")
         levels.reverse()
-        # each index takes its term in place
-        bit = bits[children, j, None, None]
-        np.add(sums, on[j], out=sums, where=bit)
-        np.add(sums, off[j], out=sums, where=~bit)
+        # each index takes its term, gathered into the free level
+        np.add(sums, np.take(terms[j], bits[children, j], axis=0,
+                             out=levels[1][:len(children)], mode="clip"), out=sums)
         heads = children
     return sums
 
@@ -302,43 +318,49 @@ class _Workspace:
 
 class ChunkEvaluator:
     """The one row function of every pattern-sum table: it grades a chunk of
-    pattern indices by the ``pattern_sums`` of one ``on``/``off`` pair under
-    the norm ``kind``, into the columns a caller asks for (``norms``,
-    ``constants``, ``residuals``).
+    pattern indices by their ``_pattern_sums`` over one (n, 2, r, c) table,
+    the only copy of the terms (every thread reads it), under the norm
+    ``kind``, into the columns a caller asks for (``norms``, ``constants``,
+    ``residuals``).
 
     Each worker thread builds one workspace at its first chunk and keeps it
     to the end of the evaluator: three stacks of ``search.chunk_size_for``
-    sums (at most 2^n, n the stacks' length).  The pattern-sum levels,
+    sums (at most 2^n).  The gathered terms, the pattern-sum levels,
     ``batch_invert``'s residuals and the l1/linf norms' temporaries are
     written into it, so a table does not free and regrow its working set on
-    every chunk.  A scalar ``off`` is expanded once, here.  Every value is bit
-    for bit the one the kernels give the pattern alone.
+    every chunk, and a one-pattern call of a climb allocates no stack of its
+    terms.  Every value is bit for bit the one the kernels give the pattern
+    alone.
     """
 
-    def __init__(self, on: np.ndarray, off: np.ndarray | float, kind):
-        self.on = on
-        self.off = np.full_like(on, off) if np.ndim(off) == 0 else off
+    def __init__(self, terms: np.ndarray, kind):
+        self.terms = terms
         self.kind = kind
-        self.rows = min(search.chunk_size_for(search.CELLS_PER_SUM * on[0].size), 1 << len(on))
+        self.rows = min(search.chunk_size_for(search.CELLS_PER_SUM * terms[0, 0].size),
+                        1 << len(terms))
         self._local = threading.local()
         # cached for good, so taken before any workspace: first taken in a
         # chunk, it would sit above the workspace in the heap and keep the
         # heap from shrinking once the table is done
-        self.eye = _identity(on.shape[-1])
+        self.eye = _identity(terms.shape[-1])
 
     @staticmethod
     def weavings(f0: FrameSystem, f1: FrameSystem) -> "ChunkEvaluator":
         """The evaluator of the frame operators S_sigma of the weavings of f0
-        (bit 0) and f1 (bit 1)."""
-        return ChunkEvaluator(outer_stack(f1.vectors, f1.functionals),
-                              outer_stack(f0.vectors, f0.functionals), f0.space.norm)
+        (bit 0) and f1 (bit 1), each ``outer_stack`` multiplied into its table."""
+        terms = np.empty((f0.n, 2, f0.space.dim, f0.space.dim))
+        with np.errstate(over="ignore"):
+            for k, f in enumerate((f0, f1)):
+                np.multiply(f.vectors[:, :, None], f.functionals[:, None, :], out=terms[:, k])
+        require_finite(terms)
+        return ChunkEvaluator(terms, f0.space.norm)
 
     def _sums(self, ms: np.ndarray, bits: slice = slice(None)):
-        """(sums over the ``bits`` of the stacks, two free stacks of as many cells)."""
+        """(sums over the ``bits`` of the table, two free stacks of as many cells)."""
         ws = getattr(self._local, "ws", None)
         if ws is None:
-            ws = self._local.ws = _Workspace(self.rows, self.on.shape[1:])
-        sums = _pattern_sums(self.on[bits], self.off[bits], ms, ws.levels)
+            ws = self._local.ws = _Workspace(self.rows, self.terms.shape[2:])
+        sums = _pattern_sums(self.terms[bits], ms, ws.levels)
         return sums, ws.levels[1][:len(ms)], ws.spare[:len(ms)]
 
     def _norms(self, mats: np.ndarray, scratch: np.ndarray) -> np.ndarray:
@@ -346,7 +368,7 @@ class ChunkEvaluator:
 
     def norms(self, ms: np.ndarray, bits: slice = slice(None)) -> np.ndarray:
         """||S_sigma|| of each d x d block of the sums over the ``bits`` of
-        the stacks, pattern by pattern (flat)."""
+        the table, pattern by pattern (flat)."""
         sums, scratch, _ = self._sums(ms, bits)
         d = sums.shape[-1]
         return self._norms(sums.reshape(-1, d, d), scratch.reshape(-1, d, d))
@@ -406,10 +428,14 @@ def _max_norms_over_patterns(stacks: np.ndarray, inverses: np.ndarray, signed: b
     while len(witnesses) < m:
         lo = len(witnesses)
         p = min(width, m - lo)
-        g = stacks[lo:lo + p] @ inverses[lo:lo + p, None]
-        on = g.transpose(1, 0, 2, 3).reshape(n, p * d, d)
+        terms = np.empty((n, 2, p, d, d))  # g laid side by side as on_i, -g or 0 as off_i
+        np.matmul(stacks[lo:lo + p], inverses[lo:lo + p, None],
+                  out=terms[:, 1].transpose(1, 0, 2, 3))
+        terms[:, 0] = 0.0
+        if signed:
+            np.negative(terms[:, 1], out=terms[:, 0])
         mode_used, best, ms, rows = search.maximize(
-            n, ChunkEvaluator(on, -on if signed else 0.0, kind).norms,
+            n, ChunkEvaluator(terms.reshape(n, 2, p * d, d), kind).norms,
             mode, exhaustive_cap, seed, p * d * d, columns=p, greedy=not signed)
         rows = np.reshape(rows, (len(ms), p))
         for j, k in enumerate([best] if p == 1 else rows.argmax(axis=0).tolist()):

@@ -505,19 +505,20 @@ def _identity(d: int) -> np.ndarray:
     return eye
 
 
-def _solve_identity(a: np.ndarray, eye: np.ndarray) -> tuple[np.ndarray, dict[int, str]]:
+def _solve_identity(a: np.ndarray) -> tuple[np.ndarray, dict[int, str]]:
     """(A^-1 per matrix by LU solve, {position: message} of the ones it refused).
 
-    One singular pivot makes the stacked solve raise for the whole stack, so
-    the stack is then solved matrix by matrix (the same LAPACK call each).
+    One singular pivot makes the stacked ``inv`` (``gesv`` on the identity)
+    raise for the whole stack, so the stack is then solved matrix by matrix
+    (the same LAPACK call each).
     """
     try:
-        return np.linalg.solve(a, eye), {}
+        return np.linalg.inv(a), {}
     except np.linalg.LinAlgError:
         x, errors = np.zeros_like(a), {}
         for i, mat in enumerate(a):
             try:
-                x[i] = np.linalg.solve(mat, eye)
+                x[i] = np.linalg.inv(mat)
             except np.linalg.LinAlgError as exc:
                 errors[i] = str(exc)
         return x, errors
@@ -559,7 +560,7 @@ def _batch_invert(mats: np.ndarray, r: np.ndarray, t: np.ndarray, left: bool = F
     eye = _identity(mats.shape[-1])
     with np.errstate(over="ignore", invalid="ignore"):  # above the cap, X may overflow
         try:
-            x, stacked = np.linalg.solve(mats, eye), True
+            x, stacked = np.linalg.inv(mats), True
         except np.linalg.LinAlgError:  # a zero pivot refuses the stacked solve
             x, stacked = np.zeros_like(mats), False
             residual = np.full(len(mats), np.nan)
@@ -582,7 +583,7 @@ def _batch_invert(mats: np.ndarray, r: np.ndarray, t: np.ndarray, left: bool = F
         errors = {}
         late = np.flatnonzero(~solved & ~capped)
         if late.size:  # the stacked solve was refused: solve those under the cap
-            x[late], errors = _solve_identity(mats[late], eye)
+            x[late], errors = _solve_identity(mats[late])
             errors = {int(late[i]): msg for i, msg in errors.items()}
             solved[late] = True
             solved[list(errors)] = False

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -125,6 +124,9 @@ def pattern_table(ms: Sequence[int], rows_of: Callable[[np.ndarray], np.ndarray]
         for span in spans:
             run(span)
     else:
+        # imported here, as only threaded tables need it: concurrent.futures,
+        # with the logging it loads, adds milliseconds to the package's import
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(w, initializer=setattr, initargs=(_worker, "busy", True)) as ex:
             list(ex.map(run, spans))
     return out[:, 0] if columns == 1 else out

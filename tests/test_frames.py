@@ -113,7 +113,7 @@ def test_biorthogonals_refuses_non_finite_vectors():
                      lambda: batch_biorthogonals(np.array([np.eye(2), v])),
                      lambda: basis_constant(v, NormedSpace(2, L1)),
                      lambda: square_function(np.eye(2), [1.0, 1.0], v)):
-            with pytest.raises(InputError, match="must be finite"):
+            with pytest.raises(InputError, match="^basis vectors must be finite$"):
                 call()
 
 

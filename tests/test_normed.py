@@ -11,7 +11,8 @@ from weavelab import (L1, L2, LINF, DenseOperator, Exactness, FrameSystem,
                       generate, invert, lp, norming_vector, operator_norm,
                       vector_norm)
 from weavelab import normed, search
-from weavelab.frames import BIORTHOGONAL_TOL, frame_constants, outer_stack, pattern_sums
+from weavelab.frames import (BIORTHOGONAL_TOL, ChunkEvaluator, frame_constants, outer_stack,
+                             pattern_sums)
 from weavelab.normed import (ASCENT_STARTS, DEFAULT_COND_CAP, INVERT_RESIDUAL_TOL,
                              batch_ascent, batch_invert, batch_opnorm_values,
                              batch_vector_norms)
@@ -400,16 +401,16 @@ def test_batch_invert_solves_one_by_one_when_a_pivot_fails(rng, monkeypatch):
     mats = np.array([rng.standard_normal((4, 4)) + 3 * np.eye(4) for _ in range(6)])
     clean = batch_invert(mats)
     chosen = mats[2]
-    solve = np.linalg.solve
+    inv = np.linalg.inv
 
-    def failing_solve(a, b):
+    def failing_inv(a):
         if a.ndim == 3:  # a failed pivot anywhere rejects the stacked call
             raise np.linalg.LinAlgError("Singular matrix")
         if np.array_equal(a, chosen):
             raise np.linalg.LinAlgError("pivot 3 is exactly zero")
-        return solve(a, b)
+        return inv(a)
 
-    monkeypatch.setattr(np.linalg, "solve", failing_solve)
+    monkeypatch.setattr(np.linalg, "inv", failing_inv)
     batch = batch_invert(mats)
     assert batch.accepted.tolist() == [True, True, False, True, True, True]
     assert batch.reason(2) == "pivot 3 is exactly zero"
@@ -605,6 +606,27 @@ def test_pattern_sums_match_the_plain_reduce_bit_for_bit(rng):
     for size in (777, 1):  # every index of a run or one at a time: the same bits
         parts = [pattern_sums(on, -g, whole[m0:m0 + size]) for m0 in range(0, 1 << 10, size)]
         assert np.concatenate(parts).tobytes() == _plain_pattern_sums(on, -g, whole).tobytes()
+
+
+def test_evaluator_pattern_sums_match_the_plain_reduce_bit_for_bit(rng, monkeypatch):
+    # an evaluator's one-pattern route (the climbs' and greedy growth's) and
+    # its chunks on two threads, each with its own workspace
+    monkeypatch.setenv("WEAVELAB_THREADS", "2")
+    for n, d in ((10, 10), (12, 5), (12, 3), (11, 1)):  # 4, 4, 4 and 2 chunks
+        on, g = _sparse_stack(rng, n, d, -0.0), _sparse_stack(rng, n, d, 0.0)
+        whole = np.arange(1 << n, dtype=np.uint64)
+        for off in (g, 0.0, -g):
+            terms = np.empty((n, 2, d, d))
+            terms[:, 0], terms[:, 1] = off, on
+            evaluator = ChunkEvaluator(terms, L1)
+            plain = _plain_pattern_sums(on, off, whole)
+            for m in [0, (1 << n) - 1] + rng.integers(1 << n, size=40).tolist():
+                got = evaluator._sums(whole[m:m + 1])[0]
+                assert got.tobytes() == plain[m:m + 1].tobytes(), (n, d, m)
+            table = search.pattern_table(
+                range(1 << n), lambda ms: evaluator._sums(ms)[0].reshape(len(ms), -1),
+                search.CELLS_PER_SUM * d * d, columns=d * d)
+            assert table.tobytes() == plain.reshape(1 << n, -1).tobytes(), (n, d)
 
 
 def test_operator_validation():

@@ -1,8 +1,11 @@
 import itertools
+import os
+import subprocess
 import sys
 import threading
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -507,6 +510,67 @@ def test_chunk_evaluator_keeps_one_workspace_per_table_and_thread(monkeypatch):
     built.clear()
     uniform_bound_profile(f0, f1)
     assert len(built) == 1
+
+
+def test_an_evaluator_holds_its_terms_once(monkeypatch):
+    # the weaving table is multiplied in place: no outer-product stack is
+    # built beside it (numpy's iterator buffers add about 0.2 MB)
+    f0, f1 = _c0_pair(40)
+    tracemalloc.start()
+    try:
+        weavings = frames.ChunkEvaluator.weavings(f0, f1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert weavings.terms.shape == (40, 2, 40, 40)
+    assert peak < 1.5 * weavings.terms.nbytes
+    for side, f in enumerate((f0, f1)):
+        assert weavings.terms[:, side].tobytes() == \
+            outer_stack(f.vectors, f.functionals).tobytes()
+    # C_s and C_u tables: g = x_i f_i^T S^-1 and 0 or -g, in one table
+    built = []
+
+    class Recording(frames.ChunkEvaluator):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(frames, "ChunkEvaluator", Recording)
+    for table, signed in ((suppression_constant, False), (unconditional_constant, True)):
+        built.clear()
+        table(f1)
+        (evaluator,) = built
+        arrays = [v for v in vars(evaluator).values() if isinstance(v, np.ndarray)]
+        assert len(arrays) == 2 and arrays[1] is evaluator.eye  # the table and the identity
+        on, off = evaluator.terms[:, 1], evaluator.terms[:, 0]
+        assert off.tobytes() == (-on if signed else np.zeros_like(on)).tobytes()
+
+
+def test_one_pattern_constants_allocate_no_stack_of_terms():
+    # a climb's one-pattern calls gather their terms into the kept
+    # workspace: 100 of them at d = 32 never hold n d x d floats at once
+    f0, f1 = _c0_pair(32)
+    weavings = frames.ChunkEvaluator.weavings(f0, f1)
+    patterns = np.random.default_rng(0).integers(0, 1 << 32, size=100, dtype=np.uint64)
+    weavings.constants(patterns[:1])  # builds the workspace
+    tracemalloc.start()
+    try:
+        for k in range(len(patterns)):
+            weavings.constants(patterns[k:k + 1])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 32 * 32 * 8
+
+
+def test_import_leaves_thread_pools_unloaded():
+    # concurrent.futures and the logging it loads are imported by the first
+    # table that runs on more than one thread
+    code = "import sys, weavelab; print('concurrent.futures' in sys.modules, 'logging' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(Path(frames.__file__).parents[1])),
+                          check=True)
+    assert proc.stdout.split() == ["False", "False"]
 
 
 def _rows_one_by_one(f0, f1, log):
