@@ -18,8 +18,9 @@ seeded matrices at d = 6 and 8, median per call), the L2 instances
 each with its time and its minor page faults, the ``ru_minflt`` delta; the
 pattern sums alone of that pair's d = 12 table, built chunk by chunk by one
 ``frames.ChunkEvaluator`` as the tables build them, in µs per pattern,
-median of five tables; and the ``heuristic(8)`` climb, seed 0, on the pair
-at d = 32, probe's, in µs per evaluated pattern),
+median of five tables; and the ``heuristic(8)`` climb, probe's, and the
+default ``heuristic(32)`` climb, seed 0, on the pair at d = 32, in µs per
+evaluated pattern),
 the L3 instances (``unc_conditions`` on the block pair at d = 7 and on the
 perturbed l1 pair of the six-way workload at d = 6, built here, after
 ``scipy.optimize`` is loaded), cold start (a fresh ``import weavelab`` and
@@ -90,10 +91,11 @@ for _ in range(5):
 out["pattern_sums_c0_d%%d_us_per_pattern" %% sums_d] = statistics.median(times) * 1e6 / 2 ** sums_d
 f0 = generate(GallerySpec("standard-c0", climb_d))
 f1 = generate(GallerySpec("summing-c0", climb_d))
-t = time.perf_counter()
-climb = worst_weaving(f0, f1, heuristic(8), seed=0)
-out["heuristic8_c0_d%%d_us_per_pattern" %% climb_d] = \
-    (time.perf_counter() - t) * 1e6 / climb.patterns_evaluated
+for restarts in (8, 32):  # probe's climb and the default one
+    t = time.perf_counter()
+    climb = worst_weaving(f0, f1, heuristic(restarts), seed=0)
+    out["heuristic%%d_c0_d%%d_us_per_pattern" %% (restarts, climb_d)] = \
+        (time.perf_counter() - t) * 1e6 / climb.patterns_evaluated
 import scipy.optimize  # loaded by the first distance LP; not part of the L3 instance
 block_d, pert_d = %r, %r
 block = (generate(GallerySpec("blockpair-a0", block_d)),

@@ -285,16 +285,19 @@ def _pattern_sums(terms: np.ndarray, ms: np.ndarray,
     start = n if cells == 1 else max(0, shared, n - depth)
     # term i of a pattern is row 2 i + bit i of the flat (2 n, r, c) table
     flat = terms.reshape((2 * n,) + terms.shape[2:])
-    if start == n:
-        return np.add.reduce(_gather(flat, bits + np.arange(0, 2 * n, 2), levels[1]), axis=1,
-                             out=levels[0][:len(ms)])
-    # the first bit in which each index leaves the one before it (bit 0 for
-    # a repeat, which so gets partial sums of its own)
-    split = np.full(len(bits), -1)
-    split[1:] = (bits[1:] != bits[:-1]).argmax(axis=1)
-    heads = np.flatnonzero(split < start)  # the first index of each distinct start-bit prefix
-    top = _gather(flat, bits[heads, :start] + np.arange(0, 2 * start, 2), levels[1])
-    sums = np.add.reduce(top, axis=1, out=levels[0][:len(heads)])
+    heads = slice(None)  # every index, where no level is built
+    if start < n:  # the bit where each index first leaves the one before (0 for a repeat)
+        split = np.full(len(bits), -1)
+        split[1:] = (bits[1:] != bits[:-1]).argmax(axis=1)
+        heads = np.flatnonzero(split < start)  # the first index of each distinct start-bit prefix
+    top = bits[heads, :start] + np.arange(0, 2 * start, 2)
+    sums = levels[0][:len(top)]
+    if cells == 1 or top.size * cells <= max(levels[1].size, search.CHUNK_BUDGET):
+        np.add.reduce(_gather(flat, top, levels[1]), axis=1, out=sums)
+    else:  # too large to gather: add term by term, from 0.0 as the reduce (-0.0 sums to +0.0)
+        sums[...] = 0.0
+        for i in range(start):
+            np.add(sums, _gather(flat, top[:, i], levels[1]), out=sums)
     for j in range(start, n):
         children = np.flatnonzero(split <= j)
         sums = np.take(sums, np.searchsorted(heads, children, side="right") - 1, axis=0,
@@ -328,9 +331,8 @@ class ChunkEvaluator:
     sums (at most 2^n).  The gathered terms, the pattern-sum levels,
     ``batch_invert``'s residuals and the l1/linf norms' temporaries are
     written into it, so a table does not free and regrow its working set on
-    every chunk, and a one-pattern call of a climb allocates no stack of its
-    terms.  Every value is bit for bit the one the kernels give the pattern
-    alone.
+    every chunk, and a climb's round allocates no stack of its terms.  Every
+    value is bit for bit the one the kernels give the pattern alone.
     """
 
     def __init__(self, terms: np.ndarray, kind):

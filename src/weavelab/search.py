@@ -30,7 +30,7 @@ DEFAULT_EXHAUSTIVE_CAP = 2 ** 22
 # and the third stack of a ``frames.ChunkEvaluator`` workspace, and the inverse.
 CHUNK_BUDGET = 2 ** 17
 CELLS_PER_SUM = 4
-_worker = threading.local()  # ``busy`` in the driver's own worker threads
+_worker = threading.local()  # ``busy`` in pattern_table's worker threads and heuristic searches
 
 
 @dataclass(frozen=True)
@@ -132,59 +132,86 @@ def pattern_table(ms: Sequence[int], rows_of: Callable[[np.ndarray], np.ndarray]
     return out[:, 0] if columns == 1 else out
 
 
-def hill_climb(n_bits: int, value_of: Callable[[int], float], restarts: int,
-               seed: int, extra_starts: tuple[int, ...] = ()) -> int:
+class Values(dict):
+    """Pattern index -> value of each pattern that one search has graded;
+    ``grade`` maps a sorted list of distinct indices to their values."""
+
+    def __init__(self, grade: Callable[[list[int]], Sequence[float]]):
+        super().__init__()
+        self.grade = grade
+
+    def fill(self, ms):
+        """Grade the indices of ``ms`` not held, as one batch."""
+        new = sorted(set(ms).difference(self))
+        self.update(zip(new, self.grade(new)))
+
+
+def _climb(n_bits: int, cur: int):
+    """One climb from ``cur``: sent the value of each index it yields, it returns (end, value)."""
+    cur_v = yield cur
+    improved = True
+    while improved:
+        improved = False
+        for bit in range(n_bits):
+            neigh = cur ^ (1 << (n_bits - 1 - bit))
+            nv = yield neigh
+            if nv > cur_v:
+                cur, cur_v = neigh, nv
+                improved = True
+    return cur, cur_v
+
+
+def hill_climb(n_bits: int, values: Values, restarts: int, seed: int,
+               extra_starts: tuple[int, ...] = ()) -> int:
     """Single-bit-flip hill climbing; returns the best pattern index found.
 
     Starts from the all-zeros and all-ones patterns, any ``extra_starts``,
-    and ``restarts`` seeded random patterns.  Ties among the climbs' end
-    points prefer the smaller index.  ``value_of`` should be memoized.
-    A negative seed raises InputError.
+    and ``restarts`` seeded random patterns, all in lockstep: a request
+    that ``values`` holds is answered at once, and each round grades the
+    others as one ``values.fill``.  A value depends on its index alone, so
+    each climb steps as it would alone and the graded set is that of one
+    climb after another.  Ties among the end points prefer the smaller
+    index.  A negative seed raises InputError.
     """
     if seed < 0:
         raise InputError(f"seed must be nonnegative, got {seed!r}")
     total = 1 << n_bits
     rng = np.random.default_rng(seed)
-    starts = [0, total - 1]
-    starts.extend(extra_starts)
-    for _ in range(restarts):
-        starts.append(int(rng.integers(0, total)))
+    starts = [0, total - 1, *extra_starts]
+    for _ in range(restarts):  # unsigned draws only where int64 cannot hold 2**64
+        starts.append(int(rng.integers(0, total, dtype=np.uint64 if n_bits == 64 else np.int64)))
+    climbs = [_climb(n_bits, start) for start in starts]
+    asks, ends = {k: next(climb) for k, climb in enumerate(climbs)}, [None] * len(climbs)
+    while asks:
+        values.fill(asks.values())
+        for k, m in list(asks.items()):
+            try:
+                while m in values:
+                    m = climbs[k].send(values[m])
+                asks[k] = m
+            except StopIteration as end:
+                ends[k] = end.value
+                del asks[k]
     best_v, best_m = -np.inf, 0
-    for start in starts:
-        cur = start
-        cur_v = value_of(cur)
-        improved = True
-        while improved:
-            improved = False
-            for bit in range(n_bits):
-                neigh = cur ^ (1 << (n_bits - 1 - bit))
-                nv = value_of(neigh)
-                if nv > cur_v:
-                    cur, cur_v = neigh, nv
-                    improved = True
+    for cur, cur_v in ends:
         if cur_v > best_v or (cur_v == best_v and cur < best_m):
             best_v, best_m = cur_v, cur
     return best_m
 
 
-def greedy_add(n_bits: int, value_of: Callable[[int], float]) -> int:
+def greedy_add(n_bits: int, values: Values) -> int:
     """Greedy subset growth from the empty set; returns the pattern index
-    where no added bit improves.  Used to seed local search."""
-    cur = 0
-    cur_v = value_of(0)
+    where no added bit improves, grading each step's candidates as one
+    ``values.fill``.  Used to seed local search."""
+    values.fill([0])
+    cur, cur_v = 0, values[0]
     while True:
-        best_gain_m, best_gain_v = None, cur_v
-        for bit in range(n_bits):
-            mask = 1 << (n_bits - 1 - bit)
-            if cur & mask:
-                continue
-            cand = cur | mask
-            cv = value_of(cand)
-            if cv > best_gain_v:
-                best_gain_v, best_gain_m = cv, cand
-        if best_gain_m is None:
+        cands = [cur | 1 << bit for bit in reversed(range(n_bits)) if not cur >> bit & 1]
+        values.fill(cands)
+        gains = [(cv, cand) for cand in cands if (cv := values[cand]) > cur_v]
+        if not gains:
             return cur
-        cur, cur_v = best_gain_m, best_gain_v
+        cur_v, cur = max(gains, key=lambda gain: gain[0])  # the first of equal gains
 
 
 def maximize(n_bits: int, rows_of: Callable[[np.ndarray], np.ndarray], mode: SearchMode,
@@ -198,10 +225,14 @@ def maximize(n_bits: int, rows_of: Callable[[np.ndarray], np.ndarray], mode: Sea
     Exhaustive mode tabulates every row, but above ``exhaustive_cap``
     patterns it is demoted to ``heuristic(mode.restarts)``, which
     hill-climbs (seeded by greedy growth when ``greedy``) and evaluates
-    each pattern once.  Returns ``(mode_used, best, ms, rows)``: the
-    evaluated indices in increasing order, their rows, and the position of
-    the winner in both.
+    each pattern once, a round at a time: one ``pattern_table`` on the
+    calling thread (a pool per round of a few chunks costs more than it
+    saves).  Returns ``(mode_used, best, ms, rows)``: the evaluated indices
+    in increasing order, their rows, and the position of the winner in
+    both.  More than 64 bits raise InputError.
     """
+    if n_bits > 64:
+        raise InputError(f"patterns of {n_bits} bits; at most 64 are supported")
     if mode.kind == "exhaustive" and (1 << n_bits) > exhaustive_cap:
         mode = heuristic(mode.restarts)
     if mode.kind == "exhaustive":
@@ -209,15 +240,19 @@ def maximize(n_bits: int, rows_of: Callable[[np.ndarray], np.ndarray], mode: Sea
         values = rows if columns == 1 else rows.max(axis=1)
         return mode, int(np.argmax(values)), range(1 << n_bits), rows
 
-    memo: dict[int, tuple[float, np.ndarray]] = {}
+    memo: dict[int, np.ndarray] = {}
 
-    def value_of(m: int) -> float:
-        if m not in memo:
-            row = rows_of(np.array([m], dtype=np.uint64))[0]
-            memo[m] = (float(row.max()) if columns > 1 else float(row), row)
-        return memo[m][0]
+    def grade(ms: list[int]) -> list[float]:
+        rows = pattern_table(ms, rows_of, CELLS_PER_SUM * cell, columns)
+        memo.update(zip(ms, rows))
+        return (rows if columns == 1 else rows.max(axis=1)).tolist()
 
-    extra = (greedy_add(n_bits, value_of),) if greedy else ()
-    best_m = hill_climb(n_bits, value_of, mode.restarts, seed, extra)
+    values, busy = Values(grade), getattr(_worker, "busy", False)
+    _worker.busy = True
+    try:
+        extra = (greedy_add(n_bits, values),) if greedy else ()
+        best_m = hill_climb(n_bits, values, mode.restarts, seed, extra)
+    finally:
+        _worker.busy = busy
     ms = sorted(memo)
-    return mode, ms.index(best_m), ms, np.array([memo[m][1] for m in ms])
+    return mode, ms.index(best_m), ms, np.array([memo[m] for m in ms])

@@ -287,13 +287,15 @@ def sample_patterns(n: int, count: int, seed: int) -> list[int]:
 
     Always holds all zeros, all ones, the alternating pattern and its
     complement, then seeded uniform draws until min(count, 2^n) distinct
-    patterns are picked.  A negative seed raises InputError.
+    patterns are picked.  A negative seed, or n above 64, raises InputError.
     """
     if seed < 0:
         raise InputError(f"seed must be nonnegative, got {seed!r}")
+    if n > 64:
+        raise InputError(f"patterns of {n} bits; at most 64 are supported")
     rng = np.random.default_rng(seed)
     alt = WeavePattern.alternating(n)
     picks = {0, (1 << n) - 1, alt.index, alt.complement().index}
-    while len(picks) < min(count, 1 << n):
-        picks.add(int(rng.integers(0, 1 << n)))
+    while len(picks) < min(count, 1 << n):  # unsigned draws only where int64 cannot hold 2**64
+        picks.add(int(rng.integers(0, 1 << n, dtype=np.uint64 if n == 64 else np.int64)))
     return sorted(picks)

@@ -481,6 +481,137 @@ def test_negative_seeds_are_refused_where_they_reach_a_generator():
             call()
 
 
+def _hill_climb_one_at_a_time(n_bits, value_of, restarts, seed, extra_starts=()):
+    # the reference: one start climbed after another, one value per request
+    total = 1 << n_bits
+    rng = np.random.default_rng(seed)
+    starts = [0, total - 1]
+    starts.extend(extra_starts)
+    for _ in range(restarts):
+        starts.append(int(rng.integers(0, total)))
+    best_v, best_m = -np.inf, 0
+    for start in starts:
+        cur = start
+        cur_v = value_of(cur)
+        improved = True
+        while improved:
+            improved = False
+            for bit in range(n_bits):
+                neigh = cur ^ (1 << (n_bits - 1 - bit))
+                nv = value_of(neigh)
+                if nv > cur_v:
+                    cur, cur_v = neigh, nv
+                    improved = True
+        if cur_v > best_v or (cur_v == best_v and cur < best_m):
+            best_v, best_m = cur_v, cur
+    return best_m
+
+
+def _greedy_add_one_at_a_time(n_bits, value_of):
+    cur = 0
+    cur_v = value_of(0)
+    while True:
+        best_gain_m, best_gain_v = None, cur_v
+        for bit in range(n_bits):
+            mask = 1 << (n_bits - 1 - bit)
+            if cur & mask:
+                continue
+            cand = cur | mask
+            cv = value_of(cand)
+            if cv > best_gain_v:
+                best_gain_v, best_gain_m = cv, cand
+        if best_gain_m is None:
+            return cur
+        cur, cur_v = best_gain_m, best_gain_v
+
+
+class _CountingValues(search.Values):
+    requests = 0
+
+    def __getitem__(self, m):
+        self.requests += 1
+        return super().__getitem__(m)
+
+
+def test_lockstep_climbs_grade_what_one_climb_at_a_time_grades(rng):
+    # value tables with few levels (ties everywhere), repeated starts (n = 3
+    # with 12 restarts, and extra starts that repeat 0): the same winner,
+    # graded set and request count, each index graded once in sorted batches
+    for n, restarts, levels in ((3, 12, 2), (5, 6, 3), (8, 8, 4), (10, 32, 1000), (12, 3, 5)):
+        table = rng.integers(0, levels, size=1 << n).astype(float)
+        picks = (0, int(rng.integers(1 << n)))
+        for greedy in (False, True):
+            memo, requests = {}, []
+
+            def value_of(m):
+                requests.append(m)
+                return memo.setdefault(m, table[m])
+
+            extra = ((_greedy_add_one_at_a_time(n, value_of),) if greedy else ()) + picks
+            best = _hill_climb_one_at_a_time(n, value_of, restarts, n, extra)
+            batches = []
+
+            def grade(ms):
+                batches.append(ms)
+                return table[ms].tolist()
+
+            values = _CountingValues(grade)
+            assert ((search.greedy_add(n, values),) if greedy else ()) + picks == extra
+            assert search.hill_climb(n, values, restarts, n, extra) == best
+            graded = [m for ms in batches for m in ms]
+            assert sorted(graded) == sorted(memo) == sorted(values)
+            assert all(ms == sorted(set(ms)) for ms in batches)
+            assert values.requests == len(requests)
+            assert len(batches) < len(graded) or n == 3
+
+
+def test_heuristic_rows_match_one_pattern_constants_on_any_thread_count(monkeypatch):
+    # every round of a d = 32 heuristic(32) search (34 climbs, more than the
+    # evaluator's 32 workspace rows) grades its rows on the calling thread,
+    # bit for bit as each pattern alone
+    f0, f1 = _c0_pair(32)
+    alone = frames.ChunkEvaluator.weavings(f0, f1)
+    for threads in ("1", "2"):
+        monkeypatch.setenv("WEAVELAB_THREADS", threads)
+        evaluator, callers = frames.ChunkEvaluator.weavings(f0, f1), set()
+
+        def rows_of(ms):
+            callers.add(threading.get_ident())
+            return evaluator.constants(ms)
+
+        _, best, ms, rows = search.maximize(32, rows_of, heuristic(32), search.DEFAULT_EXHAUSTIVE_CAP,
+                                            0, 32 * 32, columns=2)
+        assert callers == {threading.get_ident()} and len(ms) == 2086
+        for m, row in zip(ms, rows):
+            assert row.tobytes() == alone.constants(np.array([m], dtype=np.uint64))[0].tobytes()
+        result = worst_weaving(f0, f1, heuristic(32), seed=0)
+        assert result.worst_pattern.index == ms[best] and result.patterns_evaluated == len(ms)
+        assert result.worst_constant == rows[best].max()
+
+
+def test_searches_take_64_bit_patterns_and_refuse_more(rng, capsys):
+    space = NormedSpace(2, L1)
+    pairs = [FrameSystem(space, rng.standard_normal((64, 2)), rng.standard_normal((64, 2)))
+             for _ in range(2)]
+    result = worst_weaving(*pairs, heuristic(2), seed=1)
+    assert result.worst_pattern.n == 64 and result.patterns_evaluated > 64
+    picks = sample_patterns(64, 40, seed=3)
+    assert len(picks) == 40 and picks[-1] == 2 ** 64 - 1
+    assert search.hill_climb(64, search.Values(lambda ms: [bin(m).count("1") for m in ms]),
+                             3, seed=0) == 2 ** 64 - 1
+    wide = [FrameSystem(space, rng.standard_normal((65, 2)), rng.standard_normal((65, 2)))
+            for _ in range(2)]
+    for call in (lambda: worst_weaving(*wide, heuristic(0)),
+                 lambda: suppression_constant(wide[0], heuristic(0)),
+                 lambda: sample_patterns(65, 40, seed=3)):
+        with pytest.raises(InputError, match="patterns of 65 bits; at most 64 are supported"):
+            call()
+    from weavelab.cli import main
+    assert main(["weave-search", "gallery:standard-c0", "gallery:summing-c0", "--dim", "65",
+                 "--mode", "heuristic", "--restarts", "0"]) == 1
+    assert "at most 64 are supported" in capsys.readouterr().err
+
+
 def _c0_pair(d: int):
     return generate(GallerySpec("standard-c0", d)), generate(GallerySpec("summing-c0", d))
 
@@ -557,6 +688,22 @@ def test_one_pattern_constants_allocate_no_stack_of_terms():
     try:
         for k in range(len(patterns)):
             weavings.constants(patterns[k:k + 1])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 32 * 32 * 8
+
+
+def test_a_round_of_random_patterns_gathers_no_stack_of_terms():
+    # ten d = 32 patterns that share no prefix: the top of their sums is
+    # added term by term, not gathered (10 x 27 x 32 x 32 floats, 2.2 MB)
+    f0, f1 = _c0_pair(32)
+    weavings = frames.ChunkEvaluator.weavings(f0, f1)
+    patterns = np.sort(np.random.default_rng(1).integers(0, 1 << 32, size=10, dtype=np.uint64))
+    weavings.constants(patterns[:1])  # builds the workspace
+    tracemalloc.start()
+    try:
+        weavings.constants(patterns)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
