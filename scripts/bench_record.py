@@ -13,10 +13,15 @@ line with its workload, seed, pair, order, side, the benchmark's
 numbered on from the last one already recorded for the same workload, seed
 and trace setting.  ``layers`` times, on both sides and alternating the
 same way, the L0 instance (``operator_norm`` lp:3 -> lp:3 on five fixed
-seeded matrices at d = 6 and 8, median per call), the L2 instances
-(exhaustive ``worst_weaving`` on standard-c0/summing-c0 at d = 10, 12, 14,
-each with its time and its minor page faults, the ``ru_minflt`` delta; the
-pattern sums alone of that pair's d = 12 table, built chunk by chunk by one
+seeded matrices at d = 6 and 8, median per call), growth-sweep's basis
+loop (``weave``, ``biorthogonals`` and ``basis_constant`` on each of the
+1,024 weavings of standard-c0/summing-c0 at d = 10, median µs per call of
+each over a second pass of the loop), the L2 instances (exhaustive
+``worst_weaving`` on standard-c0/summing-c0 at d = 10, 12, 14, each with
+its time and its minor page faults, the ``ru_minflt`` delta, both taken
+after a warm-up table of the same size, so that they follow the table
+code rather than the heap left by what ran before; the pattern sums alone
+of that pair's d = 12 table, built chunk by chunk by one
 ``frames.ChunkEvaluator`` as the tables build them, in µs per pattern,
 median of five tables; and the ``heuristic(8)`` climb, probe's, and the
 default ``heuristic(32)`` climb, seed 0, on the pair at d = 32, in µs per
@@ -49,6 +54,7 @@ import time
 
 LAYER_DIMS = (10, 12, 14)
 OPNORM_DIMS = (6, 8)
+BASIS_DIM = 10
 UNC_BLOCK_DIM, UNC_PERTURBED_DIM = 7, 6
 SUMS_DIM, CLIMB_DIM = 12, 32
 LAYER_PROBE = """
@@ -59,8 +65,9 @@ import_s = time.perf_counter() - t0
 rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 import numpy as np
 from weavelab import (L1, DenseOperator, FrameSystem, GallerySpec, NormedSpace,
-                      biorthogonals, frames, generate, heuristic, lp, operator_norm,
-                      search, unc_conditions, worst_weaving)
+                      WeavePattern, basis_constant, biorthogonals, frames, generate,
+                      heuristic, lp, operator_norm, search, unc_conditions, weave,
+                      worst_weaving)
 out = {"import_s": import_s, "import_peak_rss_mb": rss_mb}
 for d in %r:
     times = []
@@ -70,9 +77,28 @@ for d in %r:
         operator_norm(op)
         times.append((time.perf_counter() - t) * 1e3)
     out["operator_norm_lp3_d%%d_ms" %% d] = statistics.median(times)
+basis_d = %r
+f0 = generate(GallerySpec("standard-c0", basis_d))
+f1 = generate(GallerySpec("summing-c0", basis_d))
+patterns = [WeavePattern.from_index(m, basis_d) for m in range(1 << basis_d)]
+for _ in range(2):  # the second loop is timed, as growth-sweep repeats it
+    calls = {"weave": [], "biorthogonals": [], "basis_constant": []}
+    for pattern in patterns:
+        t0 = time.perf_counter()
+        woven = weave(f0, f1, pattern)
+        t1 = time.perf_counter()
+        duals = biorthogonals(woven.vectors)
+        t2 = time.perf_counter()
+        basis_constant(woven.vectors, woven.space, duals)
+        t3 = time.perf_counter()
+        for name, dt in zip(calls, (t1 - t0, t2 - t1, t3 - t2)):
+            calls[name].append(dt * 1e6)
+for name, times in calls.items():
+    out["basis_loop_c0_d%%d_%%s_us" %% (basis_d, name)] = statistics.median(times)
 for d in %r:
     f0 = generate(GallerySpec("standard-c0", d))
     f1 = generate(GallerySpec("summing-c0", d))
+    worst_weaving(f0, f1)  # the warm-up table
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     t = time.perf_counter()
     worst_weaving(f0, f1)
@@ -112,7 +138,8 @@ for name, pair in (("unc_conditions_block_d%%d_s" %% block_d, block),
     unc_conditions(*pair)
     out[name] = time.perf_counter() - t
 print(json.dumps(out))
-""" % (OPNORM_DIMS, LAYER_DIMS, SUMS_DIM, CLIMB_DIM, UNC_BLOCK_DIM, UNC_PERTURBED_DIM)
+""" % (OPNORM_DIMS, BASIS_DIM, LAYER_DIMS, SUMS_DIM, CLIMB_DIM, UNC_BLOCK_DIM,
+       UNC_PERTURBED_DIM)
 _INPUTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
                        "tests", "golden", "inputs")
 CLI_INSTANCES = {  # L4: whole commands in a fresh interpreter, wall seconds

@@ -18,10 +18,21 @@ A change meant to keep every value compares the digest of two checkouts, and
 of one checkout under different ``WEAVELAB_THREADS``:
 
     PYTHONPATH=src python scripts/value_battery.py | tail -1
+
+``--sections`` prints instead one sha256 per two-level label section of the
+value lines (``l1.d3``, ``standard-c0|summing-c0.d4``, ``certificate.pair``,
+...), in the order they first appear, then the total digest: the lines of
+``tests/golden/value_battery.sha256``, which the test suite compares under
+``WEAVELAB_THREADS`` 1 and 2.  A change that moves values regenerates it
+
+    PYTHONPATH=src python scripts/value_battery.py --sections > tests/golden/value_battery.sha256
+
+and names the sections that moved and why.
 """
 
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import enum
 import hashlib
@@ -63,18 +74,32 @@ def _leaves(path: str, obj):
 
 class Battery:
     def __init__(self):
-        self.digest = hashlib.sha256()
+        self.lines: list[str] = []
 
     def emit(self, label: str, call, *args, **kwargs):
-        """Print every leaf of ``call(*args, **kwargs)``, or the error it raises."""
+        """Record a line for every leaf of ``call(*args, **kwargs)``, or the
+        error it raises."""
         try:
             leaves = list(_leaves(label, call(*args, **kwargs)))
         except WeavelabError as exc:
             leaves = [(label, f"raises {type(exc).__name__}: {exc}")]
-        for path, text in leaves:
-            line = f"{path} {text}"
-            print(line)
-            self.digest.update(line.encode() + b"\n")
+        self.lines += [f"{path} {text}" for path, text in leaves]
+
+
+def section_digests(lines: list[str]) -> list[str]:
+    """``<sha256>  <section>`` for each two-level label section of the value
+    lines, in the order they first appear, then ``<sha256>  total``, the
+    digest over every line that the battery prints last.  A line's section
+    is the first two dot-separated parts of its path, index brackets cut."""
+    sections = {}
+    total = hashlib.sha256()
+    for line in lines:
+        data = line.encode() + b"\n"
+        name = ".".join(line.split(" ", 1)[0].split("[", 1)[0].split(".")[:2])
+        sections.setdefault(name, hashlib.sha256()).update(data)
+        total.update(data)
+    return ([f"{digest.hexdigest()}  {name}" for name, digest in sections.items()]
+            + [f"{total.hexdigest()}  total"])
 
 
 def _six_way(b: Battery, label: str, *args, **kwargs):
@@ -205,6 +230,11 @@ def _multi_chunk(b: Battery):
 
 
 def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--sections", action="store_true",
+                        help="print one digest per label section and the total instead")
+    args = parser.parse_args()
     b = Battery()
     rng = np.random.default_rng(20151)
     for a, c in (("standard-c0", "summing-c0"), ("standard-l1", "difference-l1")):
@@ -275,7 +305,12 @@ def main() -> int:
                      conditions=conditions)
     _refusals(b)
     _multi_chunk(b)
-    print(f"sha256 {b.digest.hexdigest()}")
+    digests = section_digests(b.lines)
+    if args.sections:
+        print("\n".join(digests))
+    else:
+        print("\n".join(b.lines))
+        print(f"sha256 {digests[-1].split()[0]}")
     return 0
 
 

@@ -22,9 +22,9 @@ import numpy as np
 
 from . import search
 from .errors import InputError, NotABasis, NotAFrame, NotInvertible
-from .normed import (DEFAULT_COND_CAP, Bound, DenseOperator, NormedSpace, _batch_invert,
-                     _identity, _opnorm_values, batch_opnorm_values, invert, operator_norm,
-                     require_finite)
+from .normed import (DEFAULT_COND_CAP, BatchInverse, Bound, DenseOperator, NormedSpace,
+                     _batch_invert, _identity, _opnorm_values, batch_opnorm_values, invert,
+                     operator_norm, real_array, require_finite)
 from .search import EXHAUSTIVE, SearchMode, heuristic  # heuristic is re-exported
 
 BIORTHOGONAL_TOL = 1e-10
@@ -40,13 +40,12 @@ class Basis:
     label: str = ""
 
     def __post_init__(self):
-        v = np.array(self.vectors, dtype=np.float64)
+        v = real_array(self.vectors, "basis vectors", copy=True)
         if v.ndim != 2 or v.shape[0] < 1:
             raise InputError("basis vectors must form a (n, dim) array")
         if v.shape[1] != self.space.dim:
             raise InputError(f"vectors of length {v.shape[1]} in a dim-{self.space.dim} space")
-        if not np.all(np.isfinite(v)):
-            raise InputError("basis vectors must be finite")
+        require_finite(v, "basis vectors")
         v.flags.writeable = False
         object.__setattr__(self, "vectors", v)
 
@@ -65,8 +64,8 @@ class FrameSystem:
     label: str = ""
 
     def __post_init__(self):
-        v = np.array(self.vectors, dtype=np.float64)
-        f = np.array(self.functionals, dtype=np.float64)
+        v = real_array(self.vectors, "frame system entries")
+        f = real_array(self.functionals, "frame system entries")
         if v.ndim != 2 or f.ndim != 2:
             raise InputError("vectors and functionals must be (n, dim) arrays")
         if v.shape != f.shape:
@@ -75,12 +74,12 @@ class FrameSystem:
             raise InputError("a frame system needs at least one pair")
         if v.shape[1] != self.space.dim:
             raise InputError(f"pairs of length {v.shape[1]} in a dim-{self.space.dim} space")
-        if not (np.all(np.isfinite(v)) and np.all(np.isfinite(f))):
-            raise InputError("frame system entries must be finite")
-        v.flags.writeable = False
-        f.flags.writeable = False
-        object.__setattr__(self, "vectors", v)
-        object.__setattr__(self, "functionals", f)
+        pairs = np.empty((2,) + v.shape)  # copies of both, checked and frozen as one array
+        pairs[0], pairs[1] = v, f
+        require_finite(pairs, "frame system entries")
+        pairs.flags.writeable = False
+        object.__setattr__(self, "vectors", pairs[0])
+        object.__setattr__(self, "functionals", pairs[1])
 
     @property
     def n(self) -> int:
@@ -163,18 +162,16 @@ def biorthogonals(vectors: np.ndarray) -> np.ndarray:
     """Rows of the inverse basis matrix: duals with x*_j(x_k) = delta_jk.
 
     ``vectors`` holds the basis as rows.  Raises InputError for an entry
-    that is not finite, and NotABasis for non-square input, for a basis
-    matrix over the condition cap, when ``solve`` fails, or for a residual
-    that is not at most ``BIORTHOGONAL_TOL`` after up to four Newton steps,
-    checked in that order.  A stack of one through ``batch_biorthogonals``.
+    that is complex or not finite, and NotABasis for input that is not one
+    square family of at least one vector, for a basis matrix over the
+    condition cap, when ``solve`` fails, or for a residual that is not at
+    most ``BIORTHOGONAL_TOL`` after up to four Newton steps, checked in that
+    order.  A stack of one through ``batch_biorthogonals``'s kernel call.
     """
-    v = np.asarray(vectors, dtype=np.float64)
-    if v.ndim != 2 or v.shape[0] != v.shape[1]:
-        raise NotABasis(f"need a square vector family, got shape {v.shape}")
-    duals, refused = batch_biorthogonals(v[None])
-    if refused:
-        raise NotABasis(refused[0])
-    return duals[0]
+    inv = _left_inverses(_families(vectors, 2)[None])
+    if not inv.accepted[0]:
+        raise NotABasis(_refusal(inv, 0))
+    return inv.inverses[0]
 
 
 def batch_biorthogonals(vectors: np.ndarray) -> tuple[np.ndarray, dict[int, str]]:
@@ -187,43 +184,75 @@ def batch_biorthogonals(vectors: np.ndarray) -> tuple[np.ndarray, dict[int, str]
     as columns) under ``batch_invert``'s guard, with the residual I - X B
     and ``BIORTHOGONAL_TOL``, so each family's duals and message are bit for
     bit the ones ``biorthogonals`` gives it, whatever stack it sits in.
-    The kernel finds entries that are not finite only where some family is
-    not cleared (no such family is), and they are refused as basis vectors.
     """
-    b = np.asarray(vectors, dtype=np.float64).transpose(0, 2, 1)  # columns are the basis vectors
+    inv = _left_inverses(_families(vectors, 3))
+    if inv.accepted.all():
+        return inv.inverses, {}
+    return inv.inverses, {i: _refusal(inv, i) for i in np.flatnonzero(~inv.accepted).tolist()}
+
+
+def _families(vectors, ndim: int) -> np.ndarray:
+    """``vectors`` as float64 square families of at least one vector, one
+    (ndim 2) or a stack (ndim 3); InputError for complex entries, NotABasis
+    for any other shape."""
+    v = real_array(vectors, "basis vectors")
+    if v.ndim != ndim or v.shape[-1] != v.shape[-2] or not v.shape[-1]:
+        shape = v.shape[1:] if v.ndim == ndim == 3 else v.shape
+        raise NotABasis(f"need a square vector family, got shape {shape}")
+    return v
+
+
+def _left_inverses(families: np.ndarray) -> BatchInverse:
+    """The kernel call of ``batch_biorthogonals`` on an (m, d, d) stack of
+    vector rows.  The kernel finds entries that are not finite only where
+    some family is not cleared (no such family is), and they are refused as
+    basis vectors."""
+    b = families.transpose(0, 2, 1)  # columns are the basis vectors
     try:
-        inv = _batch_invert(b, np.empty(b.shape), np.empty(b.shape), left=True,
-                            tol=BIORTHOGONAL_TOL)
+        return _batch_invert(b, np.empty(b.shape), np.empty(b.shape), left=True,
+                             tol=BIORTHOGONAL_TOL)
     except InputError:
         raise InputError("basis vectors must be finite") from None
-    refused = {}
-    for i in [i for i, ok in enumerate(inv.accepted.tolist()) if not ok]:
-        if inv.cond[i] > DEFAULT_COND_CAP:
-            refused[i] = f"vectors are dependent (condition number {inv.cond[i]:.3e})"
-        elif i in inv.solve_errors:
-            refused[i] = inv.solve_errors[i]
-        else:  # also a NaN residual, from duals that overflow
-            refused[i] = (f"biorthogonality residual {inv.residual[i]:.3e} above "
-                          f"{BIORTHOGONAL_TOL:.1e}")
-    return inv.inverses, refused
+
+
+def _refusal(inv: BatchInverse, i: int) -> str:
+    """The NotABasis message of the refused family ``i``."""
+    if inv.cond[i] > DEFAULT_COND_CAP:
+        return f"vectors are dependent (condition number {inv.cond[i]:.3e})"
+    if i in inv.solve_errors:
+        return inv.solve_errors[i]
+    # also a NaN residual, from duals that overflow
+    return f"biorthogonality residual {inv.residual[i]:.3e} above {BIORTHOGONAL_TOL:.1e}"
 
 
 def basis_constant(vectors: np.ndarray, space: NormedSpace,
                    duals: np.ndarray | None = None) -> Bound:
-    """max_n ||P_n|| over the partial-sum projections P_n of a basis."""
-    v = np.asarray(vectors, dtype=np.float64)
+    """max_n ||P_n|| over the partial-sum projections P_n of a basis.
+
+    InputError, before any arithmetic, for vectors that are not rows of
+    length ``space.dim`` or duals of another shape than the vectors, and
+    for complex entries."""
+    v = real_array(vectors, "basis vectors")
+    if v.ndim != 2 or v.shape[1] != space.dim:
+        raise InputError(f"basis vectors of shape {v.shape} in a dim-{space.dim} space")
     if duals is None:
         duals = biorthogonals(v)
-    values = projection_norms(v[None], np.asarray(duals)[None], space.norm)[0]
-    k = int(np.argmax(values))
+    else:
+        duals = real_array(duals, "duals")
+        if duals.shape != v.shape:
+            raise InputError(f"duals of shape {duals.shape} for basis vectors of shape {v.shape}")
+    values = projection_norms(v[None], duals[None], space.norm)[0]
+    k = int(values.argmax())
     value = float(values[k])
     return Bound(value, hi=value if space.norm.is_exact_kind else np.inf, witness=(k + 1,))
 
 
 def projection_norms(vectors: np.ndarray, duals: np.ndarray, kind) -> np.ndarray:
     """(m, n) table of ||P_k||, k = 1..n, for the partial-sum projections of
-    each basis of an (m, n, d) stack of vectors with their duals."""
-    prefixes = np.cumsum(outer_stack(vectors, duals), axis=1)
+    each basis of an (m, n, d) stack of vectors with their duals.  InputError
+    when a term x_k f_k^T is not finite, not when a sum of finite terms
+    overflows."""
+    prefixes = np.add.accumulate(outer_stack(vectors, duals), axis=1)
     d = prefixes.shape[-1]
     return batch_opnorm_values(prefixes.reshape(-1, d, d), kind, kind).reshape(prefixes.shape[:2])
 

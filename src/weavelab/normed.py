@@ -162,7 +162,7 @@ class NormedSpace:
 
 
 def _require_finite_vectors(a: np.ndarray) -> None:
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise InputError("vector has non-finite entries")
 
 
@@ -219,10 +219,21 @@ def batch_norming_vectors(rows: np.ndarray, kind: NormKind) -> np.ndarray:
     return out
 
 
-def require_finite(a: np.ndarray) -> None:
-    """Refuse operator entries (one matrix or a stack) that are not all finite."""
-    if not np.all(np.isfinite(a)):
-        raise InputError("operator entries must be finite")
+def require_finite(a: np.ndarray, what: str = "operator entries") -> None:
+    """Refuse entries (of one matrix or a stack) that are not all finite,
+    with an InputError that names them as ``what``."""
+    if not np.isfinite(a).all():
+        raise InputError(f"{what} must be finite")
+
+
+def real_array(a, what: str, copy: bool = False) -> np.ndarray:
+    """``a`` as a float64 array, a new one when ``copy``.  Complex entries
+    are refused with an InputError that names them as ``what``: the cast
+    would drop their imaginary parts."""
+    a = np.asarray(a)
+    if a.dtype.kind == "c":
+        raise InputError(f"{what} must be real, got complex entries")
+    return np.array(a, dtype=np.float64) if copy else a.astype(np.float64, copy=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -234,7 +245,7 @@ class DenseOperator:
     codomain_norm: NormKind
 
     def __post_init__(self):
-        a = np.array(self.entries, dtype=np.float64)
+        a = real_array(self.entries, "operator entries", copy=True)
         if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
             raise InputError(f"operator entries must be a 2-d matrix, got shape {a.shape}")
         require_finite(a)
@@ -461,38 +472,47 @@ class BatchInverse:
         return f"inversion residual {self.residual[i]:.3e} above {INVERT_RESIDUAL_TOL:.1e}"
 
 
-def condition_capped(mats: np.ndarray, inverses: np.ndarray,
-                     residual: np.ndarray) -> np.ndarray:
+def condition_capped(mats: np.ndarray, fro2: np.ndarray, residual: np.ndarray) -> np.ndarray:
     """The condition numbers that decide ``cond(A) > DEFAULT_COND_CAP`` for
     each matrix of an (m, d, d) stack, with an SVD only where a residual
     certificate cannot decide it: NaN for each matrix the certificate
     cleared, numpy's ``cond`` (+inf when singular) for the rest.
 
-    ``inverses`` holds an approximate inverse X of each matrix and
-    ``residual`` the max-norm of its residual, ``I - A X`` or ``I - X A``
-    (NaN where there is none).  q = d (res + gamma_{d+1} (1 + ||A||_F ||X||_F))
-    bounds the 2-norm of the exact residual, rounding of the computed one
-    included, and q <= 1/2 gives kappa_2(A) <= 2 ||A||_F ||X||_F (Higham
-    2002, section 3.5 and ch. 14).  A matrix with q <= 1/2 and
-    ||A||_F ||X||_F at most ``DEFAULT_COND_CAP``/200 is cleared: its
+    ``fro2`` holds ||A||_F^2 ||X||_F^2 for an approximate inverse X of each
+    matrix, and ``residual`` the max-norm of its residual, ``I - A X`` or
+    ``I - X A`` (NaN where there is none).  q = d (res + gamma_{d+1} (1 +
+    ||A||_F ||X||_F)) bounds the 2-norm of the exact residual, rounding of
+    the computed one included, and q <= 1/2 gives kappa_2(A) <= 2 ||A||_F
+    ||X||_F (Higham 2002, section 3.5 and ch. 14).  A matrix with q <= 1/2
+    and ||A||_F ||X||_F at most ``DEFAULT_COND_CAP``/200 is cleared: its
     kappa_2 is at most ``DEFAULT_COND_CAP``/100, and LAPACK's singular
     values are off by at most p(d) eps sigma_1, which keeps numpy's
     ``cond`` below the cap too.  Every other matrix gets ``np.linalg.cond``,
     so ``cond > DEFAULT_COND_CAP`` is the plain cap test's verdict.  A
     matrix that is not finite is never cleared, and raises InputError before
-    any SVD is taken.  Its caller ignores the warnings of products that
-    overflow: such a product clears nothing.
+    any SVD is taken.
     """
-    d = mats.shape[-1]
-    gamma = (d + 1) * _UNIT_ROUNDOFF / (1.0 - (d + 1) * _UNIT_ROUNDOFF)  # Higham's gamma_{d+1}
-    fro2 = np.einsum("mij,mij->m", mats, mats) * np.einsum("mij,mij->m", inverses, inverses)
-    # q <= 1/2 for every ||A||_F ||X||_F up to _CLEAR_FRO
-    cleared = (fro2 <= _CLEAR_FRO ** 2) & (residual <= 0.5 / d - gamma * (1.0 + _CLEAR_FRO))
+    cleared = (fro2 <= _CLEAR_FRO ** 2) & (residual <= _clear_residual(mats.shape[-1]))
     cond = np.full(len(mats), np.nan)
     if not cleared.all():
         require_finite(mats)  # a non-finite matrix is never cleared
         cond[~cleared] = np.linalg.cond(mats[~cleared])
     return cond
+
+
+def _clear_residual(d: int) -> float:
+    """The largest residual whose q is at most 1/2 for every ||A||_F ||X||_F
+    up to ``_CLEAR_FRO``, at dimension d."""
+    gamma = (d + 1) * _UNIT_ROUNDOFF / (1.0 - (d + 1) * _UNIT_ROUNDOFF)  # Higham's gamma_{d+1}
+    return 0.5 / d - gamma * (1.0 + _CLEAR_FRO)
+
+
+def _all_at_most(values: np.ndarray, limit: float) -> bool:
+    """Whether every entry of a 1-d array is at most ``limit`` (none is NaN),
+    by a scalar test on an array of one."""
+    if len(values) == 1:
+        return bool(values[0] <= limit)
+    return bool(values.max(initial=-np.inf) <= limit)
 
 
 @functools.lru_cache(maxsize=64)
@@ -556,7 +576,12 @@ def _batch_invert(mats: np.ndarray, r: np.ndarray, t: np.ndarray, left: bool = F
     its matrix; on the right it is accepted and refused as input.  Only
     ``solve``'s result, and the steps of the matrices that need refining or
     solving one by one, are new arrays; the inverses are that result itself
-    when every matrix is accepted."""
+    when every matrix is accepted.
+
+    The all-cleared exit, which every accepted one-matrix call and nearly
+    every table chunk takes, costs one ``inv``, one product and residual
+    with its max, the two Frobenius products and one test: the certificate
+    clears every matrix, and no residual needs a Newton step."""
     eye = _identity(mats.shape[-1])
     with np.errstate(over="ignore", invalid="ignore"):  # above the cap, X may overflow
         try:
@@ -568,11 +593,12 @@ def _batch_invert(mats: np.ndarray, r: np.ndarray, t: np.ndarray, left: bool = F
             np.subtract(eye, np.matmul(x, mats, out=t) if left else np.matmul(mats, x, out=t),
                         out=r)
             residual = np.abs(r, out=t).max(axis=(1, 2))
-        cond = condition_capped(mats, x, residual)
-        # Python's loops beat numpy's calls on the one-matrix stacks of ``invert``
-        # and ``biorthogonals``
-        if all(c != c for c in cond.tolist()) and all(q <= tol for q in residual.tolist()):
-            return BatchInverse(x, cond != cond, cond, residual, {})  # all cleared, no Newton step
+        fro2 = np.einsum("mij,mij->m", mats, mats) * np.einsum("mij,mij->m", x, x)
+        # the all-cleared exit
+        if (_all_at_most(fro2, _CLEAR_FRO ** 2)
+                and _all_at_most(residual, min(tol, _clear_residual(mats.shape[-1])))):
+            return BatchInverse(x, residual <= tol, np.full(len(mats), np.nan), residual, {})
+        cond = condition_capped(mats, fro2, residual)
 
         def residuals(idx):  # the residuals into r, and their max-norms, for idx
             r[idx] = eye - (x[idx] @ mats[idx] if left else mats[idx] @ x[idx])

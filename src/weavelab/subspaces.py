@@ -91,8 +91,7 @@ class SpannedSubspace:
         if g.shape[1] != self.space.dim:
             raise InputError(f"generators of length {g.shape[1]} in a "
                              f"dim-{self.space.dim} space")
-        if not np.all(np.isfinite(g)):
-            raise InputError("generators must be finite")
+        require_finite(g, "generators")
         if _dependent(g[None])[0]:
             raise InputError(_DEPENDENT)
         g.flags.writeable = False

@@ -47,7 +47,7 @@ class WeavePattern:
         return len(self.bits)
 
     def __str__(self) -> str:
-        return "".join(str(b) for b in self.bits)
+        return "%d" * len(self.bits) % self.bits
 
     @staticmethod
     def from_string(text: str) -> "WeavePattern":

@@ -1,15 +1,16 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
 
-from weavelab import (EXHAUSTIVE, L1, LINF, Exactness, FrameSystem, InputError,
-                      NormedSpace, NotABasis, basis_constant, biorthogonals,
-                      check_approximate_frame, equivalence_constants,
-                      frame_operator, heuristic, square_function,
-                      suppression_constant, unconditional_constant,
-                      worst_weaving)
-from weavelab.frames import batch_biorthogonals
+from weavelab import (EXHAUSTIVE, L1, L2, LINF, Basis, DenseOperator, Exactness,
+                      FrameSystem, InputError, NormedSpace, NotABasis, basis_constant,
+                      biorthogonals, check_approximate_frame, equivalence_constants,
+                      frame_operator, heuristic, lp, square_function,
+                      suppression_constant, unconditional_constant, worst_weaving)
+from weavelab import frames
+from weavelab.frames import batch_biorthogonals, projection_norms
 from conftest import NORMS, random_basis, random_frame_system
 from test_normed import _near_cap_stacks
 
@@ -150,7 +151,94 @@ def test_batch_biorthogonals_matches_biorthogonals_alone(rng):
     assert _check_stack_against_biorthogonals_alone(families[:0]) == {}
 
 
+def test_one_family_calls_equal_the_stacked_kernel_bit_for_bit(rng):
+    # the near-cap battery, a family with a zero pivot, tiny families and
+    # families whose duals overflow, mixed in one stack of vector rows
+    families = [mats.transpose(0, 2, 1) for mats in _near_cap_stacks(rng).values()]
+    for d in (2, 3, 5, 8):
+        zero_pivot = random_basis(rng, d)
+        zero_pivot[:, 0] = 0.0
+        families.append(np.array([random_basis(rng, d), zero_pivot, 1e-308 * np.eye(d),
+                                  1e-310 * np.eye(d), random_basis(rng, d)]))
+    messages = []
+    for stack in families:
+        messages += _check_stack_against_biorthogonals_alone(stack).values()
+    assert "biorthogonality residual nan above 1.0e-10" in messages
+    assert "vectors are dependent (condition number inf)" in messages
+    assert any(m.startswith("vectors are dependent (condition number 3.") for m in messages)
+
+
+def test_empty_families_are_not_bases():
+    # refused as non-square input is, not by numpy's empty-reduction error
+    with pytest.raises(NotABasis, match=r"need a square vector family, got shape \(0, 0\)"):
+        biorthogonals(np.zeros((0, 0)))
+    with pytest.raises(NotABasis, match=r"need a square vector family, got shape \(0, 0\)"):
+        batch_biorthogonals(np.zeros((2, 0, 0)))
+    duals, refused = batch_biorthogonals(np.zeros((0, 3, 3)))  # no families is fine
+    assert duals.shape == (0, 3, 3) and refused == {}
+
+
+def test_complex_entries_are_refused():
+    # a float64 cast would drop the imaginary parts (biorthogonals(1j I)
+    # then read "vectors are dependent")
+    space = NormedSpace(2, L1)
+    calls = {
+        "frame system entries": [lambda: FrameSystem(space, 1j * np.eye(2), np.eye(2)),
+                                 lambda: FrameSystem(space, np.eye(2), np.eye(2) + 0j)],
+        "basis vectors": [lambda: Basis(space, [[1j, 0.0], [0.0, 1.0]]),
+                          lambda: biorthogonals(1j * np.eye(2)),
+                          lambda: batch_biorthogonals(1j * np.eye(2)[None]),
+                          lambda: basis_constant(1j * np.eye(2), space)],
+        "duals": [lambda: basis_constant(np.eye(2), space, 1j * np.eye(2))],
+        "operator entries": [lambda: DenseOperator(1j * np.eye(2), L1, L1)],
+    }
+    for what, group in calls.items():
+        for call in group:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # and no ComplexWarning on the way
+                message = f"^{what} must be real, got complex entries$"
+                with pytest.raises(InputError, match=message):
+                    call()
+
+
 # --- basis constant ---------------------------------------------------------
+
+def test_basis_constant_refuses_shapes_that_do_not_fit(monkeypatch):
+    def no_arithmetic(*args, **kwargs):
+        raise AssertionError("arithmetic before the shape check")
+
+    monkeypatch.setattr(frames, "biorthogonals", no_arithmetic)
+    monkeypatch.setattr(frames, "projection_norms", no_arithmetic)
+    cases = [(np.eye(4), NormedSpace(3, L1), None, r"vectors of shape \(4, 4\) in a dim-3"),
+             (np.eye(3), NormedSpace(4, L1), np.eye(3), r"vectors of shape \(3, 3\) in a dim-4"),
+             (np.ones(3), NormedSpace(3, L1), None, r"vectors of shape \(3,\) in a dim-3"),
+             (np.eye(3), NormedSpace(3, L1), np.ones((3, 4)), r"duals of shape \(3, 4\) for"),
+             (np.eye(3), NormedSpace(3, L1), np.ones((2, 3)), r"duals of shape \(2, 3\) for")]
+    for vectors, space, duals, message in cases:
+        with pytest.raises(InputError, match=message):
+            basis_constant(vectors, space, duals)
+
+
+def test_basis_constant_is_the_largest_projection_norm(rng):
+    for norm in (L1, L2, LINF, lp(3)):
+        for d in (1, 3, 6):
+            v = random_basis(rng, d)
+            duals = biorthogonals(v)
+            row = projection_norms(v[None], duals[None], norm)[0]
+            k = int(np.argmax(row))
+            for got in (basis_constant(v, NormedSpace(d, norm), duals),
+                        basis_constant(v, NormedSpace(d, norm))):
+                assert float(got.value).hex() == float(row[k]).hex()
+                assert got.witness == (k + 1,)
+    # finite terms whose prefix overflows read +inf; a term that overflows is refused
+    space = NormedSpace(2, L1)
+    with np.errstate(over="ignore"):
+        got = basis_constant([[1.0, 0.0], [1.0, 0.0]], space, [[1e308, 0.0], [1e308, 0.0]])
+    assert got.value == np.inf and got.witness == (2,)
+    with pytest.raises(InputError, match="must be finite"):
+        basis_constant([[10.0, 0.0], [0.0, 1.0]], space, [[1e308, 0.0], [0.0, 1.0]])
+
+
 
 def brute_force_basis_constant(vectors, norm):
     """Independent oracle: evaluate each partial projection on the ball's

@@ -10,7 +10,7 @@ from weavelab import (L1, L2, LINF, DenseOperator, Exactness, FrameSystem,
                       NotABasis, NotInvertible, biorthogonals, dual_norm,
                       generate, invert, lp, norming_vector, operator_norm,
                       vector_norm)
-from weavelab import normed, search
+from weavelab import frames, normed, search
 from weavelab.frames import (BIORTHOGONAL_TOL, ChunkEvaluator, frame_constants, outer_stack,
                              pattern_sums)
 from weavelab.normed import (ASCENT_STARTS, DEFAULT_COND_CAP, INVERT_RESIDUAL_TOL,
@@ -395,6 +395,60 @@ def test_batch_invert_does_not_depend_on_its_stack(rng):
         assert np.array_equal(part.accepted, whole.accepted[lo:hi])
     empty = batch_invert(np.zeros((0, 3, 3)))
     assert empty.inverses.shape == (0, 3, 3) and not empty.accepted.size
+
+
+def _fields_match_alone(kernel, mats, refused_stack=False):
+    """Check that every BatchInverse field ``kernel`` gives each matrix of
+    the stack ``mats`` is bit for bit the field it gives that matrix alone:
+    inverses, accepted, cond, residual and solve_errors.  Where a zero pivot
+    refuses the stacked solve (``refused_stack``), a matrix that the
+    certificate clears alone (NaN cond) has its SVD taken in the stack."""
+    whole = kernel(mats)
+    for i in range(len(mats)):
+        alone = kernel(mats[i:i + 1])
+        assert whole.inverses[i].tobytes() == alone.inverses[0].tobytes()
+        assert whole.accepted[i] == alone.accepted[0]
+        assert whole.residual[i].tobytes() == alone.residual[0].tobytes()
+        assert whole.solve_errors.get(i) == alone.solve_errors.get(0)
+        if refused_stack and np.isnan(alone.cond[0]):
+            assert whole.cond[i] <= DEFAULT_COND_CAP / 100
+        else:
+            assert whole.cond[i].tobytes() == alone.cond[0].tobytes()
+    return whole
+
+
+def _solvable_stacks(rng):
+    """Per dimension, the near-cap battery without its exactly singular
+    integer matrices (so the stacked solve goes through), plus a tiny
+    1e-308 I, as one stack."""
+    return {d: np.concatenate([mats[:45], [1e-308 * np.eye(d)]])
+            for d, mats in _near_cap_stacks(rng).items()}
+
+
+@pytest.mark.parametrize("side", ["right", "left"])
+def test_every_kernel_field_of_a_stack_is_the_one_alone(rng, side):
+    # the one-matrix calls (invert, biorthogonals) take the same kernel as
+    # the tables' chunks, exit included
+    if side == "right":
+        kernel = batch_invert
+    else:
+        kernel = frames._left_inverses  # biorthogonals' kernel call, on vector rows
+    seen = set()
+    for d, mats in _solvable_stacks(rng).items():
+        if side == "left":  # duals that overflow are refused on the left
+            mats = np.concatenate([mats, [1e-310 * np.eye(d)]])
+        batch = _fields_match_alone(kernel, mats)
+        cleared, capped = np.isnan(batch.cond), batch.cond > DEFAULT_COND_CAP
+        cases = {"cleared": cleared, "accepted after an SVD": ~cleared & batch.accepted,
+                 "capped": capped, "refused by the residual": ~batch.accepted & ~capped}
+        seen |= {name for name, hit in cases.items() if hit.any()}
+    assert seen == {"cleared", "accepted after an SVD", "capped", "refused by the residual"}
+    # a zero pivot refuses the stacked solve: every matrix then gets its SVD
+    mats = _mixed_stack(rng)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.inv(mats)
+    batch = _fields_match_alone(kernel, mats, refused_stack=True)
+    assert not np.isnan(batch.cond).any()
 
 
 def test_batch_invert_solves_one_by_one_when_a_pivot_fails(rng, monkeypatch):

@@ -1,7 +1,7 @@
-"""Smoke tests: the README's experiment scripts and the value battery run
-to completion, the test suite collects without errors, the benchmark's
-self-tests pass, and the benchmark recorder compiles both sides' bytecode
-before timing them."""
+"""Smoke tests: the README's experiment scripts run to completion, the
+value battery prints its committed section digests, the test suite
+collects without errors, the benchmark's self-tests pass, and the
+benchmark recorder compiles both sides' bytecode before timing them."""
 
 import importlib.util
 import os
@@ -33,12 +33,22 @@ def test_script_runs(script, args):
 
 
 def test_value_battery_ends_in_its_digest():
-    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "value_battery.py")],
-                          capture_output=True, text=True, env=_env(), timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    *lines, last = proc.stdout.splitlines()
-    assert len(lines) > 1000 and not any(line.startswith("sha256 ") for line in lines)
-    assert re.fullmatch(r"sha256 [0-9a-f]{64}", last)
+    # every label section and the total match the committed digests, on one
+    # worker thread and on two
+    golden = (ROOT / "tests" / "golden" / "value_battery.sha256").read_text().splitlines()
+    section_digests = _script("value_battery").section_digests
+    for threads in ("1", "2"):
+        proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "value_battery.py")],
+                              capture_output=True, text=True,
+                              env=dict(_env(), WEAVELAB_THREADS=threads), timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        *lines, last = proc.stdout.splitlines()
+        assert len(lines) > 1000 and not any(line.startswith("sha256 ") for line in lines)
+        assert re.fullmatch(r"sha256 [0-9a-f]{64}", last)
+        got = section_digests(lines)
+        assert last == f"sha256 {got[-1].split()[0]}"
+        moved = sorted({line.split()[1] for line in set(got) ^ set(golden)})
+        assert got == golden, f"WEAVELAB_THREADS={threads}: sections that moved: {moved}"
 
 
 def test_suite_collects_without_errors():
@@ -68,9 +78,8 @@ def test_benchmark_selftest_passes():
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
-def _bench_record():
-    spec = importlib.util.spec_from_file_location("bench_record",
-                                                  ROOT / "scripts" / "bench_record.py")
+def _script(name: str):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -91,7 +100,7 @@ def test_bench_record_gives_both_sides_the_same_bytecode(tmp_path):
     stale = Path(importlib.util.cache_from_source(str(sides[0] / "src" / "pkg" / "mod.py")))
     stale.parent.mkdir()
     stale.write_bytes(b"not bytecode")
-    bench_record = _bench_record()
+    bench_record = _script("bench_record")
     for side in sides:
         bench_record.compile_bytecode(str(side))
     for side in sides:

@@ -54,6 +54,29 @@ def test_weave_trivial_patterns():
     assert np.array_equal(same.functionals, std.functionals)
 
 
+def test_weave_equals_the_system_built_from_wheres(rng):
+    # vectors, functionals, label and read-only flags, pattern by pattern
+    pairs = [(generate(GallerySpec("standard-c0", 6)), generate(GallerySpec("summing-c0", 6))),
+             (random_frame_system(rng, 6, L1), random_frame_system(rng, 6, L1))]
+    for f0, f1 in pairs:
+        for m in range(1 << 6):
+            pattern = WeavePattern.from_index(m, 6)
+            woven = weave(f0, f1, pattern)
+            sel = np.array(pattern.bits, dtype=bool)[:, None]
+            bits = "".join(str(b) for b in pattern.bits)
+            ref = FrameSystem(f0.space, np.where(sel, f1.vectors, f0.vectors),
+                              np.where(sel, f1.functionals, f0.functionals),
+                              label=f"weave[{bits}]({f0.label}|{f1.label})")
+            assert woven.space == ref.space and woven.label == ref.label
+            for got, want in ((woven.vectors, ref.vectors),
+                              (woven.functionals, ref.functionals)):
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+                assert not got.flags.writeable and not want.flags.writeable
+                with pytest.raises(ValueError):
+                    got[0, 0] = 1.0
+
+
 def test_partial_operator_examples():
     std = standard_system(2, LINF)
     summing = summing_system(2)
