@@ -104,7 +104,7 @@ def section_digests(lines: list[str]) -> list[str]:
 
 def _six_way(b: Battery, label: str, *args, **kwargs):
     """``emit`` of ``unc_conditions``, then of the per-pattern row table it
-    builds: (constant, exact) per condition, then the (iii) residuals."""
+    builds: the (lo, hi) bracket per condition, then the (iii) residuals."""
     real, tables = subspaces.pattern_table, []
 
     def recording(*a, **k):

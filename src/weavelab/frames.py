@@ -241,20 +241,22 @@ def basis_constant(vectors: np.ndarray, space: NormedSpace,
         duals = real_array(duals, "duals")
         if duals.shape != v.shape:
             raise InputError(f"duals of shape {duals.shape} for basis vectors of shape {v.shape}")
-    values = projection_norms(v[None], duals[None], space.norm)[0]
-    k = int(values.argmax())
-    value = float(values[k])
-    return Bound(value, hi=value if space.norm.is_exact_kind else np.inf, witness=(k + 1,))
+    lo, hi = projection_norms(v[None], duals[None], space.norm)
+    k = int(lo[0].argmax())  # every projection is graded: search.bound's rule, inline
+    return Bound(float(lo[0, k]), hi=float(hi[0].max()), witness=(k + 1,))
 
 
-def projection_norms(vectors: np.ndarray, duals: np.ndarray, kind) -> np.ndarray:
-    """(m, n) table of ||P_k||, k = 1..n, for the partial-sum projections of
-    each basis of an (m, n, d) stack of vectors with their duals.  InputError
-    when a term x_k f_k^T is not finite, not when a sum of finite terms
-    overflows."""
-    prefixes = np.add.accumulate(outer_stack(vectors, duals), axis=1)
+def projection_norms(vectors: np.ndarray, duals: np.ndarray,
+                     kind) -> tuple[np.ndarray, np.ndarray]:
+    """(lo, hi) (m, n) tables of ||P_k||, k = 1..n, for the partial-sum
+    projections of each basis of an (m, n, d) stack of vectors with their
+    duals.  InputError when a term x_k f_k^T is not finite; a sum of finite
+    terms that overflows reads +inf, without a warning."""
+    with np.errstate(over="ignore"):
+        prefixes = np.add.accumulate(outer_stack(vectors, duals), axis=1)
     d = prefixes.shape[-1]
-    return batch_opnorm_values(prefixes.reshape(-1, d, d), kind, kind).reshape(prefixes.shape[:2])
+    lo, hi = batch_opnorm_values(prefixes.reshape(-1, d, d), kind, kind)
+    return lo.reshape(prefixes.shape[:2]), hi.reshape(prefixes.shape[:2])
 
 
 def pattern_sums(on: np.ndarray, off: np.ndarray | float, ms: np.ndarray) -> np.ndarray:
@@ -353,7 +355,7 @@ class ChunkEvaluator:
     pattern indices by their ``_pattern_sums`` over one (n, 2, r, c) table,
     the only copy of the terms (every thread reads it), under the norm
     ``kind``, into the columns a caller asks for (``norms``, ``constants``,
-    ``residuals``).
+    ``residuals``), the first two a (lo, hi) pair per quantity.
 
     Each worker thread builds one workspace at its first chunk and keeps it
     to the end of the evaluator: three stacks of ``search.chunk_size_for``
@@ -394,25 +396,25 @@ class ChunkEvaluator:
         sums = _pattern_sums(self.terms[bits], ms, ws.levels)
         return sums, ws.levels[1][:len(ms)], ws.spare[:len(ms)]
 
-    def _norms(self, mats: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-        return _opnorm_values(mats, self.kind, self.kind, scratch)
+    def _norms(self, mats: np.ndarray, scratch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return _opnorm_values(mats, self.kind, self.kind, scratch)[:2]
 
     def norms(self, ms: np.ndarray, bits: slice = slice(None)) -> np.ndarray:
-        """||S_sigma|| of each d x d block of the sums over the ``bits`` of
-        the table, pattern by pattern (flat)."""
+        """(lo, hi) rows of ||S_sigma|| for each d x d block of the sums over
+        the ``bits`` of the table, pattern by pattern."""
         sums, scratch, _ = self._sums(ms, bits)
         d = sums.shape[-1]
-        return self._norms(sums.reshape(-1, d, d), scratch.reshape(-1, d, d))
+        return np.column_stack(self._norms(sums.reshape(-1, d, d), scratch.reshape(-1, d, d)))
 
     def constants(self, ms: np.ndarray) -> np.ndarray:
-        """(len(ms), 2) rows of (||S_sigma||, ||S_sigma^-1||, +inf where
-        ``batch_invert`` refuses S_sigma)."""
+        """(len(ms), 4) rows: (lo, hi) of ||S_sigma||, then of ||S_sigma^-1||,
+        +inf twice where ``batch_invert`` refuses S_sigma."""
         sums, r, t = self._sums(ms)
         inv = _batch_invert(sums, r, t)
-        rows = np.full((len(ms), 2), np.inf)
-        rows[:, 0] = self._norms(sums, t)
+        rows = np.full((len(ms), 4), np.inf)
+        rows[:, 0], rows[:, 1] = self._norms(sums, t)
         inverses = inv.inverses if inv.accepted.all() else inv.inverses[inv.accepted]
-        rows[inv.accepted, 1] = self._norms(inverses, t[:len(inverses)])
+        rows[inv.accepted, 2], rows[inv.accepted, 3] = self._norms(inverses, t[:len(inverses)])
         return rows
 
     def residuals(self, ms: np.ndarray, x: np.ndarray, limit: float) -> np.ndarray:
@@ -422,7 +424,7 @@ class ChunkEvaluator:
         sums, r, t = self._sums(ms)
         gap = np.subtract(self.eye, np.matmul(sums, x, out=t), out=r)
         require_finite(gap)
-        res = self._norms(gap, t)
+        res = self._norms(gap, t)[0]  # lo only: a certificate's residual is no bracket yet
         ok = res <= limit
         k = int(ok.sum())
         ok[ok] = _batch_invert(sums if k == len(ms) else sums[ok], r[:k], t[:k]).accepted
@@ -439,10 +441,10 @@ def _frame_inverse(system: FrameSystem) -> np.ndarray:
 
 def _max_norms_over_patterns(stacks: np.ndarray, inverses: np.ndarray, signed: bool, kind,
                              mode: SearchMode, exhaustive_cap: int, seed: int
-                             ) -> tuple[np.ndarray, bool, list[int]]:
+                             ) -> tuple[np.ndarray, list[int]]:
     """Max of ||sum of the selected rows of g|| over bit patterns, for each
     g = stacks[j] @ inverses[j] of an (m, n, d, d) stack and an (m, d, d)
-    stack: (the maxima, whether they are exact, the index of each one's
+    stack: ((m, 2) rows of each one's (lo, hi), the index of each one's
     maximizing pattern).
 
     Subset patterns drop the unselected rows and signed patterns negate
@@ -454,8 +456,7 @@ def _max_norms_over_patterns(stacks: np.ndarray, inverses: np.ndarray, signed: b
     climbs one value, so there every g is searched alone.
     """
     m, n, d = stacks.shape[0], stacks.shape[1], stacks.shape[2]
-    values, witnesses = np.empty(m), []
-    width, exact = 1, kind.is_exact_kind
+    brackets, witnesses, width = np.empty((m, 2)), [], 1
     while len(witnesses) < m:
         lo = len(witnesses)
         p = min(width, m - lo)
@@ -468,15 +469,15 @@ def _max_norms_over_patterns(stacks: np.ndarray, inverses: np.ndarray, signed: b
         mode_used, best, ms, rows = search.maximize(
             n, ChunkEvaluator(terms.reshape(n, 2, p * d, d), kind).norms,
             mode, exhaustive_cap, seed, p * d * d, columns=p, greedy=not signed)
-        rows = np.reshape(rows, (len(ms), p))
-        for j, k in enumerate([best] if p == 1 else rows.argmax(axis=0).tolist()):
-            values[lo + j] = rows[k, j]
-            witnesses.append(ms[k])
+        if p == 1:
+            brackets[lo], found = (best.value, best.hi), [best.witness]
+        else:  # only exhaustive tables are shared: each column's bound, all at once
+            brackets[lo:lo + p], found = (rows.max(axis=0).reshape(p, 2),
+                                          rows[:, 0::2].argmax(axis=0).tolist())
+        witnesses += [ms[k] for k in found]
         if mode_used.kind == "exhaustive":
             width = search.chunk_size_for(search.CELLS_PER_SUM * d * d << n)
-        else:
-            exact = False
-    return values, exact, witnesses
+    return brackets, witnesses
 
 
 def _max_norm_over_patterns(system: FrameSystem, signed: bool, mode: SearchMode,
@@ -484,12 +485,11 @@ def _max_norm_over_patterns(system: FrameSystem, signed: bool, mode: SearchMode,
     """``_max_norms_over_patterns`` of g = x_i f_i^T S^-1 for one system, as
     a Bound whose witness is the maximizing pattern's bits, or +-1 signs
     when ``signed``."""
-    values, exact, witnesses = _max_norms_over_patterns(
+    brackets, witnesses = _max_norms_over_patterns(
         outer_stack(system.vectors, system.functionals)[None], _frame_inverse(system)[None],
         signed, system.space.norm, mode, exhaustive_cap, seed)
-    value = float(values[0])
     bits = search.bits_of_index(witnesses[0], system.n)
-    return Bound(value, hi=value if exact else np.inf,
+    return Bound(float(brackets[0, 0]), hi=float(brackets[0, 1]),
                  witness=tuple(1 if b else -1 for b in bits) if signed else bits)
 
 
@@ -517,16 +517,17 @@ def square_function(vectors: np.ndarray, coeffs, lattice_vectors: np.ndarray,
     """Coordinatewise square function against a 1-unconditional lattice basis.
 
     Expands (sum_i |a_i x_i|^2)^(1/2) in the lattice coordinates
-    u*_j(x_i) and re-synthesizes along the lattice basis u_j.
+    u*_j(x_i) and re-synthesizes along the lattice basis u_j.  InputError
+    for complex entries.
     """
-    v = np.asarray(vectors, dtype=np.float64)
-    a = np.asarray(coeffs, dtype=np.float64)
+    v = real_array(vectors, "vectors")
+    a = real_array(coeffs, "coefficients")
     if v.ndim != 2 or a.ndim != 1 or v.shape[0] != a.size:
         raise InputError("need one coefficient per vector")
-    u = np.asarray(lattice_vectors, dtype=np.float64)
+    u = real_array(lattice_vectors, "lattice vectors")
     if lattice_duals is None:
         lattice_duals = biorthogonals(u)
-    coords = v @ np.asarray(lattice_duals, dtype=np.float64).T  # (n, d): u*_j(x_i)
+    coords = v @ real_array(lattice_duals, "lattice duals").T  # (n, d): u*_j(x_i)
     s = np.sqrt(((a[:, None] * coords) ** 2).sum(axis=0))
     return s @ u
 
@@ -537,9 +538,10 @@ def equivalence_constants(basis0: np.ndarray, basis1: np.ndarray,
 
     The change-of-basis map is linear, so both constants are operator norms:
     C = ||X1 X0^-1|| and c = 1/||X0 X1^-1|| (exact for l1/l2/linf).
+    InputError for complex entries.
     """
-    x0 = np.asarray(basis0, dtype=np.float64).T
-    x1 = np.asarray(basis1, dtype=np.float64).T
+    x0 = real_array(basis0, "basis vectors").T
+    x1 = real_array(basis1, "basis vectors").T
     try:
         x0_inv = invert(DenseOperator.on_space(x0, space)).entries
         x1_inv = invert(DenseOperator.on_space(x1, space)).entries

@@ -167,7 +167,7 @@ def _require_finite_vectors(a: np.ndarray) -> None:
 
 
 def _as_vector(v) -> np.ndarray:
-    a = np.asarray(v, dtype=np.float64)
+    a = real_array(v, "vector entries")
     if a.ndim != 1:
         raise InputError(f"expected a vector, got shape {a.shape}")
     _require_finite_vectors(a)
@@ -320,27 +320,29 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
-def batch_opnorm_values(mats: np.ndarray, domain: NormKind, codomain: NormKind) -> np.ndarray:
-    """Operator norm values for a (m, r, c) stack of matrices.
-
-    Exact for the three same-kind cases, ``batch_ascent`` lower bounds
-    otherwise.  For a single matrix this is the same code path as
-    ``operator_norm``, so repeated evaluations are bit-for-bit reproducible.
-    """
-    return _opnorm_values(mats, domain, codomain, None)
+def batch_opnorm_values(mats: np.ndarray, domain: NormKind,
+                        codomain: NormKind) -> tuple[np.ndarray, np.ndarray]:
+    """(lo, hi) operator norms of a (m, r, c) stack: exact for the three
+    same-kind cases (lo is hi), else ``batch_ascent`` lower bounds and +inf.
+    For a single matrix this is the same code path as ``operator_norm``, so
+    repeated evaluations are bit-for-bit reproducible."""
+    return _opnorm_values(mats, domain, codomain, None)[:2]
 
 
 def _opnorm_values(mats: np.ndarray, domain: NormKind, codomain: NormKind,
-                   scratch: np.ndarray | None) -> np.ndarray:
-    """``batch_opnorm_values``, with l1/linf's |entries| written into
-    ``scratch`` (a C-contiguous stack of ``mats``' shape, or None for a new
-    one)."""
-    if domain == codomain:
-        if domain.tag in ("l1", "linf"):
-            return np.abs(mats, out=scratch).sum(axis=1 if domain.tag == "l1" else 2).max(axis=1)
-        if domain.tag == "l2":
-            return np.linalg.svd(mats, compute_uv=False)[..., 0]
-    return batch_ascent(mats, domain, codomain)[0]
+                   scratch: np.ndarray | None
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """``batch_opnorm_values`` and the ascent's witnesses (None where the
+    norms are exact), with l1/linf's |entries| written into ``scratch`` (a
+    C-contiguous stack of ``mats``' shape, or None for a new one)."""
+    if domain != codomain or not domain.is_exact_kind:
+        values, witnesses = batch_ascent(mats, domain, codomain)
+        return values, np.full(len(values), np.inf), witnesses
+    if domain.tag == "l2":
+        values = np.linalg.svd(mats, compute_uv=False)[..., 0]
+    else:
+        values = np.abs(mats, out=scratch).sum(axis=1 if domain.tag == "l1" else 2).max(axis=1)
+    return values, values, None
 
 
 @functools.lru_cache(maxsize=64)
@@ -420,24 +422,20 @@ def operator_norm(M: DenseOperator) -> Bound:
     l1 -> l1 is the maximum column absolute sum (witness e_j), linf -> linf
     the maximum row absolute sum (witness the row's sign pattern), l2 -> l2
     the top singular value (witness the right singular vector); anything
-    else is a multi-start ascent lower bound.
+    else is a multi-start ascent lower bound, bracketed as in ``batch_opnorm_values``.
     """
     a = M.entries
-    if M.domain_norm == M.codomain_norm and M.domain_norm.is_exact_kind:
-        kind = M.domain_norm
-        value = float(batch_opnorm_values(a[None], kind, kind)[0])
-        if kind.tag == "l1":
-            j = int(np.argmax(np.abs(a).sum(axis=0)))
-            witness = np.zeros(M.cols)
-            witness[j] = 1.0
-        elif kind.tag == "linf":
-            i = int(np.argmax(np.abs(a).sum(axis=1)))
-            witness = np.where(a[i] >= 0, 1.0, -1.0)
-        else:
-            witness = np.linalg.svd(a)[2][0]
-        return Bound(value, witness=witness)
-    values, witnesses = batch_ascent(a[None], M.domain_norm, M.codomain_norm)
-    return Bound(float(values[0]), hi=np.inf, witness=witnesses[0])
+    lo, hi, witnesses = _opnorm_values(a[None], M.domain_norm, M.codomain_norm, None)
+    if witnesses is not None:
+        witness = witnesses[0]
+    elif M.domain_norm.tag == "l1":
+        witness = np.zeros(M.cols)
+        witness[int(np.argmax(np.abs(a).sum(axis=0)))] = 1.0
+    elif M.domain_norm.tag == "linf":
+        witness = np.where(a[int(np.argmax(np.abs(a).sum(axis=1)))] >= 0, 1.0, -1.0)
+    else:
+        witness = np.linalg.svd(a)[2][0]
+    return Bound(float(lo[0]), hi=float(hi[0]), witness=witness)
 
 
 @dataclass(frozen=True, eq=False)

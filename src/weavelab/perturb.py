@@ -18,7 +18,8 @@ import numpy as np
 
 from . import search
 from .errors import InputError, NotABasis, NotAFrame
-from .normed import Bound, DenseOperator, Exactness, dual_norm, operator_norm, vector_norm
+from .normed import (Bound, DenseOperator, Exactness, dual_norm, operator_norm, real_array,
+                     vector_norm)
 from .frames import (EXHAUSTIVE, ChunkEvaluator, FrameSystem, _frame_inverse, biorthogonals,
                      check_approximate_frame, equivalence_constants, suppression_constant)
 from .weaving import (WeavePattern, WeaveSearchResult, sample_patterns,
@@ -96,7 +97,7 @@ def basis_perturbation_check(basis0: FrameSystem, candidate) -> BasisPerturbatio
         raise InputError(f"basis0 is not a basis: {exc}") from None
     if getattr(candidate, "space", basis0.space) != basis0.space:
         raise InputError("systems are incompatible")
-    cand = np.asarray(getattr(candidate, "vectors", candidate), dtype=np.float64)
+    cand = real_array(getattr(candidate, "vectors", candidate), "candidate vectors")
     if cand.shape != basis0.vectors.shape:
         raise InputError("candidate vectors have the wrong shape")
     kind = basis0.space.norm

@@ -9,6 +9,7 @@ tie-breaking (``np.argmax``): the winner is the lexicographically smallest
 maximizer, for any thread count.  :func:`maximize` is the one place where a
 search is demoted, from exhaustive above its cap to heuristic; both modes
 read the same row function, so their values agree bit for bit.
+:func:`bound` is the one reduce of a column of (lo, hi) brackets.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import InputError
+from .normed import Bound
 
 DEFAULT_EXHAUSTIVE_CAP = 2 ** 22
 # Floats that one chunk of an exhaustive table may hold at once.  Chunks are
@@ -214,45 +216,54 @@ def greedy_add(n_bits: int, values: Values) -> int:
         cur_v, cur = max(gains, key=lambda gain: gain[0])  # the first of equal gains
 
 
+def bound(lo: np.ndarray, hi: np.ndarray, complete: bool, at: int | None = None) -> Bound:
+    """The Bound of a column of (lo, hi) brackets: the largest lo, witnessed
+    by its first position or by ``at``, and the largest hi (NaN if one is) when
+    ``complete`` (every pattern was graded), else +inf."""
+    at = int(lo.argmax()) if at is None else at
+    return Bound(float(lo[at]), hi=float(hi.max()) if complete else np.inf, witness=at)
+
+
 def maximize(n_bits: int, rows_of: Callable[[np.ndarray], np.ndarray], mode: SearchMode,
              exhaustive_cap: int, seed: int, cell: int, columns: int = 1,
-             greedy: bool = False) -> tuple[SearchMode, int, Sequence[int], np.ndarray]:
-    """Maximize the largest entry of a pattern's row over all n_bits patterns.
+             greedy: bool = False) -> tuple[SearchMode, Bound, Sequence[int], np.ndarray]:
+    """Maximize the largest lo of a pattern's row over all n_bits patterns.
 
-    ``rows_of`` maps a uint64 array of pattern indices to their rows, flat
-    when ``columns == 1``; ``cell``, the floats of one pattern's sum, sizes
-    the chunks at ``CELLS_PER_SUM`` such cells per pattern.
-    Exhaustive mode tabulates every row, but above ``exhaustive_cap``
-    patterns it is demoted to ``heuristic(mode.restarts)``, which
-    hill-climbs (seeded by greedy growth when ``greedy``) and evaluates
+    ``rows_of`` maps a uint64 array of pattern indices to their rows, a
+    (lo, hi) pair for each of ``columns`` quantities; ``cell``, the floats
+    of one pattern's sum, sizes the chunks at ``CELLS_PER_SUM`` such cells
+    per pattern.  Exhaustive mode tabulates every row, but above
+    ``exhaustive_cap`` patterns it is demoted to ``heuristic(mode.restarts)``,
+    which hill-climbs (seeded by greedy growth when ``greedy``) and evaluates
     each pattern once, a round at a time: one ``pattern_table`` on the
     calling thread (a pool per round of a few chunks costs more than it
     saves).  Returns ``(mode_used, best, ms, rows)``: the evaluated indices
-    in increasing order, their rows, and the position of the winner in
-    both.  More than 64 bits raise InputError.
+    in increasing order, their rows, and the ``bound`` of the row maxima at
+    the winner's position in both.  More than 64 bits raise InputError.
     """
     if n_bits > 64:
         raise InputError(f"patterns of {n_bits} bits; at most 64 are supported")
     if mode.kind == "exhaustive" and (1 << n_bits) > exhaustive_cap:
         mode = heuristic(mode.restarts)
     if mode.kind == "exhaustive":
-        rows = pattern_table(range(1 << n_bits), rows_of, CELLS_PER_SUM * cell, columns)
-        values = rows if columns == 1 else rows.max(axis=1)
-        return mode, int(np.argmax(values)), range(1 << n_bits), rows
+        ms, best = range(1 << n_bits), None
+        rows = pattern_table(ms, rows_of, CELLS_PER_SUM * cell, 2 * columns)
+    else:
+        memo: dict[int, np.ndarray] = {}
 
-    memo: dict[int, np.ndarray] = {}
+        def grade(ms: list[int]) -> list[float]:
+            rows = pattern_table(ms, rows_of, CELLS_PER_SUM * cell, 2 * columns)
+            memo.update(zip(ms, rows))
+            return rows[:, 0::2].max(axis=1).tolist()
 
-    def grade(ms: list[int]) -> list[float]:
-        rows = pattern_table(ms, rows_of, CELLS_PER_SUM * cell, columns)
-        memo.update(zip(ms, rows))
-        return (rows if columns == 1 else rows.max(axis=1)).tolist()
-
-    values, busy = Values(grade), getattr(_worker, "busy", False)
-    _worker.busy = True
-    try:
-        extra = (greedy_add(n_bits, values),) if greedy else ()
-        best_m = hill_climb(n_bits, values, mode.restarts, seed, extra)
-    finally:
-        _worker.busy = busy
-    ms = sorted(memo)
-    return mode, ms.index(best_m), ms, np.array([memo[m] for m in ms])
+        values, busy = Values(grade), getattr(_worker, "busy", False)
+        _worker.busy = True
+        try:
+            extra = (greedy_add(n_bits, values),) if greedy else ()
+            best_m = hill_climb(n_bits, values, mode.restarts, seed, extra)
+        finally:
+            _worker.busy = busy
+        ms = sorted(memo)
+        best, rows = ms.index(best_m), np.array([memo[m] for m in ms])
+    return (mode, bound(rows[:, 0::2].max(axis=1), rows[:, 1::2], mode.kind == "exhaustive", best),
+            ms, rows)

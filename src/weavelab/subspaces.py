@@ -3,12 +3,12 @@ distances, oblique and direct-sum projections, and the six-way woven
 unconditional-basis checker.
 
 Restricted inverses, the six-way (vi) and subspace distances all reduce to
-one restricted norm, sup_c ||Dc|| / ||Bc||, taken by ``_lift_norms``: a
-closed form in l2, a finite enumeration in l1 and linf (exact up to
-``ENUMERATION_CAP`` blocks), and a ratio-ascent lower bound otherwise.
-A distance is 1/max(||P_A||, ||P_B||) for the projections of A + B onto
-each subspace along the other, so it is exact where both norms are and an
-upper bound otherwise.  The six-way (v) is the larger of the same two
+one restricted norm, sup_c ||Dc|| / ||Bc||, taken by ``_lift_norms`` as a
+(lo, hi) bracket: a closed form in l2, a finite enumeration in l1 and linf
+(exact up to ``ENUMERATION_CAP`` blocks), and a ratio-ascent lower bound
+(hi = +inf) otherwise.  A distance is 1/max(||P_A||, ||P_B||) for the
+projections of A + B onto each subspace along the other, its bracket the
+reciprocal of theirs.  The six-way (v) is the larger of the same two
 norms, so 1/d(X1, Y2) up to the rounding of that reciprocal.  Lifts are
 taken in stacks (``_batch_lift``, ``_direct_sums``) and spans tested for
 independence in stacks (``_dependent``); a restricted inverse, a subspace
@@ -34,7 +34,7 @@ from .normed import (DEFAULT_COND_CAP, L2, Bound, DenseOperator, Exactness,
                      vector_norm)
 from .frames import (FrameSystem, _max_norms_over_patterns, batch_biorthogonals,
                      outer_stack, subset_sum, unconditional_constant)
-from .search import SearchMode, bit_rows, pattern_table
+from .search import SearchMode, bit_rows, bound, pattern_table
 from .weaving import WeavePattern, sample_patterns
 
 DEFAULT_UNC_THRESHOLD = 4.0
@@ -294,8 +294,8 @@ def _batch_lift(mats: np.ndarray, domain_gens: np.ndarray, codomain_gens: np.nda
 
 def _lift_norms(d1s: np.ndarray, gens: np.ndarray, kind: NormKind
                 ) -> tuple[np.ndarray, np.ndarray]:
-    """sup_c ||D_i c|| / ||G_i^T c|| for (m, d, k) lifts D_i and (m, k, d)
-    codomain generators G_i, and the mask of the values that are exact.
+    """(lo, hi) brackets of sup_c ||D_i c|| / ||G_i^T c|| for (m, d, k) lifts
+    D_i and (m, k, d) codomain generators G_i.
 
     k = 1 and l2 are closed forms.  l1 and linf enumerate the C(d, k)
     k-row blocks B_R of B = G^T when there are at most ``ENUMERATION_CAP``:
@@ -303,19 +303,20 @@ def _lift_norms(d1s: np.ndarray, gens: np.ndarray, kind: NormKind
       of k - 1 rows of B, and column j of B_R^-1 spans that of R minus j;
     - linf: row D_j has norm min{||l||_1 : B^T l = D_j^T} (Hahn-Banach), an
       LP with a basic optimum, so the min over R of ||B_R^-T D_j^T||_1.
-    Otherwise ``batch_ratio_ascent`` gives lower bounds.  NaN, never exact,
-    marks a value whose candidates or climbs were not finite.
+    These are exact, lo and hi one array.  Otherwise ``batch_ratio_ascent``
+    gives lo and hi is +inf.  A NaN lo, never exact, marks a value whose
+    candidates or climbs were not finite.
     """
     m, d, k = d1s.shape
     if k == 1:
-        return (batch_vector_norms(d1s[:, :, 0], kind) / batch_vector_norms(gens[:, 0], kind),
-                np.ones(m, dtype=bool))
+        values = batch_vector_norms(d1s[:, :, 0], kind) / batch_vector_norms(gens[:, 0], kind)
+        return values, values
     if kind.tag == "l2":  # the largest singular value of D R^-1, for G^T = QR
         r = np.linalg.qr(gens.transpose(0, 2, 1))[1]
-        return (np.linalg.svd(d1s @ np.linalg.inv(r), compute_uv=False)[:, 0],
-                np.ones(m, dtype=bool))
+        values = np.linalg.svd(d1s @ np.linalg.inv(r), compute_uv=False)[:, 0]
+        return values, values
     if kind.tag not in ("l1", "linf") or math.comb(d, k) > ENUMERATION_CAP:
-        return batch_ratio_ascent(d1s, gens, kind), np.zeros(m, dtype=bool)
+        return batch_ratio_ascent(d1s, gens, kind), np.full(m, np.inf)
     bmat = gens.transpose(0, 2, 1)
     rows = bmat[:, list(itertools.combinations(range(d), k))]  # the B_R
     ok = np.linalg.det(rows) != 0
@@ -328,7 +329,7 @@ def _lift_norms(d1s: np.ndarray, gens: np.ndarray, kind: NormKind
         else:  # ||B_R^-T D_j^T||_1 for each row j of D
             duals = np.abs(np.matmul(d1s[:, None], inv)).sum(axis=3)
             values = np.fmin.reduce(np.where(ok[..., None], duals, np.inf), axis=1).max(axis=1)
-    return values, ~np.isnan(values)
+    return values, values
 
 
 def restricted_inverse(m: DenseOperator, domain: SpannedSubspace,
@@ -348,12 +349,11 @@ def restricted_inverse(m: DenseOperator, domain: SpannedSubspace,
                                 codomain.generators[None])
     if refused:
         raise refused[0]
-    values, exact = _lift_norms(lift.d1, lift.generators, domain.space.norm)
-    value = float(values[0])
-    if np.isnan(value):
+    lo, hi = _lift_norms(lift.d1, lift.generators, domain.space.norm)
+    if np.isnan(lo[0]):
         raise InputError("vector has non-finite entries")
     return RestrictedInverse(lift.coefficients[0], lift.ambient[0],
-                             Bound(value, hi=value if exact[0] else np.inf))
+                             Bound(float(lo[0]), hi=float(hi[0])))
 
 
 def oblique_projection(p: DenseOperator, z: SpannedSubspace) -> DenseOperator:
@@ -471,18 +471,17 @@ def subspace_distance(a: SpannedSubspace, b: SpannedSubspace) -> Bound:
 
     On W = A + B it is 1/max(||P_A||, ||P_B||), where P_A projects onto A
     along B: restricted norms on W of the lifts of ``_direct_sum``, from
-    ``_lift_norms``.  So it is exact for l1, linf and l2 up to
-    ``ENUMERATION_CAP`` blocks, and otherwise an upper bound over [0, value].
-    It is exactly 0 when A and B intersect.
+    ``_lift_norms``, the distance bracket [1/max hi, 1/max lo].  So it is exact
+    for l1, linf and l2 up to ``ENUMERATION_CAP`` blocks, otherwise an upper
+    bound over [0, value].  It is exactly 0 when A and B intersect.
     """
     lifts = _direct_sum(a, b)
     if lifts is None:
         return Bound(0.0)
-    norms, exact = _lift_norms(*lifts, a.space.norm)
-    if np.isnan(norms).any():
+    lo, hi = _lift_norms(*lifts, a.space.norm)
+    if np.isnan(lo).any():
         raise InputError("vector has non-finite entries")
-    value = 1.0 / float(norms.max())
-    return Bound(value) if exact.all() else Bound(value, lo=0.0)
+    return Bound(1.0 / float(lo.max()), lo=1.0 / float(hi.max()))
 
 
 # ---------------------------------------------------------------------------
@@ -541,55 +540,55 @@ def _scope_patterns(n: int, scope: str, samples: int, seed: int) -> tuple[range 
 
 def _c_u_column(stacks: np.ndarray, mats: np.ndarray, kind: NormKind, inner: SearchMode,
                 seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """(C_u, exact) per pattern of a chunk: the C_u of its (n, d, d) stack of
-    ``stacks`` against the guarded inverse of its matrix of ``mats``, from
+    """(lo, hi) of C_u per pattern of a chunk: the C_u of its (n, d, d) stack
+    of ``stacks`` against the guarded inverse of its matrix of ``mats``, from
     one ``batch_invert`` and the shared sign tables of
-    ``_max_norms_over_patterns``; +inf, exact, where the inverse is refused.
+    ``_max_norms_over_patterns``; +inf twice where the inverse is refused.
     ``inner`` is the search mode, capped at ``INNER_EXHAUSTIVE_CAP``."""
     inv = batch_invert(mats)
     # a refused inverse is zeros, so its stack's table reads 0 and is dropped
-    values, exact, _ = _max_norms_over_patterns(stacks, inv.inverses, True, kind, inner,
-                                                INNER_EXHAUSTIVE_CAP, seed)
-    values[~inv.accepted] = np.inf
-    return values, exact | ~inv.accepted
+    brackets, _ = _max_norms_over_patterns(stacks, inv.inverses, True, kind, inner,
+                                           INNER_EXHAUSTIVE_CAP, seed)
+    brackets[~inv.accepted] = np.inf
+    return brackets.T
 
 
 def _woven_c_u(f0, f1, bits: np.ndarray, inner: SearchMode,
                seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """(C_u, exact) of the woven basis of each pattern of a chunk (the
+    """(lo, hi) of C_u of the woven basis of each pattern of a chunk (the
     boolean rows ``bits``), with its duals from one ``batch_biorthogonals``:
-    the (i), (ii) and (iv) constant.  +inf, exact, where the weaving is not
+    the (i), (ii) and (iv) constant.  +inf twice where the weaving is not
     a basis."""
     vectors = np.where(bits[:, :, None], f1.vectors, f0.vectors)
     duals, refused = batch_biorthogonals(vectors)
     basis = np.ones(len(bits), dtype=bool)
     basis[list(refused)] = False
-    values, exact = np.full(len(bits), np.inf), np.ones(len(bits), dtype=bool)
+    lo, hi = np.full((2, len(bits)), np.inf)
     woven = outer_stack(vectors[basis], duals[basis])
-    values[basis], exact[basis] = _c_u_column(woven, np.add.reduce(woven, axis=1),
-                                              f0.space.norm, inner, seed)
-    return values, exact
+    lo[basis], hi[basis] = _c_u_column(woven, np.add.reduce(woven, axis=1),
+                                       f0.space.norm, inner, seed)
+    return lo, hi
 
 
 def _larger_norms(d1s: np.ndarray, gens: np.ndarray, kind: NormKind
                   ) -> tuple[np.ndarray, np.ndarray]:
-    """The larger of each pair's two restricted norms, for (m, 2, d, k) lifts
-    and (m, 2, k, d) codomain generators, from one ``_lift_norms`` call:
-    exact where both are, and +inf, inexact, where one is NaN."""
+    """(lo, hi) of the larger of each pair's two restricted norms, for
+    (m, 2, d, k) lifts and (m, 2, k, d) codomain generators, from one
+    ``_lift_norms`` call; lo = +inf and hi = NaN where a lo is NaN."""
     m, _, d, k = d1s.shape
-    values, exact = _lift_norms(d1s.reshape(-1, d, k), gens.reshape(-1, k, d), kind)
-    values, exact = values.reshape(m, 2), exact.reshape(m, 2)
-    nan = np.isnan(values).any(axis=1)
-    return np.where(nan, np.inf, values.max(axis=1)), exact.all(axis=1) & ~nan
+    lo, hi = (v.reshape(m, 2) for v in _lift_norms(d1s.reshape(-1, d, k),
+                                                   gens.reshape(-1, k, d), kind))
+    nan = np.isnan(lo).any(axis=1)
+    return np.where(nan, np.inf, lo.max(axis=1)), np.where(nan, np.nan, hi.max(axis=1))
 
 
 def _chunk_rows(f0, f1, stacks, bits: np.ndarray, wanted, inner: SearchMode,
                 seed: int) -> np.ndarray:
     """The six-way rows of a chunk of patterns, the boolean rows ``bits``:
-    (constant, exact) for each condition of ``wanted`` in ``_SIGMA_ORDER``,
-    then (iii)'s residuals st and ts, NaN where (iii) is not wanted or a lift
-    it reads is refused.  The infinite constant of a refused inversion counts
-    as exact.  ``stacks`` are the two bases' ``outer_stack``s.
+    the (lo, hi) bracket of the constant of each condition of ``wanted`` in
+    ``_SIGMA_ORDER`` (+inf twice for a refused inversion), then (iii)'s
+    residuals st and ts, NaN where (iii) is not wanted or a lift it reads is
+    refused.  ``stacks`` are the two bases' ``outer_stack``s.
     The lifts are r_p = (P|Y1)^-1, r_q = (Q|X1)^-1, r_ip = ((I-P)|Y2)^-1 and
     r_iq = ((I-Q)|X2)^-1, where X1, Y1 (X2, Y2) span f0, f1 at the 0-bits
     (1-bits); (iii) reads all four.  (v) and (vi) are each the larger of two
@@ -642,14 +641,14 @@ def _chunk_rows(f0, f1, stacks, bits: np.ndarray, wanted, inner: SearchMode,
     rows = np.full((m, 2 * len(wanted) + 2), np.nan)
     column = {c: 2 * j for j, c in enumerate(wanted)}
 
-    def put(c, values, exact, at=slice(None)):
-        rows[at, column[c]], rows[at, column[c] + 1] = values, exact
+    def put(c, lo, hi=None, at=slice(None)):  # hi = lo by default
+        rows[at, column[c]], rows[at, column[c] + 1] = lo, lo if hi is None else hi
 
     sums = []  # (v)'s lifts where X1 and Y2 are independent: (D, G, positions)
     if "v" in wanted:
-        put("v", np.where((0 < zeros) & (zeros < n), np.inf, 1.0), True)
+        put("v", np.where((0 < zeros) & (zeros < n), np.inf, 1.0))
     if "vi" in wanted:
-        put("vi", np.where(zeros, np.inf, 0.0), True)
+        put("vi", np.where(zeros, np.inf, 0.0))
     eye = np.eye(n)
     if "iii" in wanted:
         s = p + (eye - q)
@@ -708,25 +707,16 @@ def unc_conditions(f0: FrameSystem, f1: FrameSystem, scope: str = "exhaustive",
     (InputError otherwise); (v)'s constant is the larger restricted norm of
     the lifts ``subspace_distance`` takes, bit for bit, so 1/d(X1, Y2) up to
     the rounding of that reciprocal.
-    A row function on ``search.pattern_table`` grades each chunk of patterns
-    into a row per pattern: (constant, exact) for each wanted condition in
-    ``per_sigma``'s order (i, ii, iv, iii, v, vi), then the (iii) residuals.
-    A condition's witness is its first failing pattern, otherwise its first
-    maximizer; it is labelled exact when the scope is exhaustive and every
-    constant in its column is exact (the infinite constant of a refused
-    inversion counts as exact), a lower bound otherwise.
-    A chunk's C_u are graded together: one ``batch_biorthogonals`` of its
-    woven bases and one ``batch_invert`` of their frame operators for
-    (i)/(ii)/(iv), one ``batch_invert`` of its P + (I - Q) for (iii), and
-    sign tables shared by several patterns (``_max_norms_over_patterns``).
-    So are its spans and lifts, a span dimension at a time
-    (``_chunk_rows``): one stacked independence test per span, one
-    ``_batch_lift`` per lift kind, whose ``lstsq`` alone is still one call
-    per lift, (iii)'s products and (v)'s direct sums stacked, one
-    ``_lift_norms`` for (vi)'s lifts and one per chunk for (v)'s.  Each
-    C_u, the bases' own and the chunk's, asks ``search.maximize`` for an
-    exhaustive search, which it demotes to heuristic(16) above
-    ``INNER_EXHAUSTIVE_CAP`` patterns.
+    ``_chunk_rows``, a row function on ``search.pattern_table``, grades each
+    chunk of patterns, its C_u, spans and lifts in stacks, into a row per
+    pattern: the (lo, hi) bracket of the constant for each wanted condition
+    in ``per_sigma``'s order (i, ii, iv, iii, v, vi), then the (iii)
+    residuals.  The constant is lo.  A condition's witness is its first
+    failing pattern, otherwise its first maximizer, and its label is that of
+    the ``search.bound`` of its column, whose hi is finite only under
+    exhaustive scope.  Each C_u, the bases' own and the chunk's, asks
+    ``search.maximize`` for an exhaustive search, which it demotes to
+    heuristic(16) above ``INNER_EXHAUSTIVE_CAP`` patterns.
     Exhaustive scope enumerates all patterns up to ``EXHAUSTIVE_SCOPE_BITS``
     bits; above that a seeded sample of ``samples`` draws (InputError when
     negative) plus the alternating and constant patterns is used.
@@ -761,18 +751,17 @@ def unc_conditions(f0: FrameSystem, f1: FrameSystem, scope: str = "exhaustive",
     table = pattern_table(
         ms, lambda part: _chunk_rows(f0, f1, stacks, bit_rows(part, n), wanted, inner, seed),
         n * n * n, columns=2 * len(wanted) + 2)
-    values, exact = table[:, :-2:2], table[:, 1:-2:2] == 1
-    flags = values <= threshold
+    lo, hi = table[:, :-2:2], table[:, 1:-2:2]
+    flags = lo <= threshold
     max_st, max_ts = (float(np.max(r[np.isfinite(r)], initial=0.0)) for r in table[:, -2:].T)
     outcomes = dict.fromkeys(_ALL_CONDITIONS)
     for j, c in enumerate(wanted):
+        worst = bound(lo[:, j], hi[:, j], scope_used == "exhaustive")
         fails = np.flatnonzero(~flags[:, j])
-        at = fails[0] if fails.size else np.argmax(values[:, j])
-        outcomes[c] = ConditionOutcome(
-            holds=fails.size == 0, constant=float(values[:, j].max()),
-            exactness=Exactness.EXACT if scope_used == "exhaustive" and exact[:, j].all()
-            else Exactness.LOWER_BOUND,
-            witness=WeavePattern.from_index(ms[at], n))
+        at = fails[0] if fails.size else worst.witness
+        outcomes[c] = ConditionOutcome(holds=fails.size == 0, constant=worst.value,
+                                       exactness=worst.exactness,
+                                       witness=WeavePattern.from_index(ms[at], n))
     per_sigma = {str(WeavePattern.from_index(m, n)): dict(zip(wanted, row))
                  for m, row in zip(ms, flags.tolist())} if len(ms) <= PER_SIGMA_CAP else None
     return UncVerdict(conditions=outcomes, agree=bool((flags == flags[:, :1]).all()),

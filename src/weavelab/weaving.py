@@ -19,7 +19,7 @@ import numpy as np
 
 from . import search
 from .errors import InputError
-from .normed import Bound, Exactness, batch_vector_norms
+from .normed import Bound, Exactness, _as_vector, batch_vector_norms
 from .frames import (ChunkEvaluator, FrameSystem, batch_biorthogonals, outer_stack,
                      projection_norms, subset_sum)
 from .search import EXHAUSTIVE, SearchMode
@@ -169,37 +169,39 @@ def worst_weaving(f0: FrameSystem, f1: FrameSystem, mode: SearchMode = EXHAUSTIV
     n = f0.n
     if log_all_patterns and (1 << n) > LOG_CAP:
         raise InputError(f"per-pattern log limited to 2^n <= {LOG_CAP}")
-    mode_used, best, ms, rows = search.maximize(n, ChunkEvaluator.weavings(f0, f1).constants,
-                                                mode, exhaustive_cap, seed,
-                                                f0.space.dim ** 2, columns=2)
-    offenders = np.flatnonzero(np.maximum(rows[:, 0], rows[:, 1]) > blow_up_threshold)
+    mode_used, worst, ms, rows = search.maximize(n, ChunkEvaluator.weavings(f0, f1).constants,
+                                                 mode, exhaustive_cap, seed,
+                                                 f0.space.dim ** 2, columns=2)
+    offenders = np.flatnonzero(rows[:, 0::2].max(axis=1) > blow_up_threshold)  # by the lo
     witness = ms[offenders[0]] if offenders.size else None
-    s_norm, s_inv = float(rows[best, 0]), float(rows[best, 1])
-    exact = mode_used.kind == "exhaustive" and f0.space.norm.is_exact_kind
+    s_norm, s_inv = rows[worst.witness, 0::2].tolist()
     return WeaveSearchResult(
-        worst_pattern=WeavePattern.from_index(ms[best], n),
+        worst_pattern=WeavePattern.from_index(ms[worst.witness], n),
         worst_constant=max(s_norm, s_inv),
         s_norm=s_norm,
         s_inv_norm=s_inv,
         mode=mode_used,
-        exactness=Exactness.EXACT if exact else Exactness.LOWER_BOUND,
+        exactness=worst.exactness,
         verdict="not_woven" if witness is not None else "woven",
         witness=WeavePattern.from_index(witness, n) if witness is not None else None,
-        per_pattern_log=[(str(WeavePattern.from_index(m, n)), float(a), float(b))
-                         for m, (a, b) in zip(ms, rows)] if log_all_patterns else None,
+        per_pattern_log=[(str(WeavePattern.from_index(m, n)), a, b) for m, (a, b)
+                         in zip(ms, rows[:, 0::2].tolist())] if log_all_patterns else None,
         patterns_evaluated=len(ms))
 
 
 def tail_profile(f0: FrameSystem, f1: FrameSystem, x, start_index: int) -> float:
     """Worst ||P_{sigma,[m,k]} x|| over intervals start_index <= m <= k <= n
-    and all local bit choices on the interval (exhaustive)."""
+    and all local bit choices on the interval (exhaustive).  InputError for
+    an ``x`` that is not a real, finite point of the space."""
     _require_compatible(f0, f1)
     n = f0.n
     if not 1 <= start_index <= n:
         raise InputError(f"start index {start_index} out of range 1..{n}")
     if 2 ** (n - start_index + 1) > PROFILE_CAP:
         raise InputError("tail profile window too large for exhaustive enumeration")
-    x = np.asarray(x, dtype=np.float64)
+    x = _as_vector(x)
+    if x.size != f0.space.dim:
+        raise InputError(f"point of length {x.size} in a dim-{f0.space.dim} space")
     t0 = (f0.functionals @ x)[:, None] * f0.vectors  # f_j^0(x) x_j^0 per row
     t1 = (f1.functionals @ x)[:, None] * f1.vectors
     kind = f0.space.norm
@@ -217,16 +219,15 @@ def uniform_bound_profile(f0: FrameSystem, f1: FrameSystem) -> Bound:
     all intervals and local patterns.
 
     Each interval is one ``search.pattern_table`` of its local patterns: all
-    within ``PROFILE_CAP`` total evaluations, else a sample (a lower bound).
+    within ``PROFILE_CAP`` total evaluations, else a sample (hi = +inf).
     """
     _require_compatible(f0, f1)
     n = f0.n
-    kind = f0.space.norm
     weavings = ChunkEvaluator.weavings(f0, f1)
     total = sum(2 ** (n - m + 2) for m in range(1, n + 1))
     exhaustive = total <= PROFILE_CAP
     rng = np.random.default_rng(PROFILE_SEED)
-    best = 0.0
+    tops = []  # per interval, its largest lo and hi
     for m, k in itertools.combinations_with_replacement(range(1, n + 1), 2):  # [m, k]
         local = 2 ** (k - m + 1)
         if exhaustive:
@@ -236,10 +237,11 @@ def uniform_bound_profile(f0: FrameSystem, f1: FrameSystem) -> Bound:
             while len(picks) < min(local, PROFILE_SAMPLES):
                 picks.add(int(rng.integers(0, local)))
             ms = sorted(picks)
-        table = search.pattern_table(ms, functools.partial(weavings.norms, bits=slice(m - 1, k)),
-                                     search.CELLS_PER_SUM * f0.space.dim ** 2)
-        best = max(best, float(table.max()))
-    return Bound(best, hi=best if exhaustive and kind.is_exact_kind else np.inf)
+        tops.append(search.pattern_table(
+            ms, functools.partial(weavings.norms, bits=slice(m - 1, k)),
+            search.CELLS_PER_SUM * f0.space.dim ** 2, columns=2).max(axis=0))
+    best = search.bound(*np.transpose(tops), exhaustive)
+    return Bound(best.value, hi=best.hi)
 
 
 def lower_bound_profile(f0: FrameSystem, f1: FrameSystem) -> float:
@@ -249,8 +251,8 @@ def lower_bound_profile(f0: FrameSystem, f1: FrameSystem) -> float:
     if (1 << f0.n) > search.DEFAULT_EXHAUSTIVE_CAP:
         raise InputError("lower bound profile requires exhaustive enumeration")
     table = search.pattern_table(range(1 << f0.n), ChunkEvaluator.weavings(f0, f1).constants,
-                                 search.CELLS_PER_SUM * f0.space.dim ** 2, columns=2)
-    return 1.0 / float(table[:, 1].max())  # 1/inf = 0.0 where a weaving is singular
+                                 search.CELLS_PER_SUM * f0.space.dim ** 2, columns=4)
+    return 1.0 / float(table[:, 2].max())  # 1/inf = 0.0 where a weaving is singular
 
 
 def weaving_basis_constants(f0: FrameSystem, f1: FrameSystem) -> tuple[bool, float]:
@@ -274,7 +276,7 @@ def weaving_basis_constants(f0: FrameSystem, f1: FrameSystem) -> tuple[bool, flo
         rows[list(refused)] = 0.0
         basis = rows[:, 0] == 1.0
         rows[basis, 1] = projection_norms(vectors[basis], duals[basis],
-                                          f0.space.norm).max(axis=1)
+                                          f0.space.norm)[0].max(axis=1)
         return rows
 
     table = search.pattern_table(range(1 << n), rows_of,

@@ -1,4 +1,4 @@
-"""Exact rational reference values for the subspace layer.
+"""Exact rational reference values for the norm, weaving and subspace layers.
 
 Test-only and independent of the package: it imports nothing from
 ``weavelab`` and works in ``fractions``, so a value that agrees with it was
@@ -14,6 +14,12 @@ as they are.  The norms are "l1" and "linf".
 - ``worst_vi``: the six-way condition (vi), max(||(P|Y1)^-1||, ||(Q|X1)^-1||)
   over all patterns, with its first maximiser.
 - ``projection_distance``: d(A, B) = 1/max(||P_A||, ||P_B||) on A + B.
+- ``operator_norm``: the l1 (largest column sum) or linf (largest row sum)
+  operator norm.
+- ``worst_weaving``: max(||S_sigma||, ||S_sigma^-1||) over all patterns,
+  infinite where S_sigma is singular, with its first maximiser.
+- ``pattern_constant``: C_s (subsets) or C_u (signs), the largest
+  ||sum_i c_i x_i f_i^T S^-1|| over c in {0, 1}^n or {-1, 1}^n.
 """
 
 from __future__ import annotations
@@ -158,3 +164,45 @@ def projection_distance(a, b, norm: str) -> Fraction:
     p_b = [zero_a + list(col) for col in zip(*b)]
     bmat = transpose(gens)
     return 1 / max(restricted_norm(p_a, bmat, norm), restricted_norm(p_b, bmat, norm))
+
+
+def operator_norm(a, norm: str) -> Fraction:
+    """The l1 -> l1 or linf -> linf norm of a matrix."""
+    if norm not in ("l1", "linf"):
+        raise ValueError(f"no exact operator norm for {norm!r}")
+    return max(_l1(row) for row in (transpose(a) if norm == "l1" else a))
+
+
+def _sum_of_outers(vectors, functionals, coeffs):
+    """sum_i c_i x_i f_i^T for rows x_i, f_i and coefficients c_i."""
+    d = len(vectors[0])
+    return [[sum((c * x[r] * f[s] for c, x, f in zip(coeffs, vectors, functionals)), Fraction(0))
+             for s in range(d)] for r in range(d)]
+
+
+def worst_weaving(x0, f0, x1, f1, norm: str):
+    """(value, pattern) of the worst max(||S_sigma||, ||S_sigma^-1||) over all
+    patterns in index order (bit 0 first), keeping the first maximiser; the
+    pair i of S_sigma comes from the second system where bit i is 1."""
+    x0, f0, x1, f1 = map(matrix, (x0, f0, x1, f1))
+    best, arg = None, None
+    for bits in itertools.product((0, 1), repeat=len(x0)):
+        xs = [(x1 if b else x0)[i] for i, b in enumerate(bits)]
+        fs = [(f1 if b else f0)[i] for i, b in enumerate(bits)]
+        s = _sum_of_outers(xs, fs, [Fraction(1)] * len(xs))
+        try:
+            value = max(operator_norm(s, norm), operator_norm(inverse(s), norm))
+        except ZeroDivisionError:
+            value = float("inf")
+        if best is None or value > best:
+            best, arg = value, "".join(map(str, bits))
+    return best, arg
+
+
+def pattern_constant(vectors, functionals, norm: str, signed: bool) -> Fraction:
+    """C_u when ``signed``, else C_s, of the system of rows x_i, f_i."""
+    xs, fs = matrix(vectors), matrix(functionals)
+    s_inv = inverse(_sum_of_outers(xs, fs, [Fraction(1)] * len(xs)))
+    choices = (-1, 1) if signed else (0, 1)
+    return max(operator_norm(matmul(_sum_of_outers(xs, fs, list(map(Fraction, c))), s_inv), norm)
+               for c in itertools.product(choices, repeat=len(xs)))

@@ -6,9 +6,10 @@ import pytest
 
 from weavelab import (EXHAUSTIVE, L1, L2, LINF, Basis, DenseOperator, Exactness,
                       FrameSystem, InputError, NormedSpace, NotABasis, basis_constant,
-                      biorthogonals, check_approximate_frame, equivalence_constants,
-                      frame_operator, heuristic, lp, square_function,
-                      suppression_constant, unconditional_constant, worst_weaving)
+                      basis_perturbation_check, biorthogonals, check_approximate_frame,
+                      equivalence_constants, frame_operator, heuristic, lp, square_function,
+                      suppression_constant, unconditional_constant, vector_norm,
+                      worst_weaving)
 from weavelab import frames
 from weavelab.frames import batch_biorthogonals, projection_norms
 from conftest import NORMS, random_basis, random_frame_system
@@ -201,6 +202,25 @@ def test_complex_entries_are_refused():
                     call()
 
 
+@pytest.mark.parametrize("what, call", [
+    ("vector entries", lambda: vector_norm(np.array([3j, 4.0]), L2)),
+    ("vectors", lambda: square_function(1j * np.eye(2), [1.0, 1.0], np.eye(2))),
+    ("coefficients", lambda: square_function(np.eye(2), [1j, 1.0], np.eye(2))),
+    ("lattice vectors", lambda: square_function(np.eye(2), [1.0, 1.0], 1j * np.eye(2))),
+    ("basis vectors", lambda: equivalence_constants(np.eye(2), np.eye(2) + 0.1j,
+                                                    NormedSpace(2, L1))),
+    ("candidate vectors", lambda: basis_perturbation_check(standard_system(2),
+                                                           np.eye(2) + 0.01j)),
+], ids=["vector_norm", "square_function", "coefficients", "lattice", "equivalence",
+        "candidate"])
+def test_complex_entries_are_refused_where_values_are_computed(what, call):
+    # each read 4.0, or dropped the imaginary parts, with only a ComplexWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError, match=f"^{what} must be real, got complex entries$"):
+            call()
+
+
 # --- basis constant ---------------------------------------------------------
 
 def test_basis_constant_refuses_shapes_that_do_not_fit(monkeypatch):
@@ -224,15 +244,17 @@ def test_basis_constant_is_the_largest_projection_norm(rng):
         for d in (1, 3, 6):
             v = random_basis(rng, d)
             duals = biorthogonals(v)
-            row = projection_norms(v[None], duals[None], norm)[0]
+            row = projection_norms(v[None], duals[None], norm)[0][0]
             k = int(np.argmax(row))
             for got in (basis_constant(v, NormedSpace(d, norm), duals),
                         basis_constant(v, NormedSpace(d, norm))):
                 assert float(got.value).hex() == float(row[k]).hex()
                 assert got.witness == (k + 1,)
-    # finite terms whose prefix overflows read +inf; a term that overflows is refused
+    # finite terms whose prefix overflows read +inf, without a warning; a
+    # term that overflows is refused
     space = NormedSpace(2, L1)
-    with np.errstate(over="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         got = basis_constant([[1.0, 0.0], [1.0, 0.0]], space, [[1e308, 0.0], [1e308, 0.0]])
     assert got.value == np.inf and got.witness == (2,)
     with pytest.raises(InputError, match="must be finite"):

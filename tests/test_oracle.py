@@ -1,8 +1,10 @@
-"""The subspace layer against the exact rational oracle (``tests/oracle.py``).
+"""The norm, weaving and subspace layers against the exact rational oracle
+(``tests/oracle.py``).
 
-Inputs are exact in binary: the dyadic golden inputs, unimodular integer
-bases and small dyadic generators.  Every value the package labels exact
-must match the oracle to 1e-12 relative.
+Inputs are exact in binary: the integer gallery pairs, the dyadic golden
+inputs, unimodular integer bases and small dyadic generators.  Every value
+the package labels exact must match the oracle to 1e-12 relative, and a
+heuristic bracket must hold it.
 """
 
 import json
@@ -14,11 +16,53 @@ import pytest
 
 import oracle
 from weavelab import (L1, LINF, DenseOperator, Exactness, FrameSystem, GallerySpec,
-                      NormedSpace, SpannedSubspace, distance_to_span, generate,
-                      restricted_inverse, subspace_distance, unc_conditions)
+                      NormedSpace, SpannedSubspace, WeavePattern, distance_to_span,
+                      frame_operator, generate, heuristic, operator_norm, restricted_inverse,
+                      subspace_distance, suppression_constant, unc_conditions,
+                      unconditional_constant, weave, worst_weaving)
 from weavelab.fileio import load_system
 
 INPUTS = Path(__file__).parent / "golden" / "inputs"
+
+
+GALLERY_PAIRS = [("standard-c0", "summing-c0"), ("standard-l1", "difference-l1")]
+
+
+def _rows(system):
+    return system.vectors.tolist(), system.functionals.tolist()
+
+
+def _assert_point(bound, value):
+    """An exact bracket: lo == hi == the oracle value to 1e-12 relative."""
+    assert bound.lo == bound.hi == pytest.approx(float(value), rel=1e-12, abs=0)
+
+
+def _assert_holds(bound, value):
+    """A bracket that holds the oracle value, up to the rounding of lo."""
+    assert bound.lo <= float(value) * (1 + 1e-12) and float(value) <= bound.hi
+
+
+@pytest.mark.parametrize("pair", GALLERY_PAIRS, ids=["c0", "l1"])
+def test_gallery_brackets_hold_the_oracle_values(pair):
+    for d in range(2, 6):
+        f0, f1 = (generate(GallerySpec(name, d)) for name in pair)
+        norm = f0.space.norm.tag
+        for m in range(1 << d):  # every weaving's frame operator norm
+            s = frame_operator(weave(f0, f1, WeavePattern.from_index(m, d)))
+            _assert_point(operator_norm(s), oracle.operator_norm(oracle.matrix(s.entries), norm))
+        value, pattern = oracle.worst_weaving(*_rows(f0), *_rows(f1), norm)
+        exact, climbed = worst_weaving(f0, f1), worst_weaving(f0, f1, heuristic(2), seed=1)
+        # a worst weaving's bracket is [constant, constant] when exact, else [constant, inf]
+        assert exact.exactness is Exactness.EXACT and str(exact.worst_pattern) == pattern
+        assert exact.worst_constant == pytest.approx(float(value), rel=1e-12, abs=0)
+        assert climbed.exactness is Exactness.LOWER_BOUND
+        assert climbed.worst_constant <= float(value) * (1 + 1e-12)
+        for system in (f0, f1):
+            for signed, constant in ((False, suppression_constant),
+                                     (True, unconditional_constant)):
+                value = oracle.pattern_constant(*_rows(system), norm, signed)
+                _assert_point(constant(system), value)
+                _assert_holds(constant(system, heuristic(2), seed=1), value)
 
 
 @pytest.mark.parametrize("name", ["perturbed-l1-d4", "perturbed-c0-d4", "perturbed-c0-d13"])

@@ -1,15 +1,16 @@
 """Every reported constant is a ``Bound`` whose exactness is read off its
 bracket: exact iff lo == hi, a lower bound when the value is lo, an upper
-bound when it is hi."""
+bound when it is hi.  The labels of weaving searches and six-way conditions
+are the ``exactness`` of the one reduce of their (lo, hi) columns."""
 
 import numpy as np
 import pytest
 
-from weavelab import (L1, L2, LINF, Bound, DenseOperator, Exactness,
-                      GallerySpec, NormedSpace, SpannedSubspace, basis_constant,
+from weavelab import (EXHAUSTIVE, L1, L2, LINF, Bound, DenseOperator, Exactness,
+                      FrameSystem, GallerySpec, NormedSpace, SpannedSubspace, basis_constant,
                       generate, heuristic, lp, operator_norm, restricted_inverse,
-                      subspace_distance, suppression_constant,
-                      unconditional_constant, uniform_bound_profile)
+                      subspace_distance, suppression_constant, unc_conditions,
+                      unconditional_constant, uniform_bound_profile, worst_weaving)
 from weavelab import subspaces, weaving
 
 EXACT, LOWER, UPPER = Exactness.EXACT, Exactness.LOWER_BOUND, Exactness.UPPER_BOUND
@@ -119,3 +120,54 @@ def test_bound_defaults_and_labels():
     assert (Bound(2.0).lo, Bound(2.0).hi) == (2.0, 2.0)
     assert Bound(2.0, hi=np.inf).exactness is LOWER
     assert Bound(2.0, lo=0.0).exactness is UPPER
+
+
+def _c0_pair(d, kind=LINF, zeroed=False):
+    """standard-c0 and summing-c0 in the norm ``kind``; with x_1 of the
+    second system zeroed when ``zeroed``, so half the weavings are singular."""
+    f0, f1 = _gallery("standard-c0", d), _gallery("summing-c0", d)
+    vectors = f1.vectors.copy()
+    if zeroed:
+        vectors[0] = 0.0
+    space = NormedSpace(d, kind)
+    return (FrameSystem(space, f0.vectors, f0.functionals),
+            FrameSystem(space, vectors, f1.functionals))
+
+
+def _six_way_vi(capped):
+    def build():
+        with pytest.MonkeyPatch.context() as mp:
+            if capped:  # every lift of two or more dimensions is a ratio ascent
+                mp.setattr(subspaces, "ENUMERATION_CAP", 0)
+            return unc_conditions(_gallery("blockpair-a0", 4), _gallery("blockpair-a1", 4),
+                                  conditions=("vi",)).conditions["vi"]
+    return build
+
+
+LABELS = {
+    "worst-linf-exhaustive": (lambda: worst_weaving(*_c0_pair(6)), EXACT),
+    "worst-lp3-exhaustive": (lambda: worst_weaving(*_c0_pair(6, lp(3.0))), LOWER),
+    "worst-heuristic": (lambda: worst_weaving(*_c0_pair(6), heuristic(2)), LOWER),
+    "worst-demoted": (lambda: worst_weaving(*_c0_pair(6), exhaustive_cap=8), LOWER),
+    "six-way-l1": (_six_way_vi(False), EXACT),
+    "six-way-l1-ascent": (_six_way_vi(True), LOWER),
+}
+
+
+@pytest.mark.parametrize("case", list(LABELS))
+def test_search_and_condition_labels_are_read_off_one_bracket(case):
+    build, expected = LABELS[case]
+    result = build()
+    assert result.exactness is expected
+    # finite, so no label here comes from an infinite worst
+    assert np.isfinite(result.worst_constant if case.startswith("worst") else result.constant)
+
+
+def test_an_infinite_worst_reads_exact_on_every_path():
+    # a singular weaving makes the largest lo +inf, and the bracket [inf, inf]
+    # is a point however many patterns were graded: exhaustive, heuristic and
+    # lp tables agree on the label
+    for kind, mode in ((LINF, EXHAUSTIVE), (LINF, heuristic(2)), (lp(3.0), EXHAUSTIVE)):
+        result = worst_weaving(*_c0_pair(5, kind, zeroed=True), mode)
+        assert result.worst_constant == np.inf and result.exactness is EXACT
+        assert result.verdict == "not_woven"

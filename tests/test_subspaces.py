@@ -258,17 +258,17 @@ def test_lift_norms_closed_forms_match_the_per_pair_forms(rng):
         for d in range(1, 9):
             scale = 10.0 ** rng.uniform(-3, 3, (50, 1, 1))
             d1s, gens = scale * rng.standard_normal((50, d, 1)), rng.standard_normal((50, 1, d))
-            values, exact = subspaces._lift_norms(d1s, gens, kind)
+            values, hi = subspaces._lift_norms(d1s, gens, kind)
             ref = [vector_norm(d1[:, 0], kind) / vector_norm(g[0], kind)
                    for d1, g in zip(d1s, gens)]
-            assert values.tobytes() == np.array(ref).tobytes() and exact.all()
+            assert values.tobytes() == np.array(ref).tobytes() == hi.tobytes()
     for d in range(2, 9):
         for k in range(2, d + 1):
             d1s, gens = rng.standard_normal((15, d, k)), rng.standard_normal((15, k, d))
-            values, exact = subspaces._lift_norms(d1s, gens, L2)
+            values, hi = subspaces._lift_norms(d1s, gens, L2)
             ref = [np.linalg.svd(d1 @ np.linalg.inv(np.linalg.qr(g.T)[1]), compute_uv=False)[0]
                    for d1, g in zip(d1s, gens)]
-            assert values.tobytes() == np.array(ref).tobytes() and exact.all()
+            assert values.tobytes() == np.array(ref).tobytes() == hi.tobytes()
 
 
 def _perturbed_pair(rng, d, norm=L1):

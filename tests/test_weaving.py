@@ -294,6 +294,17 @@ def test_tail_profile_examples():
     assert tail_profile(std, summing, np.eye(4)[0], 2) == 0.0
 
 
+def test_tail_profile_refuses_a_point_that_is_not_one():
+    # a short x raised numpy's ValueError, and a NaN entry read 0.0
+    std, diff = (generate(GallerySpec(name, 3)) for name in ("standard-l1", "difference-l1"))
+    assert tail_profile(std, diff, [1.0, 1.0, 1.0], 1) == 5.0
+    for x, message in (([1.0, 1.0], "^point of length 2 in a dim-3 space$"),
+                       ([np.nan, 1.0, 1.0], "non-finite"), ([1.0, np.inf, 1.0], "non-finite"),
+                       ([1j, 1.0, 1.0], "must be real")):
+        with pytest.raises(InputError, match=message):
+            tail_profile(std, diff, x, 1)
+
+
 def test_tail_profile_matches_direct_enumeration(rng):
     f0 = random_frame_system(rng, 5, L1)
     f1 = random_frame_system(rng, 5, L1)
@@ -338,7 +349,7 @@ def _uniform_profile_by_concatenation(f0, f1):
         mats = np.zeros((1, d, d))
         for k in range(m, f0.n + 1):
             mats = np.concatenate([mats + o0[k - 1], mats + o1[k - 1]])
-            best = max(best, float(batch_opnorm_values(mats, kind, kind).max()))
+            best = max(best, float(batch_opnorm_values(mats, kind, kind)[0].max()))
     return best
 
 
@@ -602,14 +613,15 @@ def test_heuristic_rows_match_one_pattern_constants_on_any_thread_count(monkeypa
             callers.add(threading.get_ident())
             return evaluator.constants(ms)
 
-        _, best, ms, rows = search.maximize(32, rows_of, heuristic(32), search.DEFAULT_EXHAUSTIVE_CAP,
-                                            0, 32 * 32, columns=2)
+        _, worst, ms, rows = search.maximize(32, rows_of, heuristic(32),
+                                             search.DEFAULT_EXHAUSTIVE_CAP, 0, 32 * 32, columns=2)
+        best = worst.witness
         assert callers == {threading.get_ident()} and len(ms) == 2086
         for m, row in zip(ms, rows):
             assert row.tobytes() == alone.constants(np.array([m], dtype=np.uint64))[0].tobytes()
         result = worst_weaving(f0, f1, heuristic(32), seed=0)
         assert result.worst_pattern.index == ms[best] and result.patterns_evaluated == len(ms)
-        assert result.worst_constant == rows[best].max()
+        assert result.worst_constant == rows[best, 0::2].max() == worst.value
 
 
 def test_searches_take_64_bit_patterns_and_refuse_more(rng, capsys):
