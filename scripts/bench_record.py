@@ -277,7 +277,6 @@ def run_layers(args, doc: dict):
         for order, side in enumerate(_sides(pair)):
             root = args.parent if side == "parent" else args.head
             env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
-            env.pop("WEAVELAB_THREADS", None)
             done = subprocess.run([sys.executable, "-c", LAYER_PROBE], env=env,
                                   capture_output=True, text=True, check=True)
             values = json.loads(done.stdout)

@@ -14,16 +14,15 @@ and C_u (exhaustive and heuristic), both perturbation certificates
 weavings, sampled at d = 13, where the inner C_u is heuristic, and lp pairs
 checked for (v) alone, with (vi) and for all six), restricted inverses (also
 each of their refusals), subspace distances and the subset operators.
-A change meant to keep every value compares the digest of two checkouts, and
-of one checkout under different ``WEAVELAB_THREADS``:
+A change meant to keep every value compares the digest of two checkouts:
 
     PYTHONPATH=src python scripts/value_battery.py | tail -1
 
 ``--sections`` prints instead one sha256 per two-level label section of the
 value lines (``l1.d3``, ``standard-c0|summing-c0.d4``, ``certificate.pair``,
 ...), in the order they first appear, then the total digest: the lines of
-``tests/golden/value_battery.sha256``, which the test suite compares under
-``WEAVELAB_THREADS`` 1 and 2.  A change that moves values regenerates it
+``tests/golden/value_battery.sha256``, which the test suite compares.  A
+change that moves values regenerates it
 
     PYTHONPATH=src python scripts/value_battery.py --sections > tests/golden/value_battery.sha256
 

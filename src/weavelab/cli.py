@@ -2,8 +2,8 @@
 and example subcommands emitting machine-readable JSON reports.
 
 Exit codes: 0 when the analysis completed (including not-a-frame and
-not-woven verdicts), 1 for input errors, 2 for internal failures.  The
-worker count is capped by the WEAVELAB_THREADS environment variable.
+not-woven verdicts), 1 for input errors, 2 for internal failures.  Every
+table runs on the calling thread.
 """
 
 from __future__ import annotations

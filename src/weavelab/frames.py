@@ -15,7 +15,6 @@ consistent with each other.
 from __future__ import annotations
 
 import numbers
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -252,8 +251,10 @@ def projection_norms(vectors: np.ndarray, duals: np.ndarray,
     projections of each basis of an (m, n, d) stack of vectors with their
     duals.  InputError when a term x_k f_k^T is not finite; a sum of finite
     terms that overflows reads +inf, without a warning."""
-    with np.errstate(over="ignore"):
-        prefixes = np.add.accumulate(outer_stack(vectors, duals), axis=1)
+    with np.errstate(over="ignore"):  # outer_stack's terms inline: it would enter a second one
+        terms = vectors[..., :, None] * duals[..., None, :]
+        require_finite(terms)
+        prefixes = np.add.accumulate(terms, axis=1)
     d = prefixes.shape[-1]
     lo, hi = batch_opnorm_values(prefixes.reshape(-1, d, d), kind, kind)
     return lo.reshape(prefixes.shape[:2]), hi.reshape(prefixes.shape[:2])
@@ -341,29 +342,21 @@ def _pattern_sums(terms: np.ndarray, ms: np.ndarray,
     return sums
 
 
-class _Workspace:
-    """One worker thread's buffers for a ``ChunkEvaluator``: the two
-    pattern-sum levels that take turns and a third stack, ``rows`` sums each."""
-
-    def __init__(self, rows: int, cell: tuple[int, ...]):
-        self.levels = [np.empty((rows,) + cell) for _ in range(2)]
-        self.spare = np.empty((rows,) + cell)
-
-
 class ChunkEvaluator:
     """The one row function of every pattern-sum table: it grades a chunk of
     pattern indices by their ``_pattern_sums`` over one (n, 2, r, c) table,
-    the only copy of the terms (every thread reads it), under the norm
-    ``kind``, into the columns a caller asks for (``norms``, ``constants``,
-    ``residuals``), the first two a (lo, hi) pair per quantity.
+    the only copy of the terms, under the norm ``kind``, into the columns a
+    caller asks for (``norms``, ``constants``, ``residuals``), the first two
+    a (lo, hi) pair per quantity.
 
-    Each worker thread builds one workspace at its first chunk and keeps it
-    to the end of the evaluator: three stacks of ``search.chunk_size_for``
-    sums (at most 2^n).  The gathered terms, the pattern-sum levels,
-    ``batch_invert``'s residuals and the l1/linf norms' temporaries are
-    written into it, so a table does not free and regrow its working set on
-    every chunk, and a climb's round allocates no stack of its terms.  Every
-    value is bit for bit the one the kernels give the pattern alone.
+    The evaluator builds one workspace at its first chunk and keeps it to
+    its end: the two pattern-sum levels that take turns and a third stack,
+    each of ``search.chunk_size_for`` sums (at most 2^n).  The gathered
+    terms, the pattern-sum levels, ``batch_invert``'s residuals and the
+    l1/linf norms' temporaries are written into it, so a table does not
+    free and regrow its working set on every chunk, and a climb's round
+    allocates no stack of its terms.  Every value is bit for bit the one
+    the kernels give the pattern alone.
     """
 
     def __init__(self, terms: np.ndarray, kind):
@@ -371,7 +364,7 @@ class ChunkEvaluator:
         self.kind = kind
         self.rows = min(search.chunk_size_for(search.CELLS_PER_SUM * terms[0, 0].size),
                         1 << len(terms))
-        self._local = threading.local()
+        self.workspace: tuple[list[np.ndarray], np.ndarray] | None = None  # (levels, spare)
         # cached for good, so taken before any workspace: first taken in a
         # chunk, it would sit above the workspace in the heap and keep the
         # heap from shrinking once the table is done
@@ -390,11 +383,12 @@ class ChunkEvaluator:
 
     def _sums(self, ms: np.ndarray, bits: slice = slice(None)):
         """(sums over the ``bits`` of the table, two free stacks of as many cells)."""
-        ws = getattr(self._local, "ws", None)
-        if ws is None:
-            ws = self._local.ws = _Workspace(self.rows, self.terms.shape[2:])
-        sums = _pattern_sums(self.terms[bits], ms, ws.levels)
-        return sums, ws.levels[1][:len(ms)], ws.spare[:len(ms)]
+        if self.workspace is None:
+            cell = (self.rows,) + self.terms.shape[2:]
+            self.workspace = [np.empty(cell) for _ in range(2)], np.empty(cell)
+        levels, spare = self.workspace
+        sums = _pattern_sums(self.terms[bits], ms, levels)
+        return sums, levels[1][:len(ms)], spare[:len(ms)]
 
     def _norms(self, mats: np.ndarray, scratch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return _opnorm_values(mats, self.kind, self.kind, scratch)[:2]

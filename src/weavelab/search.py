@@ -3,19 +3,17 @@
 :func:`pattern_table` is the one loop over chunks of patterns, for
 exhaustive searches, perturbation certificates and the six-way check.  It
 grades sorted pattern indices (all 2**n in lexicographic order, bit 1 the
-most significant, or a sample) in chunks fixed by the instance, on up to
-``WEAVELAB_THREADS`` threads, and callers reduce with first-index
-tie-breaking (``np.argmax``): the winner is the lexicographically smallest
-maximizer, for any thread count.  :func:`maximize` is the one place where a
-search is demoted, from exhaustive above its cap to heuristic; both modes
-read the same row function, so their values agree bit for bit.
+most significant, or a sample) in chunks fixed by the instance, on the
+calling thread, and callers reduce with first-index tie-breaking
+(``np.argmax``): the winner is the lexicographically smallest maximizer.
+:func:`maximize` is the one place where a search is demoted, from
+exhaustive above its cap to heuristic; both modes read the same row
+function, so their values agree bit for bit.
 :func:`bound` is the one reduce of a column of (lo, hi) brackets.
 """
 
 from __future__ import annotations
 
-import os
-import threading
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -32,7 +30,6 @@ DEFAULT_EXHAUSTIVE_CAP = 2 ** 22
 # and the third stack of a ``frames.ChunkEvaluator`` workspace, and the inverse.
 CHUNK_BUDGET = 2 ** 17
 CELLS_PER_SUM = 4
-_worker = threading.local()  # ``busy`` in pattern_table's worker threads and heuristic searches
 
 
 @dataclass(frozen=True)
@@ -54,19 +51,6 @@ EXHAUSTIVE = SearchMode("exhaustive")
 
 def heuristic(restarts: int = SearchMode.restarts) -> SearchMode:
     return SearchMode("heuristic", restarts)
-
-
-def worker_count() -> int:
-    """Worker cap from WEAVELAB_THREADS (default 1); InputError unless it is
-    an integer of at least 1."""
-    raw = os.environ.get("WEAVELAB_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    if n < 1:
-        raise InputError(f"WEAVELAB_THREADS must be an integer of at least 1, got {raw!r}")
-    return n
 
 
 def bit_rows(ms: np.ndarray, n_bits: int) -> np.ndarray:
@@ -92,8 +76,8 @@ def chunk_size_for(row_cells: int) -> int:
 
     Pattern-sum tables pass ``CELLS_PER_SUM * d * d``, so a d x d chunk
     holds 2**15 // d**2 patterns; ``unc_conditions`` passes n**3.  Depends
-    only on the instance (never on the worker count) so chunk contents, and
-    hence floating-point results, are schedule-independent.
+    only on the instance, so chunk contents, and hence floating-point
+    results, are fixed by it.
     """
     return max(1, min(1024, CHUNK_BUDGET // row_cells))
 
@@ -107,30 +91,16 @@ def pattern_table(ms: Sequence[int], rows_of: Callable[[np.ndarray], np.ndarray]
     by ``np.arange`` (no index array of the whole range), or a sorted list.
     Returns the (len(ms), columns) table (a flat array when ``columns ==
     1``).  rows_of maps a uint64 array of indices to their rows and must be a
-    pure function of them.  A table that a row function builds (the sign
-    tables of a six-way chunk's C_u) runs in its worker thread alone, so
-    thread pools never nest.
+    pure function of them; it runs on the calling thread, one chunk after
+    another.
     """
     chunk = chunk_size_for(row_cells)
     out = np.empty((len(ms), columns), dtype=np.float64)
-    spans = [(lo, min(lo + chunk, len(ms))) for lo in range(0, len(ms), chunk)]
-
-    def run(span):
-        lo, hi = span
+    for lo in range(0, len(ms), chunk):
+        hi = min(lo + chunk, len(ms))
         idx = np.arange(lo, hi, dtype=np.uint64) if isinstance(ms, range) \
             else np.asarray(ms[lo:hi], dtype=np.uint64)
         out[lo:hi] = np.asarray(rows_of(idx), dtype=np.float64).reshape(hi - lo, columns)
-
-    w = 1 if getattr(_worker, "busy", False) else worker_count()
-    if w <= 1 or len(spans) <= 1:
-        for span in spans:
-            run(span)
-    else:
-        # imported here, as only threaded tables need it: concurrent.futures,
-        # with the logging it loads, adds milliseconds to the package's import
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(w, initializer=setattr, initargs=(_worker, "busy", True)) as ex:
-            list(ex.map(run, spans))
     return out[:, 0] if columns == 1 else out
 
 
@@ -235,11 +205,10 @@ def maximize(n_bits: int, rows_of: Callable[[np.ndarray], np.ndarray], mode: Sea
     per pattern.  Exhaustive mode tabulates every row, but above
     ``exhaustive_cap`` patterns it is demoted to ``heuristic(mode.restarts)``,
     which hill-climbs (seeded by greedy growth when ``greedy``) and evaluates
-    each pattern once, a round at a time: one ``pattern_table`` on the
-    calling thread (a pool per round of a few chunks costs more than it
-    saves).  Returns ``(mode_used, best, ms, rows)``: the evaluated indices
-    in increasing order, their rows, and the ``bound`` of the row maxima at
-    the winner's position in both.  More than 64 bits raise InputError.
+    each pattern once, a round at a time: one ``pattern_table`` per round.
+    Returns ``(mode_used, best, ms, rows)``: the evaluated indices in
+    increasing order, their rows, and the ``bound`` of the row maxima at the
+    winner's position in both.  More than 64 bits raise InputError.
     """
     if n_bits > 64:
         raise InputError(f"patterns of {n_bits} bits; at most 64 are supported")
@@ -256,13 +225,9 @@ def maximize(n_bits: int, rows_of: Callable[[np.ndarray], np.ndarray], mode: Sea
             memo.update(zip(ms, rows))
             return rows[:, 0::2].max(axis=1).tolist()
 
-        values, busy = Values(grade), getattr(_worker, "busy", False)
-        _worker.busy = True
-        try:
-            extra = (greedy_add(n_bits, values),) if greedy else ()
-            best_m = hill_climb(n_bits, values, mode.restarts, seed, extra)
-        finally:
-            _worker.busy = busy
+        values = Values(grade)
+        extra = (greedy_add(n_bits, values),) if greedy else ()
+        best_m = hill_climb(n_bits, values, mode.restarts, seed, extra)
         ms = sorted(memo)
         best, rows = ms.index(best_m), np.array([memo[m] for m in ms])
     return (mode, bound(rows[:, 0::2].max(axis=1), rows[:, 1::2], mode.kind == "exhaustive", best),

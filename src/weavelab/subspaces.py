@@ -32,10 +32,10 @@ from .normed import (DEFAULT_COND_CAP, L2, Bound, DenseOperator, Exactness,
                      NormedSpace, NormKind, _as_vector, _mat_vecs, batch_invert,
                      batch_norming_vectors, batch_vector_norms, require_finite,
                      vector_norm)
-from .frames import (FrameSystem, _max_norms_over_patterns, batch_biorthogonals,
-                     outer_stack, subset_sum, unconditional_constant)
+from .frames import (FrameSystem, _max_norms_over_patterns, outer_stack, subset_sum,
+                     unconditional_constant)
 from .search import SearchMode, bit_rows, bound, pattern_table
-from .weaving import WeavePattern, sample_patterns
+from .weaving import WeavePattern, _woven_bases, sample_patterns
 
 DEFAULT_UNC_THRESHOLD = 4.0
 INNER_EXHAUSTIVE_CAP = 2 ** 12  # patterns; above it ``maximize`` makes C_u heuristic(16)
@@ -556,13 +556,10 @@ def _c_u_column(stacks: np.ndarray, mats: np.ndarray, kind: NormKind, inner: Sea
 def _woven_c_u(f0, f1, bits: np.ndarray, inner: SearchMode,
                seed: int) -> tuple[np.ndarray, np.ndarray]:
     """(lo, hi) of C_u of the woven basis of each pattern of a chunk (the
-    boolean rows ``bits``), with its duals from one ``batch_biorthogonals``:
+    boolean rows ``bits``), with its duals from ``weaving._woven_bases``:
     the (i), (ii) and (iv) constant.  +inf twice where the weaving is not
     a basis."""
-    vectors = np.where(bits[:, :, None], f1.vectors, f0.vectors)
-    duals, refused = batch_biorthogonals(vectors)
-    basis = np.ones(len(bits), dtype=bool)
-    basis[list(refused)] = False
+    vectors, duals, basis = _woven_bases(f0, f1, bits)
     lo, hi = np.full((2, len(bits)), np.inf)
     woven = outer_stack(vectors[basis], duals[basis])
     lo[basis], hi[basis] = _c_u_column(woven, np.add.reduce(woven, axis=1),

@@ -255,6 +255,19 @@ def lower_bound_profile(f0: FrameSystem, f1: FrameSystem) -> float:
     return 1.0 / float(table[:, 2].max())  # 1/inf = 0.0 where a weaving is singular
 
 
+def _woven_bases(f0: FrameSystem, f1: FrameSystem,
+                 bits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(vectors, duals, basis) of the weavings of the vectors by the boolean
+    rows ``bits``: each woven family, its duals from one
+    ``batch_biorthogonals``, and a mask that is False where that refuses
+    the family (its duals are then zeros)."""
+    vectors = np.where(bits[:, :, None], f1.vectors, f0.vectors)
+    duals, refused = batch_biorthogonals(vectors)
+    basis = np.ones(len(bits), dtype=bool)
+    basis[list(refused)] = False
+    return vectors, duals, basis
+
+
 def weaving_basis_constants(f0: FrameSystem, f1: FrameSystem) -> tuple[bool, float]:
     """(every weaving is a basis, worst basis constant over the weavings that are).
 
@@ -270,11 +283,9 @@ def weaving_basis_constants(f0: FrameSystem, f1: FrameSystem) -> tuple[bool, flo
     n = f0.n
 
     def rows_of(ms: np.ndarray) -> np.ndarray:
-        vectors = np.where(search.bit_rows(ms, n)[:, :, None], f1.vectors, f0.vectors)
-        duals, refused = batch_biorthogonals(vectors)
-        rows = np.ones((len(ms), 2))
-        rows[list(refused)] = 0.0
-        basis = rows[:, 0] == 1.0
+        vectors, duals, basis = _woven_bases(f0, f1, search.bit_rows(ms, n))
+        rows = np.zeros((len(ms), 2))
+        rows[:, 0] = basis
         rows[basis, 1] = projection_norms(vectors[basis], duals[basis],
                                           f0.space.norm)[0].max(axis=1)
         return rows

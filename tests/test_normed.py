@@ -253,11 +253,7 @@ def test_lp_weaving_table_does_not_depend_on_thread_count(rng, monkeypatch):
     f0 = random_frame_system(rng, 5, lp(3.0))
     f1 = random_frame_system(rng, 5, lp(3.0))
     monkeypatch.setattr(search, "CHUNK_BUDGET", 8 * 4 * 25)  # four chunks of 8 patterns
-    logs = []
-    for threads in ("1", "2"):
-        monkeypatch.setenv("WEAVELAB_THREADS", threads)
-        logs.append(worst_weaving(f0, f1, log_all_patterns=True).per_pattern_log)
-    assert len(logs[0]) == 32 and logs[0] == logs[1]
+    assert len(worst_weaving(f0, f1, log_all_patterns=True).per_pattern_log) == 32
 
 
 def test_lp_row_norms_match_vector_norm(rng):
@@ -663,10 +659,9 @@ def test_pattern_sums_match_the_plain_reduce_bit_for_bit(rng):
         assert np.concatenate(parts).tobytes() == _plain_pattern_sums(on, -g, whole).tobytes()
 
 
-def test_evaluator_pattern_sums_match_the_plain_reduce_bit_for_bit(rng, monkeypatch):
+def test_evaluator_pattern_sums_match_the_plain_reduce_bit_for_bit(rng):
     # an evaluator's one-pattern route (the climbs' and greedy growth's) and
-    # its chunks on two threads, each with its own workspace
-    monkeypatch.setenv("WEAVELAB_THREADS", "2")
+    # its chunks, all through its one workspace
     for n, d in ((10, 10), (12, 5), (12, 3), (11, 1)):  # 4, 4, 4 and 2 chunks
         on, g = _sparse_stack(rng, n, d, -0.0), _sparse_stack(rng, n, d, 0.0)
         whole = np.arange(1 << n, dtype=np.uint64)

@@ -33,22 +33,18 @@ def test_script_runs(script, args):
 
 
 def test_value_battery_ends_in_its_digest():
-    # every label section and the total match the committed digests, on one
-    # worker thread and on two
+    # every label section and the total match the committed digests
     golden = (ROOT / "tests" / "golden" / "value_battery.sha256").read_text().splitlines()
-    section_digests = _script("value_battery").section_digests
-    for threads in ("1", "2"):
-        proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "value_battery.py")],
-                              capture_output=True, text=True,
-                              env=dict(_env(), WEAVELAB_THREADS=threads), timeout=300)
-        assert proc.returncode == 0, proc.stderr
-        *lines, last = proc.stdout.splitlines()
-        assert len(lines) > 1000 and not any(line.startswith("sha256 ") for line in lines)
-        assert re.fullmatch(r"sha256 [0-9a-f]{64}", last)
-        got = section_digests(lines)
-        assert last == f"sha256 {got[-1].split()[0]}"
-        moved = sorted({line.split()[1] for line in set(got) ^ set(golden)})
-        assert got == golden, f"WEAVELAB_THREADS={threads}: sections that moved: {moved}"
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "value_battery.py")],
+                          capture_output=True, text=True, env=_env(), timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    *lines, last = proc.stdout.splitlines()
+    assert len(lines) > 1000 and not any(line.startswith("sha256 ") for line in lines)
+    assert re.fullmatch(r"sha256 [0-9a-f]{64}", last)
+    got = _script("value_battery").section_digests(lines)
+    assert last == f"sha256 {got[-1].split()[0]}"
+    moved = sorted({line.split()[1] for line in set(got) ^ set(golden)})
+    assert got == golden, f"sections that moved: {moved}"
 
 
 def test_suite_collects_without_errors():

@@ -834,18 +834,16 @@ def test_unc_conditions_folds_its_columns_across_chunks():
 def test_unc_conditions_does_not_depend_on_thread_count(monkeypatch):
     # at d = 7 the 128 patterns make one chunk whose sign tables are shared
     # by 5 patterns each; with a 2^14-float budget they make three chunks,
-    # graded in parallel on two threads, and every pattern has its own table
+    # and every pattern has its own table
     f0, f1 = (generate(GallerySpec(name, 7)) for name in ("blockpair-a0", "blockpair-a1"))
     verdicts = set()
     for budget, chunk, tables in ((search.CHUNK_BUDGET, 2 ** 7, 5), (2 ** 14, 47, 1)):
         monkeypatch.setattr(search, "CHUNK_BUDGET", budget)
         assert min(search.chunk_size_for(7 ** 3), 2 ** 7) == chunk
         assert search.chunk_size_for(search.CELLS_PER_SUM * 7 * 7 << 7) == tables
-        for threads in ("1", "2"):
-            monkeypatch.setenv("WEAVELAB_THREADS", threads)
-            verdict = unc_conditions(f0, f1)
-            assert len(verdict.per_sigma) == 2 ** 7
-            verdicts.add(repr(dataclasses.astuple(verdict)))
+        verdict = unc_conditions(f0, f1)
+        assert len(verdict.per_sigma) == 2 ** 7
+        verdicts.add(repr(dataclasses.astuple(verdict)))
     assert len(verdicts) == 1
 
 

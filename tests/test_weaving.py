@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import os
 import subprocess
@@ -21,7 +22,7 @@ from weavelab import (L1, L2, LINF, Exactness, FrameSystem, GallerySpec,
                       suppression_constant, tail_profile,
                       unc_conditions, unconditional_constant,
                       uniform_bound_profile, weave, worst_weaving)
-from weavelab import frames
+from weavelab import frames, subspaces
 from weavelab.frames import frame_constants, outer_stack
 from weavelab.normed import batch_opnorm_values
 from weavelab.perturb import EXHAUSTIVE_CERT_CAP, _certify_residuals
@@ -208,10 +209,6 @@ def test_heuristic_log_holds_the_evaluated_patterns():
         assert (a, b) == exhaustive[p]  # one evaluation path: bit for bit
 
 
-def certificate_fields(cert):
-    return (cert.holds, cert.max_residual, cert.patterns_checked, cert.exhaustive, cert.failures)
-
-
 def _basis_constants_one_by_one(f0, f1):
     """Reference: the per-weaving loop that ``weaving_basis_constants`` ran
     before it became a row function on ``search.pattern_table``."""
@@ -250,26 +247,11 @@ def test_exhaustive_results_do_not_depend_on_thread_count(rng, monkeypatch):
     basis_pairs = (c0_pair, dep_pair)
     references = [_basis_constants_one_by_one(*pair) for pair in basis_pairs]
     assert references[0][0] and not references[1][0]
-    seen = []
-    for threads in ("1", "3"):
-        monkeypatch.setenv("WEAVELAB_THREADS", threads)
-        res = worst_weaving(f0, f1, log_all_patterns=True)
-        c_s = suppression_constant(f1)
-        c_u = unconditional_constant(f1)
-        certs = (_certify_residuals(f0, f1, s_inv, bound=1.0, seed=0),
-                 _certify_residuals(g0, g1, g_inv, bound=1.0, seed=5))
-        unc = unc_conditions(b0, b1, threshold=16.0)
-        with monkeypatch.context() as patch:
-            patch.setattr(search, "CHUNK_BUDGET", 4 * 8 * 8 * 40)  # chunks of 25 and 40 weavings
-            bases = [weaving_basis_constants(*pair) for pair in basis_pairs]
-        assert bases == references
-        seen.append((str(res.worst_pattern), res.worst_constant, res.per_pattern_log,
-                     c_s.value, c_s.witness, c_u.value, c_u.witness,
-                     [certificate_fields(c) for c in certs],
-                     unc.per_sigma, unc.agree, unc.max_st_residual, unc.max_ts_residual,
-                     {c: (o.holds, o.constant, str(o.witness), o.exactness)
-                      for c, o in unc.conditions.items()}, bases))
-    assert seen[0] == seen[1]
+    certs = (_certify_residuals(f0, f1, s_inv, bound=1.0, seed=0),
+             _certify_residuals(g0, g1, g_inv, bound=1.0, seed=5))
+    unc = unc_conditions(b0, b1, threshold=16.0)
+    monkeypatch.setattr(search, "CHUNK_BUDGET", 4 * 8 * 8 * 40)  # chunks of 25 and 40 weavings
+    assert [weaving_basis_constants(*pair) for pair in basis_pairs] == references
     assert [c.exhaustive for c in certs] == [True, False]
     assert not unc.agree  # the flags differ between conditions or patterns
 
@@ -599,29 +581,27 @@ def test_lockstep_climbs_grade_what_one_climb_at_a_time_grades(rng):
             assert len(batches) < len(graded) or n == 3
 
 
-def test_heuristic_rows_match_one_pattern_constants_on_any_thread_count(monkeypatch):
+def test_heuristic_rows_match_one_pattern_constants_on_any_thread_count():
     # every round of a d = 32 heuristic(32) search (34 climbs, more than the
     # evaluator's 32 workspace rows) grades its rows on the calling thread,
     # bit for bit as each pattern alone
     f0, f1 = _c0_pair(32)
     alone = frames.ChunkEvaluator.weavings(f0, f1)
-    for threads in ("1", "2"):
-        monkeypatch.setenv("WEAVELAB_THREADS", threads)
-        evaluator, callers = frames.ChunkEvaluator.weavings(f0, f1), set()
+    evaluator, callers = frames.ChunkEvaluator.weavings(f0, f1), set()
 
-        def rows_of(ms):
-            callers.add(threading.get_ident())
-            return evaluator.constants(ms)
+    def rows_of(ms):
+        callers.add(threading.get_ident())
+        return evaluator.constants(ms)
 
-        _, worst, ms, rows = search.maximize(32, rows_of, heuristic(32),
-                                             search.DEFAULT_EXHAUSTIVE_CAP, 0, 32 * 32, columns=2)
-        best = worst.witness
-        assert callers == {threading.get_ident()} and len(ms) == 2086
-        for m, row in zip(ms, rows):
-            assert row.tobytes() == alone.constants(np.array([m], dtype=np.uint64))[0].tobytes()
-        result = worst_weaving(f0, f1, heuristic(32), seed=0)
-        assert result.worst_pattern.index == ms[best] and result.patterns_evaluated == len(ms)
-        assert result.worst_constant == rows[best, 0::2].max() == worst.value
+    _, worst, ms, rows = search.maximize(32, rows_of, heuristic(32),
+                                         search.DEFAULT_EXHAUSTIVE_CAP, 0, 32 * 32, columns=2)
+    best = worst.witness
+    assert callers == {threading.get_ident()} and len(ms) == 2086
+    for m, row in zip(ms, rows):
+        assert row.tobytes() == alone.constants(np.array([m], dtype=np.uint64))[0].tobytes()
+    result = worst_weaving(f0, f1, heuristic(32), seed=0)
+    assert result.worst_pattern.index == ms[best] and result.patterns_evaluated == len(ms)
+    assert result.worst_constant == rows[best, 0::2].max() == worst.value
 
 
 def test_searches_take_64_bit_patterns_and_refuse_more(rng, capsys):
@@ -651,31 +631,31 @@ def _c0_pair(d: int):
     return generate(GallerySpec("standard-c0", d)), generate(GallerySpec("summing-c0", d))
 
 
-def test_chunk_evaluator_keeps_one_workspace_per_table_and_thread(monkeypatch):
-    built = []
+def test_chunk_evaluator_keeps_one_workspace(monkeypatch):
+    # each chunk of a table reads the workspace its evaluator built at the first
+    workspaces = {}  # evaluator -> the workspace each of its chunks read
+    sums = frames.ChunkEvaluator._sums
 
-    class Counting(frames._Workspace):
-        def __init__(self, *args):
-            built.append(threading.get_ident())
-            super().__init__(*args)
+    def recording(self, *args, **kwargs):
+        out = sums(self, *args, **kwargs)
+        workspaces.setdefault(self, []).append(self.workspace)
+        return out
 
-    monkeypatch.setattr(frames, "_Workspace", Counting)
+    monkeypatch.setattr(frames.ChunkEvaluator, "_sums", recording)
     monkeypatch.setattr(search, "CHUNK_BUDGET", 4 * 6 * 6 * 10)  # chunks of 10 weavings
     f0, f1 = _c0_pair(6)
     tables = (lambda: worst_weaving(f0, f1), lambda: lower_bound_profile(f0, f1),
               lambda: suppression_constant(f1),
-              lambda: _certify_residuals(f0, f1, np.eye(6), bound=1.0, seed=0))
-    for threads in ("1", "2"):
-        monkeypatch.setenv("WEAVELAB_THREADS", threads)
-        for table in tables:  # 7 chunks each
-            built.clear()
-            table()
-            assert 1 <= len(built) <= int(threads) and len(set(built)) == len(built)
-    # one evaluator, and so one workspace, for all 21 interval tables
-    monkeypatch.setenv("WEAVELAB_THREADS", "1")
-    built.clear()
-    uniform_bound_profile(f0, f1)
-    assert len(built) == 1
+              lambda: _certify_residuals(f0, f1, np.eye(6), bound=1.0, seed=0),
+              lambda: uniform_bound_profile(f0, f1))
+    for table, chunks in zip(tables, (7, 7, 7, 7, 36)):  # the profile: 21 interval tables
+        workspaces.clear()
+        table()
+        # one evaluator; for the profile, one for all 21 interval tables
+        (seen,) = workspaces.values()
+        assert len(seen) == chunks and all(ws is seen[0] for ws in seen)
+        levels, spare = seen[0]
+        assert [len(a) for a in (*levels, spare)] == [10] * 3
 
 
 def test_an_evaluator_holds_its_terms_once(monkeypatch):
@@ -746,13 +726,47 @@ def test_a_round_of_random_patterns_gathers_no_stack_of_terms():
 
 
 def test_import_leaves_thread_pools_unloaded():
-    # concurrent.futures and the logging it loads are imported by the first
-    # table that runs on more than one thread
+    # the package never imports concurrent.futures or the logging it loads
     code = "import sys, weavelab; print('concurrent.futures' in sys.modules, 'logging' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=str(Path(frames.__file__).parents[1])),
                           check=True)
     assert proc.stdout.split() == ["False", "False"]
+
+
+@pytest.mark.parametrize("raw", ["4", "abc"])
+def test_tables_run_on_the_calling_thread_whatever_weavelab_threads_reads(monkeypatch, raw):
+    # a multi-chunk weaving table, six-way check and uniform profile read the
+    # same bytes with the variable set as unset, every row on the caller's thread
+    f0, f1 = _c0_pair(10)
+    b0, b1 = (generate(GallerySpec(name, 7)) for name in ("blockpair-a0", "blockpair-a1"))
+    monkeypatch.setattr(search, "CHUNK_BUDGET", 2 ** 14)  # 26, 3 and up to 26 chunks
+    tables = (lambda: worst_weaving(f0, f1, log_all_patterns=True),
+              lambda: unc_conditions(b0, b1), lambda: uniform_bound_profile(f0, f1))
+    callers = set()
+    pattern_table = search.pattern_table
+
+    def recording(ms, rows_of, *args, **kwargs):
+        def traced(idx):
+            callers.add(threading.get_ident())
+            return rows_of(idx)
+        return pattern_table(ms, traced, *args, **kwargs)
+
+    monkeypatch.setattr(search, "pattern_table", recording)
+    monkeypatch.setattr(subspaces, "pattern_table", recording)
+    monkeypatch.delenv("WEAVELAB_THREADS", raising=False)
+    unset = [repr(dataclasses.astuple(table())) for table in tables]
+    monkeypatch.setenv("WEAVELAB_THREADS", raw)
+    assert [repr(dataclasses.astuple(table())) for table in tables] == unset
+    assert callers == {threading.get_ident()}
+    code = ("import sys; from weavelab import GallerySpec, generate, worst_weaving; "
+            "worst_weaving(*(generate(GallerySpec(n, 10)) for n in ('standard-c0', 'summing-c0')));"
+            " print('concurrent.futures' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, WEAVELAB_THREADS=raw,
+                                   PYTHONPATH=str(Path(frames.__file__).parents[1])),
+                          check=True)
+    assert proc.stdout.split() == ["False"]
 
 
 def _rows_one_by_one(f0, f1, log):
@@ -773,7 +787,7 @@ def test_table_rows_over_a_partial_last_chunk_match_frame_constants():
     assert log == _rows_one_by_one(f0, f1, log)
 
 
-def test_tables_with_singular_weavings_in_every_chunk_do_not_depend_on_threads(monkeypatch):
+def test_tables_with_singular_weavings_in_every_chunk_do_not_depend_on_threads():
     # the last vector of the second system is zero, so every odd pattern's
     # S_sigma is exactly singular: each of the 4 chunks refuses the stacked solve
     pairs = []
@@ -783,29 +797,8 @@ def test_tables_with_singular_weavings_in_every_chunk_do_not_depend_on_threads(m
         vectors[-1] = 0.0
         pairs.append((f0, FrameSystem(f1.space, vectors, f1.functionals)))
     assert search.chunk_size_for(search.CELLS_PER_SUM * 10 * 10) == 327
-    seen = []
-    for threads in ("1", "2"):
-        monkeypatch.setenv("WEAVELAB_THREADS", threads)
-        seen.append([(worst_weaving(f0, f1, log_all_patterns=True).per_pattern_log,
-                      lower_bound_profile(f0, f1)) for f0, f1 in pairs])
-    assert seen[0] == seen[1]
-    for (f0, f1), (log, lower) in zip(pairs, seen[0]):
-        assert lower == 0.0
+    for f0, f1 in pairs:
+        log = worst_weaving(f0, f1, log_all_patterns=True).per_pattern_log
+        assert lower_bound_profile(f0, f1) == 0.0
         assert all(s_inv == np.inf for _, _, s_inv in log[1::2])
         assert log[::97] == _rows_one_by_one(f0, f1, log[::97])
-
-
-def test_threads_do_not_share_a_workspace(monkeypatch, rng):
-    # more workers than cores and a short switch interval, so that the
-    # chunks of one table interleave: a shared workspace would mix their sums
-    f0, f1 = random_basis_system(rng, 10, L1), random_basis_system(rng, 10, L1)
-    monkeypatch.setattr(search, "CHUNK_BUDGET", 4 * 10 * 10 * 64)  # 16 chunks of 64
-    reference = worst_weaving(f0, f1, log_all_patterns=True).per_pattern_log
-    monkeypatch.setenv("WEAVELAB_THREADS", "4")
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(3):
-            assert worst_weaving(f0, f1, log_all_patterns=True).per_pattern_log == reference
-    finally:
-        sys.setswitchinterval(interval)
