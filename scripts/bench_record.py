@@ -21,9 +21,9 @@ each over a second pass of the loop), the L2 instances (exhaustive
 its time and its minor page faults, the ``ru_minflt`` delta, both taken
 after a warm-up table of the same size, so that they follow the table
 code rather than the heap left by what ran before; the pattern sums alone
-of that pair's d = 12 table, built chunk by chunk by one
-``frames.ChunkEvaluator`` as the tables build them, in µs per pattern,
-median of five tables; and the ``heuristic(8)`` climb, probe's, and the
+of that pair's d = 12 table, built by one ``frames.ChunkEvaluator`` over
+chunks of its ``rows`` as the tables build them, not copied into a table,
+in µs per pattern, median of five tables; and the ``heuristic(8)`` climb, probe's, and the
 default ``heuristic(32)`` climb, seed 0, on the pair at d = 32, in µs per
 evaluated pattern),
 the L3 instances (``unc_conditions`` on the block pair at d = 7 and on the
@@ -66,8 +66,7 @@ rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 import numpy as np
 from weavelab import (L1, DenseOperator, FrameSystem, GallerySpec, NormedSpace,
                       WeavePattern, basis_constant, biorthogonals, frames, generate,
-                      heuristic, lp, operator_norm, search, unc_conditions, weave,
-                      worst_weaving)
+                      heuristic, lp, operator_norm, unc_conditions, weave, worst_weaving)
 out = {"import_s": import_s, "import_peak_rss_mb": rss_mb}
 for d in %r:
     times = []
@@ -108,11 +107,13 @@ for d in %r:
 sums_d, climb_d = %r, %r
 evaluator = frames.ChunkEvaluator.weavings(generate(GallerySpec("standard-c0", sums_d)),
                                            generate(GallerySpec("summing-c0", sums_d)))
+chunks = [np.arange(lo, min(lo + evaluator.rows, 1 << sums_d), dtype=np.uint64)
+          for lo in range(0, 1 << sums_d, evaluator.rows)]
 times = []
 for _ in range(5):
     t = time.perf_counter()
-    search.pattern_table(range(1 << sums_d), lambda ms: evaluator._sums(ms)[0][:, 0, 0],
-                         search.CELLS_PER_SUM * sums_d ** 2)
+    for ms in chunks:
+        evaluator._sums(ms)
     times.append(time.perf_counter() - t)
 out["pattern_sums_c0_d%%d_us_per_pattern" %% sums_d] = statistics.median(times) * 1e6 / 2 ** sums_d
 f0 = generate(GallerySpec("standard-c0", climb_d))

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import InputError, WeavelabError
 from .normed import Bound
-from .frames import EXHAUSTIVE, FrameSystem, SearchMode, frame_report, heuristic
+from .frames import FrameSystem, SearchMode, frame_report
 from .weaving import DEFAULT_BLOW_UP, WeavePattern, WeaveSearchResult, worst_weaving
 from .subspaces import DEFAULT_UNC_THRESHOLD, unc_conditions
 from .perturb import (basis_perturbation_check, operator_perturbation_check,
@@ -67,9 +67,7 @@ def _search_result(res: WeaveSearchResult) -> dict:
 
 
 def _mode_from(args) -> SearchMode:
-    if args.mode == "exhaustive":
-        return EXHAUSTIVE
-    return heuristic(args.restarts)
+    return SearchMode(args.mode, args.restarts, args.exhaustive_cap)
 
 
 def _resolve_input(arg: str, dim: int | None, norm_override: str | None):
@@ -158,8 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_analyze(args) -> dict:
     system, source = _resolve_input(args.path, args.dim, args.norm)
-    report = frame_report(system, _mode_from(args),
-                          exhaustive_cap=args.exhaustive_cap, seed=args.seed)
+    report = frame_report(system, _mode_from(args), seed=args.seed)
     results = {
         "label": system.label,
         "dim": system.space.dim,
@@ -203,7 +200,7 @@ def _cmd_weave_search(args) -> dict:
             if d == dims[0]:
                 sources = [src_a, src_b]
             res = worst_weaving(f0, f1, mode, blow_up_threshold=args.blowup_threshold,
-                                exhaustive_cap=args.exhaustive_cap, seed=args.seed)
+                                seed=args.seed)
             table.append((d, res.worst_constant))
         results = {
             "sweep": [{"d": d, "worst_constant": _num(c)} for d, c in table],
@@ -219,8 +216,7 @@ def _cmd_weave_search(args) -> dict:
     f0, src_a = _resolve_input(args.path_a, args.dim, None)
     f1, src_b = _resolve_input(args.path_b, args.dim, None)
     res = worst_weaving(f0, f1, mode, blow_up_threshold=args.blowup_threshold,
-                        exhaustive_cap=args.exhaustive_cap, seed=args.seed,
-                        log_all_patterns=args.log_all_patterns)
+                        seed=args.seed, log_all_patterns=args.log_all_patterns)
     return fileio.build_report("weave-search", [src_a, src_b], args.seed,
                                _search_result(res))
 

@@ -394,11 +394,12 @@ class ChunkEvaluator:
         return _opnorm_values(mats, self.kind, self.kind, scratch)[:2]
 
     def norms(self, ms: np.ndarray, bits: slice = slice(None)) -> np.ndarray:
-        """(lo, hi) rows of ||S_sigma|| for each d x d block of the sums over
-        the ``bits`` of the table, pattern by pattern."""
+        """One row per pattern: the (lo, hi) pair of ||S_sigma|| for each
+        d x d block of its sum over the ``bits`` of the table, in order."""
         sums, scratch, _ = self._sums(ms, bits)
         d = sums.shape[-1]
-        return np.column_stack(self._norms(sums.reshape(-1, d, d), scratch.reshape(-1, d, d)))
+        return np.column_stack(self._norms(sums.reshape(-1, d, d),
+                                           scratch.reshape(-1, d, d))).reshape(len(ms), -1)
 
     def constants(self, ms: np.ndarray) -> np.ndarray:
         """(len(ms), 4) rows: (lo, hi) of ||S_sigma||, then of ||S_sigma^-1||,
@@ -434,8 +435,7 @@ def _frame_inverse(system: FrameSystem) -> np.ndarray:
 
 
 def _max_norms_over_patterns(stacks: np.ndarray, inverses: np.ndarray, signed: bool, kind,
-                             mode: SearchMode, exhaustive_cap: int, seed: int
-                             ) -> tuple[np.ndarray, list[int]]:
+                             mode: SearchMode, seed: int) -> tuple[np.ndarray, list[int]]:
     """Max of ||sum of the selected rows of g|| over bit patterns, for each
     g = stacks[j] @ inverses[j] of an (m, n, d, d) stack and an (m, d, d)
     stack: ((m, 2) rows of each one's (lo, hi), the index of each one's
@@ -443,67 +443,74 @@ def _max_norms_over_patterns(stacks: np.ndarray, inverses: np.ndarray, signed: b
 
     Subset patterns drop the unselected rows and signed patterns negate
     them; subset local search is seeded by greedy growth.  The first g is
-    searched alone.  If ``search.maximize`` keeps that search exhaustive,
-    the others share tables, as many as ``search.CHUNK_BUDGET`` holds whole:
-    laid side by side as one (n, p d, d) stack, whose pattern sums are each
-    g's own bit for bit, since addition is elementwise.  A demoted search
-    climbs one value, so there every g is searched alone.
+    searched alone by ``search.maximize``.  If that stays exhaustive, the
+    others share full tables, as many as ``search.CHUNK_BUDGET`` holds
+    whole: laid side by side as one (n, p d, d) stack, whose pattern sums
+    are each g's own bit for bit, since addition is elementwise.  A demoted
+    search climbs one value, so there every g is searched alone.
     """
-    m, n, d = stacks.shape[0], stacks.shape[1], stacks.shape[2]
-    brackets, witnesses, width = np.empty((m, 2)), [], 1
-    while len(witnesses) < m:
-        lo = len(witnesses)
-        p = min(width, m - lo)
+    m, n, d = stacks.shape[:3]
+    brackets, witnesses = np.empty((m, 2)), []
+
+    def evaluator(lo: int, p: int) -> ChunkEvaluator:
         terms = np.empty((n, 2, p, d, d))  # g laid side by side as on_i, -g or 0 as off_i
         np.matmul(stacks[lo:lo + p], inverses[lo:lo + p, None],
                   out=terms[:, 1].transpose(1, 0, 2, 3))
         terms[:, 0] = 0.0
         if signed:
             np.negative(terms[:, 1], out=terms[:, 0])
-        mode_used, best, ms, rows = search.maximize(
-            n, ChunkEvaluator(terms.reshape(n, 2, p * d, d), kind).norms,
-            mode, exhaustive_cap, seed, p * d * d, columns=p, greedy=not signed)
-        if p == 1:
-            brackets[lo], found = (best.value, best.hi), [best.witness]
-        else:  # only exhaustive tables are shared: each column's bound, all at once
-            brackets[lo:lo + p], found = (rows.max(axis=0).reshape(p, 2),
-                                          rows[:, 0::2].argmax(axis=0).tolist())
-        witnesses += [ms[k] for k in found]
-        if mode_used.kind == "exhaustive":
-            width = search.chunk_size_for(search.CELLS_PER_SUM * d * d << n)
+        return ChunkEvaluator(terms.reshape(n, 2, p * d, d), kind)
+
+    def alone(j: int) -> SearchMode:
+        table = evaluator(j, 1)
+        mode_used, best, ms, _ = search.maximize(n, table.norms, mode, seed, table.rows,
+                                                 greedy=not signed)
+        brackets[j] = best.value, best.hi
+        witnesses.append(ms[best.witness])
+        return mode_used
+
+    if alone(0).kind == "exhaustive":  # each column pair's bound, all at once
+        width = search.chunk_size_for(search.CELLS_PER_SUM * d * d << n)
+        for lo in range(1, m, width):
+            p = min(width, m - lo)
+            table = evaluator(lo, p)
+            rows = search.pattern_table(range(1 << n), table.norms, table.rows)
+            brackets[lo:lo + p] = rows.max(axis=0).reshape(p, 2)
+            witnesses += rows[:, 0::2].argmax(axis=0).tolist()
+    else:
+        for j in range(1, m):
+            alone(j)
     return brackets, witnesses
 
 
 def _max_norm_over_patterns(system: FrameSystem, signed: bool, mode: SearchMode,
-                            exhaustive_cap: int, seed: int) -> Bound:
+                            seed: int) -> Bound:
     """``_max_norms_over_patterns`` of g = x_i f_i^T S^-1 for one system, as
     a Bound whose witness is the maximizing pattern's bits, or +-1 signs
     when ``signed``."""
     brackets, witnesses = _max_norms_over_patterns(
         outer_stack(system.vectors, system.functionals)[None], _frame_inverse(system)[None],
-        signed, system.space.norm, mode, exhaustive_cap, seed)
+        signed, system.space.norm, mode, seed)
     bits = search.bits_of_index(witnesses[0], system.n)
     return Bound(float(brackets[0, 0]), hi=float(brackets[0, 1]),
                  witness=tuple(1 if b else -1 for b in bits) if signed else bits)
 
 
 def suppression_constant(system: FrameSystem, mode: SearchMode = EXHAUSTIVE,
-                         exhaustive_cap: int = search.DEFAULT_EXHAUSTIVE_CAP,
                          seed: int = 0) -> Bound:
     """C_s: the worst ||P_Gamma S^-1|| over index subsets Gamma.
 
     Exhaustive mode enumerates all 2^n subsets (forced to heuristic above
-    ``exhaustive_cap``); heuristic mode runs greedy growth plus single-flip
-    local search and reports a lower bound.
+    ``mode.cap``); heuristic mode runs greedy growth plus single-flip local
+    search and reports a lower bound.
     """
-    return _max_norm_over_patterns(system, False, mode, exhaustive_cap, seed)
+    return _max_norm_over_patterns(system, False, mode, seed)
 
 
 def unconditional_constant(system: FrameSystem, mode: SearchMode = EXHAUSTIVE,
-                           exhaustive_cap: int = search.DEFAULT_EXHAUSTIVE_CAP,
                            seed: int = 0) -> Bound:
     """C_u: the worst ||(sum_i eps_i x_i f_i^T) S^-1|| over signs eps."""
-    return _max_norm_over_patterns(system, True, mode, exhaustive_cap, seed)
+    return _max_norm_over_patterns(system, True, mode, seed)
 
 
 def square_function(vectors: np.ndarray, coeffs, lattice_vectors: np.ndarray,
@@ -547,14 +554,13 @@ def equivalence_constants(basis0: np.ndarray, basis1: np.ndarray,
 
 
 def frame_report(system: FrameSystem, mode: SearchMode = EXHAUSTIVE,
-                 exhaustive_cap: int = search.DEFAULT_EXHAUSTIVE_CAP,
                  seed: int = 0) -> ConstantReport:
     """Full constant report: frame bounds, C_s, C_u, and basis constant."""
     base = check_approximate_frame(system)
     if base.verdict != "frame":
         return base
-    c_s = suppression_constant(system, mode, exhaustive_cap, seed)
-    c_u = unconditional_constant(system, mode, exhaustive_cap, seed)
+    c_s = suppression_constant(system, mode, seed)
+    c_u = unconditional_constant(system, mode, seed)
     basis_c = None
     if system.n == system.space.dim:
         try:

@@ -129,10 +129,9 @@ def _certify_residuals(f0: FrameSystem, f1: FrameSystem, s_inv: np.ndarray,
     n = f0.n
     exhaustive = n <= EXHAUSTIVE_CERT_CAP
     ms = range(1 << n) if exhaustive else sample_patterns(n, 512, seed)
-    rows_of = functools.partial(ChunkEvaluator.weavings(f0, f1).residuals, x=s_inv,
-                                limit=bound + CERT_SLACK)
-    table = search.pattern_table(ms, rows_of, search.CELLS_PER_SUM * f0.space.dim ** 2,
-                                 columns=2)
+    weavings = ChunkEvaluator.weavings(f0, f1)
+    rows_of = functools.partial(weavings.residuals, x=s_inv, limit=bound + CERT_SLACK)
+    table = search.pattern_table(ms, rows_of, weavings.rows)
     failed = np.flatnonzero(table[:, 1] == 0)[:16]
     return BoundCertificate(holds=failed.size == 0, bound=bound,
                             max_residual=max(0.0, float(table[:, 0].max())),

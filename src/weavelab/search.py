@@ -7,8 +7,8 @@ most significant, or a sample) in chunks fixed by the instance, on the
 calling thread, and callers reduce with first-index tie-breaking
 (``np.argmax``): the winner is the lexicographically smallest maximizer.
 :func:`maximize` is the one place where a search is demoted, from
-exhaustive above its cap to heuristic; both modes read the same row
-function, so their values agree bit for bit.
+exhaustive above its ``SearchMode.cap`` to heuristic; both modes read the
+same row function, so their values agree bit for bit.
 :func:`bound` is the one reduce of a column of (lo, hi) brackets.
 """
 
@@ -34,10 +34,11 @@ CELLS_PER_SUM = 4
 
 @dataclass(frozen=True)
 class SearchMode:
-    """Exhaustive enumeration or seeded local search with restarts."""
+    """Exhaustive enumeration (heuristic above ``cap`` patterns) or seeded local search."""
 
     kind: str
     restarts: int = 32
+    cap: int = DEFAULT_EXHAUSTIVE_CAP
 
     def __post_init__(self):
         if self.kind not in ("exhaustive", "heuristic"):
@@ -74,48 +75,51 @@ def chunk_size_for(row_cells: int) -> int:
     """Patterns per chunk when one pattern's row holds ``row_cells`` floats:
     ``CHUNK_BUDGET // row_cells``, at least 1 and at most 1024.
 
-    Pattern-sum tables pass ``CELLS_PER_SUM * d * d``, so a d x d chunk
-    holds 2**15 // d**2 patterns; ``unc_conditions`` passes n**3.  Depends
-    only on the instance, so chunk contents, and hence floating-point
-    results, are fixed by it.
+    A ``frames.ChunkEvaluator`` over d x d sums takes ``CELLS_PER_SUM * d *
+    d``, so its chunk holds 2**15 // d**2 patterns; ``unc_conditions`` passes
+    n**3.  Depends only on the instance, so chunk contents, and hence
+    floating-point results, are fixed by it.
     """
     return max(1, min(1024, CHUNK_BUDGET // row_cells))
 
 
 def pattern_table(ms: Sequence[int], rows_of: Callable[[np.ndarray], np.ndarray],
-                  row_cells: int, columns: int = 1) -> np.ndarray:
-    """Evaluate rows_of over the pattern indices ``ms`` in increasing order,
-    ``chunk_size_for(row_cells)`` consecutive entries at a time.
+                  chunk: int) -> np.ndarray:
+    """Evaluate rows_of over the nonempty pattern indices ``ms`` in
+    increasing order, ``chunk`` consecutive entries at a time.
 
     ``ms`` is ``range(1 << n_bits)`` for a full table, whose chunks are built
     by ``np.arange`` (no index array of the whole range), or a sorted list.
-    Returns the (len(ms), columns) table (a flat array when ``columns ==
-    1``).  rows_of maps a uint64 array of indices to their rows and must be a
-    pure function of them; it runs on the calling thread, one chunk after
-    another.
+    rows_of maps a uint64 array of indices to their rows, one per index; it
+    must be a pure function of them, and it runs on the calling thread, one
+    chunk after another.  Returns the float table of the rows, shaped as
+    they are.
     """
-    chunk = chunk_size_for(row_cells)
-    out = np.empty((len(ms), columns), dtype=np.float64)
+    out = None
     for lo in range(0, len(ms), chunk):
         hi = min(lo + chunk, len(ms))
         idx = np.arange(lo, hi, dtype=np.uint64) if isinstance(ms, range) \
             else np.asarray(ms[lo:hi], dtype=np.uint64)
-        out[lo:hi] = np.asarray(rows_of(idx), dtype=np.float64).reshape(hi - lo, columns)
-    return out[:, 0] if columns == 1 else out
+        rows = rows_of(idx)
+        if out is None:
+            out = np.empty((len(ms),) + np.shape(rows)[1:])
+        out[lo:hi] = rows
+    return out
 
 
 class Values(dict):
     """Pattern index -> value of each pattern that one search has graded;
-    ``grade`` maps a sorted list of distinct indices to their values."""
+    ``grade`` maps a sorted nonempty list of distinct indices to their values."""
 
     def __init__(self, grade: Callable[[list[int]], Sequence[float]]):
         super().__init__()
         self.grade = grade
 
     def fill(self, ms):
-        """Grade the indices of ``ms`` not held, as one batch."""
+        """Grade the indices of ``ms`` not held, as one batch (none when all are)."""
         new = sorted(set(ms).difference(self))
-        self.update(zip(new, self.grade(new)))
+        if new:
+            self.update(zip(new, self.grade(new)))
 
 
 def _climb(n_bits: int, cur: int):
@@ -195,33 +199,32 @@ def bound(lo: np.ndarray, hi: np.ndarray, complete: bool, at: int | None = None)
 
 
 def maximize(n_bits: int, rows_of: Callable[[np.ndarray], np.ndarray], mode: SearchMode,
-             exhaustive_cap: int, seed: int, cell: int, columns: int = 1,
+             seed: int, chunk: int,
              greedy: bool = False) -> tuple[SearchMode, Bound, Sequence[int], np.ndarray]:
     """Maximize the largest lo of a pattern's row over all n_bits patterns.
 
     ``rows_of`` maps a uint64 array of pattern indices to their rows, a
-    (lo, hi) pair for each of ``columns`` quantities; ``cell``, the floats
-    of one pattern's sum, sizes the chunks at ``CELLS_PER_SUM`` such cells
-    per pattern.  Exhaustive mode tabulates every row, but above
-    ``exhaustive_cap`` patterns it is demoted to ``heuristic(mode.restarts)``,
-    which hill-climbs (seeded by greedy growth when ``greedy``) and evaluates
-    each pattern once, a round at a time: one ``pattern_table`` per round.
-    Returns ``(mode_used, best, ms, rows)``: the evaluated indices in
-    increasing order, their rows, and the ``bound`` of the row maxima at the
-    winner's position in both.  More than 64 bits raise InputError.
+    (lo, hi) pair for each of its quantities, ``chunk`` indices at a time.
+    Exhaustive mode tabulates every row, but above ``mode.cap`` patterns it
+    is demoted to ``heuristic(mode.restarts)``, which hill-climbs (seeded by
+    greedy growth when ``greedy``) and evaluates each pattern once, a round
+    at a time: one ``pattern_table`` per round.  Returns ``(mode_used, best,
+    ms, rows)``: the evaluated indices in increasing order, their rows, and
+    the ``bound`` of the row maxima at the winner's position in both.  More
+    than 64 bits raise InputError.
     """
     if n_bits > 64:
         raise InputError(f"patterns of {n_bits} bits; at most 64 are supported")
-    if mode.kind == "exhaustive" and (1 << n_bits) > exhaustive_cap:
+    if mode.kind == "exhaustive" and (1 << n_bits) > mode.cap:
         mode = heuristic(mode.restarts)
     if mode.kind == "exhaustive":
         ms, best = range(1 << n_bits), None
-        rows = pattern_table(ms, rows_of, CELLS_PER_SUM * cell, 2 * columns)
+        rows = pattern_table(ms, rows_of, chunk)
     else:
         memo: dict[int, np.ndarray] = {}
 
         def grade(ms: list[int]) -> list[float]:
-            rows = pattern_table(ms, rows_of, CELLS_PER_SUM * cell, 2 * columns)
+            rows = pattern_table(ms, rows_of, chunk)
             memo.update(zip(ms, rows))
             return rows[:, 0::2].max(axis=1).tolist()
 

@@ -34,11 +34,12 @@ from .normed import (DEFAULT_COND_CAP, L2, Bound, DenseOperator, Exactness,
                      vector_norm)
 from .frames import (FrameSystem, _max_norms_over_patterns, outer_stack, subset_sum,
                      unconditional_constant)
-from .search import SearchMode, bit_rows, bound, pattern_table
+from .search import SearchMode, bit_rows, bound, chunk_size_for, pattern_table
 from .weaving import WeavePattern, _woven_bases, sample_patterns
 
 DEFAULT_UNC_THRESHOLD = 4.0
 INNER_EXHAUSTIVE_CAP = 2 ** 12  # patterns; above it ``maximize`` makes C_u heuristic(16)
+INNER_SEARCH = SearchMode("exhaustive", 16, INNER_EXHAUSTIVE_CAP)  # every C_u's search
 EXHAUSTIVE_SCOPE_BITS = 16  # above it, exhaustive scope falls back to sampled
 PER_SIGMA_CAP = 4096  # per-pattern flags are kept up to this many patterns
 RANGE_RESIDUAL_TOL = 1e-8
@@ -538,23 +539,21 @@ def _scope_patterns(n: int, scope: str, samples: int, seed: int) -> tuple[range 
     return sample_patterns(n, samples + 4, seed), "sampled"
 
 
-def _c_u_column(stacks: np.ndarray, mats: np.ndarray, kind: NormKind, inner: SearchMode,
+def _c_u_column(stacks: np.ndarray, mats: np.ndarray, kind: NormKind,
                 seed: int) -> tuple[np.ndarray, np.ndarray]:
     """(lo, hi) of C_u per pattern of a chunk: the C_u of its (n, d, d) stack
     of ``stacks`` against the guarded inverse of its matrix of ``mats``, from
     one ``batch_invert`` and the shared sign tables of
-    ``_max_norms_over_patterns``; +inf twice where the inverse is refused.
-    ``inner`` is the search mode, capped at ``INNER_EXHAUSTIVE_CAP``."""
+    ``_max_norms_over_patterns`` under ``INNER_SEARCH``; +inf twice where
+    the inverse is refused."""
     inv = batch_invert(mats)
     # a refused inverse is zeros, so its stack's table reads 0 and is dropped
-    brackets, _ = _max_norms_over_patterns(stacks, inv.inverses, True, kind, inner,
-                                           INNER_EXHAUSTIVE_CAP, seed)
+    brackets, _ = _max_norms_over_patterns(stacks, inv.inverses, True, kind, INNER_SEARCH, seed)
     brackets[~inv.accepted] = np.inf
     return brackets.T
 
 
-def _woven_c_u(f0, f1, bits: np.ndarray, inner: SearchMode,
-               seed: int) -> tuple[np.ndarray, np.ndarray]:
+def _woven_c_u(f0, f1, bits: np.ndarray, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """(lo, hi) of C_u of the woven basis of each pattern of a chunk (the
     boolean rows ``bits``), with its duals from ``weaving._woven_bases``:
     the (i), (ii) and (iv) constant.  +inf twice where the weaving is not
@@ -562,8 +561,7 @@ def _woven_c_u(f0, f1, bits: np.ndarray, inner: SearchMode,
     vectors, duals, basis = _woven_bases(f0, f1, bits)
     lo, hi = np.full((2, len(bits)), np.inf)
     woven = outer_stack(vectors[basis], duals[basis])
-    lo[basis], hi[basis] = _c_u_column(woven, np.add.reduce(woven, axis=1),
-                                       f0.space.norm, inner, seed)
+    lo[basis], hi[basis] = _c_u_column(woven, np.add.reduce(woven, axis=1), f0.space.norm, seed)
     return lo, hi
 
 
@@ -579,8 +577,7 @@ def _larger_norms(d1s: np.ndarray, gens: np.ndarray, kind: NormKind
     return np.where(nan, np.inf, lo.max(axis=1)), np.where(nan, np.nan, hi.max(axis=1))
 
 
-def _chunk_rows(f0, f1, stacks, bits: np.ndarray, wanted, inner: SearchMode,
-                seed: int) -> np.ndarray:
+def _chunk_rows(f0, f1, stacks, bits: np.ndarray, wanted, seed: int) -> np.ndarray:
     """The six-way rows of a chunk of patterns, the boolean rows ``bits``:
     the (lo, hi) bracket of the constant of each condition of ``wanted`` in
     ``_SIGMA_ORDER`` (+inf twice for a refused inversion), then (iii)'s
@@ -679,12 +676,12 @@ def _chunk_rows(f0, f1, stacks, bits: np.ndarray, wanted, inner: SearchMode,
                                      kind), idx[live])
     woven = [c for c in ("i", "ii", "iv") if c in wanted]
     if woven:
-        c_u = _woven_c_u(f0, f1, bits, inner, seed)
+        c_u = _woven_c_u(f0, f1, bits, seed)
         for c in woven:
             put(c, *c_u)
     if "iii" in wanted:
         put("iii", *_c_u_column(np.where(bits[:, :, None, None], stacks[1], stacks[0]),
-                                s, kind, inner, seed))
+                                s, kind, seed))
     if sums:
         d1s, gens, at = (np.concatenate(x) for x in zip(*sums))
         put("v", *_larger_norms(d1s, gens, kind), at)
@@ -711,9 +708,9 @@ def unc_conditions(f0: FrameSystem, f1: FrameSystem, scope: str = "exhaustive",
     residuals.  The constant is lo.  A condition's witness is its first
     failing pattern, otherwise its first maximizer, and its label is that of
     the ``search.bound`` of its column, whose hi is finite only under
-    exhaustive scope.  Each C_u, the bases' own and the chunk's, asks
-    ``search.maximize`` for an exhaustive search, which it demotes to
-    heuristic(16) above ``INNER_EXHAUSTIVE_CAP`` patterns.
+    exhaustive scope.  Each C_u, the bases' own and the chunk's, searches by
+    ``INNER_SEARCH``, which ``search.maximize`` demotes to heuristic(16)
+    above ``INNER_EXHAUSTIVE_CAP`` patterns.
     Exhaustive scope enumerates all patterns up to ``EXHAUSTIVE_SCOPE_BITS``
     bits; above that a seeded sample of ``samples`` draws (InputError when
     negative) plus the alternating and constant patterns is used.
@@ -737,17 +734,15 @@ def unc_conditions(f0: FrameSystem, f1: FrameSystem, scope: str = "exhaustive",
         raise InputError("no conditions selected")
     n = f0.n
     ms, scope_used = _scope_patterns(n, scope, samples, seed)
-    inner = SearchMode("exhaustive", 16)
-    base0, base1 = (unconditional_constant(f, inner, INNER_EXHAUSTIVE_CAP, seed).value
-                    for f in (f0, f1))
+    base0, base1 = (unconditional_constant(f, INNER_SEARCH, seed).value for f in (f0, f1))
     if not (np.isfinite(base0) and np.isfinite(base1)):
         raise NotAFrame("input bases must have finite unconditional constants")
 
     stacks = (outer_stack(f0.vectors, f0.functionals), outer_stack(f1.vectors, f1.functionals))
 
     table = pattern_table(
-        ms, lambda part: _chunk_rows(f0, f1, stacks, bit_rows(part, n), wanted, inner, seed),
-        n * n * n, columns=2 * len(wanted) + 2)
+        ms, lambda part: _chunk_rows(f0, f1, stacks, bit_rows(part, n), wanted, seed),
+        chunk_size_for(n * n * n))
     lo, hi = table[:, :-2:2], table[:, 1:-2:2]
     flags = lo <= threshold
     max_st, max_ts = (float(np.max(r[np.isfinite(r)], initial=0.0)) for r in table[:, -2:].T)

@@ -149,12 +149,11 @@ def partial_operator(f0: FrameSystem, f1: FrameSystem,
 
 def worst_weaving(f0: FrameSystem, f1: FrameSystem, mode: SearchMode = EXHAUSTIVE,
                   blow_up_threshold: float = DEFAULT_BLOW_UP,
-                  exhaustive_cap: int = search.DEFAULT_EXHAUSTIVE_CAP,
                   seed: int = 0, log_all_patterns: bool = False) -> WeaveSearchResult:
     """Search for the pattern maximizing max(||S_sigma||, ||S_sigma^-1||).
 
     Exhaustive mode grades every pattern (demoted to heuristic above
-    ``exhaustive_cap``); heuristic mode hill-climbs with restarts from the
+    ``mode.cap``); heuristic mode hill-climbs with restarts from the
     two trivial patterns and random starts.  The verdict is ``not_woven``
     when any evaluated weaving fails inversion or exceeds
     ``blow_up_threshold``; heuristic "woven" verdicts are best-effort and
@@ -169,9 +168,8 @@ def worst_weaving(f0: FrameSystem, f1: FrameSystem, mode: SearchMode = EXHAUSTIV
     n = f0.n
     if log_all_patterns and (1 << n) > LOG_CAP:
         raise InputError(f"per-pattern log limited to 2^n <= {LOG_CAP}")
-    mode_used, worst, ms, rows = search.maximize(n, ChunkEvaluator.weavings(f0, f1).constants,
-                                                 mode, exhaustive_cap, seed,
-                                                 f0.space.dim ** 2, columns=2)
+    weavings = ChunkEvaluator.weavings(f0, f1)
+    mode_used, worst, ms, rows = search.maximize(n, weavings.constants, mode, seed, weavings.rows)
     offenders = np.flatnonzero(rows[:, 0::2].max(axis=1) > blow_up_threshold)  # by the lo
     witness = ms[offenders[0]] if offenders.size else None
     s_norm, s_inv = rows[worst.witness, 0::2].tolist()
@@ -237,9 +235,8 @@ def uniform_bound_profile(f0: FrameSystem, f1: FrameSystem) -> Bound:
             while len(picks) < min(local, PROFILE_SAMPLES):
                 picks.add(int(rng.integers(0, local)))
             ms = sorted(picks)
-        tops.append(search.pattern_table(
-            ms, functools.partial(weavings.norms, bits=slice(m - 1, k)),
-            search.CELLS_PER_SUM * f0.space.dim ** 2, columns=2).max(axis=0))
+        rows_of = functools.partial(weavings.norms, bits=slice(m - 1, k))
+        tops.append(search.pattern_table(ms, rows_of, weavings.rows).max(axis=0))
     best = search.bound(*np.transpose(tops), exhaustive)
     return Bound(best.value, hi=best.hi)
 
@@ -250,8 +247,8 @@ def lower_bound_profile(f0: FrameSystem, f1: FrameSystem) -> float:
     _require_compatible(f0, f1)
     if (1 << f0.n) > search.DEFAULT_EXHAUSTIVE_CAP:
         raise InputError("lower bound profile requires exhaustive enumeration")
-    table = search.pattern_table(range(1 << f0.n), ChunkEvaluator.weavings(f0, f1).constants,
-                                 search.CELLS_PER_SUM * f0.space.dim ** 2, columns=4)
+    weavings = ChunkEvaluator.weavings(f0, f1)
+    table = search.pattern_table(range(1 << f0.n), weavings.constants, weavings.rows)
     return 1.0 / float(table[:, 2].max())  # 1/inf = 0.0 where a weaving is singular
 
 
@@ -277,10 +274,13 @@ def weaving_basis_constants(f0: FrameSystem, f1: FrameSystem) -> tuple[bool, flo
     row holds the bits ``biorthogonals`` and ``basis_constant`` give for
     that weaving alone.  A dependent weaving (refused by
     ``batch_biorthogonals``) clears the first flag and is left out of the
-    maximum.
+    maximum.  Above ``search.DEFAULT_EXHAUSTIVE_CAP`` weavings it raises
+    InputError, as ``lower_bound_profile`` does.
     """
     _require_compatible(f0, f1)
     n = f0.n
+    if (1 << n) > search.DEFAULT_EXHAUSTIVE_CAP:
+        raise InputError("weaving basis constants require exhaustive enumeration")
 
     def rows_of(ms: np.ndarray) -> np.ndarray:
         vectors, duals, basis = _woven_bases(f0, f1, search.bit_rows(ms, n))
@@ -291,7 +291,7 @@ def weaving_basis_constants(f0: FrameSystem, f1: FrameSystem) -> tuple[bool, flo
         return rows
 
     table = search.pattern_table(range(1 << n), rows_of,
-                                 search.CELLS_PER_SUM * f0.space.dim ** 2, columns=2)
+                                 search.chunk_size_for(search.CELLS_PER_SUM * f0.space.dim ** 2))
     return bool(table[:, 0].all()), float(table[:, 1].max())
 
 

@@ -6,7 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from weavelab import FrameSystem, L1, NormedSpace, SearchMode, lp, search
+from weavelab import (FrameSystem, GallerySpec, L1, NormedSpace, SearchMode, generate,
+                      heuristic, lp, search, worst_weaving)
 from weavelab.cli import build_parser, main
 from weavelab.weaving import DEFAULT_BLOW_UP
 from weavelab.fileio import load_system, save_system
@@ -254,6 +255,33 @@ def test_perturb_modes(tmp_path, capsys):
 
     code, _, _ = run_cli(["perturb", "gallery:standard-l1", "--dim", "4"], capsys)
     assert code == 1
+
+
+def test_perturb_honours_the_exhaustive_cap(capsys):
+    # a cap of 8 lies below the 16 weavings at d = 4: the pair's worst weaving
+    # is the demoted climb, and the operator check has no exact C_s to use
+    l1_file = str(Path(__file__).parent / "golden" / "inputs" / "perturbed-l1-d4.json")
+    code, out, _ = run_cli(["perturb", "gallery:standard-l1", "--pair", l1_file, "--dim", "4",
+                            "--exhaustive-cap", "8"], capsys)
+    assert code == 0
+    worst = read_report(out)["results"]["worst"]
+    assert (worst["mode"], worst["exactness"]) == ("heuristic", "lower_bound")
+    code, out, err = run_cli(["perturb", "gallery:standard-l1", "--dim", "4", "--op-scale",
+                              "0.75", "--exhaustive-cap", "8"], capsys)
+    assert code == 1 and out == ""
+    assert "needs an exact suppression constant" in err
+
+
+def test_weave_search_demotes_to_the_restarts_given(capsys):
+    # above the cap, the climb is heuristic(3), not the default heuristic(32)
+    code, out, _ = run_cli(["weave-search", "gallery:standard-c0", "gallery:summing-c0",
+                            "--dim", "6", "--exhaustive-cap", "16", "--restarts", "3"], capsys)
+    assert code == 0
+    results = read_report(out)["results"]
+    f0, f1 = (generate(GallerySpec(name, 6)) for name in ("standard-c0", "summing-c0"))
+    ref = worst_weaving(f0, f1, heuristic(3))
+    assert results["mode"] == "heuristic"
+    assert results["patterns_evaluated"] == ref.patterns_evaluated == 29
 
 
 def test_perturb_basis_refuses_a_candidate_on_another_space(capsys):

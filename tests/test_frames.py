@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from weavelab import (EXHAUSTIVE, L1, L2, LINF, Basis, DenseOperator, Exactness,
-                      FrameSystem, InputError, NormedSpace, NotABasis, basis_constant,
-                      basis_perturbation_check, biorthogonals, check_approximate_frame,
-                      equivalence_constants, frame_operator, heuristic, lp, square_function,
-                      suppression_constant, unconditional_constant, vector_norm,
-                      worst_weaving)
+                      FrameSystem, InputError, NormedSpace, NotABasis, SearchMode,
+                      basis_constant, basis_perturbation_check, biorthogonals,
+                      check_approximate_frame, equivalence_constants, frame_operator, heuristic,
+                      lp, square_function, suppression_constant, unconditional_constant,
+                      vector_norm, worst_weaving)
 from weavelab import frames
 from weavelab.frames import batch_biorthogonals, projection_norms
 from conftest import NORMS, random_basis, random_frame_system
@@ -397,11 +397,11 @@ def test_exhaustive_demotes_above_cap(rng):
     system = random_frame_system(rng, 6, L1)
     other = random_frame_system(rng, 6, L1)
     for constant in (suppression_constant, unconditional_constant):
-        est = constant(system, EXHAUSTIVE, exhaustive_cap=8, seed=2)
+        est = constant(system, SearchMode("exhaustive", cap=8), seed=2)
         ref = constant(system, heuristic(32), seed=2)
         assert est.exactness is ref.exactness is Exactness.LOWER_BOUND
         assert (est.value, est.witness) == (ref.value, ref.witness)
-    demoted = worst_weaving(system, other, EXHAUSTIVE, exhaustive_cap=8, seed=2,
+    demoted = worst_weaving(system, other, SearchMode("exhaustive", cap=8), seed=2,
                             log_all_patterns=True)
     ref = worst_weaving(system, other, heuristic(32), seed=2, log_all_patterns=True)
     assert demoted.mode == ref.mode == heuristic(32)

@@ -675,7 +675,7 @@ def test_evaluator_pattern_sums_match_the_plain_reduce_bit_for_bit(rng):
                 assert got.tobytes() == plain[m:m + 1].tobytes(), (n, d, m)
             table = search.pattern_table(
                 range(1 << n), lambda ms: evaluator._sums(ms)[0].reshape(len(ms), -1),
-                search.CELLS_PER_SUM * d * d, columns=d * d)
+                evaluator.rows)
             assert table.tobytes() == plain.reshape(1 << n, -1).tobytes(), (n, d)
 
 

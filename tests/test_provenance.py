@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from weavelab import (EXHAUSTIVE, L1, L2, LINF, Bound, DenseOperator, Exactness,
-                      FrameSystem, GallerySpec, NormedSpace, SpannedSubspace, basis_constant,
-                      generate, heuristic, lp, operator_norm, restricted_inverse,
+                      FrameSystem, GallerySpec, NormedSpace, SearchMode, SpannedSubspace,
+                      basis_constant, generate, heuristic, lp, operator_norm, restricted_inverse,
                       subspace_distance, suppression_constant, unc_conditions,
                       unconditional_constant, uniform_bound_profile, worst_weaving)
 from weavelab import subspaces, weaving
@@ -148,7 +148,8 @@ LABELS = {
     "worst-linf-exhaustive": (lambda: worst_weaving(*_c0_pair(6)), EXACT),
     "worst-lp3-exhaustive": (lambda: worst_weaving(*_c0_pair(6, lp(3.0))), LOWER),
     "worst-heuristic": (lambda: worst_weaving(*_c0_pair(6), heuristic(2)), LOWER),
-    "worst-demoted": (lambda: worst_weaving(*_c0_pair(6), exhaustive_cap=8), LOWER),
+    "worst-demoted": (lambda: worst_weaving(*_c0_pair(6), SearchMode("exhaustive", cap=8)),
+                      LOWER),
     "six-way-l1": (_six_way_vi(False), EXACT),
     "six-way-l1-ascent": (_six_way_vi(True), LOWER),
 }

@@ -1,9 +1,12 @@
 """Smoke tests: the README's experiment scripts run to completion, the
 value battery prints its committed section digests, the test suite
 collects without errors, the benchmark's self-tests pass, and the
-benchmark recorder compiles both sides' bytecode before timing them."""
+benchmark recorder's layer probe runs and it compiles both sides' bytecode
+before timing them."""
 
 import importlib.util
+import json
+import math
 import os
 import re
 import subprocess
@@ -79,6 +82,19 @@ def _script(name: str):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def test_bench_record_layer_probe_runs_on_this_checkout():
+    # ``layers`` runs the probe on both checkouts, so it may only use what
+    # the library offers; one run prints one JSON object of finite numbers
+    probe = _script("bench_record").LAYER_PROBE
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=_env(), timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 1
+    values = json.loads(lines[0])
+    assert values and all(math.isfinite(v) for v in values.values()), values
 
 
 def test_bench_record_gives_both_sides_the_same_bytecode(tmp_path):

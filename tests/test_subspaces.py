@@ -20,7 +20,7 @@ from weavelab import (L1, L2, LINF, DenseOperator, DistanceZero, Exactness,
                       projection_pair, restricted_inverse,
                       subspace_distance, unc_conditions, unconditional_constant,
                       vector_norm, weave)
-from weavelab import search, subspaces
+from weavelab import frames, search, subspaces
 from weavelab.frames import outer_stack
 from weavelab.fileio import load_system
 from weavelab.normed import batch_vector_norms
@@ -773,6 +773,26 @@ def test_unc_conditions_inner_c_u_is_demoted_by_maximize(rng):
     assert [c.hex() for c in unc.base_unconditional] == [b.value.hex() for b in expected]
     assert all(b.exactness is Exactness.LOWER_BOUND for b in expected)
     assert unc.conditions["i"].exactness is Exactness.LOWER_BOUND
+
+
+def test_unc_conditions_runs_one_maximize_per_sign_search(monkeypatch):
+    # the first g of each C_u search is maximized, and the shared sign tables
+    # after it are plain exhaustive tables, with no search and no bound of their own
+    counts = {"norms": 0, "maximize": 0}
+
+    def counting(name, real):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+        return call
+
+    norms = counting("norms", frames._max_norms_over_patterns)
+    monkeypatch.setattr(frames, "_max_norms_over_patterns", norms)
+    monkeypatch.setattr(subspaces, "_max_norms_over_patterns", norms)
+    monkeypatch.setattr(search, "maximize", counting("maximize", search.maximize))
+    f0, f1 = (generate(GallerySpec(name, 5)) for name in ("blockpair-a0", "blockpair-a1"))
+    unc_conditions(f0, f1)
+    assert counts["norms"] > 2 and counts["maximize"] == counts["norms"]
 
 
 def test_unc_conditions_subset_and_errors():

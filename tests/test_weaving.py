@@ -454,6 +454,13 @@ def test_log_cap_checked_before_enumerating(monkeypatch):
         worst_weaving(std, summing_system(13), log_all_patterns=True)
 
 
+def test_weaving_basis_constants_refuses_above_the_exhaustive_cap(monkeypatch):
+    # as lower_bound_profile does: the table holds a row for each of the 2^n weavings
+    monkeypatch.setattr(search, "DEFAULT_EXHAUSTIVE_CAP", 8)
+    with pytest.raises(InputError, match="exhaustive enumeration"):
+        weaving_basis_constants(standard_system(4, LINF), summing_system(4))
+
+
 def test_weaving_basis_constants_skips_dependent_weavings():
     # x_1 of the second system is e_2, so any weaving taking x_1 from it and
     # x_2 from the standard basis repeats e_2
@@ -593,8 +600,7 @@ def test_heuristic_rows_match_one_pattern_constants_on_any_thread_count():
         callers.add(threading.get_ident())
         return evaluator.constants(ms)
 
-    _, worst, ms, rows = search.maximize(32, rows_of, heuristic(32),
-                                         search.DEFAULT_EXHAUSTIVE_CAP, 0, 32 * 32, columns=2)
+    _, worst, ms, rows = search.maximize(32, rows_of, heuristic(32), 0, evaluator.rows)
     best = worst.witness
     assert callers == {threading.get_ident()} and len(ms) == 2086
     for m, row in zip(ms, rows):
