@@ -447,7 +447,8 @@ def _max_norms_over_patterns(stacks: np.ndarray, inverses: np.ndarray, signed: b
     others share full tables, as many as ``search.CHUNK_BUDGET`` holds
     whole: laid side by side as one (n, p d, d) stack, whose pattern sums
     are each g's own bit for bit, since addition is elementwise.  A demoted
-    search climbs one value, so there every g is searched alone.
+    search climbs one value, so there every g is searched alone.  An empty
+    stack (m = 0, a chunk with no woven basis) searches nothing.
     """
     m, n, d = stacks.shape[:3]
     brackets, witnesses = np.empty((m, 2)), []
@@ -469,7 +470,7 @@ def _max_norms_over_patterns(stacks: np.ndarray, inverses: np.ndarray, signed: b
         witnesses.append(ms[best.witness])
         return mode_used
 
-    if alone(0).kind == "exhaustive":  # each column pair's bound, all at once
+    if m and alone(0).kind == "exhaustive":  # each column pair's bound, all at once
         width = search.chunk_size_for(search.CELLS_PER_SUM * d * d << n)
         for lo in range(1, m, width):
             p = min(width, m - lo)

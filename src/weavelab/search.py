@@ -71,16 +71,16 @@ def index_of_bits(bits) -> int:
     return m
 
 
-def chunk_size_for(row_cells: int) -> int:
-    """Patterns per chunk when one pattern's row holds ``row_cells`` floats:
-    ``CHUNK_BUDGET // row_cells``, at least 1 and at most 1024.
+def chunk_size_for(floats: int) -> int:
+    """Patterns per chunk when one pattern's row holds that many ``floats``:
+    ``CHUNK_BUDGET // floats``, at least 1 and at most 1024.
 
     A ``frames.ChunkEvaluator`` over d x d sums takes ``CELLS_PER_SUM * d *
     d``, so its chunk holds 2**15 // d**2 patterns; ``unc_conditions`` passes
     n**3.  Depends only on the instance, so chunk contents, and hence
     floating-point results, are fixed by it.
     """
-    return max(1, min(1024, CHUNK_BUDGET // row_cells))
+    return max(1, min(1024, CHUNK_BUDGET // floats))
 
 
 def pattern_table(ms: Sequence[int], rows_of: Callable[[np.ndarray], np.ndarray],

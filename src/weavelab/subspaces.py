@@ -38,8 +38,7 @@ from .search import SearchMode, bit_rows, bound, chunk_size_for, pattern_table
 from .weaving import WeavePattern, _woven_bases, sample_patterns
 
 DEFAULT_UNC_THRESHOLD = 4.0
-INNER_EXHAUSTIVE_CAP = 2 ** 12  # patterns; above it ``maximize`` makes C_u heuristic(16)
-INNER_SEARCH = SearchMode("exhaustive", 16, INNER_EXHAUSTIVE_CAP)  # every C_u's search
+INNER_SEARCH = SearchMode("exhaustive", 16, 2 ** 12)  # every C_u's; heuristic(16) above the cap
 EXHAUSTIVE_SCOPE_BITS = 16  # above it, exhaustive scope falls back to sampled
 PER_SIGMA_CAP = 4096  # per-pattern flags are kept up to this many patterns
 RANGE_RESIDUAL_TOL = 1e-8
@@ -710,7 +709,7 @@ def unc_conditions(f0: FrameSystem, f1: FrameSystem, scope: str = "exhaustive",
     the ``search.bound`` of its column, whose hi is finite only under
     exhaustive scope.  Each C_u, the bases' own and the chunk's, searches by
     ``INNER_SEARCH``, which ``search.maximize`` demotes to heuristic(16)
-    above ``INNER_EXHAUSTIVE_CAP`` patterns.
+    above ``INNER_SEARCH.cap`` patterns.
     Exhaustive scope enumerates all patterns up to ``EXHAUSTIVE_SCOPE_BITS``
     bits; above that a seeded sample of ``samples`` draws (InputError when
     negative) plus the alternating and constant patterns is used.

@@ -762,9 +762,9 @@ def test_unc_conditions_v_does_not_depend_on_the_other_conditions(kind, d):
 
 
 def test_unc_conditions_inner_c_u_is_demoted_by_maximize(rng):
-    # 2^13 sign patterns lie above INNER_EXHAUSTIVE_CAP, so the bases' C_u is
+    # 2^13 sign patterns lie above INNER_SEARCH.cap, so the bases' C_u is
     # the heuristic(16) search, bit for bit, and only a lower bound
-    assert 2 ** 13 > subspaces.INNER_EXHAUSTIVE_CAP
+    assert 2 ** 13 > subspaces.INNER_SEARCH.cap
     v0 = random_basis(rng, 13)
     v1 = v0 + 0.03 * rng.standard_normal((13, 13))
     b0, b1 = (FrameSystem(NormedSpace(13, L1), v, biorthogonals(v)) for v in (v0, v1))
@@ -888,6 +888,27 @@ def test_unc_conditions_reads_infinity_exactly_where_a_weaving_is_no_basis():
     outcome = verdict.conditions["i"]
     assert outcome.constant == np.inf and outcome.exactness is Exactness.EXACT
     assert str(outcome.witness) == min(no_basis)
+
+
+@pytest.mark.parametrize("kind", [L1, L2])
+def test_unc_conditions_grades_a_chunk_in_which_no_weaving_is_a_basis(kind):
+    # against the standard basis with x_1 and x_2 swapped, a weaving repeats
+    # a vector exactly where its first two bits differ: patterns 256-767 at
+    # d = 10, which hold the whole chunk [524, 655) of chunk_size_for(10^3)
+    d = 10
+    assert search.chunk_size_for(d ** 3) == 131
+    std = standard_system(d, kind)
+    swapped = np.eye(d)[[1, 0, *range(2, d)]]
+    verdict = unc_conditions(std, FrameSystem(std.space, swapped, swapped),
+                             conditions=("i", "ii", "iv"))
+    fails = {p for p, flags in verdict.per_sigma.items()
+             if not (flags["i"] or flags["ii"] or flags["iv"])}
+    assert fails == {p for p in verdict.per_sigma if p[0] != p[1]}
+    assert all(all(flags.values()) for p, flags in verdict.per_sigma.items() if p[0] == p[1])
+    for c in ("i", "ii", "iv"):
+        outcome = verdict.conditions[c]
+        assert outcome.constant == np.inf and outcome.exactness is Exactness.EXACT
+        assert str(outcome.witness) == "01" + "0" * (d - 2)
 
 
 def test_unc_conditions_refuses_a_dependent_span_it_reads():
